@@ -12,9 +12,8 @@
 // experiment index and EXPERIMENTS.md for paper-versus-measured notes.
 //
 // -workers N runs independent figure points through a bounded pool; -gc
-// runs every device with the group-commit fence combiner (-gcwindow sets
-// the leader's batching dwell in simulated ns). The gc experiment itself
-// sweeps direct vs grouped across threads × window.
+// runs every device with fence-drain sharing. The gc experiment itself
+// sweeps direct vs shared across threads.
 //
 // -traceout FILE attaches a persist-event tracer to every device the run
 // creates and writes a Chrome trace_event JSON file (load it at
@@ -41,8 +40,7 @@ func main() {
 	traceout := flag.String("traceout", "", "write a Chrome trace_event JSON file of all persist events")
 	seed := flag.Int64("seed", 1, "seed for every adversarial crash settle (replay a failure with the seed it printed)")
 	workers := flag.Int("workers", 1, "independent figure points run concurrently (1 = serial, the accurate-measurement default)")
-	gc := flag.Bool("gc", false, "run every world's device with the group-commit fence combiner")
-	gcwindow := flag.Int("gcwindow", 0, "group-commit leader batch window in simulated ns (with -gc)")
+	gc := flag.Bool("gc", false, "run every world's device with fence-drain sharing (group commit)")
 	flag.Parse()
 
 	o := bench.DefaultOptions()
@@ -70,7 +68,6 @@ func main() {
 	o.Seed = *seed
 	o.Workers = *workers
 	o.GroupCommit = *gc
-	o.GroupWindowNS = *gcwindow
 
 	start := time.Now()
 	var err error

@@ -1,12 +1,12 @@
 // Command idoserve runs the networked KV front end: the memcache text
 // protocol or RESP over the iDO failure-atomicity runtime, with requests
-// hashed to per-shard commit pipelines that feed the device's
-// group-commit fence combiner.
+// hashed to per-shard commit pipelines whose commit fences can share
+// the device's drains (-gc).
 //
 // Usage:
 //
 //	idoserve                                  # memcache on :11211
-//	idoserve -proto resp -addr :6379 -gc -gcwindow 2000
+//	idoserve -proto resp -addr :6379 -gc
 //	idoserve -admin :8080                     # /metrics /healthz /readyz /debug/*
 //	idoserve -replicate :11311                # primary: ship the iDO log to a standby
 //	idoserve -standby -primary host:11311     # hot standby: apply, promote on primary death
@@ -15,7 +15,7 @@
 //
 // The default mode listens on -addr and serves until SIGINT/SIGTERM,
 // then drains gracefully: in-flight FASEs finish, their responses
-// flush, the final group-commit epoch is fenced, and the process exits
+// flush, a final fence drains, and the process exits
 // 0. With -load it instead drives the built-in load generator (the
 // Fig. 5c GET/SET/DELETE mix) and prints client throughput, latency
 // quantiles, and device fences per operation.
@@ -69,9 +69,7 @@ func main() {
 	shards := flag.Int("shards", 16, "shard pipelines (rounded up to a power of two)")
 	buckets := flag.Int("buckets", 64, "hash buckets per shard")
 	size := flag.Int("size", 1<<26, "simulated NVM region bytes")
-	gc := flag.Bool("gc", false, "enable the group-commit fence combiner")
-	gcwindow := flag.Int("gcwindow", 2000, "combiner leader batch window, simulated ns (with -gc)")
-	gcforce := flag.Bool("gcforce", false, "with -gc: route solo commits through the combiner ring too")
+	gc := flag.Bool("gc", false, "let concurrent commit fences share one device drain (group commit)")
 	maxitems := flag.Int("maxitems", 0, "per-shard live-item watermark; the pipeline evicts LRU items above it (0 = unbounded)")
 	nofast := flag.Bool("nofastreads", false, "disable the lock-free GET fast lane (serve every read through its shard pipeline)")
 	maxconns := flag.Int("maxconns", 0, "reject connections past this many with a busy error (0 = unbounded)")
@@ -111,11 +109,7 @@ func main() {
 		tr = obs.New(obs.Config{ThreadRingCap: 1 << 12, DeviceRingCap: 1 << 13})
 	}
 
-	cfg := nvm.Config{Size: *size, Tracer: tr}
-	if *gc {
-		cfg.GroupCommit = nvm.GroupCommitConfig{
-			Enabled: true, ForceCombine: *gcforce, WindowNS: *gcwindow}
-	}
+	cfg := nvm.Config{Size: *size, Tracer: tr, GroupCommit: nvm.GroupCommitConfig{Enabled: *gc}}
 	reg := region.Create(*size, cfg)
 
 	// The admin plane comes up before the store attaches so /readyz
@@ -355,8 +349,8 @@ func runLoad(srv *server.Server, dev *nvm.Device, cfg loadgen.Config, targets st
 			res.Retries, res.Reconnects, res.Failovers, res.TimedOut)
 	}
 	if res.Ops > 0 && targets == "" {
-		fmt.Printf("fences %d  %.2f fences/op  combiner epochs %d\n",
-			fences, float64(fences)/float64(res.Ops), dev.Epoch())
+		fmt.Printf("fences %d  %.2f fences/op  %d covered by another thread's drain\n",
+			fences, float64(fences)/float64(res.Ops), dev.GroupCommitStats().Combined)
 	}
 }
 

@@ -359,9 +359,7 @@ func (t *thread) commit() {
 
 	// Durability: stream the redo log with NT stores, fence, publish the
 	// commit record, fence; then apply in place and truncate. All four
-	// fences are batchable (FenceBatch): a conflicting committer aborts
-	// rather than waiting on stripe locks, so a thread parked in the
-	// fence combiner can never block another committer's progress.
+	// fences may share a drain (FenceBatch).
 	for i, addr := range t.writeOrder {
 		e := t.log + logBase + uint64(i)*16
 		dev.StoreNT(e, addr)

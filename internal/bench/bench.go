@@ -63,11 +63,9 @@ type Options struct {
 	// give every world its own trace instead of interleaving one shared
 	// Tracer. When nil, the shared Tracer is used.
 	WorldTracer func(label string) *obs.Tracer
-	// GroupCommit runs every world's device with the cross-thread
-	// flush/fence combiner enabled, and GroupWindowNS sets the elected
-	// leader's batching dwell (0 = serve only what is already published).
-	GroupCommit   bool
-	GroupWindowNS int
+	// GroupCommit runs every world's device with drain sharing enabled
+	// (nvm.GroupCommitConfig).
+	GroupCommit bool
 }
 
 // seed returns the run seed with the zero-value default applied.
@@ -163,9 +161,7 @@ type world struct {
 func newWorld(o Options, mk func() persist.Runtime, extraNS int, tr *obs.Tracer) (*world, error) {
 	cfg := nvmConfig(o.DeviceBytes, extraNS)
 	cfg.Tracer = tr // attach at birth so trace counts equal device stats
-	if o.GroupCommit {
-		cfg.GroupCommit = nvm.GroupCommitConfig{Enabled: true, WindowNS: o.GroupWindowNS}
-	}
+	cfg.GroupCommit = nvm.GroupCommitConfig{Enabled: o.GroupCommit}
 	return newWorldCfg(mk, o.DeviceBytes, cfg)
 }
 

@@ -320,22 +320,21 @@ func TestGroupCommitBenchQuick(t *testing.T) {
 			t.Fatalf("label %q used for %d worlds", l, n)
 		}
 	}
-	// Solo commits take the fast path: the fence schedule is identical to
+	// A lone committer shares nothing: the fence schedule is identical to
 	// direct, so per-commit fence counts must match (small tolerance for
 	// the partial op in flight when the measurement window closes).
-	d1, g1 := byKey["direct"][1], byKey["gc-w0"][1]
+	d1, g1 := byKey["direct"][1], byKey["shared"][1]
 	if g1.FencesPerOp < d1.FencesPerOp*0.98 || g1.FencesPerOp > d1.FencesPerOp*1.02 {
-		t.Fatalf("solo fence parity: direct %.2f vs gc-w0 %.2f fences/op", d1.FencesPerOp, g1.FencesPerOp)
+		t.Fatalf("solo fence parity: direct %.2f vs shared %.2f fences/op", d1.FencesPerOp, g1.FencesPerOp)
 	}
-	// At 16 threads the combiner must never add fences. How much it merges
-	// in a 60 ms window on one core is scheduler-dependent, so the ≥1.5x
-	// throughput bar is gated on the captured BENCH_group_commit.json run,
-	// not this smoke canary.
-	d16, g16 := byKey["direct"][16], byKey["gc-w0"][16]
+	// At 16 threads sharing must never add drains. How many it saves in a
+	// 60 ms window on a small host is scheduler-dependent, so throughput
+	// is not asserted here.
+	d16, g16 := byKey["direct"][16], byKey["shared"][16]
 	if g16.FencesPerOp > d16.FencesPerOp*1.05 {
-		t.Fatalf("grouped fences/op %.2f exceed direct %.2f at 16 threads", g16.FencesPerOp, d16.FencesPerOp)
+		t.Fatalf("shared fences/op %.2f exceed direct %.2f at 16 threads", g16.FencesPerOp, d16.FencesPerOp)
 	}
-	t.Logf("16T: direct %.3f Mops/s %.2f fences/op; gc-w0 %.3f Mops/s %.2f fences/op",
+	t.Logf("16T: direct %.3f Mops/s %.2f fences/op; shared %.3f Mops/s %.2f fences/op",
 		d16.MopsPS, d16.FencesPerOp, g16.MopsPS, g16.FencesPerOp)
 }
 

@@ -17,67 +17,54 @@ const (
 	ridGCBenchB = 0x171
 )
 
-// gcCostScale multiplies the baseline device cost model for this
-// experiment. Combining trades host-side synchronization (parking a
-// waiter and waking it costs on the order of a microsecond of scheduler
-// time here) for modeled fence drains; at the baseline 400 ns fence the
-// two are comparable on this oversubscribed host, which would measure
-// the host's futex latency rather than the protocol. Scaling every
-// modeled cost ×10 (flush 500 ns, fence 4 µs, NT store 1.5 µs) keeps the
-// modeled persistence dominant — the regime the experiment is about, and
-// the cost ratio a slow flush-based NVM part actually exhibits — without
-// changing any relative ordering. Direct and grouped series run under
-// the identical scaled model, so the speedups and the single-thread
-// parity bar are unaffected by the scale itself.
+// gcCostScale multiplies the baseline device cost model for the
+// group-commit and server experiments: flush 500 ns, fence 4 µs, NT
+// store 1.5 µs — the cost ratio of a slow flush-based NVM part, where
+// modeled persistence dominates the host's own synchronization. Direct
+// and shared series run under the identical scaled model.
 const gcCostScale = 10
 
 // GCResult is one cell of the group-commit sweep.
 type GCResult struct {
-	Series      string // "direct" or "gc-w<windowNS>"
+	Series      string // "direct" or "shared"
 	Threads     int
 	Ops         uint64
 	MopsPS      float64
 	NsPerOp     float64 // average per-thread commit latency
-	Fences      uint64  // device fences in the measured interval (a merged fence counts once)
+	Fences      uint64  // fence drains in the measured interval
 	FencesPerOp float64
 }
 
-// RunGroupCommit regenerates the group-commit pipeline experiment: iDO
-// commit throughput on per-thread private counter FASEs, direct persists
-// versus the cross-thread flush/fence combiner, sweeping thread count ×
-// leader batch window. Each thread owns its own lock and counter line, so
-// the persist fences are the only cross-thread serialization — the
-// combiner's best case, and the direct path's worst (every fence queues
-// on the device's write-queue drain). The acceptance bars: grouped
-// commit throughput at 16 threads ≥ 1.5x direct, and single-thread
-// latency within 5% of direct (the solo fast path skips combining).
+// RunGroupCommit regenerates the group-commit experiment: iDO commit
+// throughput on per-thread private counter FASEs, every fence draining
+// itself ("direct") versus drain sharing ("shared"), sweeping thread
+// count. Each thread owns its own lock and counter line, so the persist
+// fences are the only cross-thread serialization — sharing's best case,
+// and the direct path's worst (every fence queues on the device's
+// write-queue drain). A lone committer shares nothing, so the two
+// series must agree at one thread.
 func RunGroupCommit(o Options) ([]GCResult, error) {
 	threads := []int{1, 2, 4, 8, 16}
-	windows := []int{0, 2000, 8000}
 	if o.Quick {
 		threads = []int{1, 4, 16}
-		windows = []int{0, 4000}
 	}
 	type job struct {
 		series string
 		gc     bool
-		window int
 		nt     int
 	}
 	var jobs []job
 	for _, nt := range threads {
-		jobs = append(jobs, job{"direct", false, 0, nt})
+		jobs = append(jobs, job{"direct", false, nt})
 	}
-	for _, wnd := range windows {
-		for _, nt := range threads {
-			jobs = append(jobs, job{fmt.Sprintf("gc-w%d", wnd), true, wnd, nt})
-		}
+	for _, nt := range threads {
+		jobs = append(jobs, job{"shared", true, nt})
 	}
 	out := make([]GCResult, len(jobs))
 	err := runPoints(o, len(jobs), func(i int) error {
 		j := jobs[i]
 		po := o
-		po.GroupCommit, po.GroupWindowNS = j.gc, j.window
+		po.GroupCommit = j.gc
 		ops, fences, err := runGroupCommitPoint(po, fmt.Sprintf("gc/%s/t%d", j.series, j.nt), j.nt)
 		if err != nil {
 			return fmt.Errorf("groupcommit %s/t%d: %w", j.series, j.nt, err)
@@ -117,9 +104,7 @@ func runGroupCommitPoint(o Options, label string, nThreads int) (uint64, uint64,
 	cfg.FenceNS *= gcCostScale
 	cfg.NTStoreNS *= gcCostScale
 	cfg.Tracer = o.tracer(label)
-	if o.GroupCommit {
-		cfg.GroupCommit = nvm.GroupCommitConfig{Enabled: true, WindowNS: o.GroupWindowNS}
-	}
+	cfg.GroupCommit = nvm.GroupCommitConfig{Enabled: o.GroupCommit}
 	w, err := newWorldCfg(mkSpec("ido").mk, o.DeviceBytes, cfg)
 	if err != nil {
 		return 0, 0, err
@@ -132,8 +117,7 @@ func runGroupCommitPoint(o Options, label string, nThreads int) (uint64, uint64,
 		if err != nil {
 			return 0, 0, err
 		}
-		// A full line per counter: disjoint dirty sets, so merged batches
-		// never share write-backs either.
+		// A full line per counter: disjoint dirty sets.
 		c, err := w.reg.Alloc.Alloc(64)
 		if err != nil {
 			return 0, 0, err

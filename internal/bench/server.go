@@ -14,7 +14,7 @@ import (
 
 // ServerResult is one cell of the end-to-end server sweep.
 type ServerResult struct {
-	Series      string // "direct" or "gc-w<windowNS>"
+	Series      string // "direct" or "shared"
 	Conns       int
 	Pipeline    int
 	Ops         uint64
@@ -29,42 +29,31 @@ type ServerResult struct {
 // RunServer regenerates the end-to-end networked-KV experiment: the
 // memcache front end over the iDO runtime, driven by the closed-loop
 // generator on in-memory connections, sweeping client connections ×
-// pipelining depth for direct persists versus the group-commit combiner.
+// pipelining depth for direct persists versus drain sharing.
 // The workload is Fig. 5c's mix (40% SET, 20% DELETE, 40% GET) over a
 // prefilled key space. Concurrency reaches the persistence domain
 // through the shard pipelines — 16 shard threads committing FASEs
-// back-to-back — so at high connection counts the combiner merges
-// cross-shard fence drains exactly as it merges worker threads in the
-// commit microbenchmark, and the client sees the win as ops/s. The
-// acceptance bars: grouped throughput at 16 conns ≥ 1.5x direct with
-// fewer device fences per operation, and 1-conn latency within parity
-// (a solo committer skips combining).
+// back-to-back — so at high connection counts shard threads share fence
+// drains exactly as worker threads do in the commit microbenchmark, and
+// the client sees the win as ops/s.
 func RunServer(o Options) ([]ServerResult, error) {
 	conns := []int{1, 2, 4, 8, 16}
 	pipelines := []int{1, 8}
-	windows := []int{2000, 8000}
 	if o.Quick {
 		conns = []int{1, 16}
 		pipelines = []int{4}
-		windows = []int{2000}
 	}
 	type job struct {
 		series   string
 		gc       bool
-		window   int
 		conns    int
 		pipeline int
 	}
 	var jobs []job
-	for _, p := range pipelines {
-		for _, nc := range conns {
-			jobs = append(jobs, job{"direct", false, 0, nc, p})
-		}
-	}
-	for _, wnd := range windows {
+	for _, series := range []job{{series: "direct"}, {series: "shared", gc: true}} {
 		for _, p := range pipelines {
 			for _, nc := range conns {
-				jobs = append(jobs, job{fmt.Sprintf("gc-w%d", wnd), true, wnd, nc, p})
+				jobs = append(jobs, job{series.series, series.gc, nc, p})
 			}
 		}
 	}
@@ -72,7 +61,7 @@ func RunServer(o Options) ([]ServerResult, error) {
 	err := runPoints(o, len(jobs), func(i int) error {
 		j := jobs[i]
 		label := fmt.Sprintf("server/%s/c%d/p%d", j.series, j.conns, j.pipeline)
-		res, fences, err := runServerPoint(o, label, j.gc, j.window, j.conns, j.pipeline)
+		res, fences, err := runServerPoint(o, label, j.gc, j.conns, j.pipeline)
 		if err != nil {
 			return fmt.Errorf("server %s/c%d/p%d: %w", j.series, j.conns, j.pipeline, err)
 		}
@@ -196,7 +185,6 @@ func RunServerReadPath(o Options) ([]ServerReadResult, error) {
 type serverPoint struct {
 	label       string
 	gc          bool
-	windowNS    int
 	conns       int
 	pipeline    int
 	setPct      int
@@ -208,9 +196,9 @@ type serverPoint struct {
 
 // runServerPoint measures one cell of the Fig. 5c-mix sweep; the
 // parameterized core is runServerPointCfg.
-func runServerPoint(o Options, label string, gc bool, windowNS, nconns, pipeline int) (*loadgen.Result, uint64, error) {
+func runServerPoint(o Options, label string, gc bool, nconns, pipeline int) (*loadgen.Result, uint64, error) {
 	res, fences, _, err := runServerPointCfg(o, serverPoint{
-		label: label, gc: gc, windowNS: windowNS,
+		label: label, gc: gc,
 		conns: nconns, pipeline: pipeline, setPct: 40, delPct: 20,
 	})
 	return res, fences, err
@@ -229,19 +217,7 @@ func runServerPointCfg(o Options, pt serverPoint) (*loadgen.Result, uint64, metr
 	cfg.FenceNS *= gcCostScale
 	cfg.NTStoreNS *= gcCostScale
 	cfg.Tracer = o.tracer(pt.label)
-	if pt.gc {
-		// ForceCombine routes every commit through the slot ring. The solo
-		// fast path would otherwise defeat the experiment on a small host:
-		// shard threads block on their queues between requests, so the
-		// scheduler switches between them at channel boundaries — never
-		// inside a commit — and each arrival sees itself alone and fences
-		// directly. Forcing the ring makes the first committer the leader,
-		// and its batch-window dwell yields the processor to the other
-		// shard pipelines until they reach their publish points: the
-		// rendezvous a multicore host gets from true concurrency.
-		cfg.GroupCommit = nvm.GroupCommitConfig{
-			Enabled: true, ForceCombine: true, WindowNS: pt.windowNS}
-	}
+	cfg.GroupCommit = nvm.GroupCommitConfig{Enabled: pt.gc}
 	w, err := newWorldCfg(mkSpec("ido").mk, o.DeviceBytes, cfg)
 	if err != nil {
 		return nil, 0, none, err

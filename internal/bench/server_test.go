@@ -4,11 +4,10 @@ import "testing"
 
 // TestServerBenchQuick runs the end-to-end server sweep at smoke scale
 // and asserts its qualitative shape: every cell serves traffic without
-// client-visible errors, and at 16 connections the group-commit series
-// never pays more device fences per request than direct persists. The
-// ≥1.5x throughput bar is gated on the captured BENCH_server_e2e.json
-// run, not this canary — a 60 ms window on an oversubscribed CI core
-// measures the scheduler as much as the protocol.
+// client-visible errors, and at 16 connections the drain-sharing series
+// never pays more device fences per request than direct persists.
+// Throughput is not asserted: a 60 ms window on an oversubscribed CI
+// core measures the scheduler as much as the protocol.
 func TestServerBenchQuick(t *testing.T) {
 	o := quick(t)
 	results, err := RunServer(o)
@@ -31,12 +30,12 @@ func TestServerBenchQuick(t *testing.T) {
 			t.Fatalf("%s/c%d: implausible latency p50=%d p99=%d", r.Series, r.Conns, r.P50NS, r.P99NS)
 		}
 	}
-	d16, g16 := byKey["direct"][16], byKey["gc-w2000"][16]
+	d16, g16 := byKey["direct"][16], byKey["shared"][16]
 	if g16.FencesPerOp > d16.FencesPerOp*1.05 {
-		t.Fatalf("grouped fences/op %.2f exceed direct %.2f at 16 conns",
+		t.Fatalf("shared fences/op %.2f exceed direct %.2f at 16 conns",
 			g16.FencesPerOp, d16.FencesPerOp)
 	}
-	t.Logf("c16: direct %.3f Mops/s %.2f fences/op; gc-w2000 %.3f Mops/s %.2f fences/op",
+	t.Logf("c16: direct %.3f Mops/s %.2f fences/op; shared %.3f Mops/s %.2f fences/op",
 		d16.MopsPS, d16.FencesPerOp, g16.MopsPS, g16.FencesPerOp)
 }
 

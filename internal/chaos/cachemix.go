@@ -47,7 +47,6 @@ func cacheKey1(k0 uint64) uint64 { return k0 ^ 0x5A5A }
 type cacheDriver struct {
 	s  Schedule
 	mk func() persist.Runtime
-	gc bool // run the device with the forced group-commit combiner
 
 	reg   *region.Region
 	lm    *locks.Manager
@@ -59,7 +58,7 @@ type cacheDriver struct {
 }
 
 func (d *cacheDriver) prepare(seed int64) error {
-	d.reg = region.Create(1<<20, chaosNVMConfig(d.gc))
+	d.reg = region.Create(1<<20, d.s.nvmConfig())
 	d.lm = locks.NewManager(d.reg)
 	d.rt = d.mk()
 	if err := d.rt.Attach(d.reg, d.lm); err != nil {

@@ -217,31 +217,25 @@ type driver interface {
 	locksFree() error
 }
 
-// Runtimes lists the runtime names Run accepts, native first. The
-// "-gc" variants run the same runtime with the device's group-commit
-// fence combiner enabled and forced (every batchable commit goes
-// through the combiner's publish/merge/fence protocol, so the
-// single-threaded schedules cover its crash points deterministically).
+// Runtimes lists the runtime names Run accepts, native first. "ido-gc"
+// is ido over a device with drain sharing enabled. Schedules are
+// single-threaded and a lone committer shares nothing, so it must walk
+// exactly ido's event sequence: one variant pins that (on any runtime
+// the device sees the same calls, only the config bit differs).
 func Runtimes() []string {
 	return []string{
 		"ido", "atlas", "mnemosyne", "nvthreads", "nvml", "justdo", "origin",
-		"ido-gc", "atlas-gc", "mnemosyne-gc",
-		"vm-ido", "vm-justdo", "vm-origin", "vm-ido-gc",
+		"ido-gc",
+		"vm-ido", "vm-justdo", "vm-origin",
 	}
 }
 
-// gcSuffix selects group-commit mode on a runtime name.
-const gcSuffix = "-gc"
+// gcRuntime is the one drain-sharing variant.
+const gcRuntime = "ido-gc"
 
-// chaosNVMConfig builds the device config for a schedule. Group-commit
-// schedules force combining so the combiner path (slot publish, leader
-// election, merged fence) is on every commit's event sequence, not just
-// when threads happen to overlap.
-func chaosNVMConfig(gc bool) nvm.Config {
-	if !gc {
-		return nvm.Config{}
-	}
-	return nvm.Config{GroupCommit: nvm.GroupCommitConfig{Enabled: true, ForceCombine: true}}
+// nvmConfig is the device config of a native schedule.
+func (s Schedule) nvmConfig() nvm.Config {
+	return nvm.Config{GroupCommit: nvm.GroupCommitConfig{Enabled: s.Runtime == gcRuntime}}
 }
 
 func newDriver(s Schedule) (driver, caps, error) {

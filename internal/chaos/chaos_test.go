@@ -293,59 +293,38 @@ func TestNVThreadsCommitSelfClobber(t *testing.T) {
 	}
 }
 
-// TestGroupCommitDenseDiscard pins the combiner's batch-atomicity
-// argument densely: with group commit forced, walk EVERY forward event
-// of the counter workload under the discard adversary (the strongest —
-// anything not covered by a completed merged fence is lost). A crash at
-// any event — including the combiner's publish tick, mid-batch
-// write-backs, and the merged fence itself — must resolve every FASE in
-// the batch to either durably-committed or recoverable-via-its-own-log;
-// a divergence from the persist-all oracle or a counter outside the
-// bounded deficit fails the Run. The VM variant strides (its forward
-// range is ~7x longer); -short strides both.
+// TestGroupCommitDenseDiscard walks EVERY forward event of the counter
+// workload on the drain-sharing device under the discard adversary (the
+// strongest — anything not covered by a completed drain is lost). A
+// divergence from the persist-all oracle or a counter outside the
+// bounded deficit fails the Run. -short strides.
 func TestGroupCommitDenseDiscard(t *testing.T) {
-	for _, tc := range []struct {
-		base   Schedule
-		stride int64
-	}{
-		{Schedule{Runtime: "ido-gc", Workload: "counter", Mode: nvm.CrashDiscard, Seed: 1}, int64(pick(1, 11))},
-		{Schedule{Runtime: "vm-ido-gc", Workload: "mapput", Mode: nvm.CrashDiscard, Seed: 1}, int64(pick(3, 29))},
-	} {
-		t.Run(tc.base.Runtime, func(t *testing.T) {
-			k, err := ForwardEvents(tc.base)
-			if err != nil {
-				t.Fatal(err)
+	base := Schedule{Runtime: gcRuntime, Workload: "counter", Mode: nvm.CrashDiscard, Seed: 1}
+	stride := int64(pick(1, 11))
+	t.Run(base.Runtime, func(t *testing.T) {
+		k, err := ForwardEvents(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f := int64(1); f < k; f += stride {
+			s := base
+			s.Forward = f
+			if _, err := Run(s); err != nil {
+				t.Fatalf("replay with: idorecover -chaos -replay '%s': %v", s, err)
 			}
-			for f := int64(1); f < k; f += tc.stride {
-				s := tc.base
-				s.Forward = f
-				if _, err := Run(s); err != nil {
-					t.Fatalf("replay with: idorecover -chaos -replay '%s': %v", s, err)
-				}
-			}
-			t.Logf("covered forward 1..%d stride %d", k-1, tc.stride)
-		})
-	}
+		}
+		t.Logf("covered forward 1..%d stride %d", k-1, stride)
+	})
 }
 
-// TestGroupCommitMatchesDirectObservables: for every crash point, the
-// gc runtime and its direct twin must reach the same recovered
-// observables under the exact persist-all oracle — group commit changes
-// fence scheduling, never outcomes. Forward budgets count different
-// event streams (gc adds a publish tick per commit and merges fences),
-// so the comparison anchors on the final converged state of full
-// sweeps, which the Sweep calls inside TestSweepAllRuntimes already
-// verify per-schedule; here we pin the cheap end-to-end identity: a
-// crash-free run's observables are identical.
+// TestGroupCommitMatchesDirectObservables: a lone committer shares no
+// drain, so drain sharing adds no crash point — ido-gc has exactly as
+// many forward events as ido, and crashing the two at the same event
+// under the discard adversary recovers the same observables.
 func TestGroupCommitMatchesDirectObservables(t *testing.T) {
-	for _, pair := range [][2]string{
-		{"ido", "ido-gc"},
-		{"mnemosyne", "mnemosyne-gc"},
-		{"atlas", "atlas-gc"},
-		{"vm-ido", "vm-ido-gc"},
-	} {
-		direct := Schedule{Runtime: pair[0], Workload: DefaultWorkload(pair[0]), Mode: nvm.CrashPersistAll, Seed: 1}
-		gc := Schedule{Runtime: pair[1], Workload: DefaultWorkload(pair[1]), Mode: nvm.CrashPersistAll, Seed: 1}
+	for _, wl := range []string{"counter", "cachemix"} {
+		direct := Schedule{Runtime: "ido", Workload: wl, Seed: 1}
+		gc := Schedule{Runtime: gcRuntime, Workload: wl, Seed: 1}
 		kd, err := ForwardEvents(direct)
 		if err != nil {
 			t.Fatal(err)
@@ -354,21 +333,23 @@ func TestGroupCommitMatchesDirectObservables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Crash at the workload's final device event: every FASE's
-		// effects and log state are settled by persist-all, so both
-		// variants must recover to the identical fully-completed state.
-		direct.Forward, gc.Forward = kd-1, kg-1
-		rd, err := Run(direct)
-		if err != nil {
-			t.Fatal(err)
+		if kd != kg {
+			t.Fatalf("%s: %d forward events direct, %d with drain sharing", wl, kd, kg)
 		}
-		rg, err := Run(gc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(rd.Final, rg.Final) {
-			t.Fatalf("%s vs %s: completed-run observables differ: %v vs %v",
-				pair[0], pair[1], rd.Final, rg.Final)
+		direct.Mode, gc.Mode = nvm.CrashDiscard, nvm.CrashDiscard
+		for f := int64(1); f < kd; f += int64(pick(5, 23)) {
+			direct.Forward, gc.Forward = f, f
+			rd, err := Run(direct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rg, err := Run(gc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(rd.Final, rg.Final) {
+				t.Fatalf("%s crash at %d: direct recovers %v, shared %v", wl, f, rd.Final, rg.Final)
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"github.com/ido-nvm/ido/internal/baselines/atlas"
 	"github.com/ido-nvm/ido/internal/baselines/justdo"
@@ -47,7 +46,6 @@ const (
 type nativeDriver struct {
 	s  Schedule
 	mk func() persist.Runtime
-	gc bool // run the device with the forced group-commit combiner
 
 	reg  *region.Region
 	lm   *locks.Manager
@@ -58,16 +56,9 @@ type nativeDriver struct {
 }
 
 func newNativeDriver(s Schedule) (driver, caps, error) {
-	// A "-gc" suffix selects the same runtime over a group-commit
-	// device. Only the runtimes whose commit epilogues issue batchable
-	// persists (PersistBatch/FenceBatch) have a gc variant.
-	base, gc := strings.CutSuffix(s.Runtime, gcSuffix)
-	if gc {
-		switch base {
-		case "ido", "atlas", "mnemosyne":
-		default:
-			return nil, caps{}, fmt.Errorf("chaos: runtime %q has no group-commit variant", base)
-		}
+	base := s.Runtime
+	if base == gcRuntime {
+		base = "ido"
 	}
 	mk, c, err := nativeRuntime(base)
 	if err != nil {
@@ -75,7 +66,7 @@ func newNativeDriver(s Schedule) (driver, caps, error) {
 	}
 	switch s.Workload {
 	case "counter":
-		return &nativeDriver{s: s, mk: mk, gc: gc}, c, nil
+		return &nativeDriver{s: s, mk: mk}, c, nil
 	case "cachemix":
 		// The delete-heavy memcache script needs recovery that completes
 		// (or wholly discards) the in-flight FASE: a torn chain unlink is
@@ -86,7 +77,7 @@ func newNativeDriver(s Schedule) (driver, caps, error) {
 		default:
 			return nil, caps{}, fmt.Errorf("chaos: runtime %s: workload \"cachemix\" needs FASE-exact recovery (supported on ido|mnemosyne|nvthreads)", s.Runtime)
 		}
-		return &cacheDriver{s: s, mk: mk, gc: gc}, c, nil
+		return &cacheDriver{s: s, mk: mk}, c, nil
 	}
 	return nil, caps{}, fmt.Errorf("chaos: runtime %s: unknown workload %q (native runtimes run \"counter\" or \"cachemix\")", s.Runtime, s.Workload)
 }
@@ -131,7 +122,7 @@ func nativeRuntime(name string) (func() persist.Runtime, caps, error) {
 }
 
 func (d *nativeDriver) prepare(seed int64) error {
-	d.reg = region.Create(1<<20, chaosNVMConfig(d.gc))
+	d.reg = region.Create(1<<20, d.s.nvmConfig())
 	d.lm = locks.NewManager(d.reg)
 	d.rt = d.mk()
 	if err := d.rt.Attach(d.reg, d.lm); err != nil {

@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 
 	"github.com/ido-nvm/ido/internal/compile"
@@ -39,7 +38,6 @@ func compiledProg() (*compile.Compiled, error) {
 type vmDriver struct {
 	s    Schedule
 	mode vm.Mode
-	gc   bool // run the device with the forced group-commit combiner
 
 	reg *region.Region
 	lm  *locks.Manager
@@ -51,11 +49,7 @@ type vmDriver struct {
 func newVMDriver(s Schedule) (driver, caps, error) {
 	var mode vm.Mode
 	c := caps{modes: allModes, exactPA: true}
-	base, gc := strings.CutSuffix(s.Runtime, gcSuffix)
-	if gc && base != "vm-ido" {
-		return nil, caps{}, fmt.Errorf("chaos: runtime %q has no group-commit variant", base)
-	}
-	switch base {
+	switch s.Runtime {
 	case "vm-ido":
 		mode = vm.ModeIDO
 	case "vm-justdo":
@@ -73,7 +67,7 @@ func newVMDriver(s Schedule) (driver, caps, error) {
 	if s.Workload != "mapput" {
 		return nil, caps{}, fmt.Errorf("chaos: runtime %s: unknown workload %q (VM runtimes run \"mapput\")", s.Runtime, s.Workload)
 	}
-	return &vmDriver{s: s, mode: mode, gc: gc}, c, nil
+	return &vmDriver{s: s, mode: mode}, c, nil
 }
 
 func (d *vmDriver) prepare(seed int64) error {
@@ -81,7 +75,7 @@ func (d *vmDriver) prepare(seed int64) error {
 	if err != nil {
 		return err
 	}
-	d.reg = region.Create(1<<22, chaosNVMConfig(d.gc))
+	d.reg = region.Create(1<<22, nvm.Config{})
 	d.lm = locks.NewManager(d.reg)
 	d.m = vm.New(d.reg, d.lm, prog, d.mode)
 	mp, err := irprog.NewMap(d.reg, d.lm, mapBuckets)

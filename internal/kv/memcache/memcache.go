@@ -369,27 +369,35 @@ func delCnt(env *Env, t persist.Thread, tbl, cnt uint64) {
 }
 
 // EvictOne removes the LRU tail item as one FASE; it reports whether a
-// victim existed. Used by callers that bound the cache size.
+// victim existed. Used by callers that bound the cache size. Like
+// Delete, it releases the item's memory after the FASE completes, so a
+// crash in between (or a resumed eviction) leaks the block rather than
+// freeing it twice.
 func (c *Cache) EvictOne(t persist.Thread) bool {
 	t.Lock(c.lock)
 	t.Boundary(ridEvEntry, append(persist.Outs(t),
 		persist.RV(0, c.tbl))...)
-	return evEntry(c.env, t, c.tbl)
+	victim := evEntry(c.env, t, c.tbl)
+	if victim != 0 {
+		c.env.Reg.Alloc.Free(victim)
+	}
+	return victim != 0
 }
 
 // evEntry is region ridEvEntry: read the tail victim, locate its chain,
-// scan to its position, then reuse the delete regions.
-func evEntry(env *Env, t persist.Thread, tbl uint64) bool {
+// scan to its position, then reuse the delete regions. It returns the
+// unlinked item, 0 when the cache was empty.
+func evEntry(env *Env, t persist.Thread, tbl uint64) uint64 {
 	victim := t.Load64(tbl + tLRUTail)
 	if victim == 0 {
 		release(env, t, tbl)
-		return false
+		return 0
 	}
 	k0 := t.Load64(victim + iK0)
 	k1 := t.Load64(victim + iK1)
 	ba := bucketAddr(t, tbl, k0, k1)
 	evScanFrom(env, t, tbl, victim, ba, t.Load64(ba))
-	return true
+	return victim
 }
 
 func evScanFrom(env *Env, t persist.Thread, tbl, victim, pp, cur uint64) {

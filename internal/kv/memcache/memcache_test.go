@@ -126,6 +126,35 @@ func TestLRUOrder(t *testing.T) {
 	}
 }
 
+// TestEvictFreesMemory: an evicted item goes back to the allocator, so a
+// cache held at a fixed size by set/evict churn allocates nothing net.
+func TestEvictFreesMemory(t *testing.T) {
+	env := newEnv(t, 1<<22)
+	rt := core.New(core.DefaultConfig())
+	if err := rt.Attach(env.Reg, env.LM); err != nil {
+		t.Fatal(err)
+	}
+	c, _, _ := New(env, 64)
+	th, _ := rt.NewThread()
+	const resident = 100
+	for k := uint64(1); k <= resident; k++ {
+		c.Set(th, k, 0, k)
+	}
+	base := env.Reg.Alloc.Stats().AllocatedBytes
+	for k := uint64(resident + 1); k <= 20*resident; k++ {
+		c.Set(th, k, 0, k)
+		if !c.EvictOne(th) {
+			t.Fatalf("evict after set(%d) found no victim", k)
+		}
+	}
+	if c.Count() != resident {
+		t.Fatalf("count = %d, want %d", c.Count(), resident)
+	}
+	if got := env.Reg.Alloc.Stats().AllocatedBytes; got != base {
+		t.Fatalf("allocated bytes grew %d -> %d under set/evict churn: evicted items leak", base, got)
+	}
+}
+
 func TestConcurrentCache(t *testing.T) {
 	env := newEnv(t, 1<<24)
 	rt := core.New(core.DefaultConfig())

@@ -40,11 +40,9 @@ type pipeBuf struct {
 	closedR bool // read end closed: writes fail immediately
 
 	// Read-deadline support: rdDeadline is the reader's current
-	// deadline (zero = none), rdGen increments on every deadline change
-	// so a stale timer can tell it has been superseded, rdTimer wakes
-	// parked readers when the deadline lands.
+	// deadline (zero = none); rdTimer, created at the first deadline and
+	// re-armed by every later one, wakes parked readers when it lands.
 	rdDeadline time.Time
-	rdGen      uint64
 	rdTimer    *time.Timer
 }
 
@@ -111,36 +109,27 @@ func (p *pipeBuf) read(b []byte) (int, error) {
 	return total, nil
 }
 
-// setReadDeadline installs t as the reader's deadline. A timer wakes
-// parked readers when it lands; each call supersedes the previous
-// timer via the generation counter.
+// setReadDeadline installs t as the reader's deadline and re-arms the
+// pipe's one timer to wake parked readers when it lands (at once, for a
+// deadline already past). A wake-up from a superseded deadline is
+// harmless: the reader re-checks rdDeadline and parks again.
 func (p *pipeBuf) setReadDeadline(t time.Time) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.rdDeadline = t
-	p.rdGen++
-	gen := p.rdGen
-	if p.rdTimer != nil {
-		p.rdTimer.Stop()
-		p.rdTimer = nil
-	}
-	if !t.IsZero() {
-		d := time.Until(t)
-		if d < 0 {
-			d = 0
+	switch {
+	case t.IsZero():
+		if p.rdTimer != nil {
+			p.rdTimer.Stop()
 		}
-		p.rdTimer = time.AfterFunc(d, func() {
-			p.mu.Lock()
-			if p.rdGen == gen {
-				p.rd.Broadcast()
-			}
-			p.mu.Unlock()
-		})
+	case p.rdTimer == nil:
+		p.rdTimer = time.AfterFunc(time.Until(t), p.wakeReaders)
+	default:
+		p.rdTimer.Reset(time.Until(t))
 	}
-	p.mu.Unlock()
-	if t.IsZero() || t.After(time.Now()) {
-		return
-	}
-	// Already-expired deadline: wake parked readers immediately.
+}
+
+func (p *pipeBuf) wakeReaders() {
 	p.mu.Lock()
 	p.rd.Broadcast()
 	p.mu.Unlock()

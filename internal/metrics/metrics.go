@@ -1,7 +1,7 @@
 // Package metrics is the introspection plane over the serving stack: a
 // lock-free snapshot/delta layer that turns the cumulative counters the
 // hot paths already maintain — obs.Tracer event counts and histograms,
-// nvm.Device persist-event stats, group-commit combiner gauges, and the
+// nvm.Device persist-event stats, drain-sharing gauges, and the
 // server's per-shard pipeline gauges — into one coherent Snapshot that
 // renders as Prometheus text, memcache `stats`, RESP `INFO`, or JSON,
 // and diffs into interval rates (req/s, fences/op, batch occupancy,
@@ -188,9 +188,9 @@ type Delta struct {
 	FlushesPerOp float64 // device write-backs per request
 	NTPerOp      float64 // non-temporal stores per request
 
-	// BatchOccupancy is FASEs per merged group-commit fence over the
-	// window (from HFASEsPerFence) — 0 when no merged fence completed,
-	// 1 when the combiner never amortized anything.
+	// BatchOccupancy is fences completed per drain performed over the
+	// window (nvm drain sharing) — 0 when no drain completed, 1 when
+	// no fence was ever covered by another thread's drain.
 	BatchOccupancy float64
 
 	// Request latency quantiles over the window, from the HReqLatency
@@ -222,8 +222,9 @@ func Diff(prev, cur *Snapshot, d *Delta) {
 		d.FlushesPerOp = float64(sub(cur.Dev.Flushes, prev.Dev.Flushes)) / float64(ops)
 		d.NTPerOp = float64(sub(cur.Dev.NTStores, prev.Dev.NTStores)) / float64(ops)
 	}
-	occ := cur.Obs.Hists[obs.HFASEsPerFence].Sub(&prev.Obs.Hists[obs.HFASEsPerFence])
-	d.BatchOccupancy = occ.Mean()
+	if drains := sub(cur.GC.Epochs, prev.GC.Epochs); drains > 0 {
+		d.BatchOccupancy = float64(sub(cur.GC.ServedFASEs, prev.GC.ServedFASEs)) / float64(drains)
+	}
 	lat := cur.Obs.Hists[obs.HReqLatency].Sub(&prev.Obs.Hists[obs.HReqLatency])
 	d.ReqP50NS = lat.Quantile(0.50)
 	d.ReqP99NS = lat.Quantile(0.99)

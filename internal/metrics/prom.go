@@ -30,7 +30,6 @@ var histExport = []struct {
 	{obs.HReqLatency, "ido_req_latency_ns", "Server-side request latency, parse done to response handed to writer."},
 	{obs.HFlushNS, "ido_flush_ns", "Observed latency of each cache-line write-back."},
 	{obs.HFenceNS, "ido_fence_ns", "Observed stall of each persist fence."},
-	{obs.HFASEsPerFence, "ido_gc_fases_per_fence", "FASE commits amortized by each merged group-commit fence."},
 }
 
 // WritePrometheus renders cur (and the interval gauges in d, which may
@@ -56,12 +55,11 @@ func WritePrometheus(w io.Writer, cur *Snapshot, d *Delta) {
 	counter("ido_evictions_total", "Spontaneous cache evictions written back.", cur.Dev.Evictions)
 	counter("ido_device_crashes_total", "Device crashes settled.", cur.Dev.Crashes)
 
-	// Group-commit combiner.
-	counter("ido_gc_epochs_total", "Merged group-commit fences completed.", cur.GC.Epochs)
-	counter("ido_gc_solo_commits_total", "Commits taken on the combiner's solo fast path.", cur.GC.Solo)
-	counter("ido_gc_combined_commits_total", "Commits absorbed into another thread's merged fence.", cur.GC.Combined)
-	counter("ido_gc_served_fases_total", "FASE slots served across all merged fences.", cur.GC.ServedFASEs)
-	counter("ido_gc_dwell_rounds_total", "Leader dwell yields while a batch window was open.", cur.GC.DwellRounds)
+	// Group commit (drain sharing).
+	counter("ido_gc_epochs_total", "Fence drains performed with drain sharing on.", cur.GC.Epochs)
+	counter("ido_gc_solo_commits_total", "Drains that found the fence token free on arrival.", cur.GC.Solo)
+	counter("ido_gc_combined_commits_total", "Fences covered by another thread's drain.", cur.GC.Combined)
+	counter("ido_gc_served_fases_total", "Fences completed, drained or covered.", cur.GC.ServedFASEs)
 
 	// Front end.
 	counter("ido_server_requests_total", "Requests completed by the server.", cur.Srv.Reqs)
@@ -154,7 +152,7 @@ func WritePrometheus(w io.Writer, cur *Snapshot, d *Delta) {
 		gaugeF("ido_requests_per_second", "Request rate over the last scrape interval.", d.OpsPerSec)
 		gaugeF("ido_fences_per_op", "Device fences per request over the last scrape interval.", d.FencesPerOp)
 		gaugeF("ido_flushes_per_op", "Cache-line write-backs per request over the last scrape interval.", d.FlushesPerOp)
-		gaugeF("ido_gc_batch_occupancy", "FASEs per merged fence over the last scrape interval.", d.BatchOccupancy)
+		gaugeF("ido_gc_batch_occupancy", "Fences completed per drain over the last scrape interval.", d.BatchOccupancy)
 		fmt.Fprintf(w, "# HELP ido_req_latency_interval_ns Request latency quantiles over the last scrape interval.\n# TYPE ido_req_latency_interval_ns gauge\n")
 		fmt.Fprintf(w, "ido_req_latency_interval_ns{quantile=\"0.5\"} %d\n", d.ReqP50NS)
 		fmt.Fprintf(w, "ido_req_latency_interval_ns{quantile=\"0.99\"} %d\n", d.ReqP99NS)

@@ -59,7 +59,7 @@ func (d *Device) WriteWords(addr uint64, src []uint64) {
 		if n > len(src)-i {
 			n = len(src) - i
 		}
-		var mask uint64
+		var mask uint32
 		w := a >> wordShift
 		st := d.lockLine(li)
 		for k := 0; k < n; k++ {
@@ -93,7 +93,7 @@ func (d *Device) WriteWordsNT(addr uint64, src []uint64) {
 		if n > len(src)-i {
 			n = len(src) - i
 		}
-		var mask uint64
+		var mask uint32
 		w := a >> wordShift
 		st := d.lockLine(li)
 		for k := 0; k < n; k++ {

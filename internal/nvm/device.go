@@ -104,10 +104,8 @@ type Config struct {
 	// in the meantime are counted yet untraced.
 	Tracer *obs.Tracer
 
-	// GroupCommit configures the cross-thread flush/fence combiner
-	// (see groupcommit.go). Disabled by default; when disabled,
-	// PersistBatch and FenceBatch are exactly FlushLines+Fence and
-	// Fence.
+	// GroupCommit lets concurrent fences share one drain (see
+	// groupcommit.go). Disabled by default: every fence drains itself.
 	GroupCommit GroupCommitConfig
 }
 
@@ -145,7 +143,7 @@ type Stats struct {
 	Stores    uint64 // Store64 calls
 	NTStores  uint64 // StoreNT calls
 	Flushes   uint64 // CLWB calls
-	Fences    uint64 // Fence calls
+	Fences    uint64 // fence drains performed (a fence covered by another thread's drain counts nothing)
 	Evictions uint64 // spontaneous write-backs
 	Crashes   uint64 // Crash calls
 }
@@ -190,7 +188,7 @@ type Device struct {
 	// number (addr/64). All three are fully allocated at New.
 	words  []uint64
 	cached []uint64
-	state  []atomic.Uint64
+	state  []atomic.Uint32
 
 	stripes [nStripes]statStripe
 	evict   [nStripes]evictStripe
@@ -205,13 +203,10 @@ type Device struct {
 	// hottest path and the paper's argument is about persist events.
 	trc atomic.Pointer[obs.Tracer]
 
-	// fenceTok serializes persist fences device-wide: a fence holds the
-	// token while its drain spin runs, modeling the memory controller
-	// draining one write queue. Concurrent fences from different
-	// threads therefore queue — the contention the group-commit
-	// combiner (gc, nil when disabled) exists to amortize.
-	fenceTok atomic.Uint32
-	gc       *combiner
+	// fence serializes persist-fence drains device-wide: a drain holds
+	// the token while its spin runs, modeling the memory controller
+	// draining one write queue (groupcommit.go).
+	fence fenceState
 
 	// tick is the commit-ticket export (ticket.go): a fence-drain
 	// sequence number plus waiter parking, used by lock-free readers to
@@ -243,7 +238,7 @@ func New(cfg Config) *Device {
 		limit:  uint64(lines) * LineSize,
 		words:  make([]uint64, lines*wordsPerLine),
 		cached: make([]uint64, lines*wordsPerLine),
-		state:  make([]atomic.Uint64, lines),
+		state:  make([]atomic.Uint32, lines),
 	}
 	seed := uint64(0x1D0)
 	for i := range d.evict {
@@ -260,9 +255,6 @@ func New(cfg Config) *Device {
 	d.extraNS.Store(int64(cfg.ExtraNS))
 	d.tick.init()
 	d.trc.Store(cfg.Tracer)
-	if cfg.GroupCommit.Enabled {
-		d.gc = newCombiner(cfg.GroupCommit)
-	}
 	return d
 }
 
@@ -317,7 +309,7 @@ func (d *Device) count(ev int, n uint64) {
 // the allocator may park a live pointer there — with d needed across
 // the intrinsic for the crash check below, the spin then dereferenced
 // a state word as d and segfaulted under lock contention.
-func (d *Device) lockLine(li uint64) uint64 {
+func (d *Device) lockLine(li uint64) uint32 {
 	s := &d.state[li]
 	for i := 0; ; i++ {
 		if st := s.Load(); st&lineLock == 0 && s.CompareAndSwap(st, st|lineLock) {
@@ -340,7 +332,7 @@ func (d *Device) lockLine(li uint64) uint64 {
 
 // unlockLine publishes st (computed by the holder, lock bit clear) as the
 // line's new state.
-func (d *Device) unlockLine(li, st uint64) {
+func (d *Device) unlockLine(li uint64, st uint32) {
 	d.state[li].Store(st &^ lineLock)
 }
 
@@ -401,7 +393,7 @@ func (d *Device) StoreNT(addr, val uint64) {
 // writeBack copies line li's dirty cached words into the persistence
 // domain and returns the state with the dirty mask cleared. The line lock
 // must be held; st is the held state.
-func (d *Device) writeBack(li, st uint64) uint64 {
+func (d *Device) writeBack(li uint64, st uint32) uint32 {
 	dirty := st >> dirtyShift & laneMask
 	wbase := li * wordsPerLine
 	for wi := uint64(0); dirty != 0; wi++ {
@@ -450,20 +442,40 @@ func (d *Device) PersistRange(addr, n uint64) {
 }
 
 // Fence is a persist fence: all preceding write-backs are guaranteed
-// durable once it returns. Fences serialize at the device — the drain
-// holds a device-global token, so N concurrent fences cost N
-// back-to-back drains (the memory controller drains one write queue).
-// That queueing is what group commit (PersistBatch/FenceBatch) exists
-// to amortize.
+// durable once it returns. Drains serialize at the device — a drain
+// holds the device-global token while it spins (the memory controller
+// drains one write queue) — so N fences that each drain cost N
+// back-to-back drains. With GroupCommit.Enabled a fence instead returns
+// as soon as any drain that began after this call has completed
+// (groupcommit.go gives the protocol and why the guarantee is the same).
 func (d *Device) Fence() {
+	f := &d.fence
+	a := f.started.Load() // before the tick, so whoever sees the tick counted knows the snapshot is taken
 	d.crashTick()
-	d.count(statFences, 1)
 	tr := d.trc.Load()
 	t0 := tr.Clock()
-	// Acquire the fence token. The spin is crash-aware like lockLine:
-	// the holder only ever spins (never panics) while holding it, so
-	// the token cannot leak across an injected crash.
-	for i := 0; !d.fenceTok.CompareAndSwap(0, 1); i++ {
+	share := d.cfg.GroupCommit.Enabled
+	for i := 0; ; i++ {
+		if share && f.done.Load() > a {
+			f.combined.Add(1)
+			if tr != nil {
+				tr.DevEmit(obs.KFenceCombined, a+1, 0)
+			}
+			return
+		}
+		if f.tok.Load() == 0 && f.tok.CompareAndSwap(0, 1) {
+			if !share || f.done.Load() <= a {
+				if i == 0 {
+					f.solo.Add(1)
+				}
+				break
+			}
+			f.tok.Store(0) // covered while acquiring: the check above returns
+			continue
+		}
+		// Crash-aware like lockLine. The holder only ever spins while it
+		// holds the token, so the token cannot leak across an injected
+		// crash.
 		if i&63 == 63 {
 			if d.anyCrashFired() {
 				panic(CrashSignal{})
@@ -471,9 +483,12 @@ func (d *Device) Fence() {
 			runtime.Gosched()
 		}
 	}
+	s := f.started.Add(1)
 	spin(d.cfg.FenceNS)
-	d.fenceTok.Store(0)
+	f.done.Store(s)
+	f.tok.Store(0)
 	d.tick.bump()
+	d.count(statFences, 1)
 	if tr != nil {
 		tr.DevSpan(obs.KFence, 0, 0, t0)
 	}
@@ -558,12 +573,11 @@ func (d *Device) Crash(mode CrashMode, rng *rand.Rand) {
 		}
 		d.unlockLine(uint64(li), 0) // the whole line's cache state dies
 	}
-	// The fence token and the combiner are volatile CPU-side state:
-	// whoever held them is dead, so the reopened device starts clean.
-	// The ticket bump wakes readers parked on pre-crash commits — they
-	// re-check their predicate, see the injected crash, and unwind.
-	d.fenceTok.Store(0)
-	d.gc.reset()
+	// The fence token is volatile CPU-side state: whoever held it is
+	// dead, so the reopened device starts with it free. The ticket bump
+	// wakes readers parked on pre-crash commits — they re-check their
+	// predicate, see the injected crash, and unwind.
+	d.fence.tok.Store(0)
 	d.tick.bump()
 }
 

@@ -39,20 +39,15 @@ func (d *Device) ArmLocalCrash(n int64) {
 // TriggerLocalCrash fires this device's injected crash immediately
 // (local injection must be armed). As with TriggerCrash, arm with a
 // huge budget before launching workers so spin sites take the
-// crash-aware path, then trigger at the kill time. Parked waiters
-// (commit tickets, combiner slots) are woken so they observe the fired
-// state and unwind with CrashSignal.
+// crash-aware path, then trigger at the kill time. Parked commit-ticket
+// waiters are woken so they observe the fired state and unwind with
+// CrashSignal.
 func (d *Device) TriggerLocalCrash() {
 	if !d.linj.armed.Load() {
 		panic("nvm: TriggerLocalCrash while disarmed")
 	}
 	d.linj.fired.Store(true)
 	d.WakeTicketWaiters()
-	if d.gc != nil {
-		d.gc.mu.Lock()
-		d.gc.wake.Broadcast()
-		d.gc.mu.Unlock()
-	}
 }
 
 // LocalCrashArmed reports whether device-local injection is armed.

@@ -9,11 +9,10 @@ import (
 // Commit tickets expose the device's fence timeline to readers that
 // bypass the FASE machinery (the server's lock-free read fast lane).
 //
-// Every persist fence — whether issued directly by a thread's commit
-// epilogue or as the single merged fence of a group-commit batch
-// (gcLead funnels through Fence too) — bumps fenceSeq after its drain
-// completes. A reader that snapshots CommitTicket *before* observing
-// shard state therefore knows: once fenceSeq advances past that
+// Every fence drain bumps fenceSeq after it completes; a fence covered
+// by another thread's drain (groupcommit.go) bumps nothing, the drain
+// that covered it did. A reader that snapshots CommitTicket *before*
+// observing shard state therefore knows: once fenceSeq advances past that
 // snapshot, at least one full fence has drained since the observation,
 // so any data that was merely written (not yet fenced) at snapshot
 // time is now either durable or the write's FASE has moved on.

@@ -28,10 +28,6 @@ const (
 	HRegionNS
 	// HRegionStores is the tracked-store count of each completed region.
 	HRegionStores
-	// HFASEsPerFence is the number of FASE commits amortized by each
-	// merged group-commit fence — the direct observation of the
-	// combiner's amortization factor (1 = no combining happened).
-	HFASEsPerFence
 	// HReqLatency is the nanoseconds from a network request's parse
 	// completion to its response being handed to the connection writer —
 	// the server-side component of end-to-end request latency.
@@ -57,8 +53,6 @@ func (h HistKind) String() string {
 		return "region-ns"
 	case HRegionStores:
 		return "stores/region"
-	case HFASEsPerFence:
-		return "fases/fence"
 	case HReqLatency:
 		return "req-latency-ns"
 	default:

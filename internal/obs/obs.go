@@ -95,14 +95,10 @@ const (
 	// KRefill is one magazine refill: a run of size-class blocks carved
 	// from the backing store. A = class block size, B = blocks carved.
 	KRefill
-	// KFenceCombined is one commit whose persist fence was absorbed into
-	// another thread's merged group-commit fence (the thread waited on the
-	// combiner instead of fencing itself). A = combiner epoch.
+	// KFenceCombined is one persist fence that returned on another
+	// thread's drain instead of draining itself (nvm drain sharing).
+	// A = the earliest drain that could cover it.
 	KFenceCombined
-	// KBatchCommit is one merged group-commit flush+fence performed by an
-	// elected leader on behalf of a batch. A = FASEs (slots) served,
-	// B = total cache lines written back for the batch.
-	KBatchCommit
 	// KNetReq is one served network request (parse → shard dispatch →
 	// respond), emitted as a span by the owning shard pipeline.
 	// A = request opcode, B = shard index.
@@ -162,8 +158,6 @@ func (k Kind) String() string {
 		return "refill"
 	case KFenceCombined:
 		return "fence-combined"
-	case KBatchCommit:
-		return "batch-commit"
 	case KNetReq:
 		return "net-req"
 	case KNetBatch:

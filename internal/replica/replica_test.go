@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -409,4 +410,51 @@ func TestAttachRejectsStaleStandby(t *testing.T) {
 	}
 	c.Close()
 	s.Close()
+}
+
+// TestReplicationStreamZeroAllocs gates the steady-state replication
+// path — publish → ship → standby apply → ack → complete, over a MemPipe
+// — at zero heap allocations per record. The Go collector rarely runs
+// beside hundreds of MiB of device slices, so garbage per shipped record
+// is resident memory that grows with every completed write.
+func TestReplicationStreamZeroAllocs(t *testing.T) {
+	const shards = 2
+	sh, err := NewShipper(ShipperConfig{Shards: shards, Heartbeat: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var completions atomic.Uint64
+	sh.SetComplete(func(any) { completions.Add(1) })
+	w := newStandbyWorld(t, shards, nil)
+	runDone := make(chan error, 1)
+	go func() { runDone <- w.sb.Run(dialer(sh)) }()
+	waitFor(t, "stream", func() bool { return sh.Attached() })
+
+	const batch = 64
+	toks := make([]any, batch) // boxed once: Publish takes the token as an interface
+	for i := range toks {
+		toks[i] = &toks[i]
+	}
+	var want uint64
+	round := func() {
+		for i := 0; i < batch; i++ {
+			sh.Publish(i%shards, OpSet, uint64(i), 1, want, toks[i])
+		}
+		want += batch
+		for completions.Load() != want {
+			runtime.Gosched()
+		}
+	}
+	for i := 0; i < 20; i++ { // warm-up: rings, maps and buffers reach their steady size
+		round()
+	}
+	if avg := testing.AllocsPerRun(50, round); avg > 0.5 {
+		t.Fatalf("%.1f allocations per %d-record round trip, want 0", avg, batch)
+	}
+
+	w.sb.Stop()
+	if err := <-runDone; err != ErrStandbyStopped {
+		t.Fatalf("Run returned %v, want ErrStandbyStopped", err)
+	}
+	sh.Close()
 }

@@ -231,7 +231,7 @@ func (p *Shipper) AttachConn(nc net.Conn) error {
 			return fmt.Errorf("replica: standby shard %d watermark %d below buffered history (base %d): full resync required", i, wm[i], base)
 		}
 		s.sentSeq = wm[i]
-		completed := s.trimLocked(wm[i], wm[i])
+		completed := s.trimLocked(wm[i], wm[i], nil)
 		s.mu.Unlock()
 		for _, tok := range completed {
 			p.cfg.Complete(tok)
@@ -255,10 +255,11 @@ func (p *Shipper) AttachConn(nc net.Conn) error {
 	return nil
 }
 
-// trimLocked completes tokens receipt-acked up to recv and drops
-// records durably acked up to dur. Caller holds s.mu; completions run
-// with it held — Complete is non-blocking by contract.
-func (s *shipShard) trimLocked(recv, dur uint64) (completed []any) {
+// trimLocked collects the tokens receipt-acked up to recv, appended to
+// completed (the ack loop passes its reusable scratch), and drops
+// records durably acked up to dur. Caller holds s.mu and runs the
+// completions after releasing it.
+func (s *shipShard) trimLocked(recv, dur uint64, completed []any) []any {
 	for i := range s.recs {
 		r := &s.recs[i]
 		if r.seq <= recv && r.tok != nil {
@@ -374,6 +375,7 @@ func (p *Shipper) ackOverdue() bool {
 func (p *Shipper) ackLoop(nc net.Conn, gen uint64) {
 	defer p.wg.Done()
 	var hdr [1 + ackSize]byte
+	var completed []any // token scratch, reused across acks
 	for {
 		if _, err := io.ReadFull(nc, hdr[:1]); err != nil {
 			p.detachGen(gen, "ack stream closed")
@@ -395,7 +397,7 @@ func (p *Shipper) ackLoop(nc net.Conn, gen uint64) {
 		s := &p.shards[shard]
 		s.mu.Lock()
 		prevDur := s.durAck
-		completed := s.trimLocked(recv, dur)
+		completed = s.trimLocked(recv, dur, completed[:0])
 		newDur := s.durAck
 		s.mu.Unlock()
 		if newDur > prevDur {

@@ -60,7 +60,9 @@ type StandbyConfig struct {
 	QueueLen int
 	// HeartbeatTimeout is the stream read deadline: a stream silent for
 	// this long (no records, no heartbeats) counts as a lost primary
-	// (default 1s).
+	// (default 1s). The deadline is re-armed every eighth of it rather
+	// than per frame, so silence is declared after 7/8 of it at the
+	// earliest.
 	HeartbeatTimeout time.Duration
 	// ReconnectBudget is how many consecutive failed dials declare the
 	// primary dead and begin promotion (default 3).
@@ -375,6 +377,9 @@ func (sb *Standby) stream(nc net.Conn, applyErr chan error, streamed *bool) erro
 		sentRecv[i] = sb.recvSeq[i].Load()
 		sentDur[i] = sb.durSeq[i].Load()
 	}
+	// A busy stream must not reset a timer per record: the deadline
+	// moves only once it is an eighth of the timeout old.
+	var armed time.Time
 	for {
 		// Notice an apply death promptly even when the queue never
 		// fills: a crashed applier must surface as errApplyDied, not be
@@ -385,7 +390,10 @@ func (sb *Standby) stream(nc net.Conn, applyErr chan error, streamed *bool) erro
 			return errApplyDied
 		default:
 		}
-		nc.SetReadDeadline(time.Now().Add(sb.cfg.HeartbeatTimeout))
+		if now := time.Now(); now.Sub(armed) >= sb.cfg.HeartbeatTimeout/8 {
+			nc.SetReadDeadline(now.Add(sb.cfg.HeartbeatTimeout))
+			armed = now
+		}
 		if _, err := io.ReadFull(br, buf[:1]); err != nil {
 			return err
 		}

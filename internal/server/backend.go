@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"github.com/ido-nvm/ido/internal/kv/memcache"
 	"github.com/ido-nvm/ido/internal/kv/redis"
@@ -15,9 +16,9 @@ import (
 // independent FASE domain: the server binds shard i to exactly one
 // persist.Thread, and only that thread's pipeline goroutine ever executes
 // operations on it, so shards commit concurrently without contending on
-// store locks — their flushes and fences meet only in the device's
-// group-commit combiner. Keys are pre-encoded into the two fixed words
-// the parsers produce (RESP uses only k0).
+// store locks — they meet only at the device's fence token. Keys are
+// pre-encoded into the two fixed words the parsers produce (RESP uses
+// only k0).
 type Store interface {
 	NumShards() int
 	// ShardOf maps encoded key words to a shard index; the reader
@@ -73,6 +74,14 @@ func shardMix(k0, k1 uint64) uint64 {
 	h ^= h >> 32
 	return h
 }
+
+// shardShift is the right shift that leaves shardMix's top log2(nshards)
+// bits (nshards a power of two; one shard shifts everything out).
+// Routing takes the hash's high bits because kv/memcache buckets on the
+// low bits of this same function: routed on the low bits, shard s would
+// only ever fill the buckets congruent to s mod nshards and chains
+// would be nshards times longer than the table was sized for.
+func shardShift(nshards int) uint { return uint(64 - bits.TrailingZeros(uint(nshards))) }
 
 // padKeyWords encodes a validated wire key into the stores' fixed-width
 // key words: zero-padded little-endian. Injective over legal keys (see
@@ -164,7 +173,7 @@ type McStore struct {
 	env    *memcache.Env
 	caches []*memcache.Cache
 	tbls   []uint64
-	mask   uint64
+	shift  uint // see shardShift
 }
 
 // NewMcStore creates shards caches (rounded up to a power of two) of
@@ -175,7 +184,7 @@ func NewMcStore(env *memcache.Env, shards, bucketsPerShard int) (*McStore, error
 	if err != nil {
 		return nil, err
 	}
-	st := &McStore{env: env, mask: uint64(n - 1)}
+	st := &McStore{env: env, shift: shardShift(n)}
 	for i := 0; i < n; i++ {
 		cache, tbl, err := memcache.New(env, bucketsPerShard)
 		if err != nil {
@@ -197,7 +206,7 @@ func AttachMcStore(env *memcache.Env) (*McStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &McStore{env: env, tbls: tbls, mask: uint64(len(tbls) - 1)}
+	st := &McStore{env: env, tbls: tbls, shift: shardShift(len(tbls))}
 	for _, tbl := range tbls {
 		st.caches = append(st.caches, memcache.Attach(env, tbl))
 	}
@@ -205,7 +214,7 @@ func AttachMcStore(env *memcache.Env) (*McStore, error) {
 }
 
 func (st *McStore) NumShards() int            { return len(st.caches) }
-func (st *McStore) ShardOf(k0, k1 uint64) int { return int(shardMix(k0, k1) & st.mask) }
+func (st *McStore) ShardOf(k0, k1 uint64) int { return int(shardMix(k0, k1) >> st.shift) }
 
 // Tables exposes the per-shard table addresses for image verification.
 func (st *McStore) Tables() []uint64 { return st.tbls }
@@ -241,10 +250,10 @@ func (st *McStore) Register(rr *persist.ResumeRegistry) {
 // RespStore is the RESP backend: one kv/redis DB per shard. kv/redis
 // keys are single words; k1 is ignored throughout.
 type RespStore struct {
-	env  *redis.Env
-	dbs  []*redis.DB
-	tbls []uint64
-	mask uint64
+	env   *redis.Env
+	dbs   []*redis.DB
+	tbls  []uint64
+	shift uint // see shardShift
 }
 
 // NewRespStore creates the sharded DBs and publishes the directory at
@@ -254,7 +263,7 @@ func NewRespStore(env *redis.Env, shards, bucketsPerShard int) (*RespStore, erro
 	if err != nil {
 		return nil, err
 	}
-	st := &RespStore{env: env, mask: uint64(n - 1)}
+	st := &RespStore{env: env, shift: shardShift(n)}
 	for i := 0; i < n; i++ {
 		db, tbl, err := redis.New(env, bucketsPerShard)
 		if err != nil {
@@ -275,7 +284,7 @@ func AttachRespStore(env *redis.Env) (*RespStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &RespStore{env: env, tbls: tbls, mask: uint64(len(tbls) - 1)}
+	st := &RespStore{env: env, tbls: tbls, shift: shardShift(len(tbls))}
 	for _, tbl := range tbls {
 		st.dbs = append(st.dbs, redis.Attach(env, tbl))
 	}
@@ -283,7 +292,7 @@ func AttachRespStore(env *redis.Env) (*RespStore, error) {
 }
 
 func (st *RespStore) NumShards() int            { return len(st.dbs) }
-func (st *RespStore) ShardOf(k0, k1 uint64) int { return int(shardMix(k0, k1) & st.mask) }
+func (st *RespStore) ShardOf(k0, k1 uint64) int { return int(shardMix(k0, k1) >> st.shift) }
 
 // Tables exposes the per-shard table addresses for image verification.
 func (st *RespStore) Tables() []uint64 { return st.tbls }

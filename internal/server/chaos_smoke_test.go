@@ -48,7 +48,7 @@ func TestServerCrashUnderFastReads(t *testing.T) {
 	const shards = 4
 	devcfg := nvm.Config{
 		Size:        1 << 22,
-		GroupCommit: nvm.GroupCommitConfig{Enabled: true, WindowNS: 2000},
+		GroupCommit: nvm.GroupCommitConfig{Enabled: true},
 	}
 	nvm.ArmCrash(400_000)
 	defer nvm.ArmCrash(-1)
@@ -222,7 +222,7 @@ func runCrashMidServe(t *testing.T, proto server.Proto) {
 	const shards = 4
 	devcfg := nvm.Config{
 		Size:        1 << 22,
-		GroupCommit: nvm.GroupCommitConfig{Enabled: true, WindowNS: 2000},
+		GroupCommit: nvm.GroupCommitConfig{Enabled: true},
 	}
 	// Arm before anything runs so every lock waiter takes the
 	// crash-aware spin path; the budget is far beyond reach, the actual

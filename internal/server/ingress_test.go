@@ -109,7 +109,7 @@ func TestIdleTimeoutKicksIdleConn(t *testing.T) {
 func TestDrainMidLoad(t *testing.T) {
 	w := newWorld(t, server.ProtoMemcache, 4, nvm.Config{
 		Size:        1 << 22,
-		GroupCommit: nvm.GroupCommitConfig{Enabled: true, WindowNS: 2000},
+		GroupCommit: nvm.GroupCommitConfig{Enabled: true},
 	}, nil)
 
 	type out struct {

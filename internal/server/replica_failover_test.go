@@ -35,7 +35,7 @@ func newReplWorld(t *testing.T, shards int) *replWorld {
 	w := &replWorld{}
 	w.reg = region.Create(1<<22, nvm.Config{
 		Size:        1 << 22,
-		GroupCommit: nvm.GroupCommitConfig{Enabled: true, WindowNS: 2000},
+		GroupCommit: nvm.GroupCommitConfig{Enabled: true},
 	})
 	w.lm = locks.NewManager(w.reg)
 	w.rt = core.New(core.DefaultConfig())

@@ -1,15 +1,15 @@
 // Package server is the networked front end over the paper's Fig. 5
 // key-value runtimes: a memcache-text-protocol server backed by
 // kv/memcache and a RESP server backed by kv/redis, both riding the
-// device's group-commit combiner.
+// device's shared fence drains.
 //
 // The shape is the whole point. Per-connection reader goroutines parse
 // zero-copy frames and hash each request to one of N shard pipelines; a
 // shard pipeline is a single goroutine owning one persist.Thread and one
 // store shard, executing FASEs back-to-back. Under load every shard has
 // a request in hand, so N commit streams hit PersistBatch/Fence
-// concurrently — exactly the overlap the group-commit combiner turns
-// into one shared fence per window. Responses complete out of order
+// concurrently — exactly the overlap drain sharing turns into one
+// device drain for several commits. Responses complete out of order
 // across shards but are emitted in arrival order per connection through
 // a fixed slot ring, and a per-connection writer batches however many
 // responses are ready into one socket write.
@@ -221,8 +221,9 @@ type shard struct {
 	// readers snapshot it, walk the store device-direct, and re-check;
 	// an even, unchanged epoch proves the observed data came from a
 	// completed — hence fenced, hence durable — FASE. GETs on the slot
-	// path and touch drains don't bump: they only write read-stat words
-	// (cmd_get/hits/iTime) that fast readers never load.
+	// path write nothing (getDirect) or, like touch drains, only
+	// read-stat words (cmd_get/hits/iTime) that fast readers never load,
+	// so neither bumps.
 	seq atomic.Uint64
 
 	// touch is the sampled LRU-touch ring: fast-read hits enqueue keys
@@ -231,6 +232,7 @@ type shard struct {
 	touch    chan [2]uint64
 	pendGets atomic.Uint64
 	pendHits atomic.Uint64
+	touchN   uint64    // getDirect hit counter driving touch sampling (pipeline thread only)
 	tkey     [2]uint64 // drain-in-progress args (pipeline thread only)
 	tgets    uint64
 	thits    uint64
@@ -634,7 +636,47 @@ func (sh *shard) run() {
 	}
 }
 
-// serve executes one slot's FASE and completes it. Mutating ops run
+// getDirect serves a slot-path GET without a FASE. The pipeline thread
+// is its shard's only writer, so between FASEs everything GetFast can
+// reach was written by a FASE whose final fence has drained: the read
+// needs no lock, no seqlock validation and no fence. false (fast reads
+// disabled, or a walk that could not complete) leaves the GET to its
+// FASE.
+func (sh *shard) getDirect(s *slot, mc bool) bool {
+	if sh.srv.cfg.DisableFastReads {
+		return false
+	}
+	v, hit, ok := sh.srv.store.GetFast(sh.idx, s.k0, s.k1)
+	if !ok {
+		return false
+	}
+	s.vOut, s.okOut = v, hit
+	if mc {
+		sh.noteRead(hit, s.k0, s.k1, &sh.touchN)
+	}
+	return true
+}
+
+// noteRead batches the durable read stats of one memcache GET served
+// device-direct (the next touch drain retires them) and samples 1 in 16
+// hits, counted in the caller's n, for an LRU touch — dropped when the
+// ring is full.
+func (sh *shard) noteRead(hit bool, k0, k1 uint64, n *uint64) {
+	sh.pendGets.Add(1)
+	if !hit {
+		return
+	}
+	sh.pendHits.Add(1)
+	*n++
+	if *n&15 == 0 {
+		select {
+		case sh.touch <- [2]uint64{k0, k1}:
+		default:
+		}
+	}
+}
+
+// serve executes one slot's operation and completes it. Mutating ops run
 // inside the shard's seqlock write section: the odd bump before Exec
 // tells fast readers a write is in flight, the even bump after — which
 // happens only once Exec has returned, i.e. after the FASE's final
@@ -647,7 +689,9 @@ func (sh *shard) serve(s *slot, mc bool) {
 	if wr {
 		sh.seq.Add(1)
 	}
-	sh.th.Exec(sh.fn)
+	if wr || !sh.getDirect(s, mc) {
+		sh.th.Exec(sh.fn)
+	}
 	sh.cur = nil
 	if wr {
 		sh.seq.Add(1)
@@ -942,19 +986,7 @@ func (c *conn) sendGets(raw []byte, keys [][2]int, mget bool, ts int64) bool {
 					sh.misses.Add(1)
 				}
 				if mc {
-					// Batch the durable read stats; sample 1 in 16 hits
-					// for an LRU touch, dropped when the ring is full.
-					sh.pendGets.Add(1)
-					if hit {
-						sh.pendHits.Add(1)
-						c.touchN++
-						if c.touchN&15 == 0 {
-							select {
-							case sh.touch <- [2]uint64{s.k0, s.k1}:
-							default:
-							}
-						}
-					}
+					sh.noteRead(hit, s.k0, s.k1, &c.touchN)
 					encodeMcReply(s)
 				} else {
 					encodeRespReply(s)

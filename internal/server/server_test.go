@@ -286,7 +286,7 @@ func TestServerHammer16(t *testing.T) {
 		proto := proto
 		t.Run(proto.String(), func(t *testing.T) {
 			tr := obs.New(obs.Config{})
-			w := newWorld(t, proto, 8, nvm.Config{Size: 1 << 22, GroupCommit: nvm.GroupCommitConfig{Enabled: true, WindowNS: 2000}}, tr)
+			w := newWorld(t, proto, 8, nvm.Config{Size: 1 << 22, GroupCommit: nvm.GroupCommitConfig{Enabled: true}}, tr)
 			lp := loadgen.ProtoMemcache
 			if proto == server.ProtoRESP {
 				lp = loadgen.ProtoRESP
@@ -363,5 +363,63 @@ func TestServerConcurrentConnsSharedKeys(t *testing.T) {
 	got := readFull(t, c, len("X\r\nEND\r\n"))
 	if got[0] < '0' || got[0] > '7' || string(got[1:]) != "\r\nEND\r\n" {
 		t.Fatalf("final value: got %q", got)
+	}
+}
+
+// TestShardRoutingSpreadsBuckets: request routing and the stores' bucket
+// hashes must be decorrelated. Routed on the same low hash bits kv/memcache
+// buckets on, shard s of n would only ever fill the buckets congruent to
+// s mod n — here a quarter of each table, chains four times the sizing.
+// Fill both stores through ShardOf and require every bucket of every
+// shard to be occupied.
+func TestShardRoutingSpreadsBuckets(t *testing.T) {
+	const (
+		shards, buckets = 4, 64
+		keys            = 32 * shards * buckets // ~32 per bucket: an empty one is no accident
+		bucketArray     = 64                    // kv/memcache and kv/redis tables both keep bucket heads from this offset
+	)
+	reg := region.Create(1<<24, nvm.Config{})
+	lm := locks.NewManager(reg)
+	rt := core.New(core.DefaultConfig())
+	if err := rt.Attach(reg, lm); err != nil {
+		t.Fatal(err)
+	}
+	th, err := rt.NewThread()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, err := server.NewMcStore(&memcache.Env{Reg: reg, LM: lm}, shards, buckets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := server.NewRespStore(&redis.Env{Reg: reg}, shards, buckets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		store server.Store
+		tbls  []uint64
+	}{{"memcache", mc, mc.Tables()}, {"resp", rs, rs.Tables()}} {
+		perShard := make([]int, shards)
+		for i := 0; i < keys; i++ {
+			k0, k1, ok := server.McKeyWords([]byte(fmt.Sprintf("k%07d", i)))
+			if !ok {
+				t.Fatal("bad key")
+			}
+			s := tc.store.ShardOf(k0, k1)
+			perShard[s]++
+			tc.store.Set(th, s, k0, k1, uint64(i))
+		}
+		for s, tbl := range tc.tbls {
+			if perShard[s] < keys/shards/2 {
+				t.Errorf("%s: shard %d got %d of %d keys", tc.name, s, perShard[s], keys)
+			}
+			for b := uint64(0); b < buckets; b++ {
+				if reg.Dev.Load64(tbl+bucketArray+b*8) == 0 {
+					t.Errorf("%s: shard %d bucket %d is empty after %d keys", tc.name, s, b, perShard[s])
+				}
+			}
+		}
 	}
 }
