@@ -1,7 +1,7 @@
 // Command idolog inspects the iDO log list inside a persistent region
 // image — the post-mortem view a recovery engineer wants: which threads
-// were mid-FASE at the crash, their recovery_pc values, the staged
-// boundary record, and the locks they held.
+// were mid-FASE at the crash, their recovery_pc values, the boundary
+// records and register file a resume would see, and the locks they held.
 //
 // Usage:
 //
@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/ido-nvm/ido/internal/core"
@@ -40,36 +41,55 @@ func main() {
 		fatalf("usage: idolog heap.img | idolog -demo")
 	}
 
+	dump(os.Stdout, reg)
+}
+
+// dump prints every thread log in reg: the decoded recovery_pc, the
+// boundary records it covers, the register file they replay to, the
+// recorded locks, and what a recovery pass would do with the log.
+func dump(w io.Writer, reg *region.Region) {
 	entries := core.InspectLogs(reg)
 	if len(entries) == 0 {
-		fmt.Println("no iDO thread logs in this region")
+		fmt.Fprintln(w, "no iDO thread logs in this region")
 		return
 	}
-	fmt.Printf("%d thread log(s):\n", len(entries))
+	fmt.Fprintf(w, "%d thread log(s):\n", len(entries))
 	for _, e := range entries {
 		state := "idle"
+		words := len(e.Pairs)
 		if e.RegionID != 0 {
-			state = fmt.Sprintf("MID-FASE at region %#x (%d staged registers)", e.RegionID, len(e.Staged))
+			over := "zeros"
+			if e.BaseValid {
+				over = "the compacted base image"
+				words += persist.MaxOutputs
+			}
+			state = fmt.Sprintf("MID-FASE at region %#x (%d record pair(s) over %s)", e.RegionID, len(e.Pairs), over)
 		}
-		fmt.Printf("  thread %d @ %#x: %s\n", e.ThreadID, e.LogAddr, state)
-		for _, s := range e.Staged {
-			fmt.Printf("    r%-3d = %d (%#x)\n", s.Reg, s.Val, s.Val)
+		fmt.Fprintf(w, "  thread %d @ %#x: %s\n", e.ThreadID, e.LogAddr, state)
+		for i, s := range e.Pairs {
+			fmt.Fprintf(w, "    pair %-2d r%-3d = %d (%#x)\n", i, s.Reg, s.Val, s.Val)
+		}
+		if e.BaseValid {
+			// The pairs alone no longer tell what the resume entry gets.
+			for r, v := range e.RF {
+				fmt.Fprintf(w, "    resume r%-3d = %d (%#x)\n", r, v, v)
+			}
 		}
 		if len(e.Locks) > 0 {
-			fmt.Printf("    holds %d lock(s):", len(e.Locks))
+			fmt.Fprintf(w, "    holds %d lock(s):", len(e.Locks))
 			for _, h := range e.Locks {
-				fmt.Printf(" holder@%#x", h)
+				fmt.Fprintf(w, " holder@%#x", h)
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 		// Audit preview: what a recovery pass would record for this log.
 		if e.RegionID != 0 {
-			fmt.Printf("    recovery would: %s at region %#x, re-acquiring %d lock(s), restoring %d staged register(s)\n",
-				obs.AuditResumed, e.RegionID, len(e.Locks), len(e.Staged))
+			fmt.Fprintf(w, "    recovery would: %s at region %#x, re-acquiring %d lock(s), restoring %d word(s)\n",
+				obs.AuditResumed, e.RegionID, len(e.Locks), words)
 		} else if len(e.Locks) > 0 {
-			fmt.Printf("    recovery would: %s stale lock slots\n", obs.AuditScrubbed)
+			fmt.Fprintf(w, "    recovery would: %s stale lock slots\n", obs.AuditScrubbed)
 		} else {
-			fmt.Printf("    recovery would: %s\n", obs.AuditIdle)
+			fmt.Fprintf(w, "    recovery would: %s\n", obs.AuditIdle)
 		}
 	}
 }

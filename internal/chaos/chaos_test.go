@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ido-nvm/ido/internal/core"
 	"github.com/ido-nvm/ido/internal/nvm"
 )
 
@@ -392,4 +393,94 @@ func TestReplayIsDeterministic(t *testing.T) {
 			t.Fatalf("replay attempt %d crash outcome differs", i)
 		}
 	}
+}
+
+// compactLogState runs the compact workload to a forward crash at event
+// f and decodes the crashed thread's log: the pairs its recovery_pc
+// covers and whether a base image is live. recovery_pc moves only by
+// NT store, so no settle is needed to read what a restart would see.
+func compactLogState(t *testing.T, s Schedule) (pairs int, base bool) {
+	t.Helper()
+	defer nvm.ArmCrash(-1)
+	drv, _, err := newDriver(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := drv.(*compactDriver)
+	if err := d.prepare(s.Seed); err != nil {
+		t.Fatal(err)
+	}
+	nvm.ArmCrash(s.Forward)
+	if crashed, err := catchCrash(d.forward); err != nil || !crashed {
+		t.Fatalf("%s: forward crashed=%v err=%v", s, crashed, err)
+	}
+	nvm.ArmCrash(-1)
+	logs := core.InspectLogs(d.reg)
+	if len(logs) != 1 {
+		t.Fatalf("%s: %d thread logs, want 1", s, len(logs))
+	}
+	return len(logs[0].Pairs), logs[0].BaseValid
+}
+
+// TestCompactionSweep crashes the compact workload — one FASE that
+// overflows the iDO log's 64-pair record area twice — at EVERY forward
+// device event under every adversary, and then goes after compaction
+// itself from the recovery side: where the forward crash leaves a full
+// record area (so the resumed region's closing boundary compacts again,
+// or the crash already sits inside a compaction), a second crash is
+// injected at every event of the pass up to well past the resumed
+// FASE's own compaction. Each schedule must converge on the persist-all
+// oracle with every cell equal to the device-free model. -short strides
+// both axes.
+func TestCompactionSweep(t *testing.T) {
+	base := Schedule{Runtime: "ido", Workload: "compact", Seed: 1}
+	k, err := ForwardEvents(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(s Schedule) {
+		t.Helper()
+		if _, err := Run(s); err != nil {
+			t.Fatalf("replay with: idorecover -chaos -replay '%s': %v", s, err)
+		}
+	}
+	// restoreAndCompact bounds the recovery events up to the end of the
+	// resumed FASE's first compaction: the walk and restore load at most
+	// 2·64 record words, 16 base words and the header, then one region
+	// body and the compaction (16 stores, write-backs, two fences).
+	const restoreAndCompact = 220
+	var full [2]int // forward points that left a full record area, by base flag
+	nested := 0
+	for f := int64(1); f < k; f++ {
+		s := base
+		s.Forward = f
+		if f%int64(pick(1, 9)) == 0 {
+			for _, s.Mode = range allModes {
+				run(s)
+			}
+		}
+		pairs, hasBase := compactLogState(t, s)
+		if pairs != 64 {
+			continue
+		}
+		if hasBase {
+			full[1]++
+		} else {
+			full[0]++
+		}
+		if (full[0]+full[1])%pick(2, 11) != 1 {
+			continue // every other full-area crash point gets the dense second crash
+		}
+		for _, s.Mode = range allModes {
+			for r := int64(0); r < restoreAndCompact; r++ {
+				s.Recovery = []int64{r}
+				run(s)
+				nested++
+			}
+		}
+	}
+	if full[0] < 10 || full[1] < 10 {
+		t.Fatalf("forward crash points with a full record area: %d before the first compaction, %d before the second; the workload no longer compacts twice", full[0], full[1])
+	}
+	t.Logf("%d forward events; %d+%d crash points with a full record area, %d second crashes through the resumed compaction", k-1, full[0], full[1], nested)
 }

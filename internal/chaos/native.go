@@ -78,8 +78,15 @@ func newNativeDriver(s Schedule) (driver, caps, error) {
 			return nil, caps{}, fmt.Errorf("chaos: runtime %s: workload \"cachemix\" needs FASE-exact recovery (supported on ido|mnemosyne|nvthreads)", s.Runtime)
 		}
 		return &cacheDriver{s: s, mk: mk}, c, nil
+	case "compact":
+		// One FASE that overflows the iDO log's record area twice: only
+		// iDO has a record area to compact.
+		if base != "ido" {
+			return nil, caps{}, fmt.Errorf("chaos: runtime %s: workload \"compact\" exercises the iDO log (supported on ido|ido-gc)", s.Runtime)
+		}
+		return &compactDriver{s: s, mk: mk}, c, nil
 	}
-	return nil, caps{}, fmt.Errorf("chaos: runtime %s: unknown workload %q (native runtimes run \"counter\" or \"cachemix\")", s.Runtime, s.Workload)
+	return nil, caps{}, fmt.Errorf("chaos: runtime %s: unknown workload %q (native runtimes run \"counter\", \"cachemix\" or \"compact\")", s.Runtime, s.Workload)
 }
 
 // nativeRuntime maps a native runtime name to its constructor and the

@@ -3,32 +3,40 @@
 // idempotent-region logging and recovery-by-resumption.
 //
 // Per-thread state lives in an iDO_Log in NVM (Fig. 3): a packed
-// recovery_pc identifying the current idempotent region, a register file
-// (intRF) holding the region's logged inputs, and a lock_array of indirect
-// lock holder addresses. At each region boundary the runtime executes the
-// three-step protocol of §III-A with exactly two persist fences:
+// recovery_pc identifying the current idempotent region, a lock_array of
+// indirect lock holder addresses, and the region's logged inputs — an
+// append-only area of (register, value) boundary records over a base
+// image (intRF) that only a rare compaction writes. Two rules shape the
+// protocol (DESIGN.md argues each crash window):
 //
-//  1. write back the ending region's outputs (register slots, plus any
-//     heap/stack lines the region dirtied) — fence;
-//  2. update recovery_pc to the new region — fence;
-//  3. execute the new region.
+//  1. Append-only records. A boundary appends its outputs behind the
+//     pairs the FASE already logged, writes them back with the ending
+//     region's dirty lines — fence — and publishes region ID, pair count
+//     and base-image flag in one 8-byte non-temporal store of
+//     recovery_pc. Nothing a published pc covers is ever overwritten, so
+//     no store of a boundary waits for the previous pc to be durable.
+//  2. Owed fences. The fence after a pc publish only orders the pc before
+//     the new region's persistent stores, so the thread notes that it
+//     owes one and pays at its next persistent store — or never, when
+//     the next boundary's fence comes first. Lock records its holder the
+//     same way: written back, fenced by whatever comes next.
 //
-// Lock acquire and release each take a single persist fence thanks to
-// indirect locking (§III-B). Recovery (§III-C) re-acquires each crashed
-// thread's locks, restores its register file, jumps to the interrupted
-// region's entry (a registered resume closure standing in for the
-// compiler's recovery_pc), and runs forward to the end of the FASE.
+// Recovery (§III-C) re-acquires each crashed thread's locks, rebuilds its
+// register file (base image if flagged, then the pairs in log order),
+// enters the interrupted region (a registered resume closure standing in
+// for the compiler's recovery_pc), and runs forward to the FASE's end.
 //
 // Crash-ordering invariants maintained by this implementation:
 //
 //   - recovery_pc != 0  ⇔  the thread is mid-FASE and must be resumed.
-//   - The FASE's data lines are fenced durable before recovery_pc is
-//     cleared, and recovery_pc is fenced clear before lock_array slots
-//     are cleared at the final release; so a nonzero recovery_pc always
-//     finds its locks still recorded.
-//   - Lock-array slots are zeroed on release and fenced before the mutex
-//     is handed to another thread, so one holder address never appears
-//     live in two logs.
+//   - A lock's slot is fenced before the FASE's first pc publish, the
+//     FASE's data before recovery_pc is cleared, and the clear before the
+//     last slot is; so a nonzero recovery_pc always finds its locks.
+//   - No holder address is live in two logs that both resume. An inner
+//     release fences its slot clear before the mutex changes hands. The
+//     final release does not: its clear may be in flight when the next
+//     owner records the lock, but only under this log's durable
+//     recovery_pc == 0, where Recover scrubs and never re-acquires.
 //   - Resumption may re-execute the lock acquire that ends a region or
 //     the release that begins one; Lock and Unlock detect this from the
 //     lock_array mirror and skip the duplicate operation (the paper's
@@ -52,48 +60,45 @@ import (
 )
 
 // iDO_Log layout (byte offsets within the 64-aligned per-thread log).
-// The first cache line holds the list link, thread id, recovery_pc, and
-// the lock-slot bitmap, so step 2 of the boundary protocol is one CLWB.
+// The first cache line holds the list link, thread id, recovery_pc, the
+// lock-slot bitmap and lock slots 0–3, so a FASE of up to four locks
+// records or clears a holder with one CLWB. The intRF base image follows,
+// then the record area, then lock slots 4–15.
 const (
 	logNext     = 0  // next log in the global list
 	logThreadID = 8  // registering thread's id
-	logPC       = 16 // recovery_pc packed with nOutputs (0 => not in a FASE)
+	logPC       = 16 // packed recovery_pc (0 => not in a FASE)
 	logLockBits = 24 // live-slot bitmask for the lock array
+	logSlots    = 32 // lock_array slots 0..hdrSlots-1
+	hdrSlots    = 4
 	rfBase      = 64 // intRF: MaxOutputs register slots
 	numSlots    = 16 // lock_array capacity
+	recPairs    = 64 // record area capacity in (register, value) pairs
 )
 
-// The boundary record ("stage") holds the most recent boundary's
-// (register, value) pairs. It is published atomically with recovery_pc
-// (the pair count rides in the packed pc word) and folded into the fixed
-// intRF slots by the NEXT boundary's step 1 — so a crash between a
-// boundary's two fences can never leave a live-in slot clobbered while
-// recovery_pc still points at the region that needs it. The real compiler
-// obtains the same guarantee by extending live ranges so a region never
-// redefines its own register inputs (§IV-A(c)); lacking a register
-// allocator, we double-buffer the last record instead, at the same fence
-// count.
+// pcBase is the recovery_pc bit that marks the intRF base image live.
+const pcBase = 1 << 56
 
-// pcPack packs a region ID, an output count, and the active boundary-
-// record buffer into one 8-byte word so a single atomic NVM write
-// publishes all three (region IDs must fit 48 bits). The two record
-// buffers ping-pong: a boundary writes the inactive buffer, so the record
-// the current recovery_pc points at is never mutated — a crash (or a
-// spontaneous cache write-back) mid-boundary cannot tear it.
-func pcPack(regionID uint64, n, buf int) uint64 {
-	return regionID | uint64(n)<<48 | uint64(buf)<<56
+// pcPack packs a region ID, the number of record pairs the FASE has
+// logged so far, and the base flag (0 or pcBase) into one 8-byte word,
+// so a single atomic NVM write switches region and record set together
+// (region IDs must fit 48 bits). Pairs beyond the count are invisible to
+// recovery: a boundary can write them, and a crash or a spontaneous
+// write-back persist any part of them, without tearing what the current
+// recovery_pc describes.
+func pcPack(regionID uint64, pairs int, base uint64) uint64 {
+	return regionID | uint64(pairs)<<48 | base
 }
 
-func pcUnpack(w uint64) (regionID uint64, n, buf int) {
-	return w & (1<<48 - 1), int(w >> 48 & 0xFF), int(w >> 56 & 1)
+func pcUnpack(w uint64) (regionID uint64, pairs int, base uint64) {
+	return w & (1<<48 - 1), int(w >> 48 & 0xFF), w & pcBase
 }
 
 // Config tunes the runtime.
 type Config struct {
-	// Coalesce enables persist coalescing (§IV-B): register outputs are
-	// packed eight to a cache line so one write-back covers them all.
-	// When false each register slot sits on its own line — the ablation
-	// configuration.
+	// Coalesce enables persist coalescing (§IV-B): one write-back covers
+	// several logged registers. When false every logged word pays its own
+	// (the ablation configuration).
 	Coalesce bool
 }
 
@@ -107,7 +112,7 @@ type Runtime struct {
 	lm  *locks.Manager
 
 	rfStride uint64 // 8 when coalescing, 64 when not
-	logSize  int
+	recBase  uint64 // offset of the record area
 
 	mu      sync.Mutex
 	threads []*Thread
@@ -116,31 +121,28 @@ type Runtime struct {
 
 // New creates an iDO runtime with the given configuration.
 func New(cfg Config) *Runtime {
-	rt := &Runtime{cfg: cfg}
-	rt.rfStride = 8
+	rt := &Runtime{cfg: cfg, rfStride: 8}
 	if !cfg.Coalesce {
 		rt.rfStride = nvm.LineSize
 	}
-	rt.logSize = int(rt.stageBase(1)) + persist.MaxOutputs*16
+	rt.recBase = rfBase + persist.MaxOutputs*rt.rfStride
 	return rt
 }
 
-// stageBase returns the offset of boundary-record buffer buf (0 or 1).
-func (rt *Runtime) stageBase(buf int) uint64 {
-	return rt.laBase() + numSlots*8 + uint64(buf)*persist.MaxOutputs*16
+// slotOff returns the offset of lock_array slot i (numSlots: the log's end).
+func (rt *Runtime) slotOff(i int) uint64 {
+	if i < hdrSlots {
+		return logSlots + uint64(i)*8
+	}
+	return rt.recBase + recPairs*16 + uint64(i-hdrSlots)*8
 }
 
 // Name implements persist.Runtime.
 func (rt *Runtime) Name() string { return "ido" }
 
-func (rt *Runtime) laBase() uint64 {
-	return rfBase + persist.MaxOutputs*rt.rfStride
-}
-
 // Attach implements persist.Runtime.
 func (rt *Runtime) Attach(reg *region.Region, lm *locks.Manager) error {
-	rt.reg = reg
-	rt.lm = lm
+	rt.reg, rt.lm = reg, lm
 	return nil
 }
 
@@ -153,7 +155,8 @@ func (rt *Runtime) NewThread() (persist.Thread, error) {
 	rt.nextID++
 	rt.mu.Unlock()
 
-	raw, err := rt.reg.Alloc.Alloc(rt.logSize + nvm.LineSize)
+	logSize := rt.slotOff(numSlots)
+	raw, err := rt.reg.Alloc.Alloc(int(logSize) + nvm.LineSize)
 	if err != nil {
 		return nil, fmt.Errorf("ido: allocating log: %w", err)
 	}
@@ -169,12 +172,11 @@ func (rt *Runtime) NewThread() (persist.Thread, error) {
 	defer rt.mu.Unlock()
 	head := rt.reg.Root(region.RootIDOHead)
 	dev.Store64(addr+logNext, head)
-	dev.PersistRange(addr, uint64(rt.logSize))
+	dev.PersistRange(addr, logSize)
 	dev.Fence()
 	rt.reg.SetRoot(region.RootIDOHead, addr) // fenced internally
 	t := &Thread{rt: rt, id: id, log: addr}
 	t.rc = dev.Tracer().ThreadRing(fmt.Sprintf("ido/t%d", id))
-	t.initAddrTables()
 	rt.threads = append(rt.threads, t)
 	return t, nil
 }
@@ -191,44 +193,31 @@ type Thread struct {
 	bits         uint64           // volatile mirror of logLockBits
 	recovering   bool             // set on recovery threads
 
-	dirty          lineset.Set      // heap lines dirtied in the current region
-	staged         []persist.RegVal // pairs in the current boundary record
-	outScratch     [persist.MaxOutputs]persist.RegVal
-	curBuf         int // active boundary-record buffer
+	dirty      lineset.Set // heap lines dirtied in the current region
+	outScratch [persist.MaxOutputs]persist.RegVal
+
+	// Volatile mirror of what the published recovery_pc describes: pairs
+	// logged, base flag, and the register file recovery would rebuild from
+	// them (what compaction writes into intRF).
+	pairs int
+	base  uint64 // 0, or pcBase once this FASE compacted
+	rf    [persist.MaxOutputs]uint64
+	// pend: write-backs or a pc publish are in flight, and a fence is owed
+	// before this thread's next persistent store (rule 2).
+	pend bool
+
 	storesInRegion int
 	inRegion       bool
 
 	// rc is this thread's event ring; nil when tracing is off (every
 	// method on a nil *obs.Ring is a one-compare no-op).
 	rc           *obs.Ring
-	curRegion    uint64 // region ID of the open region, for trace labels
+	curRegion    uint64 // region ID of the open region: trace labels, compaction's republish
 	regionT0     int64  // tracer clock at the open of the current region
 	faseT0       int64  // tracer clock at FASE entry
 	faseLogBytes uint64 // log payload written during the current FASE
 
-	// Precomputed NVM addresses for the boundary hot path: the fixed
-	// intRF slot per register, and the pair base per stage-record slot in
-	// each ping-pong buffer. Both are fully determined by the log address
-	// and the configured stride, so Boundary writes through a table
-	// lookup instead of re-deriving the stride math per output.
-	rfAddr   [persist.MaxOutputs]uint64
-	pairAddr [2][persist.MaxOutputs]uint64
-
 	stats persist.RuntimeStats
-}
-
-// initAddrTables fills the per-slot address tables once the log address
-// is known (thread registration and recovery both construct Threads).
-func (t *Thread) initAddrTables() {
-	for r := 0; r < persist.MaxOutputs; r++ {
-		t.rfAddr[r] = t.log + rfBase + uint64(r)*t.rt.rfStride
-	}
-	for buf := 0; buf < 2; buf++ {
-		sb := t.log + t.rt.stageBase(buf)
-		for i := 0; i < persist.MaxOutputs; i++ {
-			t.pairAddr[buf][i] = sb + uint64(i)*16
-		}
-	}
 }
 
 var _ persist.Thread = (*Thread)(nil)
@@ -241,19 +230,25 @@ func (t *Thread) Exec(op func()) { op() }
 
 func (t *Thread) inFASE() bool { return t.lockDepth > 0 || t.durableDepth > 0 }
 
-func (t *Thread) trackLine(addr uint64) {
-	t.dirty.Add(addr &^ (nvm.LineSize - 1))
+// settle pays the owed fence, if there is one.
+func (t *Thread) settle() {
+	if t.pend {
+		t.rt.reg.Dev.Fence()
+		t.pend = false
+	}
 }
 
-// Store64 performs a persistent store. Inside a FASE the dirtied line is
+// Store64 performs a persistent store, after the fence the last pc
+// publish or lock record left owed. Inside a FASE the dirtied line is
 // tracked so the enclosing region's boundary can write it back (§III-A:
 // "writes-back of variables accessed via pointers are tracked at run time
 // and then written back at the end of the region"). No per-store log is
 // written — that is the point of iDO.
 func (t *Thread) Store64(addr, val uint64) {
+	t.settle()
 	t.rt.reg.Dev.Store64(addr, val)
 	if t.inFASE() {
-		t.trackLine(addr)
+		t.dirty.Add(addr &^ (nvm.LineSize - 1))
 		t.storesInRegion++
 		t.stats.Stores++
 	}
@@ -267,11 +262,7 @@ func (t *Thread) closeRegion() {
 	if !t.inRegion {
 		return
 	}
-	b := t.storesInRegion
-	if b >= persist.HistStores {
-		b = persist.HistStores - 1
-	}
-	t.stats.StoresPerRegion[b]++
+	t.stats.StoresPerRegion[min(t.storesInRegion, persist.HistStores-1)]++
 	t.stats.Regions++
 	if t.rc != nil {
 		now := t.rc.Clock()
@@ -283,100 +274,134 @@ func (t *Thread) closeRegion() {
 	t.storesInRegion = 0
 }
 
-// persistDirty writes back every line the current region dirtied in one
-// bulk call and orders the write-backs with a persist fence (§III-A
-// step 1; same write-back, fence, and crash-injection event counts as
-// per-line CLWB plus Fence). With group commit enabled the flush+fence
-// may be performed by an elected leader merging several threads'
-// commits into a single fence drain.
+// persistDirty writes back every line the ending region dirtied in one
+// bulk call and orders them, with whatever else is owed a fence, by one
+// persist fence (§III-A step 1); nothing dirty and nothing owed, no fence.
+// With drain sharing enabled the fence may ride another thread's drain.
 func (t *Thread) persistDirty() {
-	t.rt.reg.Dev.PersistBatch(t.dirty.Lines())
+	lines := t.dirty.Lines()
+	t.rt.reg.Dev.FlushLines(lines)
+	t.pend = t.pend || len(lines) > 0
+	t.settle()
 	t.dirty.Reset()
 }
 
 // OutputScratch implements persist.OutputScratcher: callers assemble
 // each Boundary output set in this thread-owned buffer, so spreading it
-// into the variadic Boundary never heap-allocates. Boundary itself only
-// reads the slice (it copies into t.staged), so reuse across calls is
+// into the variadic Boundary never heap-allocates. Boundary only reads
+// the slice (it copies into the log and t.rf), so reuse across calls is
 // safe.
 func (t *Thread) OutputScratch() []persist.RegVal { return t.outScratch[:0] }
 
 // Boundary ends the current idempotent region and opens the one
-// identified by regionID, logging the ending region's OutputSet into the
-// intRF. Each register has a fixed slot, so live-ins of the still-current
-// region are never clobbered before recovery_pc advances. This is the
-// three-step protocol of §III-A; it costs exactly two persist fences.
+// identified by regionID, appending the ending region's OutputSet to the
+// FASE's record area: pairs a published recovery_pc covers are never
+// rewritten, so the still-current region's live-ins cannot be clobbered.
+// It is §III-A's three-step protocol, one fence paid here and one owed.
 func (t *Thread) Boundary(regionID uint64, outputs ...persist.RegVal) {
-	if len(outputs) > persist.MaxOutputs {
+	n := len(outputs)
+	if n > persist.MaxOutputs {
 		panic(fmt.Sprintf("ido: region %#x logs %d outputs (max %d)",
-			regionID, len(outputs), persist.MaxOutputs))
+			regionID, n, persist.MaxOutputs))
 	}
 	if regionID == 0 || regionID >= 1<<48 {
 		panic(fmt.Sprintf("ido: region ID %#x out of range", regionID))
 	}
 	dev := t.rt.reg.Dev
 	t.closeRegion()
-
-	// Step 1a: fold the previous boundary record into the fixed intRF
-	// slots (their lines are flushed below, under this boundary's fence).
-	for _, o := range t.staged {
-		sa := t.rfAddr[o.Reg]
-		dev.Store64(sa, o.Val)
-		t.trackLine(sa)
+	if t.pairs+n > recPairs {
+		t.compact()
 	}
-	// Step 1b: write this boundary's record into the INACTIVE buffer —
-	// with persist coalescing the pairs pack two to a cache line, so up
-	// to eight registers cost a handful of contiguous write-backs
+
+	// Step 1: append this boundary's record behind the pairs the current
+	// recovery_pc covers — coalesced, pairs pack four to a cache line, so
+	// up to eight registers cost two or three contiguous write-backs
 	// (§IV-B) — plus any heap lines the ending region dirtied; fence.
-	// Pair addresses come from the precomputed per-slot table.
-	buf := 1 - t.curBuf
+	rec := t.log + t.rt.recBase + uint64(t.pairs)*16
 	for i, o := range outputs {
 		if o.Reg < 0 || o.Reg >= persist.MaxOutputs {
 			panic(fmt.Sprintf("ido: register slot %d out of range", o.Reg))
 		}
-		pa := t.pairAddr[buf][i]
+		pa := rec + uint64(i)*16
 		dev.Store64(pa, uint64(o.Reg))
 		dev.Store64(pa+8, o.Val)
+		t.rf[o.Reg] = o.Val
 	}
-	if n := len(outputs); n > 0 {
-		if t.rt.cfg.Coalesce {
-			dev.PersistRange(t.pairAddr[buf][0], uint64(n)*16)
-		} else {
-			for i := 0; i < n; i++ {
-				dev.CLWB(t.pairAddr[buf][i])
-				dev.CLWB(t.pairAddr[buf][i] + 8)
-			}
+	if t.rt.cfg.Coalesce {
+		dev.PersistRange(rec, uint64(n)*16)
+	} else {
+		for a := rec; a < rec+uint64(n)*16; a += 8 {
+			dev.CLWB(a)
 		}
 	}
-	t.persistDirty() // flush + fence, group-commit batchable
+	t.pend = t.pend || n > 0
+	t.persistDirty()
 
-	// Step 2: publish the new recovery_pc (record count and buffer ride
-	// in the packed word, so record and pc switch atomically), fence.
-	// From here on a crash resumes at regionID's entry. The publish is a
-	// non-temporal store: a cached store plus write-back would leave a
-	// window where the crash adversary decides whether the pc reached the
-	// persistence domain — at a FASE's entry boundary that would let the
-	// adversary pick between "FASE never started" and "FASE resumes",
-	// breaking the adversary-independence of recovery (§III-C) that the
-	// chaos harness's persist-all oracle checks exactly.
-	dev.StoreNT(t.log+logPC, pcPack(regionID, len(outputs), buf))
-	dev.FenceBatch()
-	t.curBuf = buf
-	t.staged = append(t.staged[:0], outputs...)
+	// Step 2: publish the new recovery_pc; the pair count rides in the
+	// packed word, so region and record set switch atomically and from
+	// here on a crash resumes at regionID's entry. The publish is a
+	// non-temporal store: a cached store plus write-back would let the
+	// crash adversary decide whether the pc reached the persistence
+	// domain — at a FASE's entry boundary, between "FASE never started"
+	// and "FASE resumes" — breaking the adversary-independence of recovery
+	// (§III-C) that the chaos harness's persist-all oracle checks exactly.
+	// The fence ordering it before the new region's stores is owed.
+	t.pairs += n
+	dev.StoreNT(t.log+logPC, pcPack(regionID, t.pairs, t.base))
+	t.pend = true
 
 	t.stats.LoggedEntries++
-	logBytes := uint64(len(outputs))*8 + 8
+	logBytes := uint64(n)*8 + 8
 	t.stats.LoggedBytes += logBytes
 	t.faseLogBytes += logBytes
-	t.stats.OutputsPerRegion[len(outputs)]++
+	t.stats.OutputsPerRegion[n]++
 	if t.rc != nil {
-		t.rc.Emit(obs.KBoundary, regionID, uint64(len(outputs)))
-		t.rc.Observe(obs.HOutputsPerRegion, uint64(len(outputs)))
+		t.rc.Emit(obs.KBoundary, regionID, uint64(n))
+		t.rc.Observe(obs.HOutputsPerRegion, uint64(n))
 		t.regionT0 = t.rc.Clock()
 	}
 	t.curRegion = regionID
 	t.inRegion = true
 	// Step 3 is the caller executing the region's code.
+}
+
+// compact empties the record area when the next boundary would overflow
+// it: the register file the current recovery_pc describes goes into intRF
+// in place, and the current region is republished with no pairs over that
+// base. Replaying the old pairs over a partly written intRF yields the
+// same register file (a pair decides its register; one without a pair is
+// rewritten to the value it had), so a crash in here resumes the same
+// region with the same inputs. The pc must be durable before intRF changes
+// under it, and the new pc before fresh pairs overwrite the old.
+func (t *Thread) compact() {
+	dev := t.rt.reg.Dev
+	t.settle()
+	for r, v := range t.rf {
+		dev.Store64(t.log+rfBase+uint64(r)*t.rt.rfStride, v)
+	}
+	dev.PersistRange(t.log+rfBase, persist.MaxOutputs*t.rt.rfStride)
+	dev.Fence()
+	t.pairs, t.base = 0, pcBase
+	dev.StoreNT(t.log+logPC, pcPack(t.curRegion, 0, pcBase))
+	dev.Fence()
+}
+
+// endFASE makes the FASE's effects durable and then clears recovery_pc
+// (dropping the pairs and the base image with it), each under its own
+// fence: data before pc = 0, pc = 0 before the caller hands the mutex
+// over. The clear is a single NT store for the same reason the publish is.
+func (t *Thread) endFASE() {
+	dev := t.rt.reg.Dev
+	t.closeRegion()
+	t.persistDirty()
+	dev.StoreNT(t.log+logPC, 0)
+	dev.Fence()
+	t.pairs, t.base, t.rf = 0, 0, [persist.MaxOutputs]uint64{}
+	t.stats.FASEs++
+	if t.rc != nil {
+		t.rc.Span(obs.KFASE, t.faseLogBytes, 0, t.faseT0)
+		t.rc.Observe(obs.HLogBytesPerFASE, t.faseLogBytes)
+	}
 }
 
 // slotOf probes only the slots the bits mask marks live (slots[i] != 0
@@ -399,10 +424,26 @@ func (t *Thread) freeSlot() int {
 	return -1
 }
 
-// Lock acquires l and records its indirect holder in the lock_array with
-// a single persist fence (§III-B). When resumption re-executes an acquire
-// the thread already performed (the lock is already in the mirror), the
-// call is a no-op.
+// setSlot updates lock_array slot i and the bitmap, in the mirror and in
+// the log, and writes the log words back: one CLWB for slots 0–3, which
+// share the bitmap's line.
+func (t *Thread) setSlot(i int, holder, bits uint64) {
+	t.slots[i], t.bits = holder, bits
+	dev := t.rt.reg.Dev
+	sa := t.log + t.rt.slotOff(i)
+	dev.Store64(sa, holder)
+	dev.Store64(t.log+logLockBits, t.bits)
+	if i >= hdrSlots {
+		dev.CLWB(sa)
+	}
+	dev.CLWB(t.log + logLockBits)
+}
+
+// Lock acquires l and records its indirect holder in the lock_array
+// (§III-B). The record's fence is owed: the entry boundary fences before
+// it publishes recovery_pc, which is all the record has to precede. When
+// resumption re-executes an acquire the thread already performed (the
+// lock is already in the mirror), the call is a no-op.
 func (t *Thread) Lock(l *locks.Lock) {
 	if t.slotOf(l.Holder()) >= 0 {
 		if !t.recovering {
@@ -415,30 +456,20 @@ func (t *Thread) Lock(l *locks.Lock) {
 	if slot < 0 {
 		panic("ido: lock_array overflow (more than 16 locks held)")
 	}
-	dev := t.rt.reg.Dev
-	t.slots[slot] = l.Holder()
-	t.bits |= 1 << uint(slot)
-	slotAddr := t.log + t.rt.laBase() + uint64(slot)*8
-	dev.Store64(slotAddr, l.Holder())
-	dev.Store64(t.log+logLockBits, t.bits)
-	dev.CLWB(slotAddr)
-	dev.CLWB(t.log + logLockBits)
-	dev.Fence() // the single fence
-	if t.rc != nil {
-		if t.lockDepth == 0 && t.durableDepth == 0 {
-			t.faseT0 = t.rc.Clock()
-			t.faseLogBytes = 0
-		}
-		t.rc.Emit(obs.KLockAcq, l.Holder(), 0)
-	}
+	t.settle() // a nested acquire is a store of the open region
+	t.setSlot(slot, l.Holder(), t.bits|1<<uint(slot))
+	t.pend = true
+	t.openFASE()
+	t.rc.Emit(obs.KLockAcq, l.Holder(), 0)
 	t.lockDepth++
 }
 
-// Unlock releases l. For an inner release (other locks remain held) it
-// clears the lock_array entry with a single fence. For the FASE's final
-// release it first makes the FASE's effects durable, then clears
-// recovery_pc (fence), and only then clears the slot and releases — so
-// recovery_pc != 0 always implies the locks are still recorded.
+// Unlock releases l. An inner release (other locks remain held) clears
+// the lock_array entry and fences the clear before the mutex changes
+// hands. The FASE's final release first ends the FASE and only then
+// clears the slot and releases — so recovery_pc != 0 always finds its
+// locks recorded, and a slot clear still in flight sits under a durable
+// recovery_pc == 0.
 //
 // When resumption re-executes a release the crashed thread had already
 // completed (the lock is absent from the mirror), the call is a no-op.
@@ -450,30 +481,15 @@ func (t *Thread) Unlock(l *locks.Lock) {
 		}
 		panic("ido: unlocking a lock this thread does not hold")
 	}
-	dev := t.rt.reg.Dev
 	last := t.lockDepth == 1 && t.durableDepth == 0
 	if last {
-		t.closeRegion()
-		t.persistDirty()
-		// Single-event clear, matching the Boundary publish (see Step 2
-		// there): the pc transition must not depend on the adversary.
-		dev.StoreNT(t.log+logPC, 0)
-		dev.FenceBatch()
-		t.stats.FASEs++
-		if t.rc != nil {
-			t.rc.Span(obs.KFASE, t.faseLogBytes, 0, t.faseT0)
-			t.rc.Observe(obs.HLogBytesPerFASE, t.faseLogBytes)
-		}
+		t.endFASE()
+	} else {
+		t.settle()
 	}
-	t.slots[slot] = 0
-	t.bits &^= 1 << uint(slot)
-	slotAddr := t.log + t.rt.laBase() + uint64(slot)*8
-	dev.Store64(slotAddr, 0)
-	dev.Store64(t.log+logLockBits, t.bits)
-	dev.CLWB(slotAddr)
-	dev.CLWB(t.log + logLockBits)
+	t.setSlot(slot, 0, t.bits&^(1<<uint(slot)))
 	if !last {
-		dev.Fence() // the single fence; the final release already fenced
+		t.rt.reg.Dev.Fence()
 	}
 	t.rc.Emit(obs.KLockRel, l.Holder(), 0)
 	t.lockDepth--
@@ -484,11 +500,16 @@ func (t *Thread) Unlock(l *locks.Lock) {
 // must issue a Boundary immediately after, exactly as the compiler
 // inserts one after each lock acquire.
 func (t *Thread) BeginDurable() {
-	if t.rc != nil && t.durableDepth == 0 && t.lockDepth == 0 {
+	t.openFASE()
+	t.durableDepth++
+}
+
+// openFASE starts the trace clock of a FASE at its outermost entry.
+func (t *Thread) openFASE() {
+	if t.rc != nil && !t.inFASE() {
 		t.faseT0 = t.rc.Clock()
 		t.faseLogBytes = 0
 	}
-	t.durableDepth++
 }
 
 // EndDurable closes a programmer-delineated FASE, persisting its effects
@@ -497,18 +518,8 @@ func (t *Thread) EndDurable() {
 	if t.durableDepth == 0 {
 		panic("ido: EndDurable without BeginDurable")
 	}
-	last := t.durableDepth == 1 && t.lockDepth == 0
-	if last {
-		dev := t.rt.reg.Dev
-		t.closeRegion()
-		t.persistDirty()
-		dev.StoreNT(t.log+logPC, 0)
-		dev.FenceBatch()
-		t.stats.FASEs++
-		if t.rc != nil {
-			t.rc.Span(obs.KFASE, t.faseLogBytes, 0, t.faseT0)
-			t.rc.Observe(obs.HLogBytesPerFASE, t.faseLogBytes)
-		}
+	if t.durableDepth == 1 && t.lockDepth == 0 {
+		t.endFASE()
 	}
 	t.durableDepth--
 }
@@ -551,10 +562,8 @@ func (rt *Runtime) Recover(rr *persist.ResumeRegistry) (persist.RecoveryStats, e
 
 	type pending struct {
 		t        *Thread
-		regionID uint64
-		n, buf   int
-		bits     uint64
-		ai       int // index into stats.Audit.Threads
+		pc, bits uint64 // the log's packed recovery_pc and lock bitmap
+		ai       int    // index into stats.Audit.Threads
 		rf       []uint64
 		locks    []uint64
 		acquired int // locks actually re-acquired (slot order)
@@ -597,36 +606,20 @@ func (rt *Runtime) Recover(rr *persist.ResumeRegistry) (persist.RecoveryStats, e
 	// caller (each call path wraps it per its own death semantics).
 	restore := func(w *pending) {
 		t, p := w.t, w.t.log
-		held := 0
-		for i := 0; i < numSlots; i++ {
-			if w.bits&(1<<uint(i)) != 0 {
-				h := dev.Load64(p + rt.laBase() + uint64(i)*8)
-				if h == 0 {
-					continue
-				}
-				t.slots[i] = h
+		t.slots = rt.loadSlots(p, w.bits)
+		for i, h := range t.slots {
+			if h != 0 {
 				t.bits |= 1 << uint(i)
 				w.locks = append(w.locks, h)
-				held++
 			}
 		}
-		// Restore the register file: fixed slots overlaid with the
-		// current boundary record (whose count rides in the pc word).
-		w.rf = make([]uint64, persist.MaxOutputs)
-		for i := range w.rf {
-			w.rf[i] = dev.Load64(p + rfBase + uint64(i)*rt.rfStride)
-		}
-		for i := 0; i < w.n && i < persist.MaxOutputs; i++ {
-			reg := dev.Load64(p + rt.stageBase(w.buf) + uint64(i)*16)
-			val := dev.Load64(p + rt.stageBase(w.buf) + uint64(i)*16 + 8)
-			if reg < persist.MaxOutputs {
-				w.rf[reg] = val
-				t.staged = append(t.staged, persist.RegVal{Reg: int(reg), Val: val})
-			}
-		}
-		t.curBuf = w.buf
-		t.lockDepth = held
-		if held == 0 {
+		// Rebuild the register file the pc describes; the thread carries
+		// on appending behind the pairs it covers.
+		t.curRegion, t.pairs, t.base = pcUnpack(w.pc)
+		w.rf, _ = rt.loadRF(p, t.pairs, t.base)
+		copy(t.rf[:], w.rf)
+		t.lockDepth = len(w.locks)
+		if t.lockDepth == 0 {
 			t.durableDepth = 1 // a programmer-delineated FASE was active
 		}
 		t.inRegion = true
@@ -654,10 +647,9 @@ func (rt *Runtime) Recover(rr *persist.ResumeRegistry) (persist.RecoveryStats, e
 		}
 	}
 	resume := func(w *pending) {
-		fn, _ := rr.Lookup(w.regionID)
+		fn, _ := rr.Lookup(w.t.curRegion)
 		fn(w.t, w.rf)
 	}
-
 	launch := func(w *pending) {
 		defer done.Done()
 		func() {
@@ -677,7 +669,7 @@ func (rt *Runtime) Recover(rr *persist.ResumeRegistry) (persist.RecoveryStats, e
 		}
 		defer func() {
 			if r := recover(); r != nil {
-				w.err = fmt.Errorf("ido: resume of region %#x panicked: %v", w.regionID, r)
+				w.err = fmt.Errorf("ido: resume of region %#x panicked: %v", w.t.curRegion, r)
 			}
 		}()
 		resume(w)
@@ -688,12 +680,11 @@ func (rt *Runtime) Recover(rr *persist.ResumeRegistry) (persist.RecoveryStats, e
 		stats.Threads++
 		stats.LogEntries++
 		pcWord := dev.Load64(p + logPC)
-		regionID, n, buf := pcUnpack(pcWord)
+		regionID, n, base := pcUnpack(pcWord)
 		bits := dev.Load64(p + logLockBits)
 
 		t := &Thread{rt: rt, id: int(dev.Load64(p + logThreadID)), log: p, recovering: true}
 		t.rc = dev.Tracer().ThreadRing(fmt.Sprintf("ido/t%d-rec", t.id))
-		t.initAddrTables()
 		audit := obs.ThreadAudit{ThreadID: t.id, LogAddr: p, Action: obs.AuditIdle, RecoveryPC: pcWord}
 		rt.mu.Lock()
 		rt.threads = append(rt.threads, t)
@@ -706,10 +697,10 @@ func (rt *Runtime) Recover(rr *persist.ResumeRegistry) (persist.RecoveryStats, e
 			// Not mid-FASE. Scrub any stale slots (robbed-lock window).
 			if bits != 0 {
 				for i := 0; i < numSlots; i++ {
-					dev.Store64(p+rt.laBase()+uint64(i)*8, 0)
+					dev.Store64(p+rt.slotOff(i), 0)
 				}
 				dev.Store64(p+logLockBits, 0)
-				dev.PersistRange(p+rt.laBase(), numSlots*8)
+				dev.PersistRange(p+rt.slotOff(hdrSlots), (numSlots-hdrSlots)*8)
 				dev.CLWB(p + logLockBits)
 				dev.Fence()
 				audit.Action = obs.AuditScrubbed
@@ -725,12 +716,9 @@ func (rt *Runtime) Recover(rr *persist.ResumeRegistry) (persist.RecoveryStats, e
 		}
 		audit.Action = obs.AuditResumed
 		audit.RegionID = regionID
-		audit.WordsRestored = persist.MaxOutputs + n // intRF + staged overlay
+		audit.WordsRestored = n + int(base/pcBase)*persist.MaxOutputs // pairs, over the base image if live
 		stats.Audit.Add(audit)
-		w := &pending{
-			t: t, regionID: regionID, n: n, buf: buf, bits: bits,
-			ai: len(stats.Audit.Threads) - 1,
-		}
+		w := &pending{t: t, pc: pcWord, bits: bits, ai: len(stats.Audit.Threads) - 1}
 		work = append(work, w)
 		if !serial {
 			acq.Add(1)
@@ -740,85 +728,69 @@ func (rt *Runtime) Recover(rr *persist.ResumeRegistry) (persist.RecoveryStats, e
 	}
 	rc.Span(obs.KRecovery, obs.PhaseScan, stats.LogEntries, scanT0)
 
-	if serial {
-		// Deterministic path: restore every thread, then resume every
-		// thread, on this goroutine in walk order. An injected CrashSignal
-		// propagates — the crash kills recovery mid-flight and the chaos
-		// harness settles and re-recovers; any other panic becomes an
-		// error after the acquired locks are dropped.
-		guard := func(label string, w *pending, f func()) (ok bool) {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, crash := r.(nvm.CrashSignal); crash {
-						panic(r)
-					}
-					w.err = fmt.Errorf("ido: %s panicked: %v", label, r)
+	// guard runs one step of the deterministic serial path (restore every
+	// thread, then resume every thread, here, in walk order). An injected
+	// CrashSignal propagates — the crash kills recovery mid-flight and the
+	// harness settles and re-recovers; another panic is the step's error.
+	guard := func(label string, w *pending, step func(*pending)) bool {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, crash := r.(nvm.CrashSignal); crash {
+					panic(r)
 				}
-			}()
-			f()
-			return w.err == nil
-		}
-		var firstErr error
-		if walkErr == nil {
-			for _, w := range work {
-				if !guard(fmt.Sprintf("restore of log %#x", w.t.log), w, func() { restore(w) }) {
-					firstErr = w.err
-					break
-				}
+				w.err = fmt.Errorf("ido: %s panicked: %v", label, r)
 			}
-		}
-		var locksTotal uint64
-		for _, w := range work {
-			stats.Audit.Threads[w.ai].Locks = w.locks
-			locksTotal += uint64(len(w.locks))
-		}
-		rc.Span(obs.KRecovery, obs.PhaseReacquire, locksTotal, scanT0)
-		if walkErr != nil || firstErr != nil {
-			for _, w := range work {
-				release(w)
-			}
-			if walkErr != nil {
-				return stats, walkErr
-			}
-			return stats, firstErr
-		}
-		resumeT0 := rc.Clock()
-		for _, w := range work {
-			if !guard(fmt.Sprintf("resume of region %#x", w.regionID), w, func() { resume(w) }) {
-				return stats, w.err
-			}
-		}
-		rc.Span(obs.KRecovery, obs.PhaseResume, uint64(len(work)), resumeT0)
-		stats.Resumed = len(work)
-		stats.Elapsed = time.Since(start)
-		return stats, nil
+		}()
+		step(w)
+		return w.err == nil
 	}
-
-	acq.Wait()
-	// Fold what the restore goroutines found into the audit, in walk
-	// order; the slice is stable now that the walk has finished, and the
-	// locks are final once the acq barrier has passed.
+	firstErr := walkErr
+	if !serial {
+		acq.Wait()
+	} else if walkErr == nil {
+		for _, w := range work {
+			if !guard(fmt.Sprintf("restore of log %#x", w.t.log), w, restore) {
+				firstErr = w.err
+				break
+			}
+		}
+	}
+	// Fold what the restores found into the audit, in walk order: the
+	// slice is stable once the walk has finished, the locks final past the
+	// barrier. The re-acquire span starts at scanT0: restores overlap the walk.
 	var locksTotal uint64
 	for _, w := range work {
 		stats.Audit.Threads[w.ai].Locks = w.locks
 		locksTotal += uint64(len(w.locks))
 	}
-	// The re-acquire span starts at scanT0 deliberately: it runs
-	// concurrently with the walk, which is the point of the overlap.
 	rc.Span(obs.KRecovery, obs.PhaseReacquire, locksTotal, scanT0)
-	if walkErr != nil {
-		abort.Store(true)
-	}
 	resumeT0 := rc.Clock()
-	openGate()
-	done.Wait()
-	if walkErr != nil {
-		return stats, walkErr
-	}
-	for _, w := range work {
-		if w.err != nil {
-			return stats, w.err
+	switch {
+	case !serial:
+		if walkErr != nil {
+			abort.Store(true) // launched threads release instead of resuming
 		}
+		openGate()
+		done.Wait()
+		for _, w := range work {
+			if firstErr == nil {
+				firstErr = w.err
+			}
+		}
+	case firstErr != nil:
+		for _, w := range work {
+			release(w)
+		}
+	default:
+		for _, w := range work {
+			if !guard(fmt.Sprintf("resume of region %#x", w.t.curRegion), w, resume) {
+				firstErr = w.err
+				break
+			}
+		}
+	}
+	if firstErr != nil {
+		return stats, firstErr
 	}
 	rc.Span(obs.KRecovery, obs.PhaseResume, uint64(len(work)), resumeT0)
 	stats.Resumed = len(work)
@@ -828,39 +800,67 @@ func (rt *Runtime) Recover(rr *persist.ResumeRegistry) (persist.RecoveryStats, e
 
 var _ persist.Runtime = (*Runtime)(nil)
 
+// loadSlots reads the lock_array slots the bitmap marks live (0 for the
+// rest) from the log at p.
+func (rt *Runtime) loadSlots(p, bits uint64) (slots [numSlots]uint64) {
+	for i := range slots {
+		if bits&(1<<uint(i)) != 0 {
+			slots[i] = rt.reg.Dev.Load64(p + rt.slotOff(i))
+		}
+	}
+	return slots
+}
+
+// loadRF decodes what a recovery_pc with the given pair count and base
+// flag covers in the log at p: the pairs in log order, and the register
+// file they replay to (the base image if live, else zeros, under them).
+func (rt *Runtime) loadRF(p uint64, n int, base uint64) (rf []uint64, pairs []persist.RegVal) {
+	dev := rt.reg.Dev
+	rf = make([]uint64, persist.MaxOutputs)
+	if base != 0 {
+		for i := range rf {
+			rf[i] = dev.Load64(p + rfBase + uint64(i)*rt.rfStride)
+		}
+	}
+	for i := 0; i < n && i < recPairs; i++ {
+		pa := p + rt.recBase + uint64(i)*16
+		reg, val := dev.Load64(pa), dev.Load64(pa+8)
+		if reg < persist.MaxOutputs {
+			rf[reg] = val
+			pairs = append(pairs, persist.RegVal{Reg: int(reg), Val: val})
+		}
+	}
+	return rf, pairs
+}
+
 // LogEntryInfo is a read-only view of one per-thread iDO log, for
 // post-mortem inspection (cmd/idolog).
 type LogEntryInfo struct {
-	LogAddr  uint64
-	ThreadID int
-	RegionID uint64           // 0 when the thread was not mid-FASE
-	Staged   []persist.RegVal // the boundary record published with the pc
-	Locks    []uint64         // holder addresses recorded in the lock array
+	LogAddr   uint64
+	ThreadID  int
+	RegionID  uint64           // 0 when the thread was not mid-FASE
+	Pairs     []persist.RegVal // boundary records the pc covers, in log order
+	BaseValid bool             // the pc's base-image flag: a compaction happened
+	RF        []uint64         // register file recovery would hand the resume entry; nil when idle
+	Locks     []uint64         // holder addresses recorded in the lock array
 }
 
 // InspectLogs walks a region's iDO log list without mutating anything.
 // It uses the default log layout (the one New(DefaultConfig()) produces).
 func InspectLogs(reg *region.Region) []LogEntryInfo {
 	rt := New(DefaultConfig())
+	rt.reg = reg
 	dev := reg.Dev
 	var out []LogEntryInfo
 	for p := reg.Root(region.RootIDOHead); p != 0; p = dev.Load64(p + logNext) {
-		e := LogEntryInfo{LogAddr: p, ThreadID: int(dev.Load64(p + logThreadID))}
-		regionID, n, buf := pcUnpack(dev.Load64(p + logPC))
-		e.RegionID = regionID
+		regionID, n, base := pcUnpack(dev.Load64(p + logPC))
+		e := LogEntryInfo{LogAddr: p, ThreadID: int(dev.Load64(p + logThreadID)), RegionID: regionID, BaseValid: base != 0}
 		if regionID != 0 {
-			for i := 0; i < n && i < persist.MaxOutputs; i++ {
-				reg := dev.Load64(p + rt.stageBase(buf) + uint64(i)*16)
-				val := dev.Load64(p + rt.stageBase(buf) + uint64(i)*16 + 8)
-				e.Staged = append(e.Staged, persist.RegVal{Reg: int(reg), Val: val})
-			}
+			e.RF, e.Pairs = rt.loadRF(p, n, base)
 		}
-		bits := dev.Load64(p + logLockBits)
-		for i := 0; i < numSlots; i++ {
-			if bits&(1<<uint(i)) != 0 {
-				if h := dev.Load64(p + rt.laBase() + uint64(i)*8); h != 0 {
-					e.Locks = append(e.Locks, h)
-				}
+		for _, h := range rt.loadSlots(p, dev.Load64(p+logLockBits)) {
+			if h != 0 {
+				e.Locks = append(e.Locks, h)
 			}
 		}
 		out = append(out, e)

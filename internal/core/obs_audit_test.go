@@ -110,8 +110,10 @@ func TestRecoveryAuditAtEveryPoint(t *testing.T) {
 				if len(ta.Locks) != 1 {
 					t.Fatalf("k=%d: resumed with %d locks, want 1", k, len(ta.Locks))
 				}
-				if ta.WordsRestored == 0 {
-					t.Fatalf("k=%d: resumed but restored no words", k)
+				// One word per record pair the pc covers: ridIncA is
+				// entered with none, ridIncB with the logged counter.
+				if want := int(ta.RegionID - ridIncA); ta.WordsRestored != want {
+					t.Fatalf("k=%d: region %#x restored %d words, want %d", k, ta.RegionID, ta.WordsRestored, want)
 				}
 			case obs.AuditIdle, obs.AuditScrubbed:
 				if ta.RegionID != 0 {

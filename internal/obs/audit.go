@@ -38,9 +38,9 @@ type ThreadAudit struct {
 	RegionID   uint64   // region resumed, 0 if none
 	Locks      []uint64 // indirect holder addresses re-acquired
 	// WordsRestored counts 8-byte words recovery restored on behalf of
-	// this thread: register-file slots and staged boundary pairs for
-	// resumption systems, undone/redone store targets for log-replay
-	// systems.
+	// this thread: replayed boundary pairs (plus the base-image slots
+	// once a FASE compacted) for resumption systems, undone/redone store
+	// targets for log-replay systems.
 	WordsRestored int
 }
 

@@ -69,11 +69,12 @@ type Thread interface {
 	Load64(addr uint64) uint64
 
 	// Boundary marks an idempotent-region boundary, logging the ending
-	// region's OutputSet (iDO §III-A) as (register, value) pairs. Each
-	// register has a fixed slot in the persistent log (Fig. 3), so a
-	// boundary can never clobber a live-in that the current recovery_pc
-	// still needs — the property §IV-A(c)'s live-range extension
-	// guarantees in the real compiler. Non-iDO runtimes ignore it.
+	// region's OutputSet (iDO §III-A) as (register, value) pairs. The
+	// pairs are appended to the FASE's log, never written over ones the
+	// current recovery_pc still needs — the property §IV-A(c)'s
+	// live-range extension guarantees in the real compiler — and a
+	// resumed region gets every register as last logged in this FASE, 0
+	// if never. Non-iDO runtimes ignore it.
 	Boundary(regionID uint64, outputs ...RegVal)
 }
 
@@ -88,8 +89,8 @@ func RV(reg int, val uint64) RegVal { return RegVal{Reg: reg, Val: val} }
 
 // OutputScratcher is an optional Thread extension: a thread-owned
 // reusable buffer for assembling a Boundary output set. Boundary must
-// copy its outputs before returning (iDO's does — the log is persistent,
-// the staged copy is its own slice), so the same buffer is safe to hand
+// copy its outputs before returning (iDO's does — into the persistent log
+// and its own register mirror), so the same buffer is safe to hand
 // back on every call. Threads are single-goroutine by contract, which is
 // what makes a single per-thread buffer sound.
 type OutputScratcher interface {

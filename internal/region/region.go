@@ -18,7 +18,11 @@ import (
 )
 
 const (
-	magic    = 0x69444F5245470001 // "iDOREG" v1
+	// magic is "iDOREG" plus a format version. v2: append-only iDO log
+	// records and lock slots in the log header (internal/core), key→shard
+	// placement by the server's current hash. An image of an older build
+	// must not attach: its logs would be mis-decoded by Recover.
+	magic    = 0x69444F5245470002
 	numRoots = 32
 	// Layout (byte offsets).
 	offMagic = 0
@@ -139,7 +143,9 @@ func OpenFile(path string, cfg nvm.Config) (*Region, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) < 16 || binary.LittleEndian.Uint64(raw) != magic {
+	// Any version's container is let through to Attach, whose bad-magic
+	// error names the version found.
+	if len(raw) < 16 || binary.LittleEndian.Uint64(raw)>>16 != magic>>16 {
 		return nil, fmt.Errorf("region: %s is not a region image", path)
 	}
 	size := int(binary.LittleEndian.Uint64(raw[8:]))

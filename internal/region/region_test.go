@@ -1,9 +1,11 @@
 package region
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/ido-nvm/ido/internal/nvm"
@@ -94,6 +96,29 @@ func TestOpenFileRejectsGarbage(t *testing.T) {
 	}
 	if _, err := OpenFile(path, nvm.Config{}); err == nil {
 		t.Fatal("OpenFile accepted garbage")
+	}
+}
+
+// TestOlderFormatImageFailsAttach: an image of the v1 format (fold and
+// ping-pong iDO logs, older key→shard placement) must stop at Attach's
+// bad-magic error, not reach Recover.
+func TestOlderFormatImageFailsAttach(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v1.img")
+	if err := Create(1<<15, nvm.Config{}).SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const v1 = 0x69444F5245470001
+	binary.LittleEndian.PutUint64(raw, v1)      // container header
+	binary.LittleEndian.PutUint64(raw[16:], v1) // the device's magic word
+	if err := writeFile(path, raw); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenFile(path, nvm.Config{}); err == nil || !strings.Contains(err.Error(), "bad magic 0x69444f5245470001") {
+		t.Fatalf("v1 image: got %v, want Attach's bad-magic error", err)
 	}
 }
 

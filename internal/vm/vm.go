@@ -715,7 +715,8 @@ func (t *Thread) persistDirty() {
 }
 
 // boundary implements the iDO three-step protocol for an OpBoundary.
-// Like the native runtime, the new pairs go into a staged record that is
+// The new pairs go into a staged record (internal/core has since moved
+// to an append-only log, see README.md here) that is
 // published atomically with recovery_pc and folded into the fixed
 // per-register slots by the NEXT boundary, so a crash between the two
 // fences can never clobber a live-in of the still-current region.
