@@ -57,7 +57,10 @@ func dump(w io.Writer, reg *region.Region) {
 	for _, e := range entries {
 		state := "idle"
 		words := len(e.Pairs)
-		if e.RegionID != 0 {
+		if e.RegionID == 0 && len(e.Locks) > 0 {
+			// Live slots under recovery_pc == 0: the FASE had not stored yet.
+			state = "in a read-only prefix or robbed"
+		} else if e.RegionID != 0 {
 			over := "zeros"
 			if e.BaseValid {
 				over = "the compacted base image"
@@ -87,7 +90,7 @@ func dump(w io.Writer, reg *region.Region) {
 			fmt.Fprintf(w, "    recovery would: %s at region %#x, re-acquiring %d lock(s), restoring %d word(s)\n",
 				obs.AuditResumed, e.RegionID, len(e.Locks), words)
 		} else if len(e.Locks) > 0 {
-			fmt.Fprintf(w, "    recovery would: %s stale lock slots\n", obs.AuditScrubbed)
+			fmt.Fprintf(w, "    recovery would: %s the lock slots, resume nothing\n", obs.AuditScrubbed)
 		} else {
 			fmt.Fprintf(w, "    recovery would: %s\n", obs.AuditIdle)
 		}

@@ -52,7 +52,7 @@ func main() {
 	chaosFlag := flag.Bool("chaos", false, "run the deterministic crash-schedule sweep instead of the demo")
 	replay := flag.String("replay", "", "with -chaos: replay one schedule tuple (runtime:workload:mode:seed:forward:r1,r2|-)")
 	runtimeFlag := flag.String("runtime", "", "with -chaos: sweep only this runtime (default: all)")
-	workloadFlag := flag.String("workload", "", "with -chaos: sweep this workload (counter|mapput|cachemix|compact; default: per runtime)")
+	workloadFlag := flag.String("workload", "", "with -chaos: sweep this workload (counter|mapput|cachemix|compact|prefix; default: per runtime)")
 	points := flag.Int("points", 6, "with -chaos: crash points sampled per axis")
 	flag.Parse()
 

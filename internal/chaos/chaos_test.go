@@ -8,6 +8,7 @@ import (
 
 	"github.com/ido-nvm/ido/internal/core"
 	"github.com/ido-nvm/ido/internal/nvm"
+	"github.com/ido-nvm/ido/internal/region"
 )
 
 // Crash injection is process-global, so no test here may call
@@ -395,18 +396,17 @@ func TestReplayIsDeterministic(t *testing.T) {
 	}
 }
 
-// compactLogState runs the compact workload to a forward crash at event
-// f and decodes the crashed thread's log: the pairs its recovery_pc
-// covers and whether a base image is live. recovery_pc moves only by
-// NT store, so no settle is needed to read what a restart would see.
-func compactLogState(t *testing.T, s Schedule) (pairs int, base bool) {
+// crashedLog runs a single-threaded iDO workload to s's forward crash and
+// returns the crashed thread's log as a restart would decode it, with
+// the device counts at that point. recovery_pc moves only by NT store,
+// so no settle is needed to read what a restart would see.
+func crashedLog(t *testing.T, s Schedule) (core.LogEntryInfo, nvm.Stats) {
 	t.Helper()
 	defer nvm.ArmCrash(-1)
-	drv, _, err := newDriver(s)
+	d, _, err := newDriver(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := drv.(*compactDriver)
 	if err := d.prepare(s.Seed); err != nil {
 		t.Fatal(err)
 	}
@@ -415,11 +415,18 @@ func compactLogState(t *testing.T, s Schedule) (pairs int, base bool) {
 		t.Fatalf("%s: forward crashed=%v err=%v", s, crashed, err)
 	}
 	nvm.ArmCrash(-1)
-	logs := core.InspectLogs(d.reg)
+	var reg *region.Region
+	switch d := d.(type) {
+	case *compactDriver:
+		reg = d.reg
+	case *prefixDriver:
+		reg = d.reg
+	}
+	logs := core.InspectLogs(reg)
 	if len(logs) != 1 {
 		t.Fatalf("%s: %d thread logs, want 1", s, len(logs))
 	}
-	return len(logs[0].Pairs), logs[0].BaseValid
+	return logs[0], reg.Dev.Stats()
 }
 
 // TestCompactionSweep crashes the compact workload — one FASE that
@@ -459,11 +466,11 @@ func TestCompactionSweep(t *testing.T) {
 				run(s)
 			}
 		}
-		pairs, hasBase := compactLogState(t, s)
-		if pairs != 64 {
+		log, _ := crashedLog(t, s)
+		if len(log.Pairs) != 64 {
 			continue
 		}
-		if hasBase {
+		if log.BaseValid {
 			full[1]++
 		} else {
 			full[0]++
@@ -483,4 +490,91 @@ func TestCompactionSweep(t *testing.T) {
 		t.Fatalf("forward crash points with a full record area: %d before the first compaction, %d before the second; the workload no longer compacts twice", full[0], full[1])
 	}
 	t.Logf("%d forward events; %d+%d crash points with a full record area, %d second crashes through the resumed compaction", k-1, full[0], full[1], nested)
+}
+
+// TestLazyPublishSweep crashes the prefix workload — a FASE with a long
+// store-free hand-over-hand prefix, then a read-only FASE on the same
+// locks — at EVERY forward device event under every adversary, plus a
+// second crash at each of the first 100 events of the recovery that
+// follows. Each schedule must converge on the persist-all oracle with
+// both cells equal to the device-free model, every lock free, and the
+// final pass resuming exactly the FASEs that had published (a restart
+// asking for a prefix region, or for anything inside the read-only FASE,
+// finds no resume entry and fails the run). The forward event sequence
+// itself, reconstructed from the device counts at consecutive crash
+// points, must keep the persist order the crash arguments rest on: no
+// write-back between a recovery_pc NT store and the fence before it
+// (the device model writes back synchronously, so a dropped fence shows
+// here and nowhere else). -short strides both axes.
+func TestLazyPublishSweep(t *testing.T) {
+	base := Schedule{Runtime: "ido", Workload: "prefix", Seed: 1}
+	k, err := ForwardEvents(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(s Schedule, published bool) {
+		t.Helper()
+		res, err := Run(s)
+		if err != nil {
+			t.Fatalf("replay with: idorecover -chaos -replay '%s': %v", s, err)
+		}
+		// A crashed first pass may have finished the FASE already, so only
+		// an uninterrupted recovery must resume the published one.
+		final := res.Attempts[len(res.Attempts)-1].Audit.Resumed()
+		if !published && final != 0 || published && len(s.Recovery) == 0 && final != 1 {
+			t.Fatalf("%s: crash with published=%v, final recovery pass resumed %d FASEs", s, published, final)
+		}
+	}
+	_, prev := crashedLog(t, base) // Forward 0: the counts before the first event
+	var live [2]int64              // first and last forward point that found a published pc
+	unfenced, nested := 0, 0
+	for f := int64(1); f < k; f++ {
+		s := base
+		s.Forward = f
+		log, st := crashedLog(t, s)
+		published := log.RegionID != 0
+		// Event f is the one the counts moved by.
+		switch {
+		case st.Flushes > prev.Flushes:
+			unfenced++
+		case st.Fences > prev.Fences:
+			unfenced = 0
+		case st.NTStores > prev.NTStores && unfenced > 0:
+			t.Fatalf("forward event %d publishes or clears recovery_pc with %d write-backs since the last fence", f, unfenced)
+		}
+		prev = st
+		if published {
+			if live[0] == 0 {
+				live[0] = f
+			} else if live[1] != f-1 {
+				t.Fatalf("recovery_pc published at forward event %d, cleared at %d, published again at %d", live[0], live[1]+1, f)
+			}
+			live[1] = f
+		}
+		if f%int64(pick(1, 7)) != 0 {
+			continue
+		}
+		for _, s.Mode = range allModes {
+			s.Recovery = nil
+			run(s, published)
+			m, err := RecoveryEvents(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := int64(0); r < m && r < 100; r += int64(pick(1, 5)) {
+				s.Recovery = []int64{r}
+				run(s, published)
+				nested++
+			}
+		}
+	}
+	// The pc is live from the first store's publish to the final release's
+	// clear, and never inside the prefix or the read-only FASE around it;
+	// either walk alone is four lock records and two slot clears of three
+	// device events each.
+	const walk = 6 * 3
+	if live[0] <= walk || live[1] <= live[0] || live[1] >= k-walk {
+		t.Fatalf("recovery_pc live from forward event %d to %d of %d: the prefix or the read-only FASE is gone from the workload", live[0], live[1], k-1)
+	}
+	t.Logf("%d forward events, recovery_pc live over %d..%d; %d second crashes", k-1, live[0], live[1], nested)
 }

@@ -85,8 +85,15 @@ func newNativeDriver(s Schedule) (driver, caps, error) {
 			return nil, caps{}, fmt.Errorf("chaos: runtime %s: workload \"compact\" exercises the iDO log (supported on ido|ido-gc)", s.Runtime)
 		}
 		return &compactDriver{s: s, mk: mk}, c, nil
+	case "prefix":
+		// A long store-free FASE prefix and a read-only FASE: only iDO
+		// publishes lazily, and only its lock slots can be left stale.
+		if base != "ido" {
+			return nil, caps{}, fmt.Errorf("chaos: runtime %s: workload \"prefix\" exercises the iDO log (supported on ido|ido-gc)", s.Runtime)
+		}
+		return &prefixDriver{s: s, mk: mk}, c, nil
 	}
-	return nil, caps{}, fmt.Errorf("chaos: runtime %s: unknown workload %q (native runtimes run \"counter\", \"cachemix\" or \"compact\")", s.Runtime, s.Workload)
+	return nil, caps{}, fmt.Errorf("chaos: runtime %s: unknown workload %q (native runtimes run \"counter\", \"cachemix\", \"compact\" or \"prefix\")", s.Runtime, s.Workload)
 }
 
 // nativeRuntime maps a native runtime name to its constructor and the

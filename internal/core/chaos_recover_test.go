@@ -131,8 +131,8 @@ func (f *duoFixture) registry() *persist.ResumeRegistry {
 	return rr
 }
 
-// interruptBoth leaves both threads mid-FASE (past the first post-acquire
-// boundary, locks recorded in their logs).
+// interruptBoth leaves both threads mid-FASE, past their first store (so
+// each has published a recovery_pc over its recorded lock).
 func (f *duoFixture) interruptBoth(t *testing.T) {
 	t.Helper()
 	for i := 0; i < 2; i++ {
@@ -140,7 +140,7 @@ func (f *duoFixture) interruptBoth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !runWithCrash(func() { f.incrementFASE(th, i, &crasher{k: 3}) }) {
+		if !runWithCrash(func() { f.incrementFASE(th, i, &crasher{k: 5}) }) {
 			t.Fatalf("thread %d: crash point did not fire", i)
 		}
 	}

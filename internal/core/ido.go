@@ -6,7 +6,7 @@
 // recovery_pc identifying the current idempotent region, a lock_array of
 // indirect lock holder addresses, and the region's logged inputs — an
 // append-only area of (register, value) boundary records over a base
-// image (intRF) that only a rare compaction writes. Two rules shape the
+// image (intRF) that only a rare compaction writes. Three rules shape the
 // protocol (DESIGN.md argues each crash window):
 //
 //  1. Append-only records. A boundary appends its outputs behind the
@@ -18,8 +18,16 @@
 //  2. Owed fences. The fence after a pc publish only orders the pc before
 //     the new region's persistent stores, so the thread notes that it
 //     owes one and pays at its next persistent store — or never, when
-//     the next boundary's fence comes first. Lock records its holder the
-//     same way: written back, fenced by whatever comes next.
+//     the next boundary's fence comes first. A published FASE's nested
+//     Lock records its holder the same way: written back, fenced by
+//     whatever comes next.
+//  3. Nothing to recover before the first store. A FASE that has not
+//     written persistent memory is dropped by a crash as if it had never
+//     started, so until its first store its boundaries only update a
+//     volatile register mirror, its lock records and inner slot clears
+//     are written back unfenced, and an ending that comes first costs no
+//     fence and no pc store. The first store publishes: one record of
+//     every register logged so far, one fence, the open region's pc.
 //
 // Recovery (§III-C) re-acquires each crashed thread's locks, rebuilds its
 // register file (base image if flagged, then the pairs in log order),
@@ -28,15 +36,19 @@
 //
 // Crash-ordering invariants maintained by this implementation:
 //
-//   - recovery_pc != 0  ⇔  the thread is mid-FASE and must be resumed.
-//   - A lock's slot is fenced before the FASE's first pc publish, the
-//     FASE's data before recovery_pc is cleared, and the clear before the
-//     last slot is; so a nonzero recovery_pc always finds its locks.
-//   - No holder address is live in two logs that both resume. An inner
-//     release fences its slot clear before the mutex changes hands. The
-//     final release does not: its clear may be in flight when the next
-//     owner records the lock, but only under this log's durable
-//     recovery_pc == 0, where Recover scrubs and never re-acquires.
+//   - recovery_pc != 0  ⇔  the thread's FASE has issued a persistent
+//     store and must be resumed. (A FASE that stores before its first
+//     boundary has no region to resume at until that boundary publishes.)
+//   - Every lock record and slot clear of a FASE's prefix is fenced before
+//     its first pc publish, the FASE's data before recovery_pc is
+//     cleared, and the clear before the last slot is; so a nonzero
+//     recovery_pc always finds exactly its locks.
+//   - No holder address is live in two logs that both resume. A published
+//     FASE's inner release fences its slot clear before the mutex changes
+//     hands. An unpublished one's, and every final release, do not: the
+//     clear may be in flight when the next owner records the lock, but
+//     only under this log's durable recovery_pc == 0, where Recover
+//     scrubs and never re-acquires.
 //   - Resumption may re-execute the lock acquire that ends a region or
 //     the release that begins one; Lock and Unlock detect this from the
 //     lock_array mirror and skip the duplicate operation (the paper's
@@ -205,6 +217,10 @@ type Thread struct {
 	// pend: write-backs or a pc publish are in flight, and a fence is owed
 	// before this thread's next persistent store (rule 2).
 	pend bool
+	// pub: this FASE has published a recovery_pc (rule 3). Until then
+	// boundaries only update rf and logged, the mask of registers they wrote.
+	pub    bool
+	logged uint16
 
 	storesInRegion int
 	inRegion       bool
@@ -245,9 +261,13 @@ func (t *Thread) settle() {
 // and then written back at the end of the region"). No per-store log is
 // written — that is the point of iDO.
 func (t *Thread) Store64(addr, val uint64) {
+	fase := t.inFASE()
+	if fase && !t.pub && t.curRegion != 0 {
+		t.publish()
+	}
 	t.settle()
 	t.rt.reg.Dev.Store64(addr, val)
-	if t.inFASE() {
+	if fase {
 		t.dirty.Add(addr &^ (nvm.LineSize - 1))
 		t.storesInRegion++
 		t.stats.Stores++
@@ -294,10 +314,10 @@ func (t *Thread) persistDirty() {
 func (t *Thread) OutputScratch() []persist.RegVal { return t.outScratch[:0] }
 
 // Boundary ends the current idempotent region and opens the one
-// identified by regionID, appending the ending region's OutputSet to the
-// FASE's record area: pairs a published recovery_pc covers are never
-// rewritten, so the still-current region's live-ins cannot be clobbered.
-// It is §III-A's three-step protocol, one fence paid here and one owed.
+// identified by regionID. Before the FASE's first persistent store it
+// only notes the ending region's OutputSet in the volatile mirror (rule
+// 3); after it, it appends the OutputSet to the FASE's record area:
+// §III-A's three-step protocol, one fence paid here and one owed.
 func (t *Thread) Boundary(regionID uint64, outputs ...persist.RegVal) {
 	n := len(outputs)
 	if n > persist.MaxOutputs {
@@ -307,25 +327,48 @@ func (t *Thread) Boundary(regionID uint64, outputs ...persist.RegVal) {
 	if regionID == 0 || regionID >= 1<<48 {
 		panic(fmt.Sprintf("ido: region ID %#x out of range", regionID))
 	}
-	dev := t.rt.reg.Dev
 	t.closeRegion()
-	if t.pairs+n > recPairs {
+	if t.pub && t.pairs+n > recPairs {
 		t.compact()
 	}
-
-	// Step 1: append this boundary's record behind the pairs the current
-	// recovery_pc covers — coalesced, pairs pack four to a cache line, so
-	// up to eight registers cost two or three contiguous write-backs
-	// (§IV-B) — plus any heap lines the ending region dirtied; fence.
-	rec := t.log + t.rt.recBase + uint64(t.pairs)*16
-	for i, o := range outputs {
+	for _, o := range outputs {
 		if o.Reg < 0 || o.Reg >= persist.MaxOutputs {
 			panic(fmt.Sprintf("ido: register slot %d out of range", o.Reg))
 		}
+		t.rf[o.Reg] = o.Val
+		t.logged |= 1 << uint(o.Reg)
+	}
+	t.curRegion = regionID
+	if t.pub {
+		t.record(outputs)
+	} else if t.dirty.Len() > 0 {
+		t.publish() // the FASE stored before its first boundary
+	}
+
+	t.stats.OutputsPerRegion[n]++
+	if t.rc != nil {
+		t.rc.Emit(obs.KBoundary, regionID, uint64(n))
+		t.rc.Observe(obs.HOutputsPerRegion, uint64(n))
+		t.regionT0 = t.rc.Clock()
+	}
+	t.inRegion = true
+	// Step 3 is the caller executing the region's code.
+}
+
+// record appends pairs behind the ones the current recovery_pc covers and
+// publishes curRegion over them. Pairs a published pc covers are never
+// rewritten, so the still-current region's live-ins cannot be clobbered.
+func (t *Thread) record(pairs []persist.RegVal) {
+	dev := t.rt.reg.Dev
+	n := len(pairs)
+	// Step 1: the record — coalesced, pairs pack four to a cache line, so
+	// up to eight registers cost two or three contiguous write-backs
+	// (§IV-B) — plus any heap lines the ending region dirtied; fence.
+	rec := t.log + t.rt.recBase + uint64(t.pairs)*16
+	for i, o := range pairs {
 		pa := rec + uint64(i)*16
 		dev.Store64(pa, uint64(o.Reg))
 		dev.Store64(pa+8, o.Val)
-		t.rf[o.Reg] = o.Val
 	}
 	if t.rt.cfg.Coalesce {
 		dev.PersistRange(rec, uint64(n)*16)
@@ -339,30 +382,41 @@ func (t *Thread) Boundary(regionID uint64, outputs ...persist.RegVal) {
 
 	// Step 2: publish the new recovery_pc; the pair count rides in the
 	// packed word, so region and record set switch atomically and from
-	// here on a crash resumes at regionID's entry. The publish is a
+	// here on a crash resumes at curRegion's entry. The publish is a
 	// non-temporal store: a cached store plus write-back would let the
 	// crash adversary decide whether the pc reached the persistence
-	// domain — at a FASE's entry boundary, between "FASE never started"
+	// domain — for a FASE's first publish, between "FASE never started"
 	// and "FASE resumes" — breaking the adversary-independence of recovery
 	// (§III-C) that the chaos harness's persist-all oracle checks exactly.
 	// The fence ordering it before the new region's stores is owed.
 	t.pairs += n
-	dev.StoreNT(t.log+logPC, pcPack(regionID, t.pairs, t.base))
+	dev.StoreNT(t.log+logPC, pcPack(t.curRegion, t.pairs, t.base))
 	t.pend = true
 
 	t.stats.LoggedEntries++
 	logBytes := uint64(n)*8 + 8
 	t.stats.LoggedBytes += logBytes
 	t.faseLogBytes += logBytes
-	t.stats.OutputsPerRegion[n]++
-	if t.rc != nil {
-		t.rc.Emit(obs.KBoundary, regionID, uint64(n))
-		t.rc.Observe(obs.HOutputsPerRegion, uint64(n))
-		t.regionT0 = t.rc.Clock()
+}
+
+// publish makes the FASE resumable just before its first persistent
+// store (rule 3): one record carries every register the prefix
+// boundaries logged, last value each, and its fence — unconditional — is
+// also the fence of every lock record and slot clear so far. The open
+// region is published mid-flight; that is sound because all it has done
+// is load and lock, which resumption repeats (re-acquired locks first)
+// or skips via the slot mirror.
+func (t *Thread) publish() {
+	var pairs [persist.MaxOutputs]persist.RegVal
+	n := 0
+	for m := t.logged; m != 0; m &= m - 1 {
+		r := bits.TrailingZeros16(m)
+		pairs[n] = persist.RV(r, t.rf[r])
+		n++
 	}
-	t.curRegion = regionID
-	t.inRegion = true
-	// Step 3 is the caller executing the region's code.
+	t.pend = true
+	t.record(pairs[:n])
+	t.pub = true
 }
 
 // compact empties the record area when the next boundary would overflow
@@ -390,13 +444,18 @@ func (t *Thread) compact() {
 // (dropping the pairs and the base image with it), each under its own
 // fence: data before pc = 0, pc = 0 before the caller hands the mutex
 // over. The clear is a single NT store for the same reason the publish is.
+// A FASE that never stored never published: its pc is 0 already and there
+// is nothing to write back, so it ends without a device event.
 func (t *Thread) endFASE() {
 	dev := t.rt.reg.Dev
 	t.closeRegion()
 	t.persistDirty()
-	dev.StoreNT(t.log+logPC, 0)
-	dev.Fence()
+	if t.pub {
+		dev.StoreNT(t.log+logPC, 0)
+		dev.Fence()
+	}
 	t.pairs, t.base, t.rf = 0, 0, [persist.MaxOutputs]uint64{}
+	t.pub, t.logged, t.curRegion = false, 0, 0
 	t.stats.FASEs++
 	if t.rc != nil {
 		t.rc.Span(obs.KFASE, t.faseLogBytes, 0, t.faseT0)
@@ -440,10 +499,11 @@ func (t *Thread) setSlot(i int, holder, bits uint64) {
 }
 
 // Lock acquires l and records its indirect holder in the lock_array
-// (§III-B). The record's fence is owed: the entry boundary fences before
-// it publishes recovery_pc, which is all the record has to precede. When
-// resumption re-executes an acquire the thread already performed (the
-// lock is already in the mirror), the call is a no-op.
+// (§III-B). Before the FASE publishes, the record waits for publish's
+// fence, which is all it has to precede; after, it is a store of the open
+// region and its own fence is owed. When resumption re-executes an
+// acquire the thread already performed (the lock is already in the
+// mirror), the call is a no-op.
 func (t *Thread) Lock(l *locks.Lock) {
 	if t.slotOf(l.Holder()) >= 0 {
 		if !t.recovering {
@@ -456,20 +516,22 @@ func (t *Thread) Lock(l *locks.Lock) {
 	if slot < 0 {
 		panic("ido: lock_array overflow (more than 16 locks held)")
 	}
-	t.settle() // a nested acquire is a store of the open region
+	t.settle() // a published FASE's nested acquire is a store of the open region
 	t.setSlot(slot, l.Holder(), t.bits|1<<uint(slot))
-	t.pend = true
+	t.pend = t.pub // an unpublished one's record waits for publish's fence
 	t.openFASE()
 	t.rc.Emit(obs.KLockAcq, l.Holder(), 0)
 	t.lockDepth++
 }
 
 // Unlock releases l. An inner release (other locks remain held) clears
-// the lock_array entry and fences the clear before the mutex changes
-// hands. The FASE's final release first ends the FASE and only then
-// clears the slot and releases — so recovery_pc != 0 always finds its
-// locks recorded, and a slot clear still in flight sits under a durable
-// recovery_pc == 0.
+// the lock_array entry and, once the FASE has published, fences the clear
+// before the mutex changes hands; before that the clear sits under a
+// durable recovery_pc == 0 and publish's fence orders it ahead of any pc
+// that could make it matter. The FASE's final release first ends the FASE
+// and only then clears the slot and releases — so recovery_pc != 0 always
+// finds its locks recorded, and a slot clear still in flight sits under a
+// durable recovery_pc == 0.
 //
 // When resumption re-executes a release the crashed thread had already
 // completed (the lock is absent from the mirror), the call is a no-op.
@@ -488,7 +550,7 @@ func (t *Thread) Unlock(l *locks.Lock) {
 		t.settle()
 	}
 	t.setSlot(slot, 0, t.bits&^(1<<uint(slot)))
-	if !last {
+	if !last && t.pub {
 		t.rt.reg.Dev.Fence()
 	}
 	t.rc.Emit(obs.KLockRel, l.Holder(), 0)
@@ -539,9 +601,10 @@ func (rt *Runtime) Stats() persist.RuntimeStats {
 // Recover implements §III-C: walk the persistent log list, spawn a
 // recovery thread per interrupted log, re-acquire locks, barrier, restore
 // each thread's register file, and resume each interrupted region forward
-// to the end of its FASE. Logs that show no interrupted FASE but have
-// stale lock slots (the benign robbed-lock window: a crash between mutex
-// acquisition and the post-acquire boundary) are scrubbed.
+// to the end of its FASE. Logs with recovery_pc == 0 and live lock slots
+// (the thread was in a FASE's read-only prefix, or in the benign
+// robbed-lock window between mutex acquisition and the slot's record)
+// are scrubbed.
 func (rt *Runtime) Recover(rr *persist.ResumeRegistry) (persist.RecoveryStats, error) {
 	start := time.Now()
 	dev := rt.reg.Dev
@@ -616,6 +679,7 @@ func (rt *Runtime) Recover(rr *persist.ResumeRegistry) (persist.RecoveryStats, e
 		// Rebuild the register file the pc describes; the thread carries
 		// on appending behind the pairs it covers.
 		t.curRegion, t.pairs, t.base = pcUnpack(w.pc)
+		t.pub = true
 		w.rf, _ = rt.loadRF(p, t.pairs, t.base)
 		copy(t.rf[:], w.rf)
 		t.lockDepth = len(w.locks)
@@ -694,7 +758,7 @@ func (rt *Runtime) Recover(rr *persist.ResumeRegistry) (persist.RecoveryStats, e
 		rt.mu.Unlock()
 
 		if regionID == 0 {
-			// Not mid-FASE. Scrub any stale slots (robbed-lock window).
+			// Nothing stored, nothing to resume. Scrub any recorded slots.
 			if bits != 0 {
 				for i := 0; i < numSlots; i++ {
 					dev.Store64(p+rt.slotOff(i), 0)

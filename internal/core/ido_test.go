@@ -2,10 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/ido-nvm/ido/internal/locks"
 	"github.com/ido-nvm/ido/internal/nvm"
+	"github.com/ido-nvm/ido/internal/obs"
 	"github.com/ido-nvm/ido/internal/persist"
 	"github.com/ido-nvm/ido/internal/region"
 )
@@ -150,9 +152,11 @@ func TestIncrementNoCrash(t *testing.T) {
 
 func TestCrashAtEveryPointThenRecover(t *testing.T) {
 	// At every injected crash point, post-recovery state must be
-	// consistent: counter is 5 (FASE never took effect: crash before the
-	// first post-acquire boundary published) or 6 (FASE completed,
-	// possibly by resumption). Any other value breaks atomicity.
+	// consistent. Before the FASE's first store (k <= 4: the crash lands
+	// before the Store64 call) there is nothing to recover: the FASE is
+	// dropped, the counter is untouched, and the lock record is scrubbed.
+	// From the store on (k >= 5) the FASE completes, by resumption if it
+	// was interrupted.
 	for k := 0; k < 7; k++ {
 		for _, mode := range []nvm.CrashMode{nvm.CrashDiscard, nvm.CrashRandom, nvm.CrashPersistAll} {
 			f := newFixture(t)
@@ -161,11 +165,8 @@ func TestCrashAtEveryPointThenRecover(t *testing.T) {
 				t.Fatal(err)
 			}
 			crashed := runWithCrash(func() { f.incrementFASE(th, &crasher{k: k}) })
-			if !crashed && k < 7 && k != 6 {
-				// point 6 is after the FASE; earlier points must fire.
-				if k < 6 {
-					t.Fatalf("k=%d: crash point did not fire", k)
-				}
+			if !crashed {
+				t.Fatalf("k=%d: crash point did not fire", k)
 			}
 			f2 := f.reopen(t, mode, rand.New(rand.NewSource(int64(k))))
 			stats, err := f2.rt.Recover(f2.registry())
@@ -173,21 +174,32 @@ func TestCrashAtEveryPointThenRecover(t *testing.T) {
 				t.Fatalf("k=%d mode=%v: recover: %v", k, mode, err)
 			}
 			got := f2.reg.Dev.Load64(f2.ctr)
-			if got != 5 && got != 6 {
-				t.Fatalf("k=%d mode=%v: counter = %d, want 5 or 6", k, mode, got)
+			wantCtr, wantResumed, wantAction := uint64(5), 0, obs.AuditScrubbed
+			switch {
+			case k == 0:
+				wantAction = obs.AuditIdle // died before Lock recorded anything
+			case k == 5:
+				wantCtr, wantResumed, wantAction = 6, 1, obs.AuditResumed
+			case k == 6:
+				wantCtr, wantAction = 6, obs.AuditIdle
 			}
-			// Once the first boundary inside the FASE has been published
-			// (k >= 2 means Boundary(ridIncA) completed), resumption must
-			// finish the FASE: counter must be 6.
-			if k >= 2 && got != 6 {
-				t.Fatalf("k=%d mode=%v: interrupted FASE not completed: counter = %d", k, mode, got)
+			if got != wantCtr || stats.Resumed != wantResumed {
+				t.Fatalf("k=%d mode=%v: counter = %d, resumed %d; want %d and %d", k, mode, got, stats.Resumed, wantCtr, wantResumed)
 			}
-			// After recovery the lock must be free.
+			if a := stats.Audit.Threads[0].Action; a != wantAction {
+				t.Fatalf("k=%d mode=%v: audit action %q, want %q", k, mode, a, wantAction)
+			}
+			// After recovery the lock must be free and no slot may stay
+			// recorded.
 			if !f2.lock.TryAcquire() {
 				t.Fatalf("k=%d: lock still held after recovery", k)
 			}
 			f2.lock.Release()
-			_ = stats
+			for _, e := range InspectLogs(f2.reg) {
+				if e.RegionID != 0 || len(e.Locks) != 0 {
+					t.Fatalf("k=%d mode=%v: log after recovery still shows region %#x, locks %#x", k, mode, e.RegionID, e.Locks)
+				}
+			}
 		}
 	}
 }
@@ -243,72 +255,89 @@ func TestRepeatedCrashesDuringRecovery(t *testing.T) {
 
 func TestHandOverHandCrashRecovery(t *testing.T) {
 	// A FASE that holds lock1, acquires lock2, releases lock1, writes,
-	// releases lock2 (Fig. 2b). Crash after the cross-over; recovery must
-	// reacquire only lock2 and complete the FASE.
-	reg := region.Create(1<<18, nvm.Config{})
-	lm := locks.NewManager(reg)
-	rt := New(DefaultConfig())
-	if err := rt.Attach(reg, lm); err != nil {
-		t.Fatal(err)
-	}
-	l1, _ := lm.Create()
-	l2, _ := lm.Create()
-	cell, _ := reg.Alloc.Alloc(8)
-	reg.SetRoot(1, cell)
-	reg.SetRoot(2, l1.Holder())
-	reg.SetRoot(3, l2.Holder())
+	// releases lock2 (Fig. 2b), crashed after the cross-over. Before its
+	// store there is nothing to recover: both lock records are scrubbed
+	// and the cell is untouched. After it, recovery must reacquire only
+	// lock2 and complete the FASE.
+	for _, stored := range []bool{false, true} {
+		reg := region.Create(1<<18, nvm.Config{})
+		lm := locks.NewManager(reg)
+		rt := New(DefaultConfig())
+		if err := rt.Attach(reg, lm); err != nil {
+			t.Fatal(err)
+		}
+		l1, _ := lm.Create()
+		l2, _ := lm.Create()
+		cell, _ := reg.Alloc.Alloc(8)
+		reg.SetRoot(1, cell)
+		reg.SetRoot(2, l1.Holder())
+		reg.SetRoot(3, l2.Holder())
 
-	th, _ := rt.NewThread()
-	crashed := runWithCrash(func() {
-		th.Lock(l1)
-		th.Boundary(ridHoH1)
-		th.Lock(l2)
-		th.Boundary(ridHoH2)
-		th.Unlock(l1)
-		panic(errCrash{}) // crash holding only l2, mid-region ridHoH2
-	})
-	if !crashed {
-		t.Fatal("crash did not fire")
-	}
+		th, _ := rt.NewThread()
+		crashed := runWithCrash(func() {
+			th.Lock(l1)
+			th.Boundary(ridHoH1)
+			th.Lock(l2)
+			th.Boundary(ridHoH2)
+			th.Unlock(l1)
+			if stored {
+				th.Store64(cell, 42)
+			}
+			panic(errCrash{}) // crash holding only l2, mid-region ridHoH2
+		})
+		if !crashed {
+			t.Fatal("crash did not fire")
+		}
 
-	reg2, err := reg.Crash(nvm.CrashRandom, rand.New(rand.NewSource(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lm2 := locks.NewManager(reg2)
-	rt2 := New(DefaultConfig())
-	if err := rt2.Attach(reg2, lm2); err != nil {
-		t.Fatal(err)
-	}
-	nl1 := lm2.ByHolder(reg2.Root(2))
-	nl2 := lm2.ByHolder(reg2.Root(3))
-	ncell := reg2.Root(1)
+		reg2, err := reg.Crash(nvm.CrashRandom, rand.New(rand.NewSource(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lm2 := locks.NewManager(reg2)
+		rt2 := New(DefaultConfig())
+		if err := rt2.Attach(reg2, lm2); err != nil {
+			t.Fatal(err)
+		}
+		nl1 := lm2.ByHolder(reg2.Root(2))
+		nl2 := lm2.ByHolder(reg2.Root(3))
+		ncell := reg2.Root(1)
 
-	rr := persist.NewResumeRegistry()
-	rr.Register(ridHoH1, func(t persist.Thread, rf []uint64) {
-		t.Lock(nl2)
-		t.Boundary(ridHoH2)
-		t.Unlock(nl1)
-		t.Store64(ncell, 42)
-		t.Unlock(nl2)
-	})
-	rr.Register(ridHoH2, func(t persist.Thread, rf []uint64) {
-		t.Unlock(nl1) // already released before the crash: must be a no-op
-		t.Store64(ncell, 42)
-		t.Unlock(nl2)
-	})
-	stats, err := rt2.Recover(rr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Resumed != 1 {
-		t.Fatalf("resumed = %d, want 1", stats.Resumed)
-	}
-	if got := reg2.Dev.Load64(ncell); got != 42 {
-		t.Fatalf("cell = %d, want 42", got)
-	}
-	if !nl1.TryAcquire() || !nl2.TryAcquire() {
-		t.Fatal("locks not free after recovery")
+		rr := persist.NewResumeRegistry()
+		rr.Register(ridHoH1, func(t persist.Thread, rf []uint64) {
+			t.Lock(nl2)
+			t.Boundary(ridHoH2)
+			t.Unlock(nl1)
+			t.Store64(ncell, 42)
+			t.Unlock(nl2)
+		})
+		rr.Register(ridHoH2, func(t persist.Thread, rf []uint64) {
+			t.Unlock(nl1) // already released before the crash: must be a no-op
+			t.Store64(ncell, 42)
+			t.Unlock(nl2)
+		})
+		stats, err := rt2.Recover(rr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ta := stats.Audit.Threads[0]
+		if stored {
+			if stats.Resumed != 1 || ta.RegionID != ridHoH2 || !reflect.DeepEqual(ta.Locks, []uint64{nl2.Holder()}) {
+				t.Fatalf("stored: resumed = %d, audit %+v; want region %#x resumed holding only lock2 %#x", stats.Resumed, ta, ridHoH2, nl2.Holder())
+			}
+			if got := reg2.Dev.Load64(ncell); got != 42 {
+				t.Fatalf("cell = %d, want 42", got)
+			}
+		} else {
+			if stats.Resumed != 0 || ta.Action != obs.AuditScrubbed {
+				t.Fatalf("no store: resumed = %d, action %q; want 0 and scrubbed", stats.Resumed, ta.Action)
+			}
+			if got := reg2.Dev.Load64(ncell); got != 0 {
+				t.Fatalf("no store: cell = %d, want it untouched", got)
+			}
+		}
+		if !nl1.TryAcquire() || !nl2.TryAcquire() {
+			t.Fatalf("stored=%v: locks not free after recovery", stored)
+		}
 	}
 }
 
@@ -385,10 +414,18 @@ func TestRobbedLockWindowIsScrubbed(t *testing.T) {
 func TestMissingResumeEntryIsAnError(t *testing.T) {
 	f := newFixture(t)
 	th, _ := f.rt.NewThread()
+	empty := persist.NewResumeRegistry()
+	// Before the FASE's first store nothing is resumed, so no entry is
+	// looked up.
 	runWithCrash(func() { f.incrementFASE(th, &crasher{k: 3}) })
 	f2 := f.reopen(t, nvm.CrashPersistAll, nil)
-	empty := persist.NewResumeRegistry()
-	if _, err := f2.rt.Recover(empty); err == nil {
+	if _, err := f2.rt.Recover(empty); err != nil {
+		t.Fatalf("Recover of an unpublished FASE needed a resume entry: %v", err)
+	}
+	th2, _ := f2.rt.NewThread()
+	runWithCrash(func() { f2.incrementFASE(th2, &crasher{k: 5}) }) // past the store
+	f3 := f2.reopen(t, nvm.CrashPersistAll, nil)
+	if _, err := f3.rt.Recover(empty); err == nil {
 		t.Fatal("Recover succeeded with no resume entries")
 	}
 }

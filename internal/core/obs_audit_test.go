@@ -104,34 +104,40 @@ func TestRecoveryAuditAtEveryPoint(t *testing.T) {
 		for _, ta := range st.Audit.Threads {
 			switch ta.Action {
 			case obs.AuditResumed:
-				if ta.RegionID != ridIncA && ta.RegionID != ridIncB {
-					t.Fatalf("k=%d: resumed unknown region %#x", k, ta.RegionID)
+				// The FASE publishes at its first store, in ridIncB.
+				if ta.RegionID != ridIncB {
+					t.Fatalf("k=%d: resumed region %#x, want %#x", k, ta.RegionID, ridIncB)
 				}
 				if len(ta.Locks) != 1 {
 					t.Fatalf("k=%d: resumed with %d locks, want 1", k, len(ta.Locks))
 				}
-				// One word per record pair the pc covers: ridIncA is
-				// entered with none, ridIncB with the logged counter.
-				if want := int(ta.RegionID - ridIncA); ta.WordsRestored != want {
-					t.Fatalf("k=%d: region %#x restored %d words, want %d", k, ta.RegionID, ta.WordsRestored, want)
+				// One word per record pair the pc covers: the publish
+				// carried the counter value ridIncB's boundary logged.
+				if ta.WordsRestored != 1 {
+					t.Fatalf("k=%d: region %#x restored %d words, want 1", k, ta.RegionID, ta.WordsRestored)
 				}
 			case obs.AuditIdle, obs.AuditScrubbed:
 				if ta.RegionID != 0 {
 					t.Fatalf("k=%d: %s log carries region %#x", k, ta.Action, ta.RegionID)
 				}
+				// A crash between Lock and the first store (k=1..4) leaves
+				// a lock record under recovery_pc == 0: scrubbed.
+				if scrub := k >= 1 && k <= 4; scrub != (ta.Action == obs.AuditScrubbed) {
+					t.Fatalf("k=%d: log is %s", k, ta.Action)
+				}
 			default:
 				t.Fatalf("k=%d: unexpected audit action %q", k, ta.Action)
 			}
 		}
-		// Crash points 2..5 are after Boundary(ridIncA) published: the log
-		// must show a mid-FASE region and recovery must resume it.
-		if k >= 2 && k <= 5 && st.Audit.Resumed() != 1 {
+		// Crash point 5 is after the store published ridIncB: the log must
+		// show a mid-FASE region and recovery must resume it.
+		if k == 5 && st.Audit.Resumed() != 1 {
 			t.Fatalf("k=%d: crash mid-FASE but audit shows %d resumed", k, st.Audit.Resumed())
 		}
-		// Before the first boundary (k=0,1) or after unlock (k=6) nothing
+		// Before the first store (k=0..4) or after unlock (k=6) nothing
 		// can be resumed.
-		if (k < 2 || k > 5) && st.Audit.Resumed() != 0 {
-			t.Fatalf("k=%d: nothing mid-FASE but audit shows %d resumed", k, st.Audit.Resumed())
+		if k != 5 && st.Audit.Resumed() != 0 {
+			t.Fatalf("k=%d: nothing to recover but audit shows %d resumed", k, st.Audit.Resumed())
 		}
 		// The report must render and name the runtime.
 		if rpt := st.Audit.String(); !strings.Contains(rpt, "recovery audit (ido") {
@@ -149,7 +155,7 @@ func TestRecoveryIsTracedWhenTracerAttached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runWithCrash(func() { f.incrementFASE(th, &crasher{k: 3}) }) // mid-FASE
+	runWithCrash(func() { f.incrementFASE(th, &crasher{k: 5}) }) // mid-FASE, past its store
 	f2 := f.reopen(t, nvm.CrashDiscard, rand.New(rand.NewSource(3)))
 	tr := obs.New(obs.DefaultConfig())
 	f2.reg.Dev.SetTracer(tr)

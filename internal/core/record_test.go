@@ -33,7 +33,8 @@ func durableRF(t *testing.T, cfg Config, reg *region.Region, th *Thread) (region
 // recovery would rebuild from the persistence domain after each
 // boundary equals both the thread's volatile mirror (what compaction
 // writes out) and an independent model, with persist coalescing on and
-// off.
+// off. The FASE stores right after its first boundary, which is what
+// publishes it; until then the durable recovery_pc stays 0.
 func TestRecoveredRFMatchesMirror(t *testing.T) {
 	for _, cfg := range []Config{{Coalesce: true}, {Coalesce: false}} {
 		for seed := int64(1); seed <= 6; seed++ {
@@ -48,6 +49,10 @@ func TestRecoveredRFMatchesMirror(t *testing.T) {
 				t.Fatal(err)
 			}
 			th := pt.(*Thread)
+			cell, err := reg.Alloc.Alloc(8)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var model [persist.MaxOutputs]uint64
 			compactions := 0
 			th.BeginDurable()
@@ -60,7 +65,12 @@ func TestRecoveredRFMatchesMirror(t *testing.T) {
 				before := th.pairs
 				rid := uint64(0x300 + b)
 				th.Boundary(rid, outs...)
-				if th.pairs < before+len(outs) {
+				if b == 0 {
+					if gotRID, n, _ := durableRF(t, cfg, reg, th); gotRID != 0 || n != 0 || th.pairs != 0 {
+						t.Fatalf("coalesce=%v seed %d: before the first store the durable pc names region %#x with %d pairs (thread has %d)", cfg.Coalesce, seed, gotRID, n, th.pairs)
+					}
+					th.Store64(cell, 1)
+				} else if th.pairs < before+len(outs) {
 					compactions++
 				}
 				if th.rf != model {
@@ -83,11 +93,14 @@ func TestRecoveredRFMatchesMirror(t *testing.T) {
 }
 
 // TestInspectLogsDecodesRecord crashes a thread mid-FASE holding five
-// locks (four in the header line, one in the tail of the log), before
-// and after a compaction, and checks what InspectLogs and the recovery
-// audit decode: pair count, base flag, register file, holders.
+// locks (four in the header line, one in the tail of the log) — before
+// its first store, after it, and after a compaction — and checks what
+// InspectLogs and the recovery audit decode: nothing to resume and five
+// holders to scrub in the first case; pair count, base flag, register
+// file and holders in the others.
 func TestInspectLogsDecodesRecord(t *testing.T) {
-	for _, compacted := range []bool{false, true} {
+	for _, tc := range []struct{ stored, compacted bool }{{false, false}, {true, false}, {true, true}} {
+		compacted := tc.compacted
 		reg := region.Create(1<<18, nvm.Config{})
 		lm := locks.NewManager(reg)
 		rt := New(DefaultConfig())
@@ -95,6 +108,10 @@ func TestInspectLogsDecodesRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 		th, err := rt.NewThread()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell, err := reg.Alloc.Alloc(8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,6 +130,9 @@ func TestInspectLogsDecodesRecord(t *testing.T) {
 		wantRF := make([]uint64, persist.MaxOutputs)
 		wantRF[0], wantRF[1] = 10, 11
 		wantWords := 2
+		if tc.stored {
+			th.Store64(cell, 7) // publishes region 0x400 with its two pairs
+		}
 		if compacted {
 			// 62 more pairs fill the area; the next boundary compacts.
 			for i := 0; i < 31; i++ {
@@ -132,9 +152,12 @@ func TestInspectLogsDecodesRecord(t *testing.T) {
 			t.Fatalf("%d logs, want 1", len(logs))
 		}
 		e := logs[0]
-		if e.RegionID == 0 || e.BaseValid != compacted ||
+		if !tc.stored {
+			wantPairs, wantRF = nil, nil
+		}
+		if (e.RegionID != 0) != tc.stored || e.BaseValid != compacted ||
 			!reflect.DeepEqual(e.Pairs, wantPairs) || !reflect.DeepEqual(e.RF, wantRF) || !reflect.DeepEqual(e.Locks, holders) {
-			t.Fatalf("compacted=%v: InspectLogs decoded %+v;\nwant pairs %v, rf %v, locks %#x", compacted, e, wantPairs, wantRF, holders)
+			t.Fatalf("%+v: InspectLogs decoded %+v;\nwant pairs %v, rf %v, locks %#x", tc, e, wantPairs, wantRF, holders)
 		}
 
 		lm2 := locks.NewManager(reg2)
@@ -157,8 +180,17 @@ func TestInspectLogsDecodesRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 		ta := st.Audit.Threads[0]
+		if !tc.stored {
+			if ta.Action != obs.AuditScrubbed || st.Resumed != 0 || gotRF != nil {
+				t.Fatalf("%+v: audit %+v, %d resumed; want the five lock records scrubbed and nothing resumed", tc, ta, st.Resumed)
+			}
+			if logs := InspectLogs(reg2); len(logs[0].Locks) != 0 {
+				t.Fatalf("%+v: after the scrub the log still records %#x", tc, logs[0].Locks)
+			}
+			continue
+		}
 		if ta.Action != obs.AuditResumed || ta.WordsRestored != wantWords || !reflect.DeepEqual(ta.Locks, holders) || !reflect.DeepEqual(gotRF, wantRF) {
-			t.Fatalf("compacted=%v: audit %+v, resume saw %v; want %d words, locks %#x, rf %v", compacted, ta, gotRF, wantWords, holders, wantRF)
+			t.Fatalf("%+v: audit %+v, resume saw %v; want %d words, locks %#x, rf %v", tc, ta, gotRF, wantWords, holders, wantRF)
 		}
 	}
 }

@@ -18,7 +18,11 @@ import (
 // (key 8 is the LRU head, key 1 the tail), every chain one item long.
 // Fences are layout-independent; write-backs depend on which lines an
 // op dirties, so each row names the item it touches. SET miss, DELETE
-// hit and EvictOne include the allocator's own persist events.
+// hit and EvictOne include the allocator's own persist events (one fence
+// each). A FASE that stores pays four fences — its publish, the owed one
+// at its first store, its data, its recovery_pc clear — and two NT
+// stores; one that stores nothing (a DELETE or INCR miss) pays neither,
+// only the write-backs of its lock record and slot clear.
 func TestMemcacheEventBudget(t *testing.T) {
 	env := newEnv(t, 1<<20)
 	rt := core.New(core.DefaultConfig())
@@ -44,17 +48,17 @@ func TestMemcacheEventBudget(t *testing.T) {
 		op   func()
 		want budget
 	}{
-		{"GET hit (key 4)", func() { c.Get(th, 4, k1(4)) }, budget{5, 8, 3}},
-		{"GET miss", func() { c.Get(th, 99, k1(99)) }, budget{5, 6, 3}},
-		{"SET hit (key 4, mid-LRU)", func() { c.Set(th, 4, k1(4), 44) }, budget{6, 10, 3}},
-		{"SET miss (key 9)", func() { c.Set(th, 9, k1(9), 9) }, budget{11, 13, 5}},
-		{"DELETE hit (key 5, mid-LRU)", func() { c.Delete(th, 5, k1(5)) }, budget{8, 11, 4}},
-		{"DELETE miss", func() { c.Delete(th, 99, k1(99)) }, budget{3, 3, 2}},
-		{"INCR hit (key 6)", func() { c.Incr(th, 6, k1(6), 1, false) }, budget{5, 6, 3}},
-		{"INCR miss", func() { c.Incr(th, 99, k1(99), 1, false) }, budget{3, 4, 2}},
-		{"Touch hit (key 6)", func() { c.Touch(th, 6, k1(6), 3, 2) }, budget{5, 8, 3}},
-		{"Touch miss", func() { c.Touch(th, 99, k1(99), 3, 0) }, budget{5, 7, 3}},
-		{"EvictOne (key 1, LRU tail)", func() { c.EvictOne(th) }, budget{8, 10, 4}},
+		{"GET hit (key 4)", func() { c.Get(th, 4, k1(4)) }, budget{4, 7, 2}},
+		{"GET miss", func() { c.Get(th, 99, k1(99)) }, budget{4, 5, 2}},
+		{"SET hit (key 4, mid-LRU)", func() { c.Set(th, 4, k1(4), 44) }, budget{4, 10, 2}},
+		{"SET miss (key 9)", func() { c.Set(th, 9, k1(9), 9) }, budget{5, 10, 2}},
+		{"DELETE hit (key 5, mid-LRU)", func() { c.Delete(th, 5, k1(5)) }, budget{5, 10, 2}},
+		{"DELETE miss", func() { c.Delete(th, 99, k1(99)) }, budget{0, 2, 0}},
+		{"INCR hit (key 6)", func() { c.Incr(th, 6, k1(6), 1, false) }, budget{4, 5, 2}},
+		{"INCR miss", func() { c.Incr(th, 99, k1(99), 1, false) }, budget{0, 2, 0}},
+		{"Touch hit (key 6)", func() { c.Touch(th, 6, k1(6), 3, 2) }, budget{4, 7, 2}},
+		{"Touch miss", func() { c.Touch(th, 99, k1(99), 3, 0) }, budget{4, 6, 2}},
+		{"EvictOne (key 1, LRU tail)", func() { c.EvictOne(th) }, budget{5, 8, 2}},
 	} {
 		before := env.Reg.Dev.Stats()
 		tc.op()

@@ -5,24 +5,27 @@
 // threads, §V-A). Keys are 16 bytes (two words), values 8 bytes, matching
 // the paper's memaslap configuration.
 //
-// Every operation is one lock-inferred FASE, annotated with iDO region
-// boundaries exactly where the compiler's hitting-set pass would cut
-// (§IV-A): after the acquire, and at each memory antidependence —
-// publishing a chain head after reading it, publishing the LRU head after
-// reading it, bumping counters after reading them. The pure-read chain
-// scans carry no cuts at all (a resumed region simply re-runs its scan),
-// and no boundary precedes the FASE's final release: the final-unlock
-// protocol fences the region's data and clears recovery_pc before the
-// mutex is handed over, so resumption only ever re-executes while the
-// lock is still privately held.
+// Every operation is one lock-inferred FASE in the shape the compiler's
+// hitting-set pass (§IV-A) produces once loads are hoisted above the
+// first store: a load-only entry region after the acquire — counters,
+// bucket, chain scan, the found item's links, the LRU head, the
+// allocation — then ONE cut, then a store-only region that ends in the
+// release. A store-only region whose every input is a logged register is
+// trivially idempotent, the load-only region simply re-runs its scan, and
+// since nothing is stored before the cut the runtime has nothing to
+// recover there either (core's rule 3): a miss that stores nothing costs
+// no fence at all. No boundary precedes the FASE's final release: the
+// final-unlock protocol fences the region's data and clears recovery_pc
+// before the mutex is handed over, so resumption only ever re-executes
+// while the lock is still privately held.
 //
 // Like real memcached, every operation also maintains stats counters
 // (cmd_get/cmd_set/get_hits) and GET touches the item's access time.
-// These read-modify-writes are antidependences, but the hitting-set
-// partition folds ALL of them into existing cuts: the counters are read
-// in the entry region and written in the already-required exit region, so
-// iDO pays zero extra boundaries while per-store loggers pay a persist
-// fence for each — a large part of the paper's Fig. 5 gap.
+// These read-modify-writes are antidependences, but the one cut severs
+// ALL of them: the counters are read in the entry region and written in
+// the exit region, so iDO pays zero extra boundaries while per-store
+// loggers pay a persist fence for each — a large part of the paper's
+// Fig. 5 gap.
 //
 // Get does not move items in the LRU list, mirroring memcached's
 // ITEM_UPDATE_INTERVAL batching of LRU reordering.
@@ -30,9 +33,11 @@
 // Register-slot plan for cache FASEs:
 //
 //	r0 = table  r1..r2 = key words  r3 = value  r4 = item
-//	r5 = unchain position (address of the pointer to the found item)
-//	r6 = bucket head address  r7 = scratch (LRU head / count / cmd_get)
-//	r9 = cmd_set or get-hits counter  r10 = get hit flag
+//	r5 = item's LRU prev / count (insert) / unchain position (delete)
+//	r6 = item's LRU next / bucket head address (insert) / hash next (delete)
+//	r7 = LRU head or cmd_get  r8 = chain head (insert) / LRU prev (delete)
+//	r9 = cmd_set, get-hits or (delete) LRU next
+//	r10 = get hit flag / incr direction / count (delete)
 package memcache
 
 import (
@@ -69,16 +74,14 @@ const (
 // Region IDs (0x25 block).
 const (
 	ridBase     = 0x25 << 16
-	ridSetEntry = ridBase + 1  // after lock: bucket, scan, found/miss work
-	ridPush2    = ridBase + 3  // publish LRU head + cmd_set, release
-	ridSetIns2  = ridBase + 4  // publish the chain head
-	ridSetIns3  = ridBase + 5  // bump the count, read the LRU head
+	ridSetEntry = ridBase + 1  // after lock: every load of a SET, the allocation
+	ridPush2    = ridBase + 3  // update: value, LRU move to front, cmd_set, release
+	ridSetIns2  = ridBase + 4  // insert: item, chain head, count, LRU push, cmd_set, release
 	ridGetEntry = ridBase + 7  // after lock: counters, bucket, scan
 	ridGetRel   = ridBase + 8  // retire GET stats, touch item, release
-	ridDelEntry = ridBase + 9  // after lock: bucket, scan
-	ridDelChain = ridBase + 11 // unchain + LRU unlink + read count
-	ridDelCnt   = ridBase + 12 // decrement the count, release
-	ridEvEntry  = ridBase + 13 // eviction: read the LRU tail, scan
+	ridDelEntry = ridBase + 9  // after lock: bucket, scan, the item's links
+	ridDelChain = ridBase + 11 // unchain, LRU unlink, decrement the count, release
+	ridEvEntry  = ridBase + 13 // eviction: read the LRU tail, scan, its links
 	ridIncrEnt  = ridBase + 14 // incr/decr: after lock, scan, read the value
 	ridIncrUpd  = ridBase + 15 // incr/decr: publish the new value, release
 	ridTouchEnt = ridBase + 16 // touch batch: after lock, read counters, scan
@@ -150,66 +153,69 @@ func (c *Cache) Set(t persist.Thread, k0, k1, v uint64) {
 	setEntry(c.env, t, c.tbl, k0, k1, v)
 }
 
-// setEntry is region ridSetEntry: read the cmd_set counter, compute the
-// bucket, scan the chain (pure reads: no cut needed), and perform the
-// found/miss work up to the next antidependence.
+// setEntry is region ridSetEntry, load-only: the cmd_set counter, the
+// bucket, the LRU head, the chain scan, and then either the found item's
+// LRU links or the count and a fresh item — everything the store-only
+// region behind the one cut needs.
 func setEntry(env *Env, t persist.Thread, tbl, k0, k1, v uint64) {
-	cs := t.Load64(tbl + tCmdSet) // stats counter, written at FASE exit
+	cs := t.Load64(tbl + tCmdSet)
 	ba := bucketAddr(t, tbl, k0, k1)
-	hb := t.Load64(ba) // chain head, observed once
-	setScanFrom(env, t, tbl, k0, k1, v, ba, ba, hb, hb, cs)
-}
-
-// setScanFrom walks the chain starting at *pp == cur, entirely within
-// the caller's region.
-func setScanFrom(env *Env, t persist.Thread, tbl, k0, k1, v, pp, ba, hb, cur, cs uint64) {
-	for {
-		if cur == 0 {
-			// Miss: build the item in this region; publishing the chain
-			// head is the next region (it antidepends on the scan's
-			// bucket-word load).
-			item, err := env.Reg.Alloc.Alloc(iSize)
-			if err != nil {
-				panic(err)
-			}
-			t.Store64(item+iK0, k0)
-			t.Store64(item+iK1, k1)
-			t.Store64(item+iVal, v)
-			t.Store64(item+iHNext, hb)
-			t.Boundary(ridSetIns2, append(persist.Outs(t),
-				persist.RV(4, item), persist.RV(6, ba), persist.RV(9, cs))...)
-			setInsert2(env, t, tbl, item, ba, cs)
-			return
-		}
+	hb := t.Load64(ba)
+	head := t.Load64(tbl + tLRUHead)
+	for cur := hb; cur != 0; cur = t.Load64(cur + iHNext) {
 		if t.Load64(cur+iK0) == k0 && t.Load64(cur+iK1) == k1 {
-			// Found: overwrite the value, unlink from the LRU, and read
-			// the LRU head — publishing it is the next region.
-			t.Store64(cur+iVal, v)
-			lruUnlinkStores(t, tbl, cur)
-			h := t.Load64(tbl + tLRUHead)
+			p, nx := t.Load64(cur+iLPrev), t.Load64(cur+iLNext)
 			t.Boundary(ridPush2, append(persist.Outs(t),
-				persist.RV(4, cur), persist.RV(7, h), persist.RV(9, cs))...)
-			lruPush2(env, t, tbl, cur, h, cs)
+				persist.RV(4, cur), persist.RV(5, p), persist.RV(6, nx),
+				persist.RV(7, head), persist.RV(9, cs))...)
+			setUpdate(env, t, tbl, v, cur, p, nx, head, cs)
 			return
 		}
-		pp = cur + iHNext
-		cur = t.Load64(pp)
 	}
+	cnt := t.Load64(tbl + tCount)
+	item, err := env.Reg.Alloc.Alloc(iSize)
+	if err != nil {
+		panic(err)
+	}
+	t.Boundary(ridSetIns2, append(persist.Outs(t),
+		persist.RV(4, item), persist.RV(5, cnt), persist.RV(6, ba),
+		persist.RV(7, head), persist.RV(8, hb), persist.RV(9, cs))...)
+	setInsert(env, t, tbl, k0, k1, v, item, cnt, ba, head, hb, cs)
 }
 
-// lruUnlinkStores detaches item from the LRU list. It loads only the
-// item's own link words (never written here) and, in the single-element
-// case, the list head — which it may then overwrite; that re-execution
-// short-circuits to the same final state, so the region stays idempotent
-// (the conservative compiler would cut here; the effect is identical).
-func lruUnlinkStores(t persist.Thread, tbl, item uint64) {
-	p := t.Load64(item + iLPrev)
-	nx := t.Load64(item + iLNext)
-	inList := p != 0 || nx != 0 || t.Load64(tbl+tLRUHead) == item
-	if !inList {
-		return
+// setUpdate is region ridPush2, store-only: overwrite the value, move the
+// item to the LRU front, retire the cmd_set counter, release.
+func setUpdate(env *Env, t persist.Thread, tbl, v, item, p, nx, head, cs uint64) {
+	t.Store64(item+iVal, v)
+	lruPush(t, tbl, item, lruUnlink(t, tbl, item, p, nx, head))
+	t.Store64(tbl+tCmdSet, cs+1)
+	release(env, t, tbl)
+}
+
+// setInsert is region ridSetIns2, store-only: build the item, publish it
+// as the chain head, bump the count, push it on the LRU, retire the
+// cmd_set counter, release.
+func setInsert(env *Env, t persist.Thread, tbl, k0, k1, v, item, cnt, ba, head, hb, cs uint64) {
+	t.Store64(item+iK0, k0)
+	t.Store64(item+iK1, k1)
+	t.Store64(item+iVal, v)
+	t.Store64(item+iHNext, hb)
+	t.Store64(ba, item)
+	t.Store64(tbl+tCount, cnt+1)
+	lruPush(t, tbl, item, head)
+	t.Store64(tbl+tCmdSet, cs+1)
+	release(env, t, tbl)
+}
+
+// lruUnlink detaches item from the LRU list given its links p and nx and
+// the list head as the load-only region read them, and returns the head
+// after the unlink. Store-only.
+func lruUnlink(t persist.Thread, tbl, item, p, nx, head uint64) uint64 {
+	if p == 0 && nx == 0 && head != item {
+		return head // not in the list
 	}
 	if p == 0 {
+		head = nx
 		t.Store64(tbl+tLRUHead, nx)
 	} else {
 		t.Store64(p+iLNext, nx)
@@ -219,12 +225,11 @@ func lruUnlinkStores(t persist.Thread, tbl, item uint64) {
 	} else {
 		t.Store64(nx+iLPrev, p)
 	}
+	return head
 }
 
-// lruPush2 is region ridPush2: wire the item to the front, publish the
-// LRU head read by the previous region, retire the cmd_set counter, and
-// release. Store-only: trivially idempotent.
-func lruPush2(env *Env, t persist.Thread, tbl, item, h, cs uint64) {
+// lruPush wires item in front of head h. Store-only.
+func lruPush(t persist.Thread, tbl, item, h uint64) {
 	t.Store64(item+iLPrev, 0)
 	t.Store64(item+iLNext, h)
 	if h != 0 {
@@ -233,27 +238,6 @@ func lruPush2(env *Env, t persist.Thread, tbl, item, h, cs uint64) {
 		t.Store64(tbl+tLRUTail, item)
 	}
 	t.Store64(tbl+tLRUHead, item)
-	t.Store64(tbl+tCmdSet, cs+1)
-	release(env, t, tbl)
-}
-
-// setInsert2 is region ridSetIns2: publish the chain head and read the
-// count (bumping it antidepends, so it is the next region).
-func setInsert2(env *Env, t persist.Thread, tbl, item, ba, cs uint64) {
-	t.Store64(ba, item)
-	cnt := t.Load64(tbl + tCount)
-	t.Boundary(ridSetIns3, append(persist.Outs(t),
-		persist.RV(7, cnt))...)
-	setInsert3(env, t, tbl, item, cnt, cs)
-}
-
-// setInsert3 is region ridSetIns3: bump the count and read the LRU head.
-func setInsert3(env *Env, t persist.Thread, tbl, item, cnt, cs uint64) {
-	t.Store64(tbl+tCount, cnt+1)
-	h := t.Load64(tbl + tLRUHead)
-	t.Boundary(ridPush2, append(persist.Outs(t),
-		persist.RV(7, h))...)
-	lruPush2(env, t, tbl, item, h, cs)
 }
 
 // release performs the FASE's final unlock. No dedicated boundary
@@ -327,41 +311,37 @@ func (c *Cache) Delete(t persist.Thread, k0, k1 uint64) bool {
 }
 
 func delEntry(env *Env, t persist.Thread, tbl, k0, k1 uint64) (uint64, bool) {
-	ba := bucketAddr(t, tbl, k0, k1)
-	return delScanFrom(env, t, tbl, k0, k1, ba, t.Load64(ba))
-}
-
-func delScanFrom(env *Env, t persist.Thread, tbl, k0, k1, pp, cur uint64) (uint64, bool) {
-	for {
-		if cur == 0 {
-			release(env, t, tbl)
-			return 0, false
-		}
+	pp := bucketAddr(t, tbl, k0, k1)
+	for cur := t.Load64(pp); cur != 0; cur = t.Load64(pp) {
 		if t.Load64(cur+iK0) == k0 && t.Load64(cur+iK1) == k1 {
-			t.Boundary(ridDelChain, append(persist.Outs(t),
-				persist.RV(4, cur), persist.RV(5, pp))...)
-			delChain(env, t, tbl, cur, pp)
+			delFound(env, t, tbl, cur, pp)
 			return cur, true
 		}
 		pp = cur + iHNext
-		cur = t.Load64(pp)
 	}
+	release(env, t, tbl)
+	return 0, false
 }
 
-// delChain is region ridDelChain: unchain the item (the cut severed the
-// scan's load of pp), unlink it from the LRU, and read the count.
-func delChain(env *Env, t persist.Thread, tbl, item, pp uint64) {
-	nx := t.Load64(item + iHNext)
-	t.Store64(pp, nx)
-	lruUnlinkStores(t, tbl, item)
+// delFound finishes the load-only region of a delete or an eviction: read
+// the item's chain and LRU links, the LRU head and the count, cut once,
+// and run the store-only region.
+func delFound(env *Env, t persist.Thread, tbl, item, pp uint64) {
+	hn := t.Load64(item + iHNext)
+	p, nx := t.Load64(item+iLPrev), t.Load64(item+iLNext)
+	head := t.Load64(tbl + tLRUHead)
 	cnt := t.Load64(tbl + tCount)
-	t.Boundary(ridDelCnt, append(persist.Outs(t),
-		persist.RV(7, cnt))...)
-	delCnt(env, t, tbl, cnt)
+	t.Boundary(ridDelChain, append(persist.Outs(t),
+		persist.RV(4, item), persist.RV(5, pp), persist.RV(6, hn), persist.RV(7, head),
+		persist.RV(8, p), persist.RV(9, nx), persist.RV(10, cnt))...)
+	delChain(env, t, tbl, item, pp, hn, head, p, nx, cnt)
 }
 
-// delCnt is region ridDelCnt: decrement the count and release.
-func delCnt(env *Env, t persist.Thread, tbl, cnt uint64) {
+// delChain is region ridDelChain, store-only: unchain the item, unlink it
+// from the LRU, decrement the count, release.
+func delChain(env *Env, t persist.Thread, tbl, item, pp, hn, head, p, nx, cnt uint64) {
+	t.Store64(pp, hn)
+	lruUnlink(t, tbl, item, p, nx, head)
 	if cnt > 0 {
 		t.Store64(tbl+tCount, cnt-1)
 	}
@@ -385,7 +365,7 @@ func (c *Cache) EvictOne(t persist.Thread) bool {
 }
 
 // evEntry is region ridEvEntry: read the tail victim, locate its chain,
-// scan to its position, then reuse the delete regions. It returns the
+// scan to its position, then finish as a delete does. It returns the
 // unlinked item, 0 when the cache was empty.
 func evEntry(env *Env, t persist.Thread, tbl uint64) uint64 {
 	victim := t.Load64(tbl + tLRUTail)
@@ -393,24 +373,12 @@ func evEntry(env *Env, t persist.Thread, tbl uint64) uint64 {
 		release(env, t, tbl)
 		return 0
 	}
-	k0 := t.Load64(victim + iK0)
-	k1 := t.Load64(victim + iK1)
-	ba := bucketAddr(t, tbl, k0, k1)
-	evScanFrom(env, t, tbl, victim, ba, t.Load64(ba))
-	return victim
-}
-
-func evScanFrom(env *Env, t persist.Thread, tbl, victim, pp, cur uint64) {
-	for {
-		if cur == 0 || cur == victim {
-			t.Boundary(ridDelChain, append(persist.Outs(t),
-				persist.RV(4, victim), persist.RV(5, pp))...)
-			delChain(env, t, tbl, victim, pp)
-			return
-		}
+	pp := bucketAddr(t, tbl, t.Load64(victim+iK0), t.Load64(victim+iK1))
+	for cur := t.Load64(pp); cur != 0 && cur != victim; cur = t.Load64(pp) {
 		pp = cur + iHNext
-		cur = t.Load64(pp)
 	}
+	delFound(env, t, tbl, victim, pp)
+	return victim
 }
 
 // Incr adjusts an existing key's value by delta as one FASE: wrapping
@@ -520,13 +488,10 @@ func Register(rr *persist.ResumeRegistry, env *Env) {
 		setEntry(env, t, rf[0], rf[1], rf[2], rf[3])
 	})
 	rr.Register(ridPush2, func(t persist.Thread, rf []uint64) {
-		lruPush2(env, t, rf[0], rf[4], rf[7], rf[9])
+		setUpdate(env, t, rf[0], rf[3], rf[4], rf[5], rf[6], rf[7], rf[9])
 	})
 	rr.Register(ridSetIns2, func(t persist.Thread, rf []uint64) {
-		setInsert2(env, t, rf[0], rf[4], rf[6], rf[9])
-	})
-	rr.Register(ridSetIns3, func(t persist.Thread, rf []uint64) {
-		setInsert3(env, t, rf[0], rf[4], rf[7], rf[9])
+		setInsert(env, t, rf[0], rf[1], rf[2], rf[3], rf[4], rf[5], rf[6], rf[7], rf[8], rf[9])
 	})
 	rr.Register(ridGetEntry, func(t persist.Thread, rf []uint64) {
 		getEntry(env, t, rf[0], rf[1], rf[2])
@@ -538,10 +503,7 @@ func Register(rr *persist.ResumeRegistry, env *Env) {
 		delEntry(env, t, rf[0], rf[1], rf[2])
 	})
 	rr.Register(ridDelChain, func(t persist.Thread, rf []uint64) {
-		delChain(env, t, rf[0], rf[4], rf[5])
-	})
-	rr.Register(ridDelCnt, func(t persist.Thread, rf []uint64) {
-		delCnt(env, t, rf[0], rf[7])
+		delChain(env, t, rf[0], rf[4], rf[5], rf[6], rf[7], rf[8], rf[9], rf[10])
 	})
 	rr.Register(ridEvEntry, func(t persist.Thread, rf []uint64) {
 		evEntry(env, t, rf[0])

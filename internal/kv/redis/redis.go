@@ -8,13 +8,18 @@
 // databases is precisely that these read paths are idempotent and nearly
 // instrumentation-free.
 //
+// Every write FASE is load-first, store-last, like kv/memcache's: one
+// load-only entry region (dirty counter, bucket, chain scan, count, the
+// allocation), one cut, one store-only region that ends the FASE.
+//
 // Register-slot plan: r0 = table, r1 = key, r2 = value, r3 = entry,
 // r4 = scan position (address of the pointer to the current entry),
-// r5 = scratch (count), r7 = dirty counter.
+// r5 = count, r6 = bucket head address (insert) / entry's successor
+// (delete), r7 = dirty counter, r8 = chain head (insert).
 //
 // Like real Redis, every write bumps server.dirty. The counter is read in
-// the entry region and written in the final region of the FASE, so the
-// read-modify-write antidependence is absorbed by an existing cut.
+// the entry region and written in the store-only region, so the
+// read-modify-write antidependence is absorbed by the one cut.
 package redis
 
 import (
@@ -43,12 +48,10 @@ const (
 	ridBase     = 0x26 << 16
 	ridSetEntry = ridBase + 1
 	ridSetUpd   = ridBase + 3 // overwrite value, retire dirty counter, end
-	ridSetIns2  = ridBase + 5
-	ridSetIns3  = ridBase + 6
+	ridSetIns2  = ridBase + 5 // build the entry, publish the bucket head, bump count + dirty, end
 	ridEnd      = ridBase + 7 // close the durable FASE
 	ridDelEntry = ridBase + 8
-	ridDelChain = ridBase + 10
-	ridDelCnt   = ridBase + 11
+	ridDelChain = ridBase + 10 // unchain, decrement the count, bump dirty, end
 	ridIncrEnt  = ridBase + 12 // INCR: scan, read the value, compute
 )
 
@@ -109,43 +112,35 @@ func (d *DB) Set(t persist.Thread, key, val uint64) {
 	setEntry(d.env, t, d.tbl, key, val)
 }
 
-// setEntry is region ridSetEntry: compute the bucket, run the first scan
-// iteration (later iterations are back-edge regions), and do the
-// found/miss work up to the next antidependence.
+// setEntry is region ridSetEntry, load-only: the dirty counter, the
+// bucket, the chain scan, and on a miss the count and a fresh entry.
 func setEntry(env *Env, t persist.Thread, tbl, key, val uint64) {
 	dr := t.Load64(tbl + tDirty)
 	ba := bucketAddr(t, tbl, key)
 	hb := t.Load64(ba)
-	setScanFrom(env, t, tbl, key, val, ba, ba, hb, hb, dr)
-}
-
-// setScanFrom walks the chain; cur == *pp was loaded by the caller.
-func setScanFrom(env *Env, t persist.Thread, tbl, key, val, pp, ba, hb, cur, dr uint64) {
-	for {
-		if cur == 0 {
-			// Miss: build the entry here; publishing the bucket head is
-			// the next region (it antidepends on this region's load).
-			entry, err := env.Reg.Alloc.Alloc(eSize)
-			if err != nil {
-				panic(err)
-			}
-			t.Store64(entry+eKey, key)
-			t.Store64(entry+eVal, val)
-			t.Store64(entry+eNext, hb)
-			t.Boundary(ridSetIns2, append(persist.Outs(t),
-				persist.RV(3, entry), persist.RV(6, ba), persist.RV(7, dr))...)
-			setInsert2(env, t, tbl, entry, ba, dr)
-			return
-		}
+	for cur := hb; cur != 0; cur = t.Load64(cur + eNext) {
 		if t.Load64(cur+eKey) == key {
 			t.Boundary(ridSetUpd, append(persist.Outs(t),
 				persist.RV(3, cur), persist.RV(7, dr))...)
 			setUpdate(env, t, tbl, cur, val, dr)
 			return
 		}
-		pp = cur + eNext
-		cur = t.Load64(pp)
 	}
+	setMiss(env, t, tbl, key, val, ba, hb, dr)
+}
+
+// setMiss finishes the load-only region of an inserting SET or INCR: read
+// the count, allocate, cut once, and run the store-only region.
+func setMiss(env *Env, t persist.Thread, tbl, key, val, ba, hb, dr uint64) {
+	cnt := t.Load64(tbl + tCount)
+	entry, err := env.Reg.Alloc.Alloc(eSize)
+	if err != nil {
+		panic(err)
+	}
+	t.Boundary(ridSetIns2, append(persist.Outs(t),
+		persist.RV(3, entry), persist.RV(5, cnt), persist.RV(6, ba),
+		persist.RV(7, dr), persist.RV(8, hb))...)
+	setInsert(env, t, tbl, key, val, entry, cnt, ba, dr, hb)
 }
 
 // setUpdate is region ridSetUpd: the value overwrite and the dirty-
@@ -156,15 +151,13 @@ func setUpdate(env *Env, t persist.Thread, tbl, entry, val, dr uint64) {
 	end(env, t)
 }
 
-func setInsert2(env *Env, t persist.Thread, tbl, entry, ba, dr uint64) {
+// setInsert is region ridSetIns2, store-only: build the entry, publish it
+// as the bucket head, bump the count and the dirty counter, end.
+func setInsert(env *Env, t persist.Thread, tbl, key, val, entry, cnt, ba, dr, hb uint64) {
+	t.Store64(entry+eKey, key)
+	t.Store64(entry+eVal, val)
+	t.Store64(entry+eNext, hb)
 	t.Store64(ba, entry)
-	cnt := t.Load64(tbl + tCount)
-	t.Boundary(ridSetIns3, append(persist.Outs(t),
-		persist.RV(5, cnt))...)
-	setInsert3(env, t, tbl, cnt, dr)
-}
-
-func setInsert3(env *Env, t persist.Thread, tbl, cnt, dr uint64) {
 	t.Store64(tbl+tCount, cnt+1)
 	t.Store64(tbl+tDirty, dr+1)
 	end(env, t)
@@ -197,39 +190,31 @@ func (d *DB) Del(t persist.Thread, key uint64) bool {
 	return found
 }
 
+// delEntry is region ridDelEntry, load-only: the dirty counter, the
+// bucket, the chain scan, and on a hit the entry's successor and the count.
 func delEntry(env *Env, t persist.Thread, tbl, key uint64) (uint64, bool) {
 	dr := t.Load64(tbl + tDirty)
-	ba := bucketAddr(t, tbl, key)
-	return delScanFrom(env, t, tbl, key, ba, t.Load64(ba), dr)
-}
-
-func delScanFrom(env *Env, t persist.Thread, tbl, key, pp, cur, dr uint64) (uint64, bool) {
-	for {
-		if cur == 0 {
-			t.Boundary(ridEnd)
-			end(env, t)
-			return 0, false
-		}
+	pp := bucketAddr(t, tbl, key)
+	for cur := t.Load64(pp); cur != 0; cur = t.Load64(pp) {
 		if t.Load64(cur+eKey) == key {
+			nx := t.Load64(cur + eNext)
+			cnt := t.Load64(tbl + tCount)
 			t.Boundary(ridDelChain, append(persist.Outs(t),
-				persist.RV(3, cur), persist.RV(4, pp), persist.RV(7, dr))...)
-			delChain(env, t, tbl, cur, pp, dr)
+				persist.RV(4, pp), persist.RV(5, cnt), persist.RV(6, nx), persist.RV(7, dr))...)
+			delChain(env, t, tbl, pp, cnt, nx, dr)
 			return cur, true
 		}
 		pp = cur + eNext
-		cur = t.Load64(pp)
 	}
+	t.Boundary(ridEnd)
+	end(env, t)
+	return 0, false
 }
 
-func delChain(env *Env, t persist.Thread, tbl, entry, pp, dr uint64) {
-	t.Store64(pp, t.Load64(entry+eNext))
-	cnt := t.Load64(tbl + tCount)
-	t.Boundary(ridDelCnt, append(persist.Outs(t),
-		persist.RV(5, cnt))...)
-	delCnt(env, t, tbl, cnt, dr)
-}
-
-func delCnt(env *Env, t persist.Thread, tbl, cnt, dr uint64) {
+// delChain is region ridDelChain, store-only: unchain the entry,
+// decrement the count, bump the dirty counter, end.
+func delChain(env *Env, t persist.Thread, tbl, pp, cnt, nx, dr uint64) {
+	t.Store64(pp, nx)
 	if cnt > 0 {
 		t.Store64(tbl+tCount, cnt-1)
 	}
@@ -252,23 +237,14 @@ func (d *DB) Incr(t persist.Thread, key, delta uint64) uint64 {
 // shares the ridSetUpd region — identical code (publish value, retire
 // dirty, end), with the new value logged into the value slot so resume
 // replays the computed result. A miss is an insert of delta and reuses
-// the set insert regions the same way.
+// the set insert region the same way.
 func incrEntry(env *Env, t persist.Thread, tbl, key, delta uint64) uint64 {
 	dr := t.Load64(tbl + tDirty)
 	ba := bucketAddr(t, tbl, key)
 	hb := t.Load64(ba)
 	for cur := hb; ; cur = t.Load64(cur + eNext) {
 		if cur == 0 {
-			entry, err := env.Reg.Alloc.Alloc(eSize)
-			if err != nil {
-				panic(err)
-			}
-			t.Store64(entry+eKey, key)
-			t.Store64(entry+eVal, delta)
-			t.Store64(entry+eNext, hb)
-			t.Boundary(ridSetIns2, append(persist.Outs(t),
-				persist.RV(3, entry), persist.RV(6, ba), persist.RV(7, dr))...)
-			setInsert2(env, t, tbl, entry, ba, dr)
+			setMiss(env, t, tbl, key, delta, ba, hb, dr)
 			return delta
 		}
 		if t.Load64(cur+eKey) == key {
@@ -349,10 +325,7 @@ func Register(rr *persist.ResumeRegistry, env *Env) {
 		setUpdate(env, t, rf[0], rf[3], rf[2], rf[7])
 	})
 	rr.Register(ridSetIns2, func(t persist.Thread, rf []uint64) {
-		setInsert2(env, t, rf[0], rf[3], rf[6], rf[7])
-	})
-	rr.Register(ridSetIns3, func(t persist.Thread, rf []uint64) {
-		setInsert3(env, t, rf[0], rf[5], rf[7])
+		setInsert(env, t, rf[0], rf[1], rf[2], rf[3], rf[5], rf[6], rf[7], rf[8])
 	})
 	rr.Register(ridEnd, func(t persist.Thread, rf []uint64) {
 		end(env, t)
@@ -361,10 +334,7 @@ func Register(rr *persist.ResumeRegistry, env *Env) {
 		delEntry(env, t, rf[0], rf[1])
 	})
 	rr.Register(ridDelChain, func(t persist.Thread, rf []uint64) {
-		delChain(env, t, rf[0], rf[3], rf[4], rf[7])
-	})
-	rr.Register(ridDelCnt, func(t persist.Thread, rf []uint64) {
-		delCnt(env, t, rf[0], rf[5], rf[7])
+		delChain(env, t, rf[0], rf[4], rf[5], rf[6], rf[7])
 	})
 	rr.Register(ridIncrEnt, func(t persist.Thread, rf []uint64) {
 		incrEntry(env, t, rf[0], rf[1], rf[2])

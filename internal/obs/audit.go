@@ -16,8 +16,9 @@ import (
 const (
 	// AuditIdle: the log showed no interrupted FASE and nothing to do.
 	AuditIdle = "idle"
-	// AuditScrubbed: no interrupted FASE, but stale lock slots from the
-	// benign robbed-lock window were cleared.
+	// AuditScrubbed: recovery_pc == 0 with live lock slots — the thread
+	// was in a read-only prefix (a FASE that had not stored yet has
+	// nothing to resume) or robbed (§III-B); the slots were cleared.
 	AuditScrubbed = "scrubbed"
 	// AuditResumed: an interrupted FASE was completed by resumption.
 	AuditResumed = "resumed"

@@ -2,6 +2,7 @@ package region
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -99,26 +100,29 @@ func TestOpenFileRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestOlderFormatImageFailsAttach: an image of the v1 format (fold and
-// ping-pong iDO logs, older key→shard placement) must stop at Attach's
-// bad-magic error, not reach Recover.
+// TestOlderFormatImageFailsAttach: an image of an older format — v1 (fold
+// and ping-pong iDO logs, older key→shard placement) or v2 (kv regions
+// with other register plans) — must stop at Attach's bad-magic error, not
+// reach Recover.
 func TestOlderFormatImageFailsAttach(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.img")
-	if err := Create(1<<15, nvm.Config{}).SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const v1 = 0x69444F5245470001
-	binary.LittleEndian.PutUint64(raw, v1)      // container header
-	binary.LittleEndian.PutUint64(raw[16:], v1) // the device's magic word
-	if err := writeFile(path, raw); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenFile(path, nvm.Config{}); err == nil || !strings.Contains(err.Error(), "bad magic 0x69444f5245470001") {
-		t.Fatalf("v1 image: got %v, want Attach's bad-magic error", err)
+	for _, old := range []uint64{0x69444F5245470001, 0x69444F5245470002} {
+		path := filepath.Join(t.TempDir(), "old.img")
+		if err := Create(1<<15, nvm.Config{}).SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint64(raw, old)      // container header
+		binary.LittleEndian.PutUint64(raw[16:], old) // the device's magic word
+		if err := writeFile(path, raw); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("bad magic %#x", old)
+		if _, err := OpenFile(path, nvm.Config{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("v%d image: got %v, want Attach's %q", old&0xFFFF, err, want)
+		}
 	}
 }
 
