@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"github.com/ido-nvm/ido/internal/core"
+	"github.com/ido-nvm/ido/internal/idolog"
 	"github.com/ido-nvm/ido/internal/locks"
 	"github.com/ido-nvm/ido/internal/nvm"
 	"github.com/ido-nvm/ido/internal/obs"
@@ -41,34 +42,42 @@ func main() {
 		fatalf("usage: idolog heap.img | idolog -demo")
 	}
 
-	dump(os.Stdout, reg)
+	if err := dump(os.Stdout, reg); err != nil {
+		fatalf("stopped at a log recovery would reject: %v", err)
+	}
 }
 
 // dump prints every thread log in reg: the decoded recovery_pc, the
 // boundary records it covers, the register file they replay to, the
-// recorded locks, and what a recovery pass would do with the log.
-func dump(w io.Writer, reg *region.Region) {
-	entries := core.InspectLogs(reg)
-	if len(entries) == 0 {
+// recorded locks, and what a recovery pass would do with the log. A
+// corrupt log ends the dump: the logs before it are printed, the decoder's
+// error returned.
+func dump(w io.Writer, reg *region.Region) error {
+	entries, err := idolog.Inspect(reg)
+	if len(entries) == 0 && err == nil {
 		fmt.Fprintln(w, "no iDO thread logs in this region")
-		return
+		return nil
 	}
 	fmt.Fprintf(w, "%d thread log(s):\n", len(entries))
 	for _, e := range entries {
 		state := "idle"
 		words := len(e.Pairs)
-		if e.RegionID == 0 && len(e.Locks) > 0 {
+		switch {
+		case e.PC == 0 && len(e.Locks) > 0:
 			// Live slots under recovery_pc == 0: the FASE had not stored yet.
 			state = "in a read-only prefix or robbed"
-		} else if e.RegionID != 0 {
+		case e.Raw && e.PC != 0:
+			state = fmt.Sprintf("MID-FASE at its runtime's own recovery_pc %#x", e.PC)
+			words = e.Regs + 1
+		case e.PC != 0:
 			over := "zeros"
 			if e.BaseValid {
 				over = "the compacted base image"
-				words += persist.MaxOutputs
+				words += e.Regs
 			}
 			state = fmt.Sprintf("MID-FASE at region %#x (%d record pair(s) over %s)", e.RegionID, len(e.Pairs), over)
 		}
-		fmt.Fprintf(w, "  thread %d @ %#x: %s\n", e.ThreadID, e.LogAddr, state)
+		fmt.Fprintf(w, "  thread %d @ %#x (%d registers): %s\n", e.ThreadID, e.LogAddr, e.Regs, state)
 		for i, s := range e.Pairs {
 			fmt.Fprintf(w, "    pair %-2d r%-3d = %d (%#x)\n", i, s.Reg, s.Val, s.Val)
 		}
@@ -86,7 +95,10 @@ func dump(w io.Writer, reg *region.Region) {
 			fmt.Fprintln(w)
 		}
 		// Audit preview: what a recovery pass would record for this log.
-		if e.RegionID != 0 {
+		if e.Raw && e.PC != 0 {
+			fmt.Fprintf(w, "    recovery would: have the runtime resume it (%s), re-acquiring %d lock(s), restoring %d word(s)\n",
+				obs.AuditReplayed, len(e.Locks), words)
+		} else if e.PC != 0 {
 			fmt.Fprintf(w, "    recovery would: %s at region %#x, re-acquiring %d lock(s), restoring %d word(s)\n",
 				obs.AuditResumed, e.RegionID, len(e.Locks), words)
 		} else if len(e.Locks) > 0 {
@@ -95,6 +107,7 @@ func dump(w io.Writer, reg *region.Region) {
 			fmt.Fprintf(w, "    recovery would: %s\n", obs.AuditIdle)
 		}
 	}
+	return err
 }
 
 // buildDemo creates a region, runs a FASE partway, and "crashes" it.

@@ -3,6 +3,14 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"github.com/ido-nvm/ido/internal/compile"
+	"github.com/ido-nvm/ido/internal/idolog"
+	"github.com/ido-nvm/ido/internal/irprog"
+	"github.com/ido-nvm/ido/internal/locks"
+	"github.com/ido-nvm/ido/internal/nvm"
+	"github.com/ido-nvm/ido/internal/region"
+	"github.com/ido-nvm/ido/internal/vm"
 )
 
 // TestDumpDecodesDemoImage: the demo image crashes one thread mid-FASE
@@ -10,7 +18,9 @@ import (
 // decoded record and the audit preview.
 func TestDumpDecodesDemoImage(t *testing.T) {
 	var b strings.Builder
-	dump(&b, buildDemo())
+	if err := dump(&b, buildDemo()); err != nil {
+		t.Fatal(err)
+	}
 	out := b.String()
 	for _, want := range []string{
 		"1 thread log(s):",
@@ -22,5 +32,69 @@ func TestDumpDecodesDemoImage(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump lacks %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestDumpDecodesVMImage: a VM thread running compiled IR dies inside
+// stack_push after the FASE's first store. Its log is the shared one with
+// the VM's capacity in the header, so the dump decodes it like any other:
+// the region to resume, the logged registers, the held lock.
+func TestDumpDecodesVMImage(t *testing.T) {
+	prog, err := irprog.Compile(compile.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := region.Create(1<<20, nvm.Config{})
+	lm := locks.NewManager(reg)
+	m := vm.New(reg, lm, prog, vm.ModeIDO)
+	stk, err := irprog.NewStack(reg, lm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, err := m.NewThread()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetCrashBudget(6) // load, lock, boundary, load, alloc, the first store: published
+	if _, err := th.Call("stack_push", stk, 7); err != vm.ErrCrashed {
+		t.Fatalf("stack_push returned %v, want the injected crash", err)
+	}
+	reg.Dev.Crash(nvm.CrashDiscard, nil)
+	reg2, err := region.Attach(reg.Dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := dump(&b, reg2); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{
+		"1 thread log(s):",
+		"(121 registers): MID-FASE at region 0x",
+		"record pair(s) over zeros",
+		"holds 1 lock(s): holder@0x",
+		"recovery would: resumed at region 0x",
+		"re-acquiring 1 lock(s)",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("dump lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestDumpReportsCorruptLog: a recovery_pc claiming more record pairs than
+// the record area holds is reported, not decoded.
+func TestDumpReportsCorruptLog(t *testing.T) {
+	reg := buildDemo()
+	logs, err := idolog.Inspect(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pcOff = 16 // recovery_pc's offset in the log
+	reg.Dev.StoreNT(logs[0].LogAddr+pcOff, logs[0].PC|0xFF<<48)
+	var b strings.Builder
+	if err := dump(&b, reg); err == nil || !strings.Contains(err.Error(), "255 record pairs") {
+		t.Fatalf("dump of a corrupt log returned %v and printed:\n%s", err, b.String())
 	}
 }

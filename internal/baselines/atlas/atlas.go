@@ -246,7 +246,7 @@ func (t *thread) append(kind, addr, val, aux uint64) {
 	dev.Store64(t.aUsed, uint64(t.curUsed))
 	dev.CLWB(e)
 	dev.CLWB(t.aUsed)
-	dev.FenceBatch()
+	dev.Fence()
 	t.stats.LoggedEntries++
 	t.stats.LoggedBytes += entrySize
 	t.faseLogBytes += entrySize
@@ -290,9 +290,9 @@ func (t *thread) Unlock(l *locks.Lock) {
 	t.lamport++
 	t.rt.setLockClock(l.Holder(), t.lamport)
 	if last {
-		// FASE end: data durable first (flush + fence, group-commit
-		// batchable).
-		dev.PersistBatch(t.dirty)
+		// FASE end: data durable first (flush + fence).
+		dev.FlushLines(t.dirty)
+		dev.Fence()
 		t.dirty = t.dirty[:0]
 		if t.rt.cfg.Retain {
 			t.append(kRelease, l.Holder(), t.lamport, 1)
@@ -323,7 +323,7 @@ func (t *thread) prune() {
 		dev.Store64(c+8, 0)
 		dev.CLWB(c + 8) // gen shares the header line
 	}
-	dev.FenceBatch()
+	dev.Fence()
 	t.touched = t.touched[:0]
 	t.setChunk(t.firstChunk, 0)
 }
@@ -341,7 +341,8 @@ func (t *thread) BeginDurable() {
 func (t *thread) EndDurable() {
 	dev := t.rt.reg.Dev
 	if t.depth == 1 {
-		dev.PersistBatch(t.dirty)
+		dev.FlushLines(t.dirty)
+		dev.Fence()
 		t.dirty = t.dirty[:0]
 		t.lamport++
 		if t.rt.cfg.Retain {

@@ -358,24 +358,24 @@ func (t *thread) commit() {
 	wv := t.rt.clock.Add(1)
 
 	// Durability: stream the redo log with NT stores, fence, publish the
-	// commit record, fence; then apply in place and truncate. All four
-	// fences may share a drain (FenceBatch).
+	// commit record, fence; then apply in place and truncate. With drain
+	// sharing enabled each of the four fences may ride another thread's.
 	for i, addr := range t.writeOrder {
 		e := t.log + logBase + uint64(i)*16
 		dev.StoreNT(e, addr)
 		dev.StoreNT(e+8, t.writes[addr])
 	}
 	dev.StoreNT(t.log+logCount, uint64(len(t.writeOrder)))
-	dev.FenceBatch()
+	dev.Fence()
 	dev.StoreNT(t.log+logState, 1)
-	dev.FenceBatch()
+	dev.Fence()
 	for _, addr := range t.writeOrder {
 		dev.Store64(addr, t.writes[addr])
 		dev.CLWB(addr)
 	}
-	dev.FenceBatch()
+	dev.Fence()
 	dev.StoreNT(t.log+logState, 0)
-	dev.FenceBatch()
+	dev.Fence()
 
 	t.stats.FASEs++
 	t.stats.LoggedEntries += uint64(len(t.writeOrder))

@@ -9,9 +9,11 @@ import (
 	"github.com/ido-nvm/ido/internal/compile"
 	"github.com/ido-nvm/ido/internal/ds"
 	"github.com/ido-nvm/ido/internal/irprog"
+	"github.com/ido-nvm/ido/internal/locks"
 	"github.com/ido-nvm/ido/internal/metrics"
 	"github.com/ido-nvm/ido/internal/nvm"
 	"github.com/ido-nvm/ido/internal/obs"
+	"github.com/ido-nvm/ido/internal/region"
 	"github.com/ido-nvm/ido/internal/stats"
 	"github.com/ido-nvm/ido/internal/vm"
 )
@@ -151,7 +153,12 @@ func runObsVM(o Options, iters int) ([]ObsResult, error) {
 	var out []ObsResult
 	for _, mode := range []vm.Mode{vm.ModeIDO, vm.ModeJUSTDO} {
 		tr := obs.New(obs.DefaultConfig())
-		m, reg, lm := newVMWorld(prog, mode, false, tr)
+		cfg := nvmConfig(1<<24, 0)
+		cfg.Tracer = tr // attach at birth so trace counts equal device stats
+		reg := region.Create(1<<24, cfg)
+		lm := locks.NewManager(reg)
+		m := vm.New(reg, lm, prog, mode)
+		m.SetCrashBudget(1 << 62)
 		stk, err := irprog.NewStack(reg, lm)
 		if err != nil {
 			return nil, err

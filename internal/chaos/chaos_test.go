@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/ido-nvm/ido/internal/core"
+	"github.com/ido-nvm/ido/internal/idolog"
 	"github.com/ido-nvm/ido/internal/nvm"
 	"github.com/ido-nvm/ido/internal/region"
 )
@@ -400,7 +400,7 @@ func TestReplayIsDeterministic(t *testing.T) {
 // returns the crashed thread's log as a restart would decode it, with
 // the device counts at that point. recovery_pc moves only by NT store,
 // so no settle is needed to read what a restart would see.
-func crashedLog(t *testing.T, s Schedule) (core.LogEntryInfo, nvm.Stats) {
+func crashedLog(t *testing.T, s Schedule) (idolog.Entry, nvm.Stats) {
 	t.Helper()
 	defer nvm.ArmCrash(-1)
 	d, _, err := newDriver(s)
@@ -422,9 +422,9 @@ func crashedLog(t *testing.T, s Schedule) (core.LogEntryInfo, nvm.Stats) {
 	case *prefixDriver:
 		reg = d.reg
 	}
-	logs := core.InspectLogs(reg)
-	if len(logs) != 1 {
-		t.Fatalf("%s: %d thread logs, want 1", s, len(logs))
+	logs, err := idolog.Inspect(reg)
+	if err != nil || len(logs) != 1 {
+		t.Fatalf("%s: %d thread logs (%v), want 1", s, len(logs), err)
 	}
 	return logs[0], reg.Dev.Stats()
 }

@@ -195,7 +195,7 @@ func TestReadOnlyFASEIsFree(t *testing.T) {
 						t.Fatalf("%s crash %d %v: log of thread %d was %s", op.name, f, mode, ta.ThreadID, ta.Action)
 					}
 				}
-				for _, e := range InspectLogs(reg2) {
+				for _, e := range inspect(t, reg2) {
 					if e.RegionID != 0 || len(e.Locks) != 0 {
 						t.Fatalf("%s crash %d %v: after recovery a log shows region %#x, locks %#x", op.name, f, mode, e.RegionID, e.Locks)
 					}
@@ -257,7 +257,7 @@ func TestPublishCarriesWholePrefix(t *testing.T) {
 		if d := reg.Dev.Stats(); d != before {
 			t.Fatalf("coalesce=%v: the prefix touched the device: %+v, was %+v", cfg.Coalesce, d, before)
 		}
-		if rid, n, _ := durableRF(t, cfg, reg, th); rid != 0 || n != 0 {
+		if rid, n, _ := durableRF(t, reg, th); rid != 0 || n != 0 {
 			t.Fatalf("coalesce=%v: before the first store the durable pc names region %#x with %d pairs", cfg.Coalesce, rid, n)
 		}
 		th.Store64(cell, 1)
@@ -266,22 +266,36 @@ func TestPublishCarriesWholePrefix(t *testing.T) {
 		if f, nt := mid.Fences-before.Fences, mid.NTStores-before.NTStores; f != 2 || nt != 1 {
 			t.Fatalf("coalesce=%v: publish and its store paid %d fences and %d NT stores, want 2 (the publish's, the owed one) and 1", cfg.Coalesce, f, nt)
 		}
-		rid, n, rf := durableRF(t, cfg, reg, th)
-		if rid != 0x503 || n != 5 || th.pairs != 5 {
-			t.Fatalf("coalesce=%v: durable pc names region %#x with %d pairs (thread has %d); want the open region 0x503 and the 5 distinct registers", cfg.Coalesce, rid, n, th.pairs)
+		rid, n, rf := durableRF(t, reg, th)
+		if rid != 0x503 || n != 5 {
+			t.Fatalf("coalesce=%v: durable pc names region %#x with %d pairs; want the open region 0x503 and the 5 distinct registers", cfg.Coalesce, rid, n)
 		}
-		if !reflect.DeepEqual(rf, model[:]) || th.rf != model {
-			t.Fatalf("coalesce=%v: recovery would rebuild %v, mirror %v, model %v", cfg.Coalesce, rf, th.rf, model)
+		if !reflect.DeepEqual(rf, model[:]) || mirror(th) != model {
+			t.Fatalf("coalesce=%v: recovery would rebuild %v, mirror %v, model %v", cfg.Coalesce, rf, mirror(th), model)
 		}
-		// Later boundaries append behind the published record.
+		// Later boundaries append behind the published record, and publish
+		// when their region first stores.
 		th.Boundary(0x504, persist.RV(2, 402))
+		if rid, n, _ := durableRF(t, reg, th); rid != 0x503 || n != 5 {
+			t.Fatalf("coalesce=%v: a boundary published before its region stored: region %#x, %d pairs", cfg.Coalesce, rid, n)
+		}
+		th.Store64(cell, 2)
 		model[2] = 402
-		if rid, n, rf := durableRF(t, cfg, reg, th); rid != 0x504 || n != 6 || !reflect.DeepEqual(rf, model[:]) {
-			t.Fatalf("coalesce=%v: after the next boundary region %#x, %d pairs, rf %v; want 0x504, 6, %v", cfg.Coalesce, rid, n, rf, model)
+		if rid, n, rf := durableRF(t, reg, th); rid != 0x504 || n != 6 || !reflect.DeepEqual(rf, model[:]) {
+			t.Fatalf("coalesce=%v: after the next region's store region %#x, %d pairs, rf %v; want 0x504, 6, %v", cfg.Coalesce, rid, n, rf, model)
 		}
 		th.EndDurable()
-		if rid, _, _ := durableRF(t, cfg, reg, th); rid != 0 || th.pub || th.logged != 0 || th.curRegion != 0 {
-			t.Fatalf("coalesce=%v: after the FASE pc region %#x, pub=%v logged=%#x curRegion=%#x", cfg.Coalesce, rid, th.pub, th.logged, th.curRegion)
+		if rid, _, _ := durableRF(t, reg, th); rid != 0 || mirror(th) != [persist.MaxOutputs]uint64{} {
+			t.Fatalf("coalesce=%v: after the FASE pc region %#x, mirror %v", cfg.Coalesce, rid, mirror(th))
+		}
+		// Nothing of the ended FASE is left to publish: the next one's
+		// store, with no region open, must not write a recovery_pc.
+		nt := reg.Dev.Stats().NTStores
+		th.BeginDurable()
+		th.Store64(cell, 2)
+		th.EndDurable()
+		if got := reg.Dev.Stats().NTStores; got != nt {
+			t.Fatalf("coalesce=%v: a FASE with no boundary published (%d NT stores) — state of the previous FASE survived its end", cfg.Coalesce, got-nt)
 		}
 		if s := rt.Stats(); s.LoggedEntries != 2 || s.LoggedBytes != (5*8+8)+(1*8+8) || s.Regions != 4 {
 			t.Fatalf("coalesce=%v: %d log records, %d bytes, %d regions; want 2 (the publish, one boundary), 64, 4", cfg.Coalesce, s.LoggedEntries, s.LoggedBytes, s.Regions)
@@ -310,15 +324,15 @@ func TestStoreBeforeFirstBoundaryStillPublishes(t *testing.T) {
 	th := pt.(*Thread)
 	th.BeginDurable()
 	th.Store64(cell, 7)
-	if th.pub || reg.Dev.Stats().NTStores != 0 {
+	if reg.Dev.Stats().NTStores != 0 {
 		t.Fatal("a store with no region open published a recovery_pc")
 	}
 	before := reg.Dev.Stats()
 	th.Boundary(ridDur, persist.RV(0, 7))
 	after := reg.Dev.Stats()
 	// One fence covers the record and the dirty line; the publish's own is owed.
-	if f, nt := after.Fences-before.Fences, after.NTStores-before.NTStores; !th.pub || f != 1 || nt != 1 {
-		t.Fatalf("first boundary with dirty lines: pub=%v, %d fences, %d NT stores; want published under 1 and 1", th.pub, f, nt)
+	if f, nt := after.Fences-before.Fences, after.NTStores-before.NTStores; f != 1 || nt != 1 {
+		t.Fatalf("first boundary with dirty lines: %d fences, %d NT stores; want published under 1 and 1", f, nt)
 	}
 	reg2, err := reg.Crash(nvm.CrashDiscard, nil)
 	if err != nil {

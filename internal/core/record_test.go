@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/ido-nvm/ido/internal/idolog"
 	"github.com/ido-nvm/ido/internal/locks"
 	"github.com/ido-nvm/ido/internal/nvm"
 	"github.com/ido-nvm/ido/internal/obs"
@@ -12,19 +13,40 @@ import (
 	"github.com/ido-nvm/ido/internal/region"
 )
 
+// inspect decodes every log on reg's list with the production decoder.
+func inspect(t *testing.T, reg *region.Region) []idolog.Entry {
+	t.Helper()
+	logs, err := idolog.Inspect(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return logs
+}
+
 // durableRF decodes the register file a restart would rebuild for th
 // right now: the persistence domain alone (no cached words) is copied
 // into a fresh device and read with the production decoder.
-func durableRF(t *testing.T, cfg Config, reg *region.Region, th *Thread) (regionID uint64, n int, rf []uint64) {
+func durableRF(t *testing.T, reg *region.Region, th *Thread) (regionID uint64, n int, rf []uint64) {
 	t.Helper()
 	img := reg.Dev.SnapshotPersistent()
 	dev := nvm.New(nvm.Config{Size: len(img)})
 	dev.RestorePersistent(img)
-	rt := New(cfg)
-	rt.reg = &region.Region{Dev: dev}
-	regionID, n, base := pcUnpack(dev.Load64(th.log + logPC))
-	rf, _ = rt.loadRF(th.log, n, base)
-	return regionID, n, rf
+	for _, e := range inspect(t, &region.Region{Dev: dev}) {
+		if e.ThreadID == th.ID() {
+			return e.RegionID, len(e.Pairs), e.RF
+		}
+	}
+	t.Fatalf("no log of thread %d on the durable list", th.ID())
+	return 0, 0, nil
+}
+
+// mirror is the register file th's volatile mirror holds: what compaction
+// writes out and what a resume would get if the FASE were published now.
+func mirror(th *Thread) (rf [persist.MaxOutputs]uint64) {
+	for r := range rf {
+		rf[r] = th.Reg(r)
+	}
+	return rf
 }
 
 // TestRecoveredRFMatchesMirror: for random output sequences — any
@@ -33,8 +55,8 @@ func durableRF(t *testing.T, cfg Config, reg *region.Region, th *Thread) (region
 // recovery would rebuild from the persistence domain after each
 // boundary equals both the thread's volatile mirror (what compaction
 // writes out) and an independent model, with persist coalescing on and
-// off. The FASE stores right after its first boundary, which is what
-// publishes it; until then the durable recovery_pc stays 0.
+// off. Every region stores, which is what publishes the FASE and then
+// each boundary; until the first store the durable recovery_pc stays 0.
 func TestRecoveredRFMatchesMirror(t *testing.T) {
 	for _, cfg := range []Config{{Coalesce: true}, {Coalesce: false}} {
 		for seed := int64(1); seed <= 6; seed++ {
@@ -62,31 +84,32 @@ func TestRecoveredRFMatchesMirror(t *testing.T) {
 					outs[i] = persist.RV(rng.Intn(persist.MaxOutputs), rng.Uint64())
 					model[outs[i].Reg] = outs[i].Val
 				}
-				before := th.pairs
+				_, before, _ := durableRF(t, reg, th)
 				rid := uint64(0x300 + b)
 				th.Boundary(rid, outs...)
 				if b == 0 {
-					if gotRID, n, _ := durableRF(t, cfg, reg, th); gotRID != 0 || n != 0 || th.pairs != 0 {
-						t.Fatalf("coalesce=%v seed %d: before the first store the durable pc names region %#x with %d pairs (thread has %d)", cfg.Coalesce, seed, gotRID, n, th.pairs)
+					if gotRID, n, _ := durableRF(t, reg, th); gotRID != 0 || n != 0 {
+						t.Fatalf("coalesce=%v seed %d: before the first store the durable pc names region %#x with %d pairs", cfg.Coalesce, seed, gotRID, n)
 					}
-					th.Store64(cell, 1)
-				} else if th.pairs < before+len(outs) {
+				}
+				th.Store64(cell, uint64(b)) // publishes the FASE (b == 0), then each boundary
+				if mirror(th) != model {
+					t.Fatalf("coalesce=%v seed %d boundary %d: mirror %v, model %v", cfg.Coalesce, seed, b, mirror(th), model)
+				}
+				gotRID, n, rf := durableRF(t, reg, th)
+				if gotRID != rid || n > idolog.RecPairs {
+					t.Fatalf("coalesce=%v seed %d boundary %d: durable pc names region %#x with %d pairs, thread is in %#x", cfg.Coalesce, seed, b, gotRID, n, rid)
+				}
+				if b > 0 && n < before+len(outs) {
 					compactions++
 				}
-				if th.rf != model {
-					t.Fatalf("coalesce=%v seed %d boundary %d: mirror %v, model %v", cfg.Coalesce, seed, b, th.rf, model)
-				}
-				gotRID, n, rf := durableRF(t, cfg, reg, th)
-				if gotRID != rid || n != th.pairs || n > recPairs {
-					t.Fatalf("coalesce=%v seed %d boundary %d: durable pc names region %#x with %d pairs, thread is in %#x with %d", cfg.Coalesce, seed, b, gotRID, n, rid, th.pairs)
-				}
 				if !reflect.DeepEqual(rf, model[:]) {
-					t.Fatalf("coalesce=%v seed %d boundary %d (%d pairs, base %v): recovery would rebuild %v, model %v", cfg.Coalesce, seed, b, n, th.base != 0, rf, model)
+					t.Fatalf("coalesce=%v seed %d boundary %d (%d pairs): recovery would rebuild %v, model %v", cfg.Coalesce, seed, b, n, rf, model)
 				}
 			}
 			th.EndDurable()
-			if compactions < 2 || th.pairs != 0 || th.base != 0 || th.rf != [persist.MaxOutputs]uint64{} {
-				t.Fatalf("coalesce=%v seed %d: %d compactions; after the FASE pairs=%d base=%#x rf=%v", cfg.Coalesce, seed, compactions, th.pairs, th.base, th.rf)
+			if rid, _, _ := durableRF(t, reg, th); compactions < 2 || rid != 0 || mirror(th) != [persist.MaxOutputs]uint64{} {
+				t.Fatalf("coalesce=%v seed %d: %d compactions; after the FASE pc region %#x, mirror %v", cfg.Coalesce, seed, compactions, rid, mirror(th))
 			}
 		}
 	}
@@ -95,7 +118,7 @@ func TestRecoveredRFMatchesMirror(t *testing.T) {
 // TestInspectLogsDecodesRecord crashes a thread mid-FASE holding five
 // locks (four in the header line, one in the tail of the log) — before
 // its first store, after it, and after a compaction — and checks what
-// InspectLogs and the recovery audit decode: nothing to resume and five
+// idolog.Inspect and the recovery audit decode: nothing to resume and five
 // holders to scrub in the first case; pair count, base flag, register
 // file and holders in the others.
 func TestInspectLogsDecodesRecord(t *testing.T) {
@@ -116,7 +139,7 @@ func TestInspectLogsDecodesRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 		var holders []uint64
-		for i := 0; i < hdrSlots+1; i++ {
+		for i := 0; i < 5; i++ {
 			l, err := lm.Create()
 			if err != nil {
 				t.Fatal(err)
@@ -139,6 +162,7 @@ func TestInspectLogsDecodesRecord(t *testing.T) {
 				th.Boundary(0x401, persist.RV(2, uint64(i)), persist.RV(3, uint64(100+i)))
 			}
 			th.Boundary(0x402, persist.RV(1, 99))
+			th.Store64(cell, 8) // region 0x402's store publishes it
 			wantPairs = []persist.RegVal{persist.RV(1, 99)}
 			wantRF[1], wantRF[2], wantRF[3] = 99, 30, 130
 			wantWords = 1 + persist.MaxOutputs
@@ -147,7 +171,7 @@ func TestInspectLogsDecodesRecord(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		logs := InspectLogs(reg2)
+		logs := inspect(t, reg2)
 		if len(logs) != 1 {
 			t.Fatalf("%d logs, want 1", len(logs))
 		}
@@ -157,7 +181,7 @@ func TestInspectLogsDecodesRecord(t *testing.T) {
 		}
 		if (e.RegionID != 0) != tc.stored || e.BaseValid != compacted ||
 			!reflect.DeepEqual(e.Pairs, wantPairs) || !reflect.DeepEqual(e.RF, wantRF) || !reflect.DeepEqual(e.Locks, holders) {
-			t.Fatalf("%+v: InspectLogs decoded %+v;\nwant pairs %v, rf %v, locks %#x", tc, e, wantPairs, wantRF, holders)
+			t.Fatalf("%+v: Inspect decoded %+v;\nwant pairs %v, rf %v, locks %#x", tc, e, wantPairs, wantRF, holders)
 		}
 
 		lm2 := locks.NewManager(reg2)
@@ -184,7 +208,7 @@ func TestInspectLogsDecodesRecord(t *testing.T) {
 			if ta.Action != obs.AuditScrubbed || st.Resumed != 0 || gotRF != nil {
 				t.Fatalf("%+v: audit %+v, %d resumed; want the five lock records scrubbed and nothing resumed", tc, ta, st.Resumed)
 			}
-			if logs := InspectLogs(reg2); len(logs[0].Locks) != 0 {
+			if logs := inspect(t, reg2); len(logs[0].Locks) != 0 {
 				t.Fatalf("%+v: after the scrub the log still records %#x", tc, logs[0].Locks)
 			}
 			continue
@@ -242,7 +266,13 @@ func TestStaleSlotUnderClearedPCIsScrubbed(t *testing.T) {
 			return false
 		}()
 		nvm.ArmCrash(-1)
-		if !died || f.reg.Dev.Load64(a.(*Thread).log+logPC) != 0 {
+		aPC := ^uint64(0)
+		for _, e := range inspect(t, f.reg) {
+			if e.ThreadID == a.ID() {
+				aPC = e.PC
+			}
+		}
+		if !died || aPC != 0 {
 			t.Fatalf("A did not die between its pc clear and its slot write-back (died=%v)", died)
 		}
 		f.lock.Release() // A's release: the mutex changes hands with the clear un-drained
@@ -252,7 +282,7 @@ func TestStaleSlotUnderClearedPCIsScrubbed(t *testing.T) {
 
 		f2 := f.reopen(t, mode, rand.New(rand.NewSource(1)))
 		live := 0
-		for _, e := range InspectLogs(f2.reg) {
+		for _, e := range inspect(t, f2.reg) {
 			if e.RegionID != 0 && len(e.Locks) > 0 {
 				live++
 			}

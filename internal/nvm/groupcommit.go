@@ -45,8 +45,7 @@ import "sync/atomic"
 
 // GroupCommitConfig selects drain sharing on a device.
 type GroupCommitConfig struct {
-	// Enabled lets Fence (and so FenceBatch and PersistBatch) return on
-	// another thread's drain. When false every fence drains itself.
+	// Enabled lets Fence return on another thread's drain. When false every fence drains itself.
 	Enabled bool
 
 	// WindowNS is obsolete: there is no leader and no batch window. The
@@ -89,15 +88,3 @@ func (d *Device) GroupCommitStats() GCStats {
 	s.ServedFASEs = s.Epochs + s.Combined
 	return s
 }
-
-// PersistBatch makes the cache lines in lines durable: FlushLines, then
-// Fence. The write-backs are always the caller's own; only the drain
-// may be shared.
-func (d *Device) PersistBatch(lines []uint64) {
-	d.FlushLines(lines)
-	d.Fence()
-}
-
-// FenceBatch is Fence. Runtimes call it where a commit's fence may be
-// shared, which with GroupCommit.Enabled is every fence.
-func (d *Device) FenceBatch() { d.Fence() }

@@ -63,7 +63,13 @@ func survives(fn func()) (returned bool) {
 	return true
 }
 
-// commitAsync runs store → PersistBatch on one private line per
+// persist is a commit's epilogue: write back the lines, fence.
+func persist(d *Device, lines ...uint64) {
+	d.FlushLines(lines)
+	d.Fence()
+}
+
+// commitAsync runs store → persist on one private line per
 // goroutine (3 device events each) and reports each committer's
 // survives outcome.
 func commitAsync(d *Device, n int) (results chan bool) {
@@ -73,7 +79,7 @@ func commitAsync(d *Device, n int) (results chan bool) {
 			results <- survives(func() {
 				addr := uint64(g) * 64
 				d.Store64(addr, uint64(g)+11)
-				d.PersistBatch([]uint64{addr})
+				persist(d, addr)
 			})
 		}(g)
 	}
@@ -98,14 +104,14 @@ func collect(t *testing.T, results chan bool, n int) (returned, died int) {
 	return returned, died
 }
 
-// TestGroupCommitDisabledIsDirect: with sharing off, PersistBatch and
-// FenceBatch are FlushLines+Fence and Fence, one drain each.
+// TestGroupCommitDisabledIsDirect: with sharing off every fence drains
+// itself.
 func TestGroupCommitDisabledIsDirect(t *testing.T) {
 	d := New(Config{Size: 1 << 20})
 	d.Store64(0, 1)
 	d.Store64(64, 2)
-	d.PersistBatch([]uint64{0, 64})
-	d.FenceBatch()
+	persist(d, 0, 64)
+	d.Fence()
 	st := d.Stats()
 	if st.Flushes != 2 || st.Fences != 2 {
 		t.Fatalf("flushes=%d fences=%d, want 2/2", st.Flushes, st.Fences)
@@ -126,14 +132,14 @@ func soloScript(d *Device) {
 		d.Store64(a+8, i+101)
 		switch i % 3 {
 		case 0:
-			d.PersistBatch([]uint64{a})
+			persist(d, a)
 		case 1:
 			d.CLWB(a)
 			d.Fence()
 		case 2:
 			d.StoreNT(a+16, i+201)
 			d.FlushLines([]uint64{a})
-			d.FenceBatch()
+			d.Fence()
 		}
 	}
 }
@@ -284,14 +290,7 @@ func TestGroupCommitHammer(t *testing.T) {
 				d.Store64(addr, uint64(g*rounds+r)+1)
 				d.FlushLines([]uint64{addr})
 				begun := f.started.Load() // drains begun before this commit's write-backs finished
-				switch r % 3 {
-				case 0:
-					d.Fence()
-				case 1:
-					d.FenceBatch()
-				case 2:
-					d.PersistBatch(nil)
-				}
+				d.Fence()
 				if f.done.Load() <= begun {
 					uncovered.Add(1)
 				}
@@ -352,7 +351,7 @@ func TestGroupCommitLeaderCrashWakesParked(t *testing.T) {
 				t.Fatal("Crash left the fence token held")
 			}
 			d.Store64(512, 9)
-			d.PersistBatch([]uint64{512})
+			persist(d, 512)
 			d.assertPersisted(t, 512, 9)
 		})
 	}
@@ -407,7 +406,7 @@ func TestGroupCommitCrashMidBatchResets(t *testing.T) {
 		t.Fatalf("unflushed word survived discard: %d", got)
 	}
 	d.Store64(128, 9)
-	d.PersistBatch([]uint64{128})
+	persist(d, 128)
 	d.assertPersisted(t, 128, 9)
 }
 
@@ -424,7 +423,7 @@ func TestGroupCommitWindowDwell(t *testing.T) {
 			for r := 0; r < 50; r++ {
 				addr := uint64(g*50+r) * 64
 				d.Store64(addr, uint64(g*50+r)+1)
-				d.PersistBatch([]uint64{addr})
+				persist(d, addr)
 			}
 		}(g)
 	}

@@ -21,10 +21,12 @@ const (
 	// magic is "iDOREG" plus a format version. v2: append-only iDO log
 	// records and lock slots in the log header (internal/core), key→shard
 	// placement by the server's current hash. v3: the register plans of
-	// the kv stores' store-only regions (kv/memcache, kv/redis). An image
-	// of an older build must not attach: its logs would be mis-decoded by
-	// Recover, or resumed with the wrong registers.
-	magic    = 0x69444F5245470003
+	// the kv stores' store-only regions (kv/memcache, kv/redis). v4: the
+	// log's second word carries its register capacity and word stride
+	// beside the thread id (internal/idolog), and the VM's logs share the
+	// layout. An image of an older build must not attach: its logs would
+	// be mis-decoded by Recover, or resumed with the wrong registers.
+	magic    = 0x69444F5245470004
 	numRoots = 32
 	// Layout (byte offsets).
 	offMagic = 0

@@ -101,11 +101,11 @@ func TestOpenFileRejectsGarbage(t *testing.T) {
 }
 
 // TestOlderFormatImageFailsAttach: an image of an older format — v1 (fold
-// and ping-pong iDO logs, older key→shard placement) or v2 (kv regions
-// with other register plans) — must stop at Attach's bad-magic error, not
-// reach Recover.
+// and ping-pong iDO logs, older key→shard placement), v2 (kv regions
+// with other register plans) or v3 (logs without a capacity word) — must
+// stop at Attach's bad-magic error, not reach Recover.
 func TestOlderFormatImageFailsAttach(t *testing.T) {
-	for _, old := range []uint64{0x69444F5245470001, 0x69444F5245470002} {
+	for _, old := range []uint64{0x69444F5245470001, 0x69444F5245470002, 0x69444F5245470003} {
 		path := filepath.Join(t.TempDir(), "old.img")
 		if err := Create(1<<15, nvm.Config{}).SaveFile(path); err != nil {
 			t.Fatal(err)

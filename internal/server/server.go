@@ -7,7 +7,7 @@
 // zero-copy frames and hash each request to one of N shard pipelines; a
 // shard pipeline is a single goroutine owning one persist.Thread and one
 // store shard, executing FASEs back-to-back. Under load every shard has
-// a request in hand, so N commit streams hit PersistBatch/Fence
+// a request in hand, so N commit streams hit Fence
 // concurrently — exactly the overlap drain sharing turns into one
 // device drain for several commits. Responses complete out of order
 // across shards but are emitted in arrival order per connection through

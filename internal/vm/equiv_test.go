@@ -102,7 +102,7 @@ func runIrprogConformance(t *testing.T, mode Mode, legacy bool) observed {
 	reg := region.Create(1<<24, nvm.Config{})
 	lm := locks.NewManager(reg)
 	m := New(reg, lm, prog, mode)
-	m.Legacy = legacy
+	m.useLegacy(legacy)
 	m.SetCrashBudget(equivBudget)
 
 	stk, err := irprog.NewStack(reg, lm)
@@ -213,7 +213,7 @@ func runTraceConformance(t *testing.T, mode Mode, legacy bool) observed {
 	reg := region.Create(1<<22, nvm.Config{})
 	lm := locks.NewManager(reg)
 	m := New(reg, lm, c, mode)
-	m.Legacy = legacy
+	m.useLegacy(legacy)
 	m.SetCrashBudget(equivBudget)
 	hdr, err := reg.Alloc.Alloc(16)
 	if err != nil {
@@ -266,7 +266,7 @@ func TestEquivCrashRecoverSweep(t *testing.T) {
 	} {
 		run := func(legacy bool, budget int64) (crashedAt int, atCrash nvm.Stats, final uint64) {
 			w := build(t, tc.mode, compile.Config{})
-			w.m.Legacy = legacy
+			w.m.useLegacy(legacy)
 			th, err := w.m.NewThread()
 			if err != nil {
 				t.Fatal(err)
@@ -285,7 +285,7 @@ func TestEquivCrashRecoverSweep(t *testing.T) {
 			}
 			atCrash = w.reg.Dev.Stats()
 			w2 := w.reopen(t, tc.cm, rand.New(rand.NewSource(1)), tc.mode)
-			w2.m.Legacy = legacy
+			w2.m.useLegacy(legacy)
 			if _, err := w2.m.Recover(); err != nil {
 				t.Fatalf("mode %v budget %d: recover: %v", tc.mode, budget, err)
 			}

@@ -269,7 +269,7 @@ func TestFuzzDecodedVsLegacy(t *testing.T) {
 		for _, mode := range []Mode{ModeOrigin, ModeIDO, ModeJUSTDO} {
 			run := func(legacy bool) ([fuzzSlots]uint64, nvm.Stats, int64) {
 				m, reg, tbl := fuzzWorld(t, prog, mode, int64(trial))
-				m.Legacy = legacy
+				m.useLegacy(legacy)
 				m.SetCrashBudget(equivBudget)
 				th, err := m.NewThread()
 				if err != nil {
@@ -318,7 +318,7 @@ func TestFuzzDecodedCrashRecoverDifferential(t *testing.T) {
 		budget := int64(rng.Intn(300))
 		run := func(legacy bool) (bool, [fuzzSlots]uint64, int) {
 			m, reg, tbl := fuzzWorld(t, prog, ModeIDO, int64(trial))
-			m.Legacy = legacy
+			m.useLegacy(legacy)
 			th, err := m.NewThread()
 			if err != nil {
 				t.Fatal(err)
@@ -336,7 +336,7 @@ func TestFuzzDecodedCrashRecoverDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			m2 := New(reg2, locks.NewManager(reg2), prog, ModeIDO)
-			m2.Legacy = legacy
+			m2.useLegacy(legacy)
 			st, err := m2.Recover()
 			if err != nil {
 				t.Fatalf("trial %d: recover: %v\n%s", trial, err, src)

@@ -1,5 +1,5 @@
 // The legacy tree-walking interpreter, kept as the differential oracle
-// for the threaded-code engine (Machine.Legacy selects it). It walks
+// for the threaded-code engine (useLegacy plugs it into a Machine). It walks
 // ir.Func blocks directly, re-deriving per instruction everything the
 // decoder precomputes — operand classification, jump resolution, packed
 // recovery pcs — but calls the same protocol helpers in the same order,
@@ -10,16 +10,24 @@ package vm
 
 import (
 	"fmt"
+	"sort"
 
 	"github.com/ido-nvm/ido/internal/compile"
 	"github.com/ido-nvm/ido/internal/ir"
 )
 
+// useLegacy makes m run code on the tree-walking interpreter.
+func (m *Machine) useLegacy(on bool) {
+	if on {
+		m.legacy = (*Thread).runLegacy
+	}
+}
+
 // runLegacy interprets f starting at (block, idx) by walking the block
 // structure. Semantics of stopAtDepth match exec.
 func (t *Thread) runLegacy(f *ir.Func, block, idx, stopAtDepth int) []uint64 {
 	dev := t.m.Reg.Dev
-	fnIdx := t.m.funcIdx[f.Name]
+	fnIdx := sort.SearchStrings(t.m.funcNames, f.Name)
 	val := func(v ir.Value) uint64 {
 		if v.IsImm {
 			return v.Imm

@@ -8,41 +8,42 @@
 // flat instruction array (resolved jump offsets, pre-classified operands,
 // pre-packed recovery pcs — see internal/compile/decode.go), and the
 // engine in exec() walks it with a single dense-switch dispatch. The
-// original tree-walking interpreter survives in legacy.go, selected by
-// Machine.Legacy, as the differential oracle: both engines execute the
-// same instructions in the same order, so their device event counts and
-// crash-injection points are identical (asserted by equiv_test.go).
+// original tree-walking interpreter survives in this package's tests as
+// the differential oracle: both engines execute the same instructions in
+// the same order, so their device event counts and crash-injection
+// points are identical (asserted by equiv_test.go).
 //
 // Three runtime modes are implemented:
 //
 //   - ModeOrigin: no instrumentation (crash vulnerable);
-//   - ModeIDO: the iDO protocol — OpBoundary instructions log the region's
-//     input registers into fixed per-register NVM slots and advance the
-//     persistent recovery_pc with two fences; stores inside FASEs are
-//     tracked and written back at the next boundary; locks use indirect
-//     holders with a single fence (§III);
+//   - ModeIDO: the iDO protocol of internal/idolog, the one internal/core
+//     drives too — OpBoundary instructions hand the region's input
+//     registers (and the stack pointer, as one more register) to the
+//     thread's log, stores and lock operations go through it (§III);
 //   - ModeJUSTDO: JUSTDO logging — every mutation of program state inside
 //     a FASE (user stores and register definitions, since JUSTDO forbids
 //     register caching) writes a ⟨pc, addr, value⟩ record that is fenced
-//     durable before the mutation, costing two fences per mutation, plus
-//     two fences per lock operation.
+//     durable before the mutation, costing three fences per mutation, plus
+//     a fenced intention record per lock operation. It keeps its records
+//     and fences to itself and shares the log's header, lock_array and
+//     FASE bracket.
 //
-// Per-thread logs live in NVM; recovery walks the log list, re-acquires
-// locks through the indirect holders, restores the register file, jumps
-// to the logged location, and executes forward to the end of the FASE.
+// Per-thread logs live in NVM; recovery is idolog's walk, to which this
+// package supplies the jump: enter the decoded code at the logged
+// location with the restored register file and execute forward to the end
+// of the FASE.
 package vm
 
 import (
 	"fmt"
-	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"github.com/ido-nvm/ido/internal/compile"
+	"github.com/ido-nvm/ido/internal/idolog"
 	"github.com/ido-nvm/ido/internal/ir"
-	"github.com/ido-nvm/ido/internal/lineset"
 	"github.com/ido-nvm/ido/internal/locks"
 	"github.com/ido-nvm/ido/internal/nvm"
 	"github.com/ido-nvm/ido/internal/obs"
@@ -73,57 +74,27 @@ func (m Mode) String() string {
 	}
 }
 
-// MaxRegs bounds virtual registers per function (slot array size).
+// MaxRegs bounds virtual registers per function. A thread's log has one
+// register more: the stack pointer is logged as register MaxRegs.
 const MaxRegs = 120
 
-// Per-thread VM log layout (64-aligned, byte offsets).
+// The words a VM thread keeps behind its log (byte offsets from
+// Log.Extra): the stack frame base, and for JUSTDO the lock intention
+// slot and two ping-pong ⟨addr, val⟩ record buffers, a cache line each.
 const (
-	lNext    = 0
-	lThread  = 8
-	lPC      = 16 // iDO: region ID; JUSTDO: encoded instruction pc. 0 = idle
-	lBits    = 24 // lock_array live bitmask
-	lSP      = 32 // logged stack pointer
-	lFrame   = 40 // stack frame base
-	lJDAddr  = 48 // JUSTDO: logged store target (record buffer 0)
-	lJDVal   = 56 // JUSTDO: logged store value (record buffer 0)
-	lIntent  = 64 // JUSTDO: lock intention slot
-	lJDAddr1 = 72 // JUSTDO: record buffer 1 (ping-pong with buffer 0)
-	lJDVal1  = 80
-	lSlots   = 128
-	lLocks   = lSlots + MaxRegs*8
-	numLk    = 16
-	lStage   = lLocks + numLk*8 // two ping-pong boundary records
-	stageCap = 32
-	logSize  = lStage + 2*stageCap*16
+	xFrame    = 0
+	xIntent   = 8
+	xJDRec    = 64
+	extraSize = xJDRec + 2*nvm.LineSize
 )
-
-// stageAt returns the base of boundary-record buffer buf (0 or 1).
-func stageAt(log uint64, buf int) uint64 { return log + lStage + uint64(buf)*stageCap*16 }
-
-// vmPack packs an iDO region ID, its boundary-record pair count, and the
-// active record buffer so one atomic pc write publishes all three
-// (compile keeps region IDs < 2^48). Records ping-pong between two
-// buffers so the record the current pc points at is never mutated.
-func vmPack(regionID uint64, n, buf int) uint64 {
-	return regionID | uint64(n)<<48 | uint64(buf)<<56
-}
-
-func vmUnpack(pc uint64) (regionID uint64, n, buf int) {
-	return pc & (1<<48 - 1), int(pc >> 48 & 0xFF), int(pc >> 56 & 1)
-}
 
 // jdBufBit rides in the published JUSTDO pc word (compile.PackPC only
 // uses bits 0..62), naming the record buffer the pc refers to.
 const jdBufBit = uint64(1) << 63
 
-// jdRecAt returns the base of JUSTDO record buffer buf (0 or 1): the
+// jdRec returns the base of JUSTDO record buffer buf (0 or 1): the
 // ⟨addr, val⟩ pair the published pc's logged store lives in.
-func jdRecAt(log uint64, buf int) uint64 {
-	if buf == 0 {
-		return log + lJDAddr
-	}
-	return log + lJDAddr1
-}
+func (t *Thread) jdRec(buf int) uint64 { return t.Extra() + xJDRec + uint64(buf)*nvm.LineSize }
 
 // errCrash unwinds execution when the crash budget hits zero.
 type errCrash struct{}
@@ -137,14 +108,12 @@ type Machine struct {
 	LM   *locks.Manager
 	Prog *compile.Compiled
 	Mode Mode
-	// Legacy selects the retained tree-walking interpreter instead of
-	// the threaded-code engine. Both execute the same instruction
-	// sequence with identical device events; legacy exists as the
-	// differential-testing oracle and is not optimized.
-	Legacy bool
+
+	// legacy, when set, runs code in place of exec: this package's tests
+	// plug the tree-walking interpreter in here as the differential oracle.
+	legacy func(t *Thread, f *ir.Func, block, idx, stopAtDepth int) []uint64
 
 	funcNames []string
-	funcIdx   map[string]int
 	code      map[string]*compile.DecodedFunc
 
 	crashArmed  atomic.Bool
@@ -155,8 +124,6 @@ type Machine struct {
 	mu      sync.Mutex
 	threads []*Thread
 	nextID  int
-
-	stats persist.RuntimeStats
 }
 
 // New creates a machine. The program must come from compile.Program so
@@ -167,15 +134,13 @@ type Machine struct {
 func New(reg *region.Region, lm *locks.Manager, prog *compile.Compiled, mode Mode) *Machine {
 	m := &Machine{
 		Reg: reg, LM: lm, Prog: prog, Mode: mode,
-		funcIdx: map[string]int{},
-		code:    map[string]*compile.DecodedFunc{},
+		code: map[string]*compile.DecodedFunc{},
 	}
 	for name := range prog.Funcs {
 		m.funcNames = append(m.funcNames, name)
 	}
 	sort.Strings(m.funcNames)
 	for i, n := range m.funcNames {
-		m.funcIdx[n] = i
 		cf := prog.Funcs[n]
 		if cf.Code != nil && cf.Code.FnIdx == i {
 			m.code[n] = cf.Code
@@ -192,8 +157,9 @@ func New(reg *region.Region, lm *locks.Manager, prog *compile.Compiled, mode Mod
 }
 
 // SetCrashBudget arms crash injection: execution aborts with ErrCrashed
-// after n more VM events (instructions and persistence protocol phases)
-// across ALL threads — once the budget is spent the whole machine is
+// after n more VM events (instructions, and the phases of JUSTDO's
+// protocol; a crash inside the iDO log protocol is the device's to
+// inject) across ALL threads — once the budget is spent the whole machine is
 // "powered off" and every thread dies at its next event, including
 // threads blocked on locks. Negative disables injection.
 //
@@ -248,7 +214,7 @@ func (t *Thread) tickSlow() {
 	}
 	if got <= 0 {
 		m.crashed.Store(true)
-		t.rc.Emit(obs.KCrashInject, uint64(t.id), 0)
+		t.Ring().Emit(obs.KCrashInject, uint64(t.ID()), 0)
 		panic(errCrash{})
 	}
 	t.ticks = got - 1 // this event consumes one of the reserved batch
@@ -258,9 +224,9 @@ func (t *Thread) tickSlow() {
 func (m *Machine) Stats() persist.RuntimeStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := m.stats
+	var out persist.RuntimeStats
 	for _, t := range m.threads {
-		out.Add(&t.stats)
+		out.Add(&t.Stats)
 	}
 	return out
 }
@@ -279,32 +245,23 @@ func (m *Machine) Trace() []uint64 {
 	return out
 }
 
-// Thread is one VM execution context with its persistent log and NVM
-// stack frame.
+// Thread is one VM execution context: its persistent log, its NVM stack
+// frame and its volatile register file.
 type Thread struct {
-	m   *Machine
-	id  int
-	log uint64
+	idolog.Log
+	m *Machine
 
 	frame, sp uint64
 	rf        [MaxRegs]uint64
 
-	lockDepth  int
-	durDepth   int
-	slots      [numLk]uint64
-	bits       uint64
-	recovering bool
+	originDepth int // ModeOrigin keeps no log: locks held plus open durable sections
 
 	ticks   int64  // remaining crash-budget allotment
 	tickGen uint64 // crashGen the allotment belongs to
 
-	dirty          lineset.Set      // iDO: lines dirtied in the current region
-	dirtySlots     []uint64         // JUSTDO: slot lines written outside FASEs
-	staged         []persist.RegVal // iDO: current boundary record
-	curBuf         int              // iDO: active record buffer
-	jdBuf          int              // JUSTDO: active ⟨addr, val⟩ record buffer
-	storesInRegion int
-	inRegion       bool
+	outs       []persist.RegVal // iDO: boundary output scratch
+	dirtySlots []uint64         // JUSTDO: slot lines written outside FASEs
+	jdBuf      int              // JUSTDO: active ⟨addr, val⟩ record buffer
 
 	// retBuf is the reusable return-value buffer DRet fills; the slice
 	// Call hands back aliases it and is valid until the thread's next
@@ -312,49 +269,33 @@ type Thread struct {
 	// one allocation the dispatch loop had.
 	retBuf []uint64
 
-	// rc is this thread's event ring; nil when tracing is off (nil-ring
-	// methods are one-compare no-ops).
-	rc           *obs.Ring
-	curRegion    uint64 // open region's ID, for trace labels
-	regionT0     int64  // tracer clock at the open of the current region
-	faseT0       int64  // tracer clock at FASE entry
-	faseLogBytes uint64 // log payload written during the current FASE
-
 	trace []uint64 // OpPrint output, merged by Machine.Trace
-
-	stats persist.RuntimeStats
 }
 
 const frameSize = 4096
 
-// NewThread registers an execution context, allocating its NVM log and
-// stack frame and linking the log into the persistent list.
+// NewThread registers an execution context: its NVM stack frame and its
+// log, one register slot per virtual register and one for the stack
+// pointer, on the region's log list.
 func (m *Machine) NewThread() (*Thread, error) {
-	raw, err := m.Reg.Alloc.Alloc(logSize + nvm.LineSize)
-	if err != nil {
-		return nil, fmt.Errorf("vm: allocating log: %w", err)
-	}
-	log := (raw + nvm.LineSize - 1) &^ (nvm.LineSize - 1)
 	frame, err := m.Reg.Alloc.Alloc(frameSize)
 	if err != nil {
 		return nil, fmt.Errorf("vm: allocating stack frame: %w", err)
 	}
-	dev := m.Reg.Dev
 	m.mu.Lock()
-	id := m.nextID
-	m.nextID++
-	dev.Store64(log+lThread, uint64(id))
-	dev.Store64(log+lPC, 0)
-	dev.Store64(log+lBits, 0)
-	dev.Store64(log+lFrame, frame)
-	dev.Store64(log+lNext, m.Reg.Root(region.RootIDOHead))
-	dev.PersistRange(log, logSize)
+	defer m.mu.Unlock()
+	t := &Thread{m: m, frame: frame, sp: frame}
+	if err := t.Create(m.Reg, "vm-"+m.Mode.String(), m.nextID, MaxRegs+1, 8, extraSize, m.Mode == ModeJUSTDO); err != nil {
+		return nil, err
+	}
+	// The frame base only matters to a resumed FASE, and none can publish
+	// before this fence.
+	dev := m.Reg.Dev
+	dev.Store64(t.Extra()+xFrame, frame)
+	dev.CLWB(t.Extra() + xFrame)
 	dev.Fence()
-	m.Reg.SetRoot(region.RootIDOHead, log)
-	t := &Thread{m: m, id: id, log: log, frame: frame, sp: frame}
-	t.rc = dev.Tracer().ThreadRing(fmt.Sprintf("vm-%s/t%d", m.Mode, id))
+	m.nextID++
 	m.threads = append(m.threads, t)
-	m.mu.Unlock()
 	return t, nil
 }
 
@@ -390,12 +331,10 @@ func (t *Thread) Call(fn string, args ...uint64) (rets []uint64, err error) {
 		t.def(0, ir.Reg(i), a)
 	}
 	t.setSP(0, t.frame)
-	if t.m.Legacy {
-		rets = t.runLegacy(t.m.Prog.Funcs[fn].F, 0, 0, -1)
-	} else {
-		rets = t.exec(d, 0, -1)
+	if run := t.m.legacy; run != nil {
+		return run(t, t.m.Prog.Funcs[fn].F, 0, 0, -1), nil
 	}
-	return rets, nil
+	return t.exec(d, 0, -1), nil
 }
 
 // valA and valB read a pre-classified operand: the decoded field is the
@@ -419,7 +358,7 @@ func (t *Thread) valB(in *compile.DInstr) uint64 {
 // recovery path: "execute to the end of the current FASE"). Returns ret
 // values.
 //
-// Event equivalence with the legacy interpreter: one DInstr per ir
+// Event equivalence with the tree-walking oracle: one DInstr per ir
 // instruction, one tick before each handler, and the handlers call the
 // same protocol helpers — fall-through edges, which execute no
 // instruction in either engine, are the only control transfers that
@@ -554,7 +493,13 @@ func b2i(b bool) uint64 {
 	return 0
 }
 
-func (t *Thread) depth() int { return t.lockDepth + t.durDepth }
+// depth is the FASE nesting depth: locks held plus open durable sections.
+func (t *Thread) depth() int {
+	if t.m.Mode == ModeOrigin {
+		return t.originDepth
+	}
+	return t.Depth()
+}
 
 func (t *Thread) inFASE() bool { return t.depth() > 0 }
 
@@ -568,21 +513,26 @@ func (t *Thread) inFASE() bool { return t.depth() > 0 }
 func (t *Thread) def(pc uint64, r ir.Reg, v uint64) {
 	t.rf[r] = v
 	if t.m.Mode == ModeJUSTDO {
-		t.defSlot(pc, r, v)
+		t.defSlot(pc, int(r), v)
 	}
 }
 
-func (t *Thread) defSlot(pc uint64, r ir.Reg, v uint64) {
-	slot := t.log + lSlots + uint64(r)*8
+func (t *Thread) setSP(pc uint64, sp uint64) {
+	t.sp = sp
+	if t.m.Mode == ModeJUSTDO {
+		t.defSlot(pc, MaxRegs, sp)
+	}
+}
+
+// defSlot writes register r's (MaxRegs: the stack pointer's) NVM slot,
+// which a raw log keeps in the base image.
+func (t *Thread) defSlot(pc uint64, r int, v uint64) {
+	slot := t.RegAddr(r)
 	if t.inFASE() {
 		t.justdoLoggedStore(pc, slot, v)
-	} else {
-		t.m.Reg.Dev.Store64(slot, v)
-		t.trackSlot(slot)
+		return
 	}
-}
-
-func (t *Thread) trackSlot(slot uint64) {
+	t.m.Reg.Dev.Store64(slot, v)
 	line := slot &^ (nvm.LineSize - 1)
 	for _, l := range t.dirtySlots {
 		if l == line {
@@ -592,33 +542,26 @@ func (t *Thread) trackSlot(slot uint64) {
 	t.dirtySlots = append(t.dirtySlots, line)
 }
 
-func (t *Thread) setSP(pc uint64, sp uint64) {
-	t.sp = sp
-	if t.m.Mode == ModeJUSTDO {
-		if t.inFASE() {
-			t.justdoLoggedStore(pc, t.log+lSP, sp)
-		} else {
-			t.m.Reg.Dev.Store64(t.log+lSP, sp)
-			t.trackSlot(t.log + lSP)
-		}
+// flushSlots writes back the register slots dirtied outside FASEs; the
+// caller's fence makes them durable before the FASE reads them.
+func (t *Thread) flushSlots() {
+	for _, line := range t.dirtySlots {
+		t.m.Reg.Dev.CLWB(line)
 	}
+	t.dirtySlots = t.dirtySlots[:0]
 }
 
 // store writes persistent data under the active mode's discipline.
 func (t *Thread) store(pc uint64, addr, v uint64) {
-	dev := t.m.Reg.Dev
 	switch {
+	case t.m.Mode == ModeIDO:
+		t.Store64(addr, v)
 	case t.m.Mode == ModeJUSTDO && t.inFASE():
 		t.justdoLoggedStore(pc, addr, v)
-	case t.m.Mode == ModeIDO && t.inFASE():
-		dev.Store64(addr, v)
-		t.dirty.Add(addr &^ (nvm.LineSize - 1))
-		t.storesInRegion++
-		t.stats.Stores++
 	default:
-		dev.Store64(addr, v)
+		t.m.Reg.Dev.Store64(addr, v)
 		if t.inFASE() {
-			t.stats.Stores++
+			t.Stats.Stores++
 		}
 	}
 }
@@ -637,29 +580,25 @@ func (t *Thread) store(pc uint64, addr, v uint64) {
 func (t *Thread) justdoLoggedStore(pc, addr, v uint64) {
 	dev := t.m.Reg.Dev
 	buf := 1 - t.jdBuf
-	rec := jdRecAt(t.log, buf)
+	rec := t.jdRec(buf)
 	dev.Store64(rec, addr)
 	dev.Store64(rec+8, v)
 	dev.CLWB(rec)
 	dev.Fence()
-	// Single-event pc publish, for the same adversary-independence reason
-	// as the iDO boundary (see Thread.boundary): the record in the
-	// inactive buffer is already durable, so the NT store alone decides
-	// whether this logged store exists.
-	dev.StoreNT(t.log+lPC, pc|uint64(buf)<<63)
+	// The record in the inactive buffer is already durable, so the log's
+	// single NT store alone decides whether this logged store exists.
+	t.Publish(pc | uint64(buf)<<63)
 	dev.Fence()
 	t.jdBuf = buf
 	t.tick()
 	dev.Store64(addr, v)
 	dev.CLWB(addr)
 	dev.Fence()
-	t.stats.Stores++
-	t.stats.LoggedEntries++
-	t.stats.LoggedBytes += 24
-	t.faseLogBytes += 24
-	t.stats.Regions++
-	t.stats.StoresPerRegion[1]++
-	t.rc.Emit(obs.KLogAppend, 24, pc)
+	t.Stats.Stores++
+	t.Logged(24)
+	t.Stats.Regions++
+	t.Stats.StoresPerRegion[1]++
+	t.Ring().Emit(obs.KLogAppend, 24, pc)
 }
 
 // beginDurable enters a durable section. JUSTDO's FASE entry must find
@@ -667,126 +606,50 @@ func (t *Thread) justdoLoggedStore(pc, addr, v uint64) {
 // dirty slot lines are flushed here (the lock path does the same inside
 // its intention fence).
 func (t *Thread) beginDurable() {
-	if t.m.Mode == ModeJUSTDO && !t.inFASE() {
-		dev := t.m.Reg.Dev
-		for _, line := range t.dirtySlots {
-			dev.CLWB(line)
-		}
-		t.dirtySlots = t.dirtySlots[:0]
-		dev.Fence()
+	switch {
+	case t.m.Mode == ModeOrigin:
+		t.originDepth++
+		return
+	case t.m.Mode == ModeJUSTDO && !t.inFASE():
+		t.flushSlots()
+		t.m.Reg.Dev.Fence()
 	}
-	if t.rc != nil && t.durDepth == 0 && t.lockDepth == 0 {
-		t.faseT0 = t.rc.Clock()
-		t.faseLogBytes = 0
-	}
-	t.durDepth++
+	t.BeginDurable()
 }
 
-// closeRegion accounts for the iDO region that just ended and emits its
-// trace span.
-func (t *Thread) closeRegion() {
-	if !t.inRegion {
+func (t *Thread) endDurable() {
+	if t.m.Mode != ModeOrigin {
+		t.EndDurable()
 		return
 	}
-	b := t.storesInRegion
-	if b >= persist.HistStores {
-		b = persist.HistStores - 1
+	if t.originDepth == 0 {
+		panic("vm: end_durable below depth 0")
 	}
-	t.stats.StoresPerRegion[b]++
-	t.stats.Regions++
-	if t.rc != nil {
-		now := t.rc.Clock()
-		t.rc.Span(obs.KRegion, t.curRegion, uint64(t.storesInRegion), t.regionT0)
-		t.rc.Observe(obs.HRegionNS, uint64(now-t.regionT0))
-		t.rc.Observe(obs.HRegionStores, uint64(t.storesInRegion))
-	}
-	t.inRegion = false
-	t.storesInRegion = 0
+	t.originDepth--
 }
 
-// persistDirty writes back the region's dirty lines (FlushLines charges
-// the same per-line event sequence the legacy per-line-CLWB oracle
-// produces), orders them with a persist fence, and empties the set.
-// With group commit enabled on the device the flush+fence may be merged
-// into another thread's batch.
-func (t *Thread) persistDirty() {
-	t.m.Reg.Dev.PersistBatch(t.dirty.Lines())
-	t.dirty.Reset()
-}
-
-// boundary implements the iDO three-step protocol for an OpBoundary.
-// The new pairs go into a staged record (internal/core has since moved
-// to an append-only log, see README.md here) that is
-// published atomically with recovery_pc and folded into the fixed
-// per-register slots by the NEXT boundary, so a crash between the two
-// fences can never clobber a live-in of the still-current region.
-// (The stack pointer is staged alongside; restoring a slightly-later sp
-// merely wastes frame space, since a resumed region re-allocates its
-// stack slots afresh.)
+// boundary hands an OpBoundary's registers to the log, and with them the
+// stack pointer whenever it is not where the FASE last logged it (never
+// logged: at the frame base, which the log keeps too). Within a FASE it
+// only grows, and a resumed region re-allocates its stack slots afresh
+// from the value its entry logged.
 func (t *Thread) boundary(id uint64, regs []ir.Reg) {
 	if t.m.Mode != ModeIDO {
 		return
 	}
-	if len(regs) > stageCap {
-		panic(fmt.Sprintf("vm: boundary %#x logs %d registers (max %d)", id, len(regs), stageCap))
-	}
-	dev := t.m.Reg.Dev
-	// Close the ending region's statistics.
-	t.closeRegion()
-	// Step 1a: fold the previous record into the fixed slots.
-	for _, s := range t.staged {
-		sa := t.log + lSlots + uint64(s.Reg)*8
-		dev.Store64(sa, s.Val)
-		dev.CLWB(sa)
-	}
-	t.staged = t.staged[:0]
-	// Step 1b: write this boundary's record into the inactive buffer
-	// (persist coalescing: pairs pack two to a line), the stack pointer,
-	// and the ending region's dirty data lines; fence.
-	buf := 1 - t.curBuf
-	sb := stageAt(t.log, buf)
-	pa := sb
+	out := t.outs[:0]
 	for _, r := range regs {
-		dev.Store64(pa, uint64(r))
-		dev.Store64(pa+8, t.rf[r])
-		t.staged = append(t.staged, persist.RegVal{Reg: int(r), Val: t.rf[r]})
-		pa += 16
+		out = append(out, persist.RV(int(r), t.rf[r]))
 	}
-	if len(regs) > 0 {
-		dev.PersistRange(sb, uint64(len(regs))*16)
+	logged := t.Reg(MaxRegs)
+	if logged == 0 {
+		logged = t.frame
 	}
-	// A single sp word suffices: within a FASE the stack pointer only
-	// grows, and resuming with a slightly-later sp merely wastes frame.
-	dev.Store64(t.log+lSP, t.sp)
-	dev.CLWB(t.log + lSP)
-	t.persistDirty() // flush + fence, group-commit batchable
-	t.tick()
-	// Step 2: publish recovery_pc packed with record size and buffer. A
-	// non-temporal store makes the publish a single durable event — a
-	// cached store plus write-back would leave a window where the crash
-	// adversary decides whether the pc landed, and at a FASE's entry
-	// boundary that choice is "FASE never started" vs "FASE resumes",
-	// which would break recovery's adversary-independence (§III-C).
-	dev.StoreNT(t.log+lPC, vmPack(id, len(regs), buf))
-	dev.FenceBatch()
-	t.curBuf = buf
-	t.stats.LoggedEntries++
-	logBytes := uint64(len(regs))*8 + 8
-	t.stats.LoggedBytes += logBytes
-	t.faseLogBytes += logBytes
-	n := len(regs)
-	if n >= persist.HistOutputs {
-		n = persist.HistOutputs - 1
+	if t.sp != logged {
+		out = append(out, persist.RV(MaxRegs, t.sp))
 	}
-	t.stats.OutputsPerRegion[n]++
-	if t.rc != nil {
-		t.rc.Emit(obs.KBoundary, id, uint64(len(regs)))
-		t.rc.Observe(obs.HOutputsPerRegion, uint64(len(regs)))
-		t.regionT0 = t.rc.Clock()
-	}
-	t.curRegion = id
-	t.storesInRegion = 0
-	t.inRegion = true
+	t.outs = out
+	t.Boundary(id, out...)
 }
 
 // acquire takes the mutex; with crash injection armed it spins so a
@@ -804,146 +667,52 @@ func (t *Thread) acquire(l *locks.Lock) {
 	}
 }
 
-// slotOf probes only the live holder slots, guided by the bits mask
-// (slots[i] != 0 exactly when bit i is set).
-func (t *Thread) slotOf(holder uint64) int {
-	for m := t.bits; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		if t.slots[i] == holder {
-			return i
-		}
-	}
-	return -1
-}
-
-// freeSlot returns the lowest empty holder slot, or -1 when full.
-func (t *Thread) freeSlot() int {
-	if i := bits.TrailingZeros64(^t.bits); i < numLk {
-		return i
-	}
-	return -1
-}
-
-// lock implements the per-mode acquire protocol.
+// lock acquires l and records it in the thread's log. JUSTDO first
+// persists its intention to acquire, with the pre-FASE register slots
+// under the same fence, and fences the record at once.
 func (t *Thread) lock(l *locks.Lock) {
-	if t.slotOf(l.Holder()) >= 0 {
-		if !t.recovering {
-			panic("vm: recursive lock outside recovery")
-		}
+	if t.m.Mode == ModeOrigin {
+		t.acquire(l)
+		t.originDepth++
 		return
 	}
-	dev := t.m.Reg.Dev
+	if t.Reacquired(l) {
+		return
+	}
+	dev, intent := t.m.Reg.Dev, t.Extra()+xIntent
 	if t.m.Mode == ModeJUSTDO {
-		dev.Store64(t.log+lIntent, l.Holder())
-		dev.CLWB(t.log + lIntent)
-		for _, line := range t.dirtySlots {
-			dev.CLWB(line)
-		}
-		t.dirtySlots = t.dirtySlots[:0]
+		dev.Store64(intent, l.Holder())
+		dev.CLWB(intent)
+		t.flushSlots()
 		dev.Fence()
 		t.tick()
 	}
 	t.acquire(l)
-	slot := t.freeSlot()
-	if slot < 0 {
-		panic("vm: lock array overflow")
+	t.Acquired(l)
+	if t.m.Mode == ModeJUSTDO {
+		dev.Store64(intent, 0)
+		t.Fence()
 	}
-	t.slots[slot] = l.Holder()
-	t.bits |= 1 << uint(slot)
-	if t.m.Mode != ModeOrigin {
-		sa := t.log + lLocks + uint64(slot)*8
-		dev.Store64(sa, l.Holder())
-		dev.Store64(t.log+lBits, t.bits)
-		if t.m.Mode == ModeJUSTDO {
-			dev.Store64(t.log+lIntent, 0)
-		}
-		dev.CLWB(sa)
-		dev.CLWB(t.log + lBits)
-		dev.Fence()
-	}
-	if t.rc != nil {
-		if t.lockDepth == 0 && t.durDepth == 0 {
-			t.faseT0 = t.rc.Clock()
-			t.faseLogBytes = 0
-		}
-		t.rc.Emit(obs.KLockAcq, l.Holder(), 0)
-	}
-	t.lockDepth++
 }
 
-// unlock implements the per-mode release protocol, with the same
-// crash-ordering rules as the native runtime: at the FASE's final release
-// the data is fenced durable and recovery_pc cleared before the slot is
-// dropped and the mutex released.
+// unlock releases l under the log's rules: the FASE's final release makes
+// its data durable and clears recovery_pc before the slot is dropped and
+// the mutex released. JUSTDO persists its intention first.
 func (t *Thread) unlock(l *locks.Lock) {
-	slot := t.slotOf(l.Holder())
-	if slot < 0 {
-		if t.recovering {
-			return
+	if t.m.Mode == ModeOrigin {
+		if t.originDepth--; t.originDepth == 0 {
+			t.Stats.FASEs++
 		}
-		panic("vm: unlocking a lock not held")
+		l.Release()
+		return
 	}
-	dev := t.m.Reg.Dev
-	last := t.lockDepth == 1 && t.durDepth == 0
-	if t.m.Mode == ModeJUSTDO {
-		dev.Store64(t.log+lIntent, l.Holder())
-		dev.CLWB(t.log + lIntent)
+	if t.m.Mode == ModeJUSTDO && !t.Released(l) {
+		dev, intent := t.m.Reg.Dev, t.Extra()+xIntent
+		dev.Store64(intent, l.Holder())
+		dev.CLWB(intent)
 		dev.Fence()
 		t.tick()
+		dev.Store64(intent, 0)
 	}
-	if last && t.m.Mode != ModeOrigin {
-		if t.m.Mode == ModeIDO {
-			t.closeRegion()
-			t.persistDirty()
-			t.tick()
-		}
-		dev.StoreNT(t.log+lPC, 0)
-		dev.FenceBatch()
-	}
-	t.slots[slot] = 0
-	t.bits &^= 1 << uint(slot)
-	if t.m.Mode != ModeOrigin {
-		sa := t.log + lLocks + uint64(slot)*8
-		dev.Store64(sa, 0)
-		dev.Store64(t.log+lBits, t.bits)
-		if t.m.Mode == ModeJUSTDO {
-			dev.Store64(t.log+lIntent, 0)
-		}
-		dev.CLWB(sa)
-		dev.CLWB(t.log + lBits)
-		dev.Fence()
-	}
-	t.rc.Emit(obs.KLockRel, l.Holder(), 0)
-	t.lockDepth--
-	if last {
-		t.stats.FASEs++
-		if t.rc != nil {
-			t.rc.Span(obs.KFASE, t.faseLogBytes, 0, t.faseT0)
-			t.rc.Observe(obs.HLogBytesPerFASE, t.faseLogBytes)
-		}
-	}
-	l.Release()
-}
-
-func (t *Thread) endDurable() {
-	if t.durDepth == 0 {
-		panic("vm: end_durable below depth 0")
-	}
-	dev := t.m.Reg.Dev
-	last := t.durDepth == 1 && t.lockDepth == 0
-	if last && t.m.Mode != ModeOrigin {
-		if t.m.Mode == ModeIDO {
-			t.closeRegion()
-			t.persistDirty()
-			t.tick()
-		}
-		dev.StoreNT(t.log+lPC, 0)
-		dev.FenceBatch()
-		t.stats.FASEs++
-	}
-	if last && t.rc != nil {
-		t.rc.Span(obs.KFASE, t.faseLogBytes, 0, t.faseT0)
-		t.rc.Observe(obs.HLogBytesPerFASE, t.faseLogBytes)
-	}
-	t.durDepth--
+	t.Unlock(l)
 }
