@@ -7,8 +7,8 @@
 //	idobench -exp fig5 -quick         # one experiment, smoke-scale
 //	idobench -exp fig7 -duration 1s -threads 1,2,4,8,16
 //
-// Experiments: fig5, fig6, fig7, fig8, table1, fig9, ablations, alloc,
-// obs, gc, server, serverread, all. See DESIGN.md for the
+// Experiments: fig5, fig6, fig7, fig8, table1, fig9, ablations, obs,
+// gc, server, serverread, all. See DESIGN.md for the
 // experiment index and EXPERIMENTS.md for paper-versus-measured notes.
 //
 // -workers N runs independent figure points through a bounded pool; -gc
@@ -33,7 +33,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig5|fig6|fig7|fig8|table1|fig9|ablations|alloc|obs|gc|server|serverread|all")
+	exp := flag.String("exp", "all", "experiment: fig5|fig6|fig7|fig8|table1|fig9|ablations|obs|gc|server|serverread|all")
 	quick := flag.Bool("quick", false, "smoke-scale parameters")
 	duration := flag.Duration("duration", 0, "override measurement interval per point")
 	threads := flag.String("threads", "", "override thread sweep, e.g. 1,2,4,8")
@@ -88,8 +88,6 @@ func main() {
 		_, err = bench.RunFig9(o)
 	case "ablations":
 		_, err = bench.RunAblations(o)
-	case "alloc":
-		_, err = bench.RunAlloc(o)
 	case "obs":
 		_, err = bench.RunObs(o)
 	case "gc":

@@ -227,7 +227,11 @@ func runChaos(replay, runtimeF, workloadF, modeStr string, seed int64, points in
 		if err != nil {
 			fatalf("%s: sweep diverged: %v\n(rerun in isolation with: idorecover -chaos -replay '<the schedule in the message above>')", rt, err)
 		}
-		fmt.Printf("%-10s %4d schedules converged; nesting-depth histogram %v\n", rt, st.Schedules, st.Depth)
+		fmt.Printf("%-10s %4d schedules converged; nesting-depth histogram %v", rt, st.Schedules, st.Depth)
+		if st.HeapAudited {
+			fmt.Printf("; %d leaked a heap block (at most %d bytes)", st.Leaked, st.LeakedBytes)
+		}
+		fmt.Println()
 		total += st.Schedules
 	}
 	fmt.Printf("chaos sweep: %d schedules converged across %d runtimes\n", total, len(rts))
@@ -250,6 +254,9 @@ func printChaosResult(res *chaos.Result) {
 		if a.Audit != nil {
 			fmt.Print(a.Audit)
 		}
+	}
+	if res.LeakedBlocks > 0 {
+		fmt.Printf("heap: the schedule's crashes leaked %d bytes in %d blocks\n", res.LeakedBytes, res.LeakedBlocks)
 	}
 	keys := make([]string, 0, len(res.Final))
 	for k := range res.Final {

@@ -239,54 +239,6 @@ func TestFig9ShapesQuick(t *testing.T) {
 	}
 }
 
-func TestAllocBenchQuick(t *testing.T) {
-	o := quick(t)
-	results, err := RunAlloc(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byT := map[int]map[string]AllocResult{}
-	maxT := 0
-	for _, r := range results {
-		if byT[r.Threads] == nil {
-			byT[r.Threads] = map[string]AllocResult{}
-		}
-		byT[r.Threads][r.Alloc] = r
-		if r.Threads > maxT {
-			maxT = r.Threads
-		}
-	}
-	if maxT < 16 {
-		t.Fatalf("sweep missing the 16-worker acceptance point: max %d", maxT)
-	}
-	// Uncontended, the magazine path must hold parity with the seed's
-	// single mutex (generous margin: short smoke windows are noisy).
-	one := byT[1]
-	if one["sharded"].OpsPS < one["mutex"].OpsPS*0.6 {
-		t.Fatalf("single-thread regression: sharded %.0f vs mutex %.0f ops/s",
-			one["sharded"].OpsPS, one["mutex"].OpsPS)
-	}
-	if one["sharded"].MagHit < 0.5 {
-		t.Fatalf("magazine hit rate %.0f%% — fast path not engaged", one["sharded"].MagHit*100)
-	}
-	// Contended, sharding must win outright. Full scale shows >10x and
-	// the ≥2x acceptance bar is gated on the captured benchmark suite;
-	// this smoke window on one core measures ~1.9-3x run to run, so the
-	// canary asserts 1.5x to stay outside its own noise band. Under the
-	// race detector the bar drops to rough parity — its serialization
-	// erases most of the contention gap — so the assertion survives the
-	// whole suite running with -race in parallel.
-	want := 1.5
-	if raceEnabled {
-		want = 0.8
-	}
-	top := byT[maxT]
-	if top["sharded"].OpsPS < top["mutex"].OpsPS*want {
-		t.Fatalf("16-worker speedup below %.1fx: sharded %.0f vs mutex %.0f ops/s",
-			want, top["sharded"].OpsPS, top["mutex"].OpsPS)
-	}
-}
-
 func TestGroupCommitBenchQuick(t *testing.T) {
 	o := quick(t)
 	o.Workers = 4 // exercise the bounded pool; each point still owns its world

@@ -175,3 +175,14 @@ func (d *cacheDriver) invariants() error {
 func (d *cacheDriver) locksFree() error {
 	return CheckCacheLockFree(d.reg.Dev, d.lm, d.tbl)
 }
+
+// heap names what the cache still reaches: its table, the holder of its
+// lock, and every chained item.
+func (d *cacheDriver) heap() (*region.Region, []uint64, error) {
+	reach := []uint64{d.tbl, d.reg.Dev.Load64(d.tbl)}
+	err := d.walkChains(func(item uint64) error {
+		reach = append(reach, item)
+		return nil
+	})
+	return d.reg, reach, err
+}

@@ -41,6 +41,7 @@ import (
 	"github.com/ido-nvm/ido/internal/nvm"
 	"github.com/ido-nvm/ido/internal/obs"
 	"github.com/ido-nvm/ido/internal/persist"
+	"github.com/ido-nvm/ido/internal/region"
 )
 
 // MaxDepth is the deepest supported recovery nesting: a schedule may
@@ -167,6 +168,24 @@ type Result struct {
 	// schedule's adversary is persist-all).
 	PersistAll map[string]uint64
 	Final      map[string]uint64
+	// HeapAudited is set for the workloads that audit their heap;
+	// LeakedBlocks and LeakedBytes are then the allocated blocks nothing
+	// reaches after the final recovery (HeapLeak): at most one block per
+	// crash of the schedule.
+	HeapAudited  bool
+	LeakedBlocks int
+	LeakedBytes  uint64
+}
+
+// depth is how many of the schedule's injected recovery crashes fired.
+func (r *Result) depth() int {
+	n := 0
+	for _, a := range r.Attempts {
+		if a.Crashed {
+			n++
+		}
+	}
+	return n
 }
 
 // caps declares what a runtime promises under this harness.
@@ -215,6 +234,13 @@ type driver interface {
 	invariants() error
 	// locksFree verifies every workload lock is acquirable.
 	locksFree() error
+}
+
+// heapAuditor is a driver that can name every block its workload still
+// reaches after recovery; Run then counts what the schedule's crashes
+// leaked.
+type heapAuditor interface {
+	heap() (reg *region.Region, reach []uint64, err error)
 }
 
 // Runtimes lists the runtime names Run accepts, native first. "ido-gc"
@@ -369,6 +395,20 @@ func Run(s Schedule) (*Result, error) {
 	}
 	if err := d.invariants(); err != nil {
 		return nil, fmt.Errorf("chaos: schedule %s: invariant violated: %w", s, err)
+	}
+	if h, ok := d.(heapAuditor); ok {
+		res.HeapAudited = true
+		reg, reach, err := h.heap()
+		if err == nil {
+			res.LeakedBlocks, res.LeakedBytes, err = HeapLeak(reg, reach)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("chaos: schedule %s: heap audit: %w", s, err)
+		}
+		// The forward crash, plus every recovery pass cut short.
+		if crashes := 1 + res.depth(); res.LeakedBlocks > crashes {
+			return nil, fmt.Errorf("chaos: schedule %s: %d blocks (%d bytes) leaked by %d crashes", s, res.LeakedBlocks, res.LeakedBytes, crashes)
+		}
 	}
 	final, err := d.observe()
 	if err != nil {

@@ -217,7 +217,8 @@ func TestCacheMixSweep(t *testing.T) {
 	if st.Schedules == 0 || st.Depth[1] == 0 {
 		t.Fatalf("sweep too shallow: %d schedules, depth histogram %v", st.Schedules, st.Depth)
 	}
-	t.Logf("ido/cachemix: %d schedules converged; depth histogram %v", st.Schedules, st.Depth)
+	t.Logf("ido/cachemix: %d schedules converged; depth histogram %v; %d leaked a block (at most %d bytes)",
+		st.Schedules, st.Depth, st.Leaked, st.LeakedBytes)
 
 	for _, rt := range []string{"mnemosyne", "nvthreads"} {
 		base := Schedule{Runtime: rt, Workload: "cachemix", Mode: nvm.CrashRandom, Seed: 7, Forward: 1}
@@ -231,6 +232,49 @@ func TestCacheMixSweep(t *testing.T) {
 		if _, err := Run(s); err != nil {
 			t.Fatalf("replay with: idorecover -chaos -replay '%s': %v", s, err)
 		}
+	}
+}
+
+// TestCrashLeakIsCounted measures the crash-time leak the protocol
+// accepts (PR 15: an item allocated in a SET's unpublished prefix, a
+// DELETE's victim freed after its FASE): it crashes the cachemix script
+// at every forward event, alone and again inside the recovery that
+// follows, and holds the recovered heap against what the cache still
+// reaches. Run bounds each schedule at one block per crash; here the
+// leak must show up (the audit is not blind), never exceed one item, and
+// the prefix workload, whose FASEs allocate nothing, must leak nothing.
+func TestCrashLeakIsCounted(t *testing.T) {
+	for _, tc := range []struct {
+		workload string
+		leaks    bool
+	}{{"cachemix", true}, {"prefix", false}} {
+		base := Schedule{Runtime: "ido", Workload: tc.workload, Mode: nvm.CrashDiscard, Seed: 1}
+		k, err := ForwardEvents(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		schedules, leaked, worst := 0, 0, uint64(0)
+		for f, stride := int64(1), int64(pick(1, 7)); f < k; f += stride {
+			for _, rec := range [][]int64{nil, {f % 5}} {
+				s := base
+				s.Forward, s.Recovery = f, rec
+				res, err := Run(s)
+				if err != nil {
+					t.Fatalf("replay with: idorecover -chaos -replay '%s': %v", s, err)
+				}
+				schedules++
+				if res.LeakedBlocks > 0 {
+					leaked++
+					worst = max(worst, res.LeakedBytes)
+				}
+			}
+		}
+		const item = 64 // a kv/memcache item's block
+		if (leaked > 0) != tc.leaks || worst > item {
+			t.Fatalf("ido/%s: %d of %d schedules leaked, at most %d bytes; want leaks=%v of at most one %d-byte item",
+				tc.workload, leaked, schedules, worst, tc.leaks, item)
+		}
+		t.Logf("ido/%s: %d of %d schedules leaked a block, at most %d bytes per schedule", tc.workload, leaked, schedules, worst)
 	}
 }
 

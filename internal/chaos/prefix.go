@@ -211,3 +211,14 @@ func (d *prefixDriver) locksFree() error {
 	}
 	return nil
 }
+
+// heap names the table and the four lock holders; the FASEs allocate
+// nothing, so a leak here is a block of the setup or of a log gone
+// unreachable.
+func (d *prefixDriver) heap() (*region.Region, []uint64, error) {
+	reach := []uint64{d.tbl}
+	for _, l := range d.lock {
+		reach = append(reach, l.Holder())
+	}
+	return d.reg, reach, nil
+}

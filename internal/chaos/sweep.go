@@ -36,6 +36,12 @@ type SweepStats struct {
 	// Depth[d] counts schedules whose injected recovery crashes actually
 	// fired d levels deep (Depth[0]: forward crash only).
 	Depth [MaxDepth + 1]int
+	// HeapAudited: the workload audits its heap. Leaked then counts the
+	// schedules whose crashes leaked a heap block and LeakedBytes is the
+	// most one of them leaked (Run bounds each at one block per crash).
+	HeapAudited bool
+	Leaked      int
+	LeakedBytes uint64
 }
 
 // DefaultWorkload maps a runtime name to its sweep workload.
@@ -94,13 +100,12 @@ func Sweep(o SweepOptions) (SweepStats, error) {
 			return err
 		}
 		st.Schedules++
-		depth := 0
-		for _, a := range res.Attempts {
-			if a.Crashed {
-				depth++
-			}
+		st.Depth[res.depth()]++
+		st.HeapAudited = res.HeapAudited
+		if res.LeakedBlocks > 0 {
+			st.Leaked++
+			st.LeakedBytes = max(st.LeakedBytes, res.LeakedBytes)
 		}
-		st.Depth[depth]++
 		if o.Progress != nil {
 			o.Progress(res)
 		}

@@ -120,16 +120,93 @@ func TestAttachAfterCrashSeesPersistedBlocks(t *testing.T) {
 	}
 }
 
+// corrupt overwrites one header word durably.
+func corrupt(d *nvm.Device, addr, h uint64) {
+	d.Store64(addr, h)
+	d.CLWB(addr)
+	d.Fence()
+}
+
+// TestAttachRejectsCorruptHeap: the headers Attach reads — the first of
+// each slab segment, and every extent's — are validated by it.
 func TestAttachRejectsCorruptHeap(t *testing.T) {
-	d, a := newHeap(t, 1<<12)
-	if _, err := a.Alloc(16); err != nil {
+	const arena = 4 * segSize
+	for _, tc := range []struct {
+		name string
+		at   func(small, large uint64) uint64
+		h    uint64
+	}{
+		{"segment head, nonsense size", func(small, _ uint64) uint64 { return small }, 3},
+		{"segment head, not a class size", func(small, _ uint64) uint64 { return small }, 48<<1 | slabBit | allocBit},
+		{"extent head, runs past the arena", func(_, large uint64) uint64 { return large }, arena<<2 | allocBit},
+		{"extent head, slab bit off a segment boundary", func(_, large uint64) uint64 { return large }, 64<<1 | slabBit},
+	} {
+		d, a := newHeap(t, arena)
+		if _, err := a.Alloc(2 * maxSmall); err != nil {
+			t.Fatal(err)
+		}
+		large, err := a.Alloc(2 * maxSmall) // an extent off the segment grid
+		if err != nil {
+			t.Fatal(err)
+		}
+		small, err := a.Alloc(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if small -= headerSize; d.Load64(small)&slabBit == 0 {
+			t.Fatalf("first block of the class at %#x is not a segment head", small)
+		}
+		corrupt(d, tc.at(small, large-headerSize), tc.h)
+		if _, err := Attach(d, 0, arena); err == nil {
+			t.Errorf("%s: Attach accepted the heap", tc.name)
+		}
+	}
+}
+
+// TestAdoptionSurfacesCorruptInterior: a header inside a segment is not
+// read by Attach; the Alloc whose adoption scan meets it returns the
+// error — no panic, no lock left held — and CheckInvariants reports it.
+func TestAdoptionSurfacesCorruptInterior(t *testing.T) {
+	const arena = 4 * segSize
+	d, a := newHeap(t, arena)
+	var p [3]uint64
+	for i := range p {
+		var err error
+		if p[i], err = a.Alloc(48); err != nil {
+			t.Fatal(err)
+		}
+	}
+	corrupt(d, p[1]-headerSize, 3)
+	d.Crash(nvm.CrashDiscard, nil)
+	a2, err := Attach(d, 0, arena)
+	if err != nil {
+		t.Fatalf("Attach read past the segment head: %v", err)
+	}
+	if _, err := a2.Alloc(48); err == nil {
+		t.Fatal("Alloc adopted a segment with a corrupt interior header and reported nothing")
+	}
+	if name := leakedLock(a2); name != "" {
+		t.Fatalf("%s lock held after the failed adoption", name)
+	}
+	if err := a2.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants accepted a corrupt interior header")
+	}
+	// The scan stranded what lies past the corrupt header; the class
+	// carries on from a fresh segment.
+	q, err := a2.Alloc(48)
+	if err != nil {
+		t.Fatalf("Alloc after the failed adoption: %v", err)
+	}
+	if q == p[0] || q == p[1] || q == p[2] {
+		t.Fatalf("Alloc handed out live block %#x", q)
+	}
+
+	a3, err := Attach(d, 0, arena)
+	if err != nil {
 		t.Fatal(err)
 	}
-	d.Store64(0, 3) // nonsense header: size 1, allocated
-	d.CLWB(0)
-	d.Fence()
-	if _, err := Attach(d, 0, 1<<12); err == nil {
-		t.Fatal("Attach accepted a corrupt heap")
+	if err := a3.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants adopted past a corrupt interior header")
 	}
 }
 
@@ -202,9 +279,9 @@ func TestDisjointBlocksProperty(t *testing.T) {
 	}
 }
 
-// leakedLock try-locks every internal mutex — class shards and large
-// buckets; magazines are lock-free — and names the first one still
-// held. Used after a CrashSignal unwind: a leaked lock turns an
+// leakedLock try-locks every internal mutex — class shards, segment
+// tails, large buckets and the adoption lock; magazines are lock-free —
+// and names the first one still held. Used after a CrashSignal unwind: a leaked lock turns an
 // injected crash into a process-wide deadlock (the table1 harness hit
 // exactly that: one worker killed mid-Alloc, the rest asleep in Lock).
 func leakedLock(a *Allocator) string {
@@ -216,12 +293,22 @@ func leakedLock(a *Allocator) string {
 			a.shards[c][i].mu.Unlock()
 		}
 	}
+	for c := range a.tails {
+		if !a.tails[c].mu.TryLock() {
+			return fmt.Sprintf("class %d tails", c)
+		}
+		a.tails[c].mu.Unlock()
+	}
 	for i := range a.large {
 		if !a.large[i].mu.TryLock() {
 			return fmt.Sprintf("large shard %d", i)
 		}
 		a.large[i].mu.Unlock()
 	}
+	if !a.adoptMu.TryLock() {
+		return "adoption"
+	}
+	a.adoptMu.Unlock()
 	return ""
 }
 

@@ -108,10 +108,11 @@ func BenchmarkAllocMixed16(b *testing.B) {
 	})
 }
 
-// BenchmarkAttach measures the recovery-path header scan on a heap
-// populated with live and free blocks.
+// BenchmarkAttach measures the recovery-path hop over a heap populated
+// with live and free blocks: one header per segment, so its time should
+// follow the heap's bytes in use and not its block count.
 func BenchmarkAttach(b *testing.B) {
-	for _, blocks := range []int{1 << 10, 1 << 13} {
+	for _, blocks := range []int{1 << 10, 1 << 13, 1 << 16} {
 		b.Run(fmt.Sprintf("blocks=%d", blocks), func(b *testing.B) {
 			d := nvm.New(nvm.Config{Size: benchArena})
 			a := New(d, 0, benchArena)

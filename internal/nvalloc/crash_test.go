@@ -1,12 +1,17 @@
 package nvalloc
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"github.com/ido-nvm/ido/internal/nvm"
 )
+
+// sweepArena holds a segment for each of the workload's size classes
+// and room between them for its large block.
+const sweepArena = 8 * segSize
 
 // sweepState tracks the blocks the workload has committed: an address is
 // added once Alloc has returned it and removed before Free is called, so
@@ -19,76 +24,150 @@ type sweepState struct {
 	live map[uint64]int // user addr -> requested bytes
 }
 
-// sweepWork drives every allocator path that touches the device: carves
-// (magazine refills), magazine hits, shard traffic, the large first-fit
-// path, and frees of each.
-func sweepWork(a *Allocator, st *sweepState) {
-	var order []uint64
-	for i := 0; i < 12; i++ {
-		n := 16 + i*24 // spans several size classes
-		p, err := a.Alloc(n)
-		if err != nil {
-			panic(err)
-		}
-		st.live[p] = n
-		order = append(order, p)
-	}
-	for i := 0; i < len(order); i += 2 {
-		delete(st.live, order[i])
-		a.Free(order[i])
-	}
-	for i := 0; i < 6; i++ { // magazine round-trips
-		p, err := a.Alloc(40)
-		if err != nil {
-			panic(err)
-		}
-		st.live[p] = 40
-		delete(st.live, p)
-		a.Free(p)
-	}
-	p, err := a.Alloc(5000) // above maxSmall: large path
+func (st *sweepState) alloc(a *Allocator, n int) uint64 {
+	p, err := a.Alloc(n)
 	if err != nil {
 		panic(err)
 	}
-	st.live[p] = 5000
+	st.live[p] = n
+	return p
+}
+
+func (st *sweepState) free(a *Allocator, p uint64) {
 	delete(st.live, p)
 	a.Free(p)
-	for i := 1; i < len(order); i += 2 {
-		delete(st.live, order[i])
-		a.Free(order[i])
+}
+
+// sweepWork drives every allocator path that touches the device. Before
+// the restart: segment openings (one per size class), carves from a
+// segment tail, magazine hits, shard traffic, the large first-fit path,
+// and frees of each. Then a restart with half the blocks still live —
+// Attach's hop over the segment and extent heads — and after it: frees
+// of pre-crash blocks into segments no scan has adopted, allocations
+// that adopt those segments lazily, a fresh segment opened beside them,
+// and the adopt-everything walk behind Stats.
+func sweepWork(d *nvm.Device, a *Allocator, st *sweepState) {
+	var order []uint64
+	for i := 0; i < 12; i++ {
+		order = append(order, st.alloc(a, 16+i*24)) // spans five size classes
 	}
+	for i := 0; i < len(order); i += 2 {
+		st.free(a, order[i])
+	}
+	for i := 0; i < 6; i++ { // magazine round-trips
+		st.free(a, st.alloc(a, 40))
+	}
+	for i := 0; i < 2*magRefill; i++ { // past one refill: a carve from the segment's tail
+		order = append(order, st.alloc(a, 40))
+	}
+	st.free(a, st.alloc(a, 5000)) // above maxSmall: large path
+
+	d.Crash(nvm.CrashDiscard, nil)
+	a, err := Attach(d, 0, sweepArena)
+	if err != nil {
+		panic(err)
+	}
+	st.free(a, order[1])  // into unadopted segments
+	st.free(a, order[12]) //
+	for i := 0; i < 3; i++ {
+		order = append(order, st.alloc(a, 40)) // adopts the 64-byte class's segment
+	}
+	st.free(a, order[13])                    // into the segment just adopted
+	order = append(order, st.alloc(a, 1000)) // a class the heap has no segment of
+	order = append(order, st.alloc(a, 5000)) // large path beside pending segments
+	for i := 3; i < len(order); i += 2 {
+		if _, ok := st.live[order[i]]; ok {
+			st.free(a, order[i])
+		}
+	}
+	a.Stats() // adopts every segment still pending
+	for _, p := range order {
+		if _, ok := st.live[p]; ok {
+			st.free(a, p)
+		}
+	}
+}
+
+// runSweep runs sweepWork on a fresh heap under a crash budget and
+// reports the device events it got through and whether the budget fired.
+func runSweep(budget int64) (d *nvm.Device, st *sweepState, events int64, crashed bool) {
+	d = nvm.New(nvm.Config{Size: sweepArena})
+	a := New(d, 0, sweepArena)
+	st = &sweepState{live: map[uint64]int{}}
+	nvm.ArmCrash(budget)
+	defer nvm.ArmCrash(-1)
+	defer func() {
+		events = budget - nvm.CrashBudgetRemaining()
+		if r := recover(); r != nil {
+			if _, ok := r.(nvm.CrashSignal); !ok {
+				panic(r)
+			}
+			crashed = true
+		}
+	}()
+	sweepWork(d, a, st)
+	return d, st, 0, false
+}
+
+// checkLive verifies every committed block still carries an allocated
+// header of at least its requested size.
+func checkLive(t *testing.T, d *nvm.Device, st *sweepState, at string) {
+	t.Helper()
+	for p, n := range st.live {
+		h := d.Load64(p - headerSize)
+		if h&allocBit == 0 {
+			t.Fatalf("%s: committed block %#x lost its allocated header", at, p)
+		}
+		if got := int(blockSize(h)) - headerSize; got < n {
+			t.Fatalf("%s: committed block %#x shrank: %d < %d", at, p, got, n)
+		}
+	}
+}
+
+// leakedBytes is the crash-time leak of a recovered heap: allocated
+// blocks the workload does not hold. An operation in flight at the
+// crash leaks at most its one block (an Alloc published and never
+// returned, or a Free begun and never made durable), and the recovered
+// allocator's exact count must be the held blocks plus that one.
+func leakedBytes(t *testing.T, a *Allocator, st *sweepState, at string) uint64 {
+	t.Helper()
+	var live, leaked uint64
+	blocks := 0
+	err := a.Audit(func(blk, size uint64) {
+		if _, ok := st.live[blk+headerSize]; ok {
+			live += size
+		} else {
+			leaked += size
+			blocks++
+		}
+	})
+	if err != nil {
+		t.Fatalf("%s: invariants after crash: %v", at, err)
+	}
+	if blocks > 1 {
+		t.Fatalf("%s: %d blocks (%d bytes) leaked by one crash", at, blocks, leaked)
+	}
+	if got := a.Stats().AllocatedBytes; got != live+leaked {
+		t.Fatalf("%s: %d bytes allocated, want %d held + %d leaked", at, got, live, leaked)
+	}
+	return leaked
 }
 
 // TestAllocCrashSweepRecovers kills the device at every event inside the
 // workload — each header write, flush, fence, and zeroing store in
-// Alloc, Free, and the magazine-refill carve — then settles the
-// persistence domain and proves recovery: Attach succeeds, the header
-// chain is consistent, every committed-live block survived, and nothing
-// the recovered allocator hands out overlaps one. A MutexAllocator
-// attach of the same heap cross-checks that the sharded allocator never
-// bent the shared persistent format.
+// Alloc, Free, the magazine-refill carve and the segment opening, each
+// header load of Attach's hop and of a lazy adoption scan, each event of
+// a Free into a segment not adopted yet — then settles the persistence
+// domain and proves recovery: Attach succeeds, the header chain is
+// consistent, every committed-live block survived, the allocated count
+// is the committed blocks plus at most the one block the crash leaked,
+// and nothing the recovered allocator hands out overlaps one. A
+// MutexAllocator attach of the same heap, walking every header, cross-
+// checks that segments and hopping never bent the flat persistent format.
 func TestAllocCrashSweepRecovers(t *testing.T) {
-	defer nvm.ArmCrash(-1)
-	const arena = 1 << 16
-	crashes := 0
+	crashes, leaks, maxLeak := 0, 0, uint64(0)
 	for budget := int64(1); ; budget++ {
-		d := nvm.New(nvm.Config{Size: arena})
-		a := New(d, 0, arena)
-		st := &sweepState{live: map[uint64]int{}}
-		nvm.ArmCrash(budget)
-		crashed := func() (c bool) {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(nvm.CrashSignal); !ok {
-						panic(r)
-					}
-					c = true
-				}
-			}()
-			sweepWork(a, st)
-			return false
-		}()
-		nvm.ArmCrash(-1)
+		d, st, _, crashed := runSweep(budget)
 		if !crashed {
 			if budget == 1 {
 				t.Fatal("budget 1 did not crash: injection is not reaching the allocator")
@@ -98,21 +177,15 @@ func TestAllocCrashSweepRecovers(t *testing.T) {
 		crashes++
 		d.Crash(nvm.CrashDiscard, nil)
 
-		a2, err := Attach(d, 0, arena)
+		a2, err := Attach(d, 0, sweepArena)
 		if err != nil {
 			t.Fatalf("budget %d: Attach after crash: %v", budget, err)
 		}
-		if err := a2.CheckInvariants(); err != nil {
-			t.Fatalf("budget %d: invariants after crash: %v", budget, err)
-		}
-		for p, n := range st.live {
-			h := d.Load64(p - headerSize)
-			if h&allocBit == 0 {
-				t.Fatalf("budget %d: committed block %#x lost its allocated header", budget, p)
-			}
-			if got := int(h>>1) - headerSize; got < n {
-				t.Fatalf("budget %d: committed block %#x shrank: %d < %d", budget, p, got, n)
-			}
+		at := fmt.Sprintf("budget %d", budget)
+		checkLive(t, d, st, at)
+		if l := leakedBytes(t, a2, st, at); l > 0 {
+			leaks++
+			maxLeak = max(maxLeak, l)
 		}
 		// The recovered allocator must never double-own a committed block.
 		for i := 0; i < 64; i++ {
@@ -128,7 +201,7 @@ func TestAllocCrashSweepRecovers(t *testing.T) {
 				}
 			}
 		}
-		if m, err := AttachMutex(d, 0, arena); err != nil {
+		if m, err := AttachMutex(d, 0, sweepArena); err != nil {
 			t.Fatalf("budget %d: AttachMutex cross-check: %v", budget, err)
 		} else if err := m.CheckInvariants(); err != nil {
 			t.Fatalf("budget %d: MutexAllocator sees a different heap: %v", budget, err)
@@ -137,7 +210,7 @@ func TestAllocCrashSweepRecovers(t *testing.T) {
 	if crashes == 0 {
 		t.Fatal("sweep never crashed")
 	}
-	t.Logf("swept %d crash points", crashes)
+	t.Logf("swept %d crash points; %d leaked a block (largest %d bytes)", crashes, leaks, maxLeak)
 }
 
 // TestCarveRetiresSpanningHeader pins the two-phase carve discipline:
@@ -201,8 +274,8 @@ func TestLargeSplitRetiresSpanningHeader(t *testing.T) {
 	a := New(d, 0, arena)
 	// The splitter: takes the whole-arena extent, files the remainder,
 	// stalls before publishing the head's allocated header.
-	if _, ok := a.allocLarge(8192); !ok {
-		t.Fatal("allocLarge failed on a fresh heap")
+	if _, err := a.allocLarge(8192); err != nil {
+		t.Fatalf("allocLarge failed on a fresh heap: %v", err)
 	}
 	// The racing thread: a full Alloc out of the remainder, committed.
 	p, err := a.Alloc(100)
@@ -336,113 +409,73 @@ func TestAllocNoTransientOOM(t *testing.T) {
 	}
 }
 
-// TestAttachCrashSweepReattaches crashes the recovery path itself: the
-// Attach header scan is killed at a stride of event offsets mid-adoption,
-// then run again on the same image. The scan only reads the device, so a
-// crashed scan must be invisible — the re-Attach must succeed, see the
-// identical heap, and agree byte-for-byte on allocated bytes with a
-// MutexAllocator attach of the same image (the differential oracle for
-// the shared persistent format).
+// TestAttachCrashSweepReattaches crashes the recovery path itself:
+// Attach's hop and the adoption scans behind it (run to completion by
+// Stats) are killed at every event offset, then run again on the same
+// image. They only read the device, so a crashed restart must be
+// invisible — the re-Attach must succeed, see the identical heap, and
+// agree byte-for-byte on allocated bytes with a MutexAllocator attach of
+// the same image (the full-walk oracle for the persistent format).
 func TestAttachCrashSweepReattaches(t *testing.T) {
 	defer nvm.ArmCrash(-1)
-	const arena = 1 << 16
-	d := nvm.New(nvm.Config{Size: arena})
-	a := New(d, 0, arena)
-	st := &sweepState{live: map[uint64]int{}}
-
-	// Probe the workload's event count, then rebuild and crash it
-	// mid-flight so the image Attach scans carries in-flight state.
-	nvm.ArmCrash(1 << 40)
-	sweepWork(a, st)
-	workEvents := int64(1)<<40 - nvm.CrashBudgetRemaining()
-	nvm.ArmCrash(-1)
-
-	d = nvm.New(nvm.Config{Size: arena})
-	a = New(d, 0, arena)
-	st = &sweepState{live: map[uint64]int{}}
-	nvm.ArmCrash(workEvents * 3 / 5)
-	crashed := func() (c bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(nvm.CrashSignal); !ok {
-					panic(r)
-				}
-				c = true
-			}
-		}()
-		sweepWork(a, st)
-		return false
-	}()
-	nvm.ArmCrash(-1)
+	// Probe the workload's event count, then crash it past its own
+	// restart, so the image Attach reads carries pending segments,
+	// frees into them and in-flight state.
+	_, _, workEvents, crashed := runSweep(1 << 40)
+	if crashed {
+		t.Fatal("probe budget fired")
+	}
+	d, st, _, crashed := runSweep(workEvents * 9 / 10)
 	if !crashed {
 		t.Fatal("mid-workload budget did not fire")
 	}
 	d.Crash(nvm.CrashDiscard, nil)
 
-	// Probe the scan's own event count on the settled image.
-	nvm.ArmCrash(1 << 40)
-	ref, err := Attach(d, 0, arena)
-	if err != nil {
-		t.Fatalf("reference Attach: %v", err)
+	// restart is the path under test; it reports whether a crash cut it.
+	restart := func(budget int64) (a *Allocator, crashed bool) {
+		nvm.ArmCrash(budget)
+		defer nvm.ArmCrash(-1)
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(nvm.CrashSignal); !ok {
+					panic(r)
+				}
+				crashed = true
+			}
+		}()
+		a, err := Attach(d, 0, sweepArena)
+		if err != nil {
+			t.Fatalf("budget %d: Attach errored instead of crashing: %v", budget, err)
+		}
+		a.Stats()
+		return a, false
 	}
+	nvm.ArmCrash(1 << 40)
+	ref, _ := restart(1 << 40)
 	scanEvents := int64(1)<<40 - nvm.CrashBudgetRemaining()
-	nvm.ArmCrash(-1)
-	if scanEvents < 2 {
-		t.Fatalf("scan performed only %d device events", scanEvents)
+	if ref.npending.Load() != 0 || scanEvents < 2*sweepArena/segSize {
+		t.Fatalf("restart performed only %d device events, %d segments pending", scanEvents, ref.npending.Load())
 	}
 	refAllocated := ref.Stats().AllocatedBytes
 
-	stride := scanEvents / 16
-	if stride < 1 {
-		stride = 1
-	}
-	points := 0
-	for off := int64(1); off < scanEvents; off += stride {
-		nvm.ArmCrash(off)
-		crashed := func() (c bool) {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(nvm.CrashSignal); !ok {
-						panic(r)
-					}
-					c = true
-				}
-			}()
-			_, aerr := Attach(d, 0, arena)
-			if aerr != nil {
-				t.Errorf("offset %d: Attach errored instead of crashing: %v", off, aerr)
-			}
-			return false
-		}()
-		nvm.ArmCrash(-1)
-		if t.Failed() {
-			return
-		}
-		if !crashed {
-			t.Fatalf("offset %d of %d did not crash the scan", off, scanEvents)
+	for off := int64(1); off < scanEvents; off++ {
+		if _, crashed := restart(off); !crashed {
+			t.Fatalf("offset %d of %d did not crash the restart", off, scanEvents)
 		}
 		d.Crash(nvm.CrashDiscard, nil)
 
-		a2, err := Attach(d, 0, arena)
+		a2, err := Attach(d, 0, sweepArena)
 		if err != nil {
-			t.Fatalf("offset %d: re-Attach after crashed scan: %v", off, err)
+			t.Fatalf("offset %d: re-Attach after crashed restart: %v", off, err)
 		}
 		if err := a2.CheckInvariants(); err != nil {
-			t.Fatalf("offset %d: invariants after crashed scan: %v", off, err)
+			t.Fatalf("offset %d: invariants after crashed restart: %v", off, err)
 		}
 		if got := a2.Stats().AllocatedBytes; got != refAllocated {
 			t.Fatalf("offset %d: re-Attach sees %d allocated bytes, reference saw %d", off, got, refAllocated)
 		}
-		for p, n := range st.live {
-			h := d.Load64(p - headerSize)
-			if h&allocBit == 0 {
-				t.Fatalf("offset %d: committed block %#x lost its allocated header", off, p)
-			}
-			if got := int(h>>1) - headerSize; got < n {
-				t.Fatalf("offset %d: committed block %#x shrank: %d < %d", off, p, got, n)
-			}
-		}
-		m, err := AttachMutex(d, 0, arena)
+		checkLive(t, d, st, fmt.Sprintf("offset %d", off))
+		m, err := AttachMutex(d, 0, sweepArena)
 		if err != nil {
 			t.Fatalf("offset %d: AttachMutex cross-check: %v", off, err)
 		}
@@ -450,12 +483,8 @@ func TestAttachCrashSweepReattaches(t *testing.T) {
 			t.Fatalf("offset %d: MutexAllocator sees a different heap: %v", off, err)
 		}
 		if got := m.Stats().AllocatedBytes; got != refAllocated {
-			t.Fatalf("offset %d: MutexAllocator sees %d allocated bytes, sharded scan saw %d", off, got, refAllocated)
+			t.Fatalf("offset %d: MutexAllocator sees %d allocated bytes, hop and scans saw %d", off, got, refAllocated)
 		}
-		points++
 	}
-	if points == 0 {
-		t.Fatal("sweep crashed the scan at no offsets")
-	}
-	t.Logf("crashed the Attach scan at %d offsets (of %d scan events)", points, scanEvents)
+	t.Logf("crashed the restart at each of %d device events", scanEvents-1)
 }

@@ -8,11 +8,13 @@ import (
 )
 
 // MutexAllocator is the original single-lock allocator: one sync.Mutex
-// over one set of size-bucketed first-fit free lists. It shares the
-// Allocator's persistent block-header format exactly — the two can attach
-// to each other's heaps — and is kept as the benchmark baseline and
-// differential-testing oracle for the lock-light rewrite, the same way
-// internal/vm keeps the legacy tree-walker.
+// over one set of size-bucketed first-fit free lists, attached by a walk
+// of every block header. It reads the Allocator's persistent format
+// (ignoring the slab bit: to it the heap is one flat run of blocks) and
+// is kept, in the test binary only, as the full-walk oracle of the
+// crash sweeps and the baseline of the benchmark pairs. It must not
+// Alloc or Free on a heap the Allocator has carved: its header writes
+// would drop the slab bits.
 type MutexAllocator struct {
 	dev        *nvm.Device
 	start, end uint64
@@ -47,7 +49,7 @@ func AttachMutex(dev *nvm.Device, start, end uint64) (*MutexAllocator, error) {
 	a := &MutexAllocator{dev: dev, start: start, end: end, free: map[int][]uint64{}}
 	for p := start; p < end; {
 		h := dev.Load64(p)
-		size := h >> 1
+		size := blockSize(h)
 		if size < minBlock || p+size > end || size%8 != 0 {
 			return nil, fmt.Errorf("nvalloc: corrupt header at %#x: %#x", p, h)
 		}
@@ -64,15 +66,6 @@ func AttachMutex(dev *nvm.Device, start, end uint64) (*MutexAllocator, error) {
 func (a *MutexAllocator) pushFree(addr, size uint64) {
 	c := sizeClassFloor(size)
 	a.free[c] = append(a.free[c], addr)
-}
-
-// sizeClassFloor buckets a free block by the largest request it can serve.
-func sizeClassFloor(size uint64) int {
-	c := 0
-	for s := uint64(minBlock); s*2 <= size; s <<= 1 {
-		c++
-	}
-	return c
 }
 
 func (a *MutexAllocator) writeHeader(addr, size uint64, allocated bool) {
@@ -139,7 +132,7 @@ func (a *MutexAllocator) takeLocked(need uint64) (addr, size uint64, ok bool) {
 		list := a.free[c]
 		for i := len(list) - 1; i >= 0; i-- {
 			p := list[i]
-			s := a.dev.Load64(p) >> 1
+			s := blockSize(a.dev.Load64(p))
 			if s >= need {
 				a.free[c] = append(list[:i], list[i+1:]...)
 				return p, s, true
@@ -161,7 +154,7 @@ func (a *MutexAllocator) Free(addr uint64) {
 	if h&allocBit == 0 {
 		panic(fmt.Sprintf("nvalloc: double free at %#x", addr))
 	}
-	size := h >> 1
+	size := blockSize(h)
 	a.writeHeader(blk, size, false)
 	a.dev.Fence()
 	a.allocated -= size
@@ -172,7 +165,7 @@ func (a *MutexAllocator) Free(addr uint64) {
 // BlockSize reports the usable byte count of the block at user address addr.
 func (a *MutexAllocator) BlockSize(addr uint64) int {
 	h := a.dev.Load64(addr - headerSize)
-	return int(h>>1) - headerSize
+	return int(blockSize(h)) - headerSize
 }
 
 // Stats returns a snapshot of allocation counters.
@@ -195,7 +188,7 @@ func (a *MutexAllocator) CheckInvariants() error {
 	var total uint64
 	for p := a.start; p < a.end; {
 		h := a.dev.Load64(p)
-		size := h >> 1
+		size := blockSize(h)
 		if size < minBlock || size%8 != 0 || p+size > a.end {
 			return fmt.Errorf("bad header at %#x: %#x", p, h)
 		}

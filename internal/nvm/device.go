@@ -70,11 +70,6 @@ type Config struct {
 	// number of cache lines. Must be > 0.
 	Size int
 
-	// Shards is obsolete: the cache is a flat per-line-locked table and
-	// no longer shards. The field is retained so old configurations keep
-	// compiling; its value is ignored.
-	Shards int
-
 	// FlushNS is the base cost, in nanoseconds, of one cache-line
 	// write-back (clwb/clflush reaching the memory controller).
 	FlushNS int

@@ -24,9 +24,14 @@ const (
 	// the kv stores' store-only regions (kv/memcache, kv/redis). v4: the
 	// log's second word carries its register capacity and word stride
 	// beside the thread id (internal/idolog), and the VM's logs share the
-	// layout. An image of an older build must not attach: its logs would
-	// be mis-decoded by Recover, or resumed with the wrong registers.
-	magic    = 0x69444F5245470004
+	// layout. v5: the heap keeps its class blocks in slab segments whose
+	// first header carries a slab bit (internal/nvalloc), and Attach hops
+	// from segment head to segment head. An image of an older build must
+	// not attach: its logs would be mis-decoded by Recover or resumed with
+	// the wrong registers, and its heap, small blocks carved anywhere and
+	// no slab bit set, would be hopped as a run of extents — correct, but
+	// one header load per block.
+	magic    = 0x69444F5245470005
 	numRoots = 32
 	// Layout (byte offsets).
 	offMagic = 0
@@ -79,8 +84,9 @@ func Create(size int, cfg nvm.Config) *Region {
 }
 
 // Attach reopens a region on a device whose persistence domain already
-// holds a formatted region — the post-crash path. The allocator free lists
-// are rebuilt from the persisted block headers.
+// holds a formatted region — the post-crash path. The allocator reads one
+// block header per heap segment and extent here, and rebuilds its free
+// lists from the rest lazily.
 func Attach(dev *nvm.Device) (*Region, error) {
 	if dev.Load64(offMagic) != magic {
 		return nil, fmt.Errorf("region: bad magic %#x", dev.Load64(offMagic))

@@ -102,10 +102,11 @@ func TestOpenFileRejectsGarbage(t *testing.T) {
 
 // TestOlderFormatImageFailsAttach: an image of an older format — v1 (fold
 // and ping-pong iDO logs, older key→shard placement), v2 (kv regions
-// with other register plans) or v3 (logs without a capacity word) — must
-// stop at Attach's bad-magic error, not reach Recover.
+// with other register plans), v3 (logs without a capacity word) or v4 (a
+// heap without slab segments) — must stop at Attach's bad-magic error,
+// which names the version found, not reach Recover.
 func TestOlderFormatImageFailsAttach(t *testing.T) {
-	for _, old := range []uint64{0x69444F5245470001, 0x69444F5245470002, 0x69444F5245470003} {
+	for _, old := range []uint64{0x69444F5245470001, 0x69444F5245470002, 0x69444F5245470003, 0x69444F5245470004} {
 		path := filepath.Join(t.TempDir(), "old.img")
 		if err := Create(1<<15, nvm.Config{}).SaveFile(path); err != nil {
 			t.Fatal(err)
