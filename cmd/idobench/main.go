@@ -7,13 +7,12 @@
 //	idobench -exp fig5 -quick         # one experiment, smoke-scale
 //	idobench -exp fig7 -duration 1s -threads 1,2,4,8,16
 //
-// Experiments: fig5, fig6, fig7, fig8, table1, fig9, ablations, obs,
-// gc, server, serverread, all. See DESIGN.md for the
-// experiment index and EXPERIMENTS.md for paper-versus-measured notes.
+// Experiments: fig5, fig6, fig7, fig8, table1, fig9, ablations, all. See
+// DESIGN.md for the experiment index and EXPERIMENTS.md for
+// paper-versus-measured notes. The serving stack is measured by
+// `go run ./benchmark`, not here.
 //
-// -workers N runs independent figure points through a bounded pool; -gc
-// runs every device with fence-drain sharing. The gc experiment itself
-// sweeps direct vs shared across threads.
+// -workers N runs independent figure points through a bounded pool.
 //
 // -traceout FILE attaches a persist-event tracer to every device the run
 // creates and writes a Chrome trace_event JSON file (load it at
@@ -33,14 +32,13 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig5|fig6|fig7|fig8|table1|fig9|ablations|obs|gc|server|serverread|all")
+	exp := flag.String("exp", "all", "experiment: fig5|fig6|fig7|fig8|table1|fig9|ablations|all")
 	quick := flag.Bool("quick", false, "smoke-scale parameters")
 	duration := flag.Duration("duration", 0, "override measurement interval per point")
 	threads := flag.String("threads", "", "override thread sweep, e.g. 1,2,4,8")
 	traceout := flag.String("traceout", "", "write a Chrome trace_event JSON file of all persist events")
 	seed := flag.Int64("seed", 1, "seed for every adversarial crash settle (replay a failure with the seed it printed)")
 	workers := flag.Int("workers", 1, "independent figure points run concurrently (1 = serial, the accurate-measurement default)")
-	gc := flag.Bool("gc", false, "run every world's device with fence-drain sharing (group commit)")
 	flag.Parse()
 
 	o := bench.DefaultOptions()
@@ -67,7 +65,6 @@ func main() {
 	}
 	o.Seed = *seed
 	o.Workers = *workers
-	o.GroupCommit = *gc
 
 	start := time.Now()
 	var err error
@@ -88,14 +85,6 @@ func main() {
 		_, err = bench.RunFig9(o)
 	case "ablations":
 		_, err = bench.RunAblations(o)
-	case "obs":
-		_, err = bench.RunObs(o)
-	case "gc":
-		_, err = bench.RunGroupCommit(o)
-	case "server":
-		_, err = bench.RunServer(o)
-	case "serverread":
-		_, err = bench.RunServerReadPath(o)
 	default:
 		fatalf("unknown experiment %q", *exp)
 	}

@@ -1,12 +1,12 @@
 // Command idoserve runs the networked KV front end: the memcache text
 // protocol or RESP over the iDO failure-atomicity runtime, with requests
-// hashed to per-shard commit pipelines whose commit fences can share
-// the device's drains (-gc).
+// hashed to per-shard commit pipelines whose commit fences share the
+// device's drains.
 //
 // Usage:
 //
 //	idoserve                                  # memcache on :11211
-//	idoserve -proto resp -addr :6379 -gc
+//	idoserve -proto resp -addr :6379
 //	idoserve -admin :8080                     # /metrics /healthz /readyz /debug/*
 //	idoserve -replicate :11311                # primary: ship the iDO log to a standby
 //	idoserve -standby -primary host:11311     # hot standby: apply, promote on primary death
@@ -69,9 +69,7 @@ func main() {
 	shards := flag.Int("shards", 16, "shard pipelines (rounded up to a power of two)")
 	buckets := flag.Int("buckets", 64, "hash buckets per shard")
 	size := flag.Int("size", 1<<26, "simulated NVM region bytes")
-	gc := flag.Bool("gc", false, "let concurrent commit fences share one device drain (group commit)")
 	maxitems := flag.Int("maxitems", 0, "per-shard live-item watermark; the pipeline evicts LRU items above it (0 = unbounded)")
-	nofast := flag.Bool("nofastreads", false, "disable the lock-free GET fast lane (serve every read through its shard pipeline)")
 	maxconns := flag.Int("maxconns", 0, "reject connections past this many with a busy error (0 = unbounded)")
 	idletimeout := flag.Duration("idletimeout", 0, "close connections idle for this long (0 = never)")
 	draintimeout := flag.Duration("draintimeout", 5*time.Second, "graceful-shutdown budget for in-flight requests on SIGINT/SIGTERM")
@@ -109,7 +107,8 @@ func main() {
 		tr = obs.New(obs.Config{ThreadRingCap: 1 << 12, DeviceRingCap: 1 << 13})
 	}
 
-	cfg := nvm.Config{Size: *size, Tracer: tr, GroupCommit: nvm.GroupCommitConfig{Enabled: *gc}}
+	// Drain sharing is on, as in every benchmark workload's device.
+	cfg := nvm.Config{Size: *size, Tracer: tr, GroupCommit: nvm.GroupCommitConfig{Enabled: true}}
 	reg := region.Create(*size, cfg)
 
 	// The admin plane comes up before the store attaches so /readyz
@@ -215,8 +214,7 @@ func main() {
 
 	srv, err := server.New(rt, store, server.Config{
 		Proto: sproto, Metrics: coll, Repl: sh,
-		MaxItems: *maxitems, DisableFastReads: *nofast,
-		MaxConns: *maxconns, IdleTimeout: *idletimeout}, tr)
+		MaxItems: *maxitems, MaxConns: *maxconns, IdleTimeout: *idletimeout}, tr)
 	if err != nil {
 		fatalf("create server: %v", err)
 	}
@@ -255,8 +253,8 @@ func main() {
 	if err != nil {
 		fatalf("listen: %v", err)
 	}
-	fmt.Printf("idoserve: %s protocol on %s, %d shards, group commit %v\n",
-		sproto, ln.Addr(), store.NumShards(), *gc)
+	fmt.Printf("idoserve: %s protocol on %s, %d shards\n",
+		sproto, ln.Addr(), store.NumShards())
 	go func() {
 		<-sig
 		fmt.Println("idoserve: interrupt, draining")
@@ -291,14 +289,10 @@ func statsLogger(coll *metrics.Collector, every time.Duration, stop <-chan struc
 		case <-tick.C:
 			cur := coll.Snapshot()
 			metrics.Diff(prev, cur, &d)
-			var depth int64
-			for i := range cur.Srv.Shards {
-				depth += cur.Srv.Shards[i].QueueDepth
-			}
 			fmt.Printf("stats: %8.0f req/s  fences/op %.2f  occupancy %.2f  p50 %v  p99 %v  depth %d  conns %d\n",
 				d.OpsPerSec, d.FencesPerOp, d.BatchOccupancy,
 				time.Duration(d.ReqP50NS), time.Duration(d.ReqP99NS),
-				depth, cur.Srv.ConnsOpen)
+				cur.Srv.Totals().QueueDepth, cur.Srv.ConnsOpen)
 			prev = cur
 		}
 	}

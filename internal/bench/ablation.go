@@ -83,7 +83,7 @@ func RunAblations(o Options) ([]AblationResult, error) {
 }
 
 func flushesPerSet(o Options, sp spec) (float64, error) {
-	w, err := newWorld(o, sp.mk, 0, o.Tracer)
+	w, err := newWorld(o, sp.mk, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -108,7 +108,7 @@ func flushesPerSet(o Options, sp spec) (float64, error) {
 }
 
 func fencesPerListGet(o Options, sp spec) (float64, error) {
-	w, err := newWorld(o, sp.mk, 0, o.Tracer)
+	w, err := newWorld(o, sp.mk, 0)
 	if err != nil {
 		return 0, err
 	}

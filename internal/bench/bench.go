@@ -58,14 +58,6 @@ type Options struct {
 	// Crash-injection experiments (Table I, recovery ablations) ignore it
 	// and stay serial: the injection arming is process-global.
 	Workers int
-	// WorldTracer, when non-nil, supplies the tracer for each world from
-	// the point's label (e.g. "fig5a/ido/t4"), so a parallel sweep can
-	// give every world its own trace instead of interleaving one shared
-	// Tracer. When nil, the shared Tracer is used.
-	WorldTracer func(label string) *obs.Tracer
-	// GroupCommit runs every world's device with drain sharing enabled
-	// (nvm.GroupCommitConfig).
-	GroupCommit bool
 }
 
 // seed returns the run seed with the zero-value default applied.
@@ -82,14 +74,6 @@ func (o Options) workers() int {
 		return 1
 	}
 	return o.Workers
-}
-
-// tracer resolves the device tracer for the point labelled label.
-func (o Options) tracer(label string) *obs.Tracer {
-	if o.WorldTracer != nil {
-		return o.WorldTracer(label)
-	}
-	return o.Tracer
 }
 
 // DefaultOptions mirrors the paper's setup, scaled to a simulator: the
@@ -158,17 +142,12 @@ type world struct {
 	rt  persist.Runtime
 }
 
-func newWorld(o Options, mk func() persist.Runtime, extraNS int, tr *obs.Tracer) (*world, error) {
+// newWorld builds one universe over the figure cost model. Its device
+// fences directly (no drain sharing), as in the committed idobench.out.
+func newWorld(o Options, mk func() persist.Runtime, extraNS int) (*world, error) {
 	cfg := nvmConfig(o.DeviceBytes, extraNS)
-	cfg.Tracer = tr // attach at birth so trace counts equal device stats
-	cfg.GroupCommit = nvm.GroupCommitConfig{Enabled: o.GroupCommit}
-	return newWorldCfg(mk, o.DeviceBytes, cfg)
-}
-
-// newWorldCfg builds a world over an explicit device configuration, for
-// experiments that vary the cost model itself.
-func newWorldCfg(mk func() persist.Runtime, bytes int, cfg nvm.Config) (*world, error) {
-	reg := region.Create(bytes, cfg)
+	cfg.Tracer = o.Tracer // attach at birth so trace counts equal device stats
+	reg := region.Create(o.DeviceBytes, cfg)
 	lm := locks.NewManager(reg)
 	rt := mk()
 	if err := rt.Attach(reg, lm); err != nil {

@@ -39,7 +39,7 @@ func RunFig5(o Options) ([]*stats.Figure, error) {
 	}
 	var out []*stats.Figure
 	sps := specs(Fig5Runtimes...)
-	for mi, mix := range mixes {
+	for _, mix := range mixes {
 		fig := &stats.Figure{Title: mix.title, XLabel: "threads", YLabel: "Mops/s"}
 		type job struct {
 			sp spec
@@ -52,11 +52,9 @@ func RunFig5(o Options) ([]*stats.Figure, error) {
 			}
 		}
 		ops := make([]uint64, len(jobs))
-		mi := mi
 		err := runPoints(o, len(jobs), func(i int) error {
 			j := jobs[i]
-			label := fmt.Sprintf("fig5%c/%s/t%d", 'a'+mi, j.sp.name, j.nt)
-			n, err := runMemcachedPoint(o, j.sp, label, j.nt, mix.insertPct, mix.deletePct, keyRange, buckets)
+			n, err := runMemcachedPoint(o, j.sp, j.nt, mix.insertPct, mix.deletePct, keyRange, buckets)
 			if err != nil {
 				return fmt.Errorf("fig5 %s/%d: %w", j.sp.name, j.nt, err)
 			}
@@ -75,8 +73,8 @@ func RunFig5(o Options) ([]*stats.Figure, error) {
 	return out, nil
 }
 
-func runMemcachedPoint(o Options, sp spec, label string, nThreads, insertPct, deletePct int, keyRange uint64, buckets int) (uint64, error) {
-	w, err := newWorld(o, sp.mk, 0, o.tracer(label))
+func runMemcachedPoint(o Options, sp spec, nThreads, insertPct, deletePct int, keyRange uint64, buckets int) (uint64, error) {
+	w, err := newWorld(o, sp.mk, 0)
 	if err != nil {
 		return 0, err
 	}

@@ -37,7 +37,7 @@ func RunFig6(o Options) (*stats.Figure, error) {
 	ops := make([]uint64, len(jobs))
 	err := runPoints(o, len(jobs), func(i int) error {
 		j := jobs[i]
-		n, err := runRedisPoint(o, j.sp, fmt.Sprintf("fig6/%s/k%d", j.sp.name, j.kr), j.kr, 0)
+		n, err := runRedisPoint(o, j.sp, j.kr, 0)
 		if err != nil {
 			return fmt.Errorf("fig6 %s/%d: %w", j.sp.name, j.kr, err)
 		}
@@ -54,10 +54,10 @@ func RunFig6(o Options) (*stats.Figure, error) {
 	return fig, nil
 }
 
-func runRedisPoint(o Options, sp spec, label string, keyRange uint64, extraNS int) (uint64, error) {
+func runRedisPoint(o Options, sp spec, keyRange uint64, extraNS int) (uint64, error) {
 	// Warm with zero added latency; the Fig. 9 knob applies to the
 	// measured interval only.
-	w, err := newWorld(o, sp.mk, 0, o.tracer(label))
+	w, err := newWorld(o, sp.mk, 0)
 	if err != nil {
 		return 0, err
 	}

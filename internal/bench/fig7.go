@@ -59,8 +59,7 @@ func RunFig7(o Options) ([]*stats.Figure, error) {
 			structure := structure
 			err := runPoints(o, len(jobs), func(i int) error {
 				j := jobs[i]
-				label := fmt.Sprintf("fig7/%s/%s/t%d", structure, j.sp.name, j.nt)
-				n, err := runMicroPoint(o, j.sp, label, structure, j.nt, mix.insertPct)
+				n, err := runMicroPoint(o, j.sp, structure, j.nt, mix.insertPct)
 				if err != nil {
 					return fmt.Errorf("fig7 %s/%s/%d: %w", structure, j.sp.name, j.nt, err)
 				}
@@ -90,8 +89,8 @@ const (
 	mapBuckets   = 1 << 8
 )
 
-func runMicroPoint(o Options, sp spec, label, structure string, nThreads, insertPct int) (uint64, error) {
-	w, err := newWorld(o, sp.mk, 0, o.tracer(label))
+func runMicroPoint(o Options, sp spec, structure string, nThreads, insertPct int) (uint64, error) {
+	w, err := newWorld(o, sp.mk, 0)
 	if err != nil {
 		return 0, err
 	}

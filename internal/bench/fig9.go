@@ -58,13 +58,12 @@ func RunFig9(o Options) ([]*stats.Figure, error) {
 	opsRD := make([]uint64, len(jobs))
 	err := runPoints(o, len(jobs), func(i int) error {
 		j := jobs[i]
-		n, err := runMemcachedPointLat(o, j.sp, fmt.Sprintf("fig9a/%s/ns%d", j.sp.name, j.ns),
-			mcThreads, keyRange, buckets, j.ns)
+		n, err := runMemcachedPointLat(o, j.sp, mcThreads, keyRange, buckets, j.ns)
 		if err != nil {
 			return fmt.Errorf("fig9 mc %s/%d: %w", j.sp.name, j.ns, err)
 		}
 		opsMC[i] = n
-		n, err = runRedisPoint(o, j.sp, fmt.Sprintf("fig9b/%s/ns%d", j.sp.name, j.ns), redisRange, j.ns)
+		n, err = runRedisPoint(o, j.sp, redisRange, j.ns)
 		if err != nil {
 			return fmt.Errorf("fig9 redis %s/%d: %w", j.sp.name, j.ns, err)
 		}
@@ -82,10 +81,10 @@ func RunFig9(o Options) ([]*stats.Figure, error) {
 	return []*stats.Figure{figMC, figRD}, nil
 }
 
-func runMemcachedPointLat(o Options, sp spec, label string, nThreads int, keyRange uint64, buckets, extraNS int) (uint64, error) {
+func runMemcachedPointLat(o Options, sp spec, nThreads int, keyRange uint64, buckets, extraNS int) (uint64, error) {
 	// Same workload as Fig. 5's insertion-intensive mix with the latency
 	// knob turned on after the warm-up.
-	w, err := newWorld(o, sp.mk, 0, o.tracer(label))
+	w, err := newWorld(o, sp.mk, 0)
 	if err != nil {
 		return 0, err
 	}

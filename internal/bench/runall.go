@@ -16,9 +16,6 @@ func RunAll(o Options) error {
 		{"table1", func() error { _, err := RunTable1(o); return err }},
 		{"fig9", func() error { _, err := RunFig9(o); return err }},
 		{"ablations", func() error { _, err := RunAblations(o); return err }},
-		{"gc", func() error { _, err := RunGroupCommit(o); return err }},
-		{"server", func() error { _, err := RunServer(o); return err }},
-		{"serverread", func() error { _, err := RunServerReadPath(o); return err }},
 	}
 	for _, s := range steps {
 		fprintf(o.out(), "==== %s ====\n", s.name)

@@ -98,7 +98,7 @@ func crashSeedFor(seed int64, rtName, structure string, kill time.Duration) int6
 // recoveryTime runs the workload, kills it, and times recovery.
 func recoveryTime(o Options, rtName, structure string, threads int, kill time.Duration) (int64, error) {
 	sp := mkSpec(rtName)
-	w, err := newWorld(o, sp.mk, 0, o.Tracer)
+	w, err := newWorld(o, sp.mk, 0)
 	if err != nil {
 		return 0, err
 	}

@@ -62,6 +62,31 @@ type ServerStats struct {
 	Shards        []ShardStats
 }
 
+// Totals sums every field over the shards: the server-wide view the
+// Prometheus, memcache `stats` and RESP `INFO` renderers share.
+func (s *ServerStats) Totals() ShardStats {
+	var t ShardStats
+	for i := range s.Shards {
+		sh := &s.Shards[i]
+		t.QueueDepth += sh.QueueDepth
+		t.InFlight += sh.InFlight
+		t.Reqs += sh.Reqs
+		t.Gets += sh.Gets
+		t.Sets += sh.Sets
+		t.Dels += sh.Dels
+		t.Incrs += sh.Incrs
+		t.Hits += sh.Hits
+		t.Misses += sh.Misses
+		t.FastGets += sh.FastGets
+		t.FastRetries += sh.FastRetries
+		t.FastParks += sh.FastParks
+		t.FastFallbacks += sh.FastFallbacks
+		t.Touches += sh.Touches
+		t.Evictions += sh.Evictions
+	}
+	return t
+}
+
 // Source is anything that can fill a ServerStats in place. Implemented
 // by *server.Server; dst.Shards must be reused when its capacity
 // suffices so steady-state reads stay allocation-free.

@@ -87,36 +87,20 @@ func WritePrometheus(w io.Writer, cur *Snapshot, d *Delta) {
 		for i := range cur.Srv.Shards {
 			fmt.Fprintf(w, "ido_shard_requests_total{shard=\"%d\"} %d\n", i, cur.Srv.Shards[i].Reqs)
 		}
-		var gets, sets, dels, incrs, hits, misses uint64
-		var fgets, fretries, fparks, ffalls, touches, evicts uint64
-		for i := range cur.Srv.Shards {
-			sh := &cur.Srv.Shards[i]
-			gets += sh.Gets
-			sets += sh.Sets
-			dels += sh.Dels
-			incrs += sh.Incrs
-			hits += sh.Hits
-			misses += sh.Misses
-			fgets += sh.FastGets
-			fretries += sh.FastRetries
-			fparks += sh.FastParks
-			ffalls += sh.FastFallbacks
-			touches += sh.Touches
-			evicts += sh.Evictions
-		}
+		t := cur.Srv.Totals()
 		fmt.Fprintf(w, "# HELP ido_server_verb_total Requests completed by verb.\n# TYPE ido_server_verb_total counter\n")
-		fmt.Fprintf(w, "ido_server_verb_total{verb=\"get\"} %d\nido_server_verb_total{verb=\"set\"} %d\nido_server_verb_total{verb=\"del\"} %d\nido_server_verb_total{verb=\"incr\"} %d\n", gets, sets, dels, incrs)
-		counter("ido_server_get_hits_total", "Gets that found the key.", hits)
-		counter("ido_server_get_misses_total", "Gets that did not find the key.", misses)
+		fmt.Fprintf(w, "ido_server_verb_total{verb=\"get\"} %d\nido_server_verb_total{verb=\"set\"} %d\nido_server_verb_total{verb=\"del\"} %d\nido_server_verb_total{verb=\"incr\"} %d\n", t.Gets, t.Sets, t.Dels, t.Incrs)
+		counter("ido_server_get_hits_total", "Gets that found the key.", t.Hits)
+		counter("ido_server_get_misses_total", "Gets that did not find the key.", t.Misses)
 
 		// Read fast lane: lock-free gets served off reader goroutines, and
 		// the seqlock conflicts/parks/fallbacks behind them.
-		counter("ido_server_fast_gets_total", "Gets served on the lock-free fast lane.", fgets)
-		counter("ido_server_fast_retries_total", "Seqlock validation conflicts retried on the fast lane.", fretries)
-		counter("ido_server_fast_parks_total", "Fast-lane reads parked on an in-flight commit ticket.", fparks)
-		counter("ido_server_fast_fallbacks_total", "Fast-lane reads that fell back to the shard slot path.", ffalls)
-		counter("ido_server_touch_fases_total", "Sampled LRU-touch FASEs drained by shard pipelines.", touches)
-		counter("ido_server_evictions_total", "Watermark evictions performed by shard pipelines.", evicts)
+		counter("ido_server_fast_gets_total", "Gets served on the lock-free fast lane.", t.FastGets)
+		counter("ido_server_fast_retries_total", "Seqlock validation conflicts retried on the fast lane.", t.FastRetries)
+		counter("ido_server_fast_parks_total", "Fast-lane reads parked on an in-flight commit ticket.", t.FastParks)
+		counter("ido_server_fast_fallbacks_total", "Fast-lane reads that fell back to the shard slot path.", t.FastFallbacks)
+		counter("ido_server_touch_fases_total", "Sampled LRU-touch FASEs drained by shard pipelines.", t.Touches)
+		counter("ido_server_evictions_total", "Watermark evictions performed by shard pipelines.", t.Evictions)
 	}
 
 	// Hot-standby replication: role/lag gauges and stream counters.

@@ -34,33 +34,17 @@ func appendStatF(b []byte, name string, v float64) []byte {
 // wire tests depend on it, and so may scripts built on `nc`.
 func AppendMemcacheStats(b []byte, s *Snapshot) []byte {
 	uptime := uint64(s.UptimeNS / 1e9)
-	var gets, sets, dels, incrs, hits, misses uint64
-	var fgets, fretries, fparks, ffalls, touches, evicts uint64
-	for i := range s.Srv.Shards {
-		sh := &s.Srv.Shards[i]
-		gets += sh.Gets
-		sets += sh.Sets
-		dels += sh.Dels
-		incrs += sh.Incrs
-		hits += sh.Hits
-		misses += sh.Misses
-		fgets += sh.FastGets
-		fretries += sh.FastRetries
-		fparks += sh.FastParks
-		ffalls += sh.FastFallbacks
-		touches += sh.Touches
-		evicts += sh.Evictions
-	}
+	t := s.Srv.Totals()
 	b = appendStat(b, "uptime", uptime)
 	b = appendStat(b, "curr_connections", uint64(s.Srv.ConnsOpen))
 	b = appendStat(b, "total_connections", s.Srv.ConnsTotal)
-	b = appendStat(b, "cmd_get", gets)
-	b = appendStat(b, "cmd_set", sets)
-	b = appendStat(b, "cmd_delete", dels)
-	b = appendStat(b, "cmd_incr", incrs)
-	b = appendStat(b, "get_hits", hits)
-	b = appendStat(b, "get_misses", misses)
-	b = appendStat(b, "evictions", evicts)
+	b = appendStat(b, "cmd_get", t.Gets)
+	b = appendStat(b, "cmd_set", t.Sets)
+	b = appendStat(b, "cmd_delete", t.Dels)
+	b = appendStat(b, "cmd_incr", t.Incrs)
+	b = appendStat(b, "get_hits", t.Hits)
+	b = appendStat(b, "get_misses", t.Misses)
+	b = appendStat(b, "evictions", t.Evictions)
 	b = appendStat(b, "bytes_read", s.Srv.BytesIn)
 	b = appendStat(b, "bytes_written", s.Srv.BytesOut)
 	b = appendStat(b, "protocol_errors", s.Srv.ProtoErrs)
@@ -68,11 +52,11 @@ func AppendMemcacheStats(b []byte, s *Snapshot) []byte {
 	b = appendStat(b, "idle_kicks", s.Srv.IdleClosed)
 	b = appendStat(b, "ido_requests", s.Srv.Reqs)
 	b = appendStat(b, "ido_shards", uint64(len(s.Srv.Shards)))
-	b = appendStat(b, "ido_fast_gets", fgets)
-	b = appendStat(b, "ido_fast_retries", fretries)
-	b = appendStat(b, "ido_fast_parks", fparks)
-	b = appendStat(b, "ido_fast_fallbacks", ffalls)
-	b = appendStat(b, "ido_touch_fases", touches)
+	b = appendStat(b, "ido_fast_gets", t.FastGets)
+	b = appendStat(b, "ido_fast_retries", t.FastRetries)
+	b = appendStat(b, "ido_fast_parks", t.FastParks)
+	b = appendStat(b, "ido_fast_fallbacks", t.FastFallbacks)
+	b = appendStat(b, "ido_touch_fases", t.Touches)
 	b = appendStat(b, "ido_fences", s.Dev.Fences)
 	b = appendStat(b, "ido_flushes", s.Dev.Flushes)
 	b = appendStat(b, "ido_nt_stores", s.Dev.NTStores)
@@ -126,20 +110,7 @@ func AppendRESPInfo(b []byte, s *Snapshot) []byte {
 }
 
 func appendInfoPayload(b []byte, s *Snapshot) []byte {
-	var gets, sets, dels, incrs, hits, misses uint64
-	var fgets, ffalls, evicts uint64
-	for i := range s.Srv.Shards {
-		sh := &s.Srv.Shards[i]
-		gets += sh.Gets
-		sets += sh.Sets
-		dels += sh.Dels
-		incrs += sh.Incrs
-		hits += sh.Hits
-		misses += sh.Misses
-		fgets += sh.FastGets
-		ffalls += sh.FastFallbacks
-		evicts += sh.Evictions
-	}
+	t := s.Srv.Totals()
 	b = append(b, "# Server\r\n"...)
 	b = appendInfo(b, "uptime_in_seconds", uint64(s.UptimeNS/1e9))
 	b = append(b, "# Clients\r\n"...)
@@ -149,13 +120,13 @@ func appendInfoPayload(b []byte, s *Snapshot) []byte {
 	b = appendInfo(b, "total_commands_processed", s.Srv.Reqs)
 	b = appendInfo(b, "total_net_input_bytes", s.Srv.BytesIn)
 	b = appendInfo(b, "total_net_output_bytes", s.Srv.BytesOut)
-	b = appendInfo(b, "total_reads_processed", gets)
-	b = appendInfo(b, "total_writes_processed", sets+dels+incrs)
-	b = appendInfo(b, "fastlane_reads_processed", fgets)
-	b = appendInfo(b, "fastlane_fallbacks", ffalls)
-	b = appendInfo(b, "keyspace_hits", hits)
-	b = appendInfo(b, "keyspace_misses", misses)
-	b = appendInfo(b, "evicted_keys", evicts)
+	b = appendInfo(b, "total_reads_processed", t.Gets)
+	b = appendInfo(b, "total_writes_processed", t.Sets+t.Dels+t.Incrs)
+	b = appendInfo(b, "fastlane_reads_processed", t.FastGets)
+	b = appendInfo(b, "fastlane_fallbacks", t.FastFallbacks)
+	b = appendInfo(b, "keyspace_hits", t.Hits)
+	b = appendInfo(b, "keyspace_misses", t.Misses)
+	b = appendInfo(b, "evicted_keys", t.Evictions)
 	b = appendInfo(b, "protocol_errors", s.Srv.ProtoErrs)
 	b = appendInfo(b, "rejected_connections", s.Srv.ConnsRejected)
 	b = appendInfo(b, "idle_closed_connections", s.Srv.IdleClosed)

@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// Device hot-path microbenchmarks. These are the numbers recorded in
-// BENCH_nvm_hotpath.json and smoked by CI (-bench=Device -benchtime=100x);
-// they exercise only the public API so the same file measures any cache
-// implementation.
+// Device hot-path microbenchmarks, smoked by CI (-bench=Device
+// -benchtime=100x); they exercise only the public API so the same file
+// measures any cache implementation.
 
 const benchDevBytes = 1 << 22
 

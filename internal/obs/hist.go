@@ -98,37 +98,17 @@ func bucketHigh(i int) uint64 {
 	return 1<<uint(i) - 1
 }
 
+// load copies the histogram's buckets and sum into c.
+func (hh *hist) load(c *HistCounts) {
+	for i := range c.Buckets {
+		c.Buckets[i] = hh.buckets[i].Load()
+	}
+	c.Sum = hh.sum.Load()
+}
+
 // Hist summarizes histogram h.
 func (tr *Tracer) Hist(h HistKind) Summary {
-	hh := &tr.hists[h]
-	var s Summary
-	var counts [65]uint64
-	for i := range counts {
-		counts[i] = hh.buckets[i].Load()
-		s.Count += counts[i]
-		if counts[i] > 0 {
-			s.Max = bucketHigh(i)
-		}
-	}
-	s.Sum = hh.sum.Load()
-	if s.Count == 0 {
-		return s
-	}
-	s.Mean = float64(s.Sum) / float64(s.Count)
-	pct := func(p float64) uint64 {
-		want := uint64(p * float64(s.Count))
-		if want == 0 {
-			want = 1
-		}
-		var cum uint64
-		for i := range counts {
-			cum += counts[i]
-			if cum >= want {
-				return bucketHigh(i)
-			}
-		}
-		return s.Max
-	}
-	s.P50, s.P90, s.P99 = pct(0.50), pct(0.90), pct(0.99)
-	return s
+	var c HistCounts
+	tr.hists[h].load(&c)
+	return c.Summary()
 }

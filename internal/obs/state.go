@@ -74,7 +74,7 @@ func (h *HistCounts) Quantile(q float64) uint64 {
 	return max
 }
 
-// Summary condenses the counts the same way Tracer.Hist does.
+// Summary condenses the counts; Count, Sum and Mean are exact.
 func (h *HistCounts) Summary() Summary {
 	s := Summary{Count: h.Count(), Sum: h.Sum}
 	if s.Count == 0 {
@@ -124,11 +124,6 @@ func (tr *Tracer) ReadState(dst *State) {
 		dst.SampledOut += r.sampled.Load()
 	}
 	for h := range dst.Hists {
-		hh := &tr.hists[h]
-		c := &dst.Hists[h]
-		for i := range c.Buckets {
-			c.Buckets[i] = hh.buckets[i].Load()
-		}
-		c.Sum = hh.sum.Load()
+		tr.hists[h].load(&dst.Hists[h])
 	}
 }

@@ -33,18 +33,22 @@ func fastModes(t *testing.T, f func(t *testing.T, disable bool)) {
 }
 
 func TestServerMultiGetOrderingMemcache(t *testing.T) {
+	getFences := map[bool]uint64{} // device fences the GET steps cost, by mode
 	fastModes(t, func(t *testing.T, disable bool) {
 		w := newWorldCfg(t, server.ProtoMemcache, 4, nvm.Config{Size: 1 << 22}, nil,
 			func(c *server.Config) { c.DisableFastReads = disable })
 		c := w.dial(t)
-		// Keys spread over 4 shards; misses interleaved at the front,
-		// middle, and back. Responses come in request order with misses
-		// elided — regardless of which shard, or which path, served each.
 		runSteps(t, c, []step{
 			{"set a 0 0 1\r\n1\r\n", "STORED\r\n"},
 			{"set b 0 0 1\r\n2\r\n", "STORED\r\n"},
 			{"set c 0 0 1\r\n3\r\n", "STORED\r\n"},
 			{"set d 0 0 1\r\n4\r\n", "STORED\r\n"},
+		})
+		setFences := w.reg.Dev.Stats().Fences
+		// Keys spread over 4 shards; misses interleaved at the front,
+		// middle, and back. Responses come in request order with misses
+		// elided — regardless of which shard, or which path, served each.
+		runSteps(t, c, []step{
 			{"get m0 a b m1 c d m2\r\n",
 				"VALUE a 0 1\r\n1\r\nVALUE b 0 1\r\n2\r\nVALUE c 0 1\r\n3\r\nVALUE d 0 1\r\n4\r\nEND\r\n"},
 			{"get d c b a\r\n",
@@ -53,7 +57,18 @@ func TestServerMultiGetOrderingMemcache(t *testing.T) {
 				"VALUE a 0 1\r\n1\r\nVALUE a 0 1\r\n1\r\nVALUE a 0 1\r\n1\r\nEND\r\n"},
 			{"get m0 m1 m2\r\n", "END\r\n"},
 		})
+		getFences[disable] = w.reg.Dev.Stats().Fences - setFences
+		// The config decides the path: the slot path serves no fast get,
+		// the default serves these (the connection has no write in flight).
+		var st metrics.ServerStats
+		w.srv.MetricsSnapshot(&st)
+		if fast := st.Totals().FastGets; disable != (fast == 0) {
+			t.Fatalf("DisableFastReads=%v served %d fast gets", disable, fast)
+		}
 	})
+	if getFences[false] > getFences[true] {
+		t.Fatalf("gets cost %d fences on the fast lane, %d on the slot path", getFences[false], getFences[true])
+	}
 }
 
 func TestServerMultiGetOrderingRESP(t *testing.T) {
@@ -164,10 +179,7 @@ func TestServerEvictionWatermark(t *testing.T) {
 			}
 			var st metrics.ServerStats
 			w.srv.MetricsSnapshot(&st)
-			var ev uint64
-			for i := range st.Shards {
-				ev += st.Shards[i].Evictions
-			}
+			ev := st.Totals().Evictions
 			if want := uint64(writes - maxItems); ev < want {
 				t.Fatalf("%d evictions recorded, want >= %d", ev, want)
 			}
@@ -268,19 +280,12 @@ func TestFastReadHammer(t *testing.T) {
 
 	var st metrics.ServerStats
 	w.srv.MetricsSnapshot(&st)
-	var fast, falls, getsN, hits, misses uint64
-	for i := range st.Shards {
-		fast += st.Shards[i].FastGets
-		falls += st.Shards[i].FastFallbacks
-		getsN += st.Shards[i].Gets
-		hits += st.Shards[i].Hits
-		misses += st.Shards[i].Misses
+	tot := st.Totals()
+	if tot.FastGets == 0 {
+		t.Fatalf("no gets took the fast lane (%d gets, %d fallbacks)", tot.Gets, tot.FastFallbacks)
 	}
-	if fast == 0 {
-		t.Fatalf("no gets took the fast lane (%d gets, %d fallbacks)", getsN, falls)
+	if tot.Hits+tot.Misses != tot.Gets {
+		t.Fatalf("hit/miss accounting broken: %d+%d != %d gets", tot.Hits, tot.Misses, tot.Gets)
 	}
-	if hits+misses != getsN {
-		t.Fatalf("hit/miss accounting broken: %d+%d != %d gets", hits, misses, getsN)
-	}
-	t.Logf("%d gets: %d fast, %d fell back to slot path, %d hits", getsN, fast, falls, hits)
+	t.Logf("%d gets: %d fast, %d fell back to slot path, %d hits", tot.Gets, tot.FastGets, tot.FastFallbacks, tot.Hits)
 }

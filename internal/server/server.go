@@ -84,8 +84,9 @@ type Config struct {
 	// per request, so writes stay bounded) while the shard exceeds it.
 	MaxItems int
 	// DisableFastReads forces every GET through the slot path,
-	// serializing reads behind writes on the shard pipelines as PR 7
-	// did. Benchmark A/B knob; leave false to serve reads lock-free.
+	// serializing reads behind writes on the shard pipelines. The slot
+	// path is the reference the fast lane's tests compare against;
+	// leave false to serve reads lock-free.
 	DisableFastReads bool
 	// Repl, when non-nil, is the hot-standby log shipper: every
 	// state-changing FASE publishes a replication record after its
