@@ -25,9 +25,6 @@ type SweepOptions struct {
 	// per mode (budgets drawn from a rand.Rand seeded with Seed, so the
 	// sample set is itself replayable). Default 4 of each.
 	DeepSamples int
-
-	// Progress, when non-nil, is called after each converged schedule.
-	Progress func(*Result)
 }
 
 // SweepStats summarizes a converged sweep.
@@ -105,9 +102,6 @@ func Sweep(o SweepOptions) (SweepStats, error) {
 		if res.LeakedBlocks > 0 {
 			st.Leaked++
 			st.LeakedBytes = max(st.LeakedBytes, res.LeakedBytes)
-		}
-		if o.Progress != nil {
-			o.Progress(res)
 		}
 		return nil
 	}

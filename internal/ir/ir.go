@@ -120,16 +120,6 @@ type Instr struct {
 	Targets []int   // successor block indices (br: [then, else]; jmp: [t])
 }
 
-// Uses appends the registers read by the instruction to out.
-func (in *Instr) Uses(out []Reg) []Reg {
-	for _, a := range in.Args {
-		if !a.IsImm {
-			out = append(out, a.Reg)
-		}
-	}
-	return out
-}
-
 func (in *Instr) String() string {
 	var b strings.Builder
 	if in.Dest != NoReg {

@@ -36,8 +36,10 @@ type ShardStats struct {
 	Misses     uint64 // gets that did not
 
 	// Read fast-lane counters: gets served lock-free off the reader
-	// goroutine, seqlock conflicts retried, parks on in-flight commit
-	// tickets, and bounded-retry falls back to the slot path.
+	// goroutine, seqlock conflicts retried, parks (a fast read met a
+	// write in flight — an odd shard epoch — and spun on the epoch until
+	// the write finished or the spin bound ran out), and bounded-retry
+	// falls back to the slot path.
 	FastGets      uint64
 	FastRetries   uint64
 	FastParks     uint64

@@ -94,10 +94,10 @@ func WritePrometheus(w io.Writer, cur *Snapshot, d *Delta) {
 		counter("ido_server_get_misses_total", "Gets that did not find the key.", t.Misses)
 
 		// Read fast lane: lock-free gets served off reader goroutines, and
-		// the seqlock conflicts/parks/fallbacks behind them.
+		// the seqlock conflicts/waits/fallbacks behind them.
 		counter("ido_server_fast_gets_total", "Gets served on the lock-free fast lane.", t.FastGets)
 		counter("ido_server_fast_retries_total", "Seqlock validation conflicts retried on the fast lane.", t.FastRetries)
-		counter("ido_server_fast_parks_total", "Fast-lane reads parked on an in-flight commit ticket.", t.FastParks)
+		counter("ido_server_fast_parks_total", "Fast-lane reads that met a write in flight and waited for it to finish.", t.FastParks)
 		counter("ido_server_fast_fallbacks_total", "Fast-lane reads that fell back to the shard slot path.", t.FastFallbacks)
 		counter("ido_server_touch_fases_total", "Sampled LRU-touch FASEs drained by shard pipelines.", t.Touches)
 		counter("ido_server_evictions_total", "Watermark evictions performed by shard pipelines.", t.Evictions)

@@ -203,11 +203,6 @@ type Device struct {
 	// draining one write queue (groupcommit.go).
 	fence fenceState
 
-	// tick is the commit-ticket export (ticket.go): a fence-drain
-	// sequence number plus waiter parking, used by lock-free readers to
-	// wait for in-flight commits without fencing themselves.
-	tick ticketing
-
 	// linj is device-scoped crash injection (inject_local.go), checked
 	// by every event hook after the global state.
 	linj localInject
@@ -248,7 +243,6 @@ func New(cfg Config) *Device {
 		d.evict[i].x = z
 	}
 	d.extraNS.Store(int64(cfg.ExtraNS))
-	d.tick.init()
 	d.trc.Store(cfg.Tracer)
 	return d
 }
@@ -259,9 +253,6 @@ func (d *Device) Size() int { return int(d.limit) }
 // SetExtraLatency changes the added NVM write latency (ns) at run time.
 // Used by the Fig. 9 sensitivity sweep.
 func (d *Device) SetExtraLatency(ns int) { d.extraNS.Store(int64(ns)) }
-
-// ExtraLatency returns the current added NVM write latency in ns.
-func (d *Device) ExtraLatency() int { return int(d.extraNS.Load()) }
 
 // checkAddr validates alignment and bounds with a single combined branch;
 // the panics live in a cold, noinline function so the check inlines into
@@ -482,7 +473,6 @@ func (d *Device) Fence() {
 	spin(d.cfg.FenceNS)
 	f.done.Store(s)
 	f.tok.Store(0)
-	d.tick.bump()
 	d.count(statFences, 1)
 	if tr != nil {
 		tr.DevSpan(obs.KFence, 0, 0, t0)
@@ -569,11 +559,8 @@ func (d *Device) Crash(mode CrashMode, rng *rand.Rand) {
 		d.unlockLine(uint64(li), 0) // the whole line's cache state dies
 	}
 	// The fence token is volatile CPU-side state: whoever held it is
-	// dead, so the reopened device starts with it free. The ticket bump
-	// wakes readers parked on pre-crash commits — they re-check their
-	// predicate, see the injected crash, and unwind.
+	// dead, so the reopened device starts with it free.
 	d.fence.tok.Store(0)
-	d.tick.bump()
 }
 
 // DrainCache writes back every dirty line (a global flush). Used by

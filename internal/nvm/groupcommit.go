@@ -22,8 +22,8 @@ import "sync/atomic"
 //     into started after the snapshot, so it began after this thread's
 //     write-backs — the fence is covered and returns (counted Combined);
 //   - or it wins the token (test-and-test-and-set), re-checks the above,
-//     bumps started, spins FenceNS, publishes done, releases the token
-//     and bumps the commit ticket (ticket.go).
+//     bumps started, spins FenceNS, publishes done and releases the
+//     token.
 //
 // Drain a itself never covers the fence: it may have begun before the
 // write-backs were issued. Nobody performs another thread's flushes,

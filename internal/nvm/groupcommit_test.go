@@ -146,8 +146,8 @@ func soloScript(d *Device) {
 
 // TestGroupCommitSoloFallsThrough: a lone committer has nobody to share
 // with, so a device with sharing enabled must be indistinguishable from
-// one without: the same event counts, trace, commit tickets and number
-// of crash ticks, and — crashing at every tick in turn — the same
+// one without: the same event counts, trace, fence count and number of
+// crash ticks, and — crashing at every tick in turn — the same
 // persistent image. This is the chaos argument: no new state, no new
 // crash point.
 func TestGroupCommitSoloFallsThrough(t *testing.T) {
@@ -167,8 +167,8 @@ func TestGroupCommitSoloFallsThrough(t *testing.T) {
 	if off.Stats() != on.Stats() {
 		t.Fatalf("stats differ:\n direct %+v\n shared %+v", off.Stats(), on.Stats())
 	}
-	if off.CommitTicket() != on.CommitTicket() {
-		t.Fatalf("commit ticket: %d direct, %d shared", off.CommitTicket(), on.CommitTicket())
+	if off.Stats().Fences != on.Stats().Fences {
+		t.Fatalf("fences: %d direct, %d shared", off.Stats().Fences, on.Stats().Fences)
 	}
 	for k := obs.Kind(0); int(k) < obs.NumKinds; k++ {
 		if trOff.Count(k) != trOn.Count(k) {
@@ -191,8 +191,8 @@ func TestGroupCommitSoloFallsThrough(t *testing.T) {
 		if !reflect.DeepEqual(a.words, b.words) {
 			t.Fatalf("crash at tick %d: persistent images differ", k)
 		}
-		if a.CommitTicket() != b.CommitTicket() {
-			t.Fatalf("crash at tick %d: commit ticket %d direct, %d shared", k, a.CommitTicket(), b.CommitTicket())
+		if a.Stats().Fences != b.Stats().Fences {
+			t.Fatalf("crash at tick %d: fences %d direct, %d shared", k, a.Stats().Fences, b.Stats().Fences)
 		}
 	}
 }
@@ -315,9 +315,6 @@ func TestGroupCommitHammer(t *testing.T) {
 	}
 	if f.tok.Load() != 0 || f.started.Load() != f.done.Load() {
 		t.Fatalf("idle device: tok=%d started=%d done=%d", f.tok.Load(), f.started.Load(), f.done.Load())
-	}
-	if d.CommitTicket() != gs.Epochs {
-		t.Fatalf("commit ticket %d, want one bump per drain (%d)", d.CommitTicket(), gs.Epochs)
 	}
 	t.Logf("commits=%d drains=%d (%.2f commits/drain, %d solo)", commits, gs.Epochs,
 		float64(commits)/float64(gs.Epochs), gs.Solo)

@@ -89,9 +89,6 @@ func EnterRecovery() int {
 // mid-recovery CrashSignal still restores the depth.
 func ExitRecovery() { recoveryDepth.Add(-1) }
 
-// InRecovery reports whether any Recover pass is currently live.
-func InRecovery() bool { return recoveryDepth.Load() > 0 }
-
 // ResetRecoveryPasses zeroes the attempt counter (between chaos
 // schedules).
 func ResetRecoveryPasses() { recoveryPasses.Store(0) }
@@ -142,7 +139,3 @@ func tickCrash() {
 		panic(CrashSignal{})
 	}
 }
-
-// TickCrash exposes the event hook for components that model work
-// without touching the device (e.g., lock spin loops).
-func TickCrash() { tickCrash() }

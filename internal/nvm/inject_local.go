@@ -39,15 +39,12 @@ func (d *Device) ArmLocalCrash(n int64) {
 // TriggerLocalCrash fires this device's injected crash immediately
 // (local injection must be armed). As with TriggerCrash, arm with a
 // huge budget before launching workers so spin sites take the
-// crash-aware path, then trigger at the kill time. Parked commit-ticket
-// waiters are woken so they observe the fired state and unwind with
-// CrashSignal.
+// crash-aware path, then trigger at the kill time.
 func (d *Device) TriggerLocalCrash() {
 	if !d.linj.armed.Load() {
 		panic("nvm: TriggerLocalCrash while disarmed")
 	}
 	d.linj.fired.Store(true)
-	d.WakeTicketWaiters()
 }
 
 // LocalCrashArmed reports whether device-local injection is armed.
@@ -79,8 +76,8 @@ func (d *Device) crashTick() {
 }
 
 // anyCrashFired reports whether a global or device-local injected crash
-// has gone off — the predicate every crash-aware spin and park site on
-// this device checks before waiting further.
+// has gone off — the predicate every crash-aware spin site on this
+// device checks before waiting further.
 func (d *Device) anyCrashFired() bool {
 	return (injectArmed.Load() && injectFired.Load()) ||
 		(d.linj.armed.Load() && d.linj.fired.Load())

@@ -21,11 +21,6 @@ type ShipperConfig struct {
 	// 8192). Overflow detaches the standby: availability over
 	// replication, counted and logged rather than stalling a pipeline.
 	Buffer int
-	// AckTimeout bounds how long a deferred client completion may wait
-	// for the standby's receipt ack before the shipper declares the
-	// standby dead, completes everything pending, and degrades to async
-	// (default 2s).
-	AckTimeout time.Duration
 	// Heartbeat is the idle-stream heartbeat period (default 100ms); it
 	// also paces the ack-timeout scan.
 	Heartbeat time.Duration
@@ -35,12 +30,14 @@ type ShipperConfig struct {
 	Complete func(tok any)
 }
 
+// ackTimeout bounds how long a deferred client completion may wait for
+// the standby's receipt ack before the shipper declares the standby
+// dead, completes everything pending, and degrades to async.
+const ackTimeout = 2 * time.Second
+
 func (c *ShipperConfig) fill() {
 	if c.Buffer <= 0 {
 		c.Buffer = 8192
-	}
-	if c.AckTimeout <= 0 {
-		c.AckTimeout = 2 * time.Second
 	}
 	if c.Heartbeat <= 0 {
 		c.Heartbeat = 100 * time.Millisecond
@@ -350,9 +347,9 @@ func (p *Shipper) sendLoop(nc net.Conn, gen uint64) {
 }
 
 // ackOverdue reports whether the oldest receipt-pending record has
-// waited longer than AckTimeout.
+// waited longer than ackTimeout.
 func (p *Shipper) ackOverdue() bool {
-	cut := time.Now().UnixNano() - p.cfg.AckTimeout.Nanoseconds()
+	cut := time.Now().UnixNano() - ackTimeout.Nanoseconds()
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
@@ -483,11 +480,11 @@ func (p *Shipper) Kill() {
 	p.mu.Unlock()
 }
 
-// Close stops the shipper gracefully: it waits up to AckTimeout for
+// Close stops the shipper gracefully: it waits up to ackTimeout for
 // in-flight receipt acks, then completes anything still pending and
 // closes the stream and listener.
 func (p *Shipper) Close() {
-	deadline := time.Now().Add(p.cfg.AckTimeout)
+	deadline := time.Now().Add(ackTimeout)
 	for p.attached.Load() && p.pendingToks() > 0 && time.Now().Before(deadline) {
 		select {
 		case p.doorbell <- struct{}{}:

@@ -55,9 +55,6 @@ type StandbyConfig struct {
 	// Reg is the standby's region; the durable watermark table lives
 	// under RootReplWatermarks.
 	Reg *region.Region
-	// QueueLen bounds the received-but-unapplied record queue (default
-	// 8192).
-	QueueLen int
 	// HeartbeatTimeout is the stream read deadline: a stream silent for
 	// this long (no records, no heartbeats) counts as a lost primary
 	// (default 1s). The deadline is re-armed every eighth of it rather
@@ -76,10 +73,10 @@ type StandbyConfig struct {
 	WatermarkEvery int
 }
 
+// applyQueue bounds the received-but-unapplied record queue.
+const applyQueue = 8192
+
 func (c *StandbyConfig) fill() {
-	if c.QueueLen <= 0 {
-		c.QueueLen = 8192
-	}
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = time.Second
 	}
@@ -107,7 +104,7 @@ type Standby struct {
 	cfg StandbyConfig
 	dev *nvm.Device
 
-	wmAddr uint64   // watermark table base (header word + nshards words)
+	wmAddr uint64 // watermark table base (header word + nshards words)
 	ths    []persist.Thread
 
 	// Per-shard sequences. applySeq is pipeline-goroutine-owned between
@@ -119,14 +116,14 @@ type Standby struct {
 
 	queue chan rec
 
-	state   atomic.Int32
-	stopc   chan struct{}
+	state    atomic.Int32
+	stopc    chan struct{}
 	stopOnce sync.Once
-	promc   chan struct{} // closed when promotion completes
+	promc    chan struct{} // closed when promotion completes
 
 	// Apply closure scratch (apply goroutine only).
-	cur   rec
-	fns   []func()
+	cur rec
+	fns []func()
 
 	mu sync.Mutex
 	nc net.Conn
@@ -157,7 +154,7 @@ func NewStandby(cfg StandbyConfig) (*Standby, error) {
 		applySeq: make([]uint64, n),
 		durSeq:   make([]atomic.Uint64, n),
 		recvSeq:  make([]atomic.Uint64, n),
-		queue:    make(chan rec, cfg.QueueLen),
+		queue:    make(chan rec, applyQueue),
 		stopc:    make(chan struct{}),
 		promc:    make(chan struct{}),
 	}

@@ -46,8 +46,8 @@ type Store interface {
 	// EvictOne removes one item from a shard to bound its size,
 	// reporting whether a victim existed. Pipeline-thread only.
 	EvictOne(t persist.Thread, shard int) bool
-	// Device exposes the underlying NVM device; the fast lane uses its
-	// commit tickets to park reads behind in-flight commits.
+	// Device exposes the underlying NVM device; Drain issues its final
+	// fence on it.
 	Device() *nvm.Device
 	// Register declares the store's resumable FASEs for recovery.
 	Register(rr *persist.ResumeRegistry)

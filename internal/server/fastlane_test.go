@@ -13,8 +13,8 @@ import (
 	"github.com/ido-nvm/ido/internal/server"
 )
 
-// Conformance for the lock-free read fast lane and the cross-shard
-// multi-get scatter-gather: golden response ordering under both the
+// Conformance for the lock-free read fast lane and cross-shard
+// multi-gets: golden response ordering under both the
 // fast lane and the forced slot path (the wire contract must not
 // depend on which path served a key), incr/decr verb goldens, the
 // per-shard eviction watermark, and the 16-reader/4-writer seqlock

@@ -14,6 +14,12 @@
 // a fixed slot ring, and a per-connection writer batches however many
 // responses are ready into one socket write.
 //
+// GETs skip the pipeline when they can: the reader walks the store
+// device-direct under its shard's seqlock epoch, and on an odd epoch (a
+// write in flight) spins on that epoch until the write finishes. A key
+// the fast lane cannot serve is dispatched to its shard on its own, like
+// any single GET; ring order alone gives a multi-get its reply order.
+//
 // Everything on the steady-state path is allocation-free: slots are
 // fixed rings, free-slot tokens are a counting-semaphore channel,
 // completions ring an edge-triggered doorbell, response bytes are built
@@ -24,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,21 +65,25 @@ var ErrServerClosed = errors.New("server: closed")
 // refuses a connection (after sending the canned busy reply).
 var ErrServerBusy = errors.New("server: too many connections")
 
-// Config sizes the per-connection and per-shard machinery.
+// Fixed sizes of the per-connection and per-shard machinery.
+const (
+	// ringSize is the per-connection pipeline depth: the number of
+	// in-flight request slots. A reader that gets ahead of its shards by
+	// this much blocks until responses drain.
+	ringSize = 256
+	// shardQueue is the per-shard request queue depth.
+	shardQueue = 256
+	// readBuf is the per-connection read buffer; every parseable frame
+	// fits inside 8 KiB (see the parser bounds).
+	readBuf = 64 << 10
+	// writeBuf is the per-connection response batch buffer; the writer
+	// flushes when it fills or when no further response is ready.
+	writeBuf = 32 << 10
+)
+
+// Config selects the protocol and the optional serving policies.
 type Config struct {
 	Proto Proto
-	// Ring is the per-connection pipeline depth: the number of in-flight
-	// request slots (default 256). A reader that gets ahead of its shards
-	// by this much blocks until responses drain.
-	Ring int
-	// ShardQueue is the per-shard request queue depth (default 256).
-	ShardQueue int
-	// ReadBuf is the per-connection read buffer (default 64 KiB; min 8 KiB,
-	// which every parseable frame fits inside — see the parser bounds).
-	ReadBuf int
-	// WriteBuf is the per-connection response batch buffer (default 32 KiB);
-	// the writer flushes when it fills or when no further response is ready.
-	WriteBuf int
 	// Metrics, when non-nil, is the collector the in-band introspection
 	// verbs (memcache `stats`, RESP `INFO`) answer from. New attaches the
 	// server as the collector's Source if none is set, so the same
@@ -104,28 +115,6 @@ type Config struct {
 	IdleTimeout time.Duration
 }
 
-func (cfg *Config) fill() {
-	if cfg.Ring <= 0 {
-		cfg.Ring = 256
-	}
-	// The ring must exceed the largest multi-get (maxMultiGet keys, 63
-	// for RESP MGET): scatter-gather claims every slot of a multi-get
-	// before dispatching any of them, and claims can only unblock if
-	// all older slots were dispatched or completed.
-	if cfg.Ring < 64 {
-		cfg.Ring = 64
-	}
-	if cfg.ShardQueue <= 0 {
-		cfg.ShardQueue = 256
-	}
-	if cfg.ReadBuf < 8<<10 {
-		cfg.ReadBuf = 64 << 10
-	}
-	if cfg.WriteBuf < 4<<10 {
-		cfg.WriteBuf = 32 << 10
-	}
-}
-
 // respCap bounds one encoded response: the longest memcache VALUE line
 // (6+16+3+2+2+20+2 bytes) plus END, and every canned error line, fit.
 const respCap = 96
@@ -152,11 +141,6 @@ type slot struct {
 	rlen    int32
 	mhdr    int32 // >0 on an MGET's first slot: prepend the *N array header
 	resp    [respCap]byte
-	// next chains this slot to the next fallback slot bound for the
-	// same shard within one scatter-gather multi-get. Written by the
-	// reader before the chain head is dispatched, consumed (and nilled)
-	// by the shard pipeline; always nil outside a batched dispatch.
-	next *slot
 	// big is the overflow response for replies that cannot fit resp
 	// (stats/INFO bodies). Filled reader-side, consumed and nilled by the
 	// writer; always nil on the GET/SET/DEL hot path, which stays
@@ -186,13 +170,7 @@ type conn struct {
 	wseq  uint64        // next slot to emit (writer only)
 	wbuf  []byte
 
-	// Scatter-gather scratch (reader only): per-shard chain head/tail
-	// for the multi-get being dispatched, plus the list of shards the
-	// current request actually touched. Sized once at accept.
-	schHead []*slot
-	schTail []*slot
-	schIdx  []int32
-	touchN  uint64 // fast-read hit counter driving LRU touch sampling
+	touchN uint64 // fast-read hit counter driving LRU touch sampling (reader only)
 
 	// wpend[i] counts this connection's mutating slots dispatched to
 	// shard i and not yet executed (reader increments at dispatch, shard
@@ -211,7 +189,6 @@ type shard struct {
 	srv  *Server
 	idx  int
 	th   persist.Thread
-	dev  *nvm.Device
 	in   chan *slot
 	cur  *slot
 	fn   func()
@@ -251,7 +228,8 @@ type shard struct {
 	misses   atomic.Uint64
 
 	// Fast-lane counters: served lock-free, seqlock conflicts retried,
-	// parks on in-flight commits, and falls back to the slot path.
+	// waits on an in-flight write's odd epoch, and falls back to the
+	// slot path.
 	fastGets    atomic.Uint64
 	fastRetries atomic.Uint64
 	fastParks   atomic.Uint64
@@ -306,7 +284,6 @@ type Server struct {
 // created per store shard; rt must therefore have capacity for
 // store.NumShards() more threads. tr may be nil (tracing off).
 func New(rt persist.Runtime, store Store, cfg Config, tr *obs.Tracer) (*Server, error) {
-	cfg.fill()
 	srv := &Server{
 		cfg:    cfg,
 		store:  store,
@@ -335,8 +312,7 @@ func New(rt persist.Runtime, store Store, cfg Config, tr *obs.Tracer) (*Server, 
 			srv:   srv,
 			idx:   i,
 			th:    th,
-			dev:   store.Device(),
-			in:    make(chan *slot, cfg.ShardQueue),
+			in:    make(chan *slot, shardQueue),
 			touch: make(chan [2]uint64, 64),
 			ring:  tr.ThreadRing(fmt.Sprintf("server/shard%d", i)),
 		}
@@ -438,25 +414,21 @@ func (srv *Server) ServeConn(nc net.Conn) error {
 		nc.Close()
 		return ErrServerClosed
 	}
-	nsh := len(srv.shards)
 	c := &conn{
-		srv:     srv,
-		nc:      nc,
-		ring:    make([]slot, srv.cfg.Ring),
-		free:    make(chan struct{}, srv.cfg.Ring),
-		cmpl:    make(chan struct{}, 1),
-		deadc:   make(chan struct{}),
-		wbuf:    make([]byte, 0, srv.cfg.WriteBuf),
-		schHead: make([]*slot, nsh),
-		schTail: make([]*slot, nsh),
-		schIdx:  make([]int32, 0, nsh),
-		wpend:   make([]atomic.Int32, nsh),
+		srv:   srv,
+		nc:    nc,
+		ring:  make([]slot, ringSize),
+		free:  make(chan struct{}, ringSize),
+		cmpl:  make(chan struct{}, 1),
+		deadc: make(chan struct{}),
+		wbuf:  make([]byte, 0, writeBuf),
+		wpend: make([]atomic.Int32, len(srv.shards)),
 	}
 	srv.conns[c] = struct{}{}
 	srv.mu.Unlock()
 	srv.connsTotal.Add(1)
 	srv.connsOpen.Add(1)
-	for i := 0; i < srv.cfg.Ring; i++ {
+	for i := 0; i < ringSize; i++ {
 		c.free <- struct{}{}
 	}
 	srv.wg.Add(2)
@@ -551,10 +523,6 @@ func (srv *Server) Drain(timeout time.Duration) error {
 
 func (srv *Server) shutdown() {
 	srv.stopOnce.Do(func() { close(srv.stopc) })
-	// Belt-and-suspenders for readers parked on commit tickets: every
-	// park is also cancelled by its shard's epoch bump, but waking here
-	// costs one atomic load in the common no-waiter case.
-	srv.store.Device().WakeTicketWaiters()
 	srv.mu.Lock()
 	srv.closed = true
 	for c := range srv.conns {
@@ -621,14 +589,7 @@ func (sh *shard) run() {
 	for {
 		select {
 		case s := <-sh.in:
-			// A dispatch may carry a chain of sibling slots — the
-			// fallbacks of one scatter-gather multi-get bound here.
-			for s != nil {
-				nxt := s.next
-				s.next = nil
-				sh.serve(s, mc)
-				s = nxt
-			}
+			sh.serve(s, mc)
 		case k := <-sh.touch:
 			sh.drainTouch(k)
 		case <-sh.srv.stopc:
@@ -681,8 +642,8 @@ func (sh *shard) noteRead(hit bool, k0, k1 uint64, n *uint64) {
 // inside the shard's seqlock write section: the odd bump before Exec
 // tells fast readers a write is in flight, the even bump after — which
 // happens only once Exec has returned, i.e. after the FASE's final
-// fence — tells them the shard is quiescent again, and the ticket wake
-// releases any reader that parked on this commit.
+// fence — tells them the shard is quiescent again and releases any
+// reader waiting on the odd epoch.
 func (sh *shard) serve(s *slot, mc bool) {
 	sh.inflight.Store(1)
 	sh.cur = s
@@ -696,7 +657,6 @@ func (sh *shard) serve(s *slot, mc bool) {
 	sh.cur = nil
 	if wr {
 		sh.seq.Add(1)
-		sh.dev.WakeTicketWaiters()
 		// The write is applied and the epoch even again: release the
 		// owning connection's read-your-writes gate (before complete —
 		// the writer may recycle s the moment it is published).
@@ -766,7 +726,6 @@ func (sh *shard) maybeEvict() {
 		sh.seq.Add(1)
 		sh.th.Exec(sh.evFn)
 		sh.seq.Add(1)
-		sh.dev.WakeTicketWaiters()
 		if !sh.evOK {
 			return
 		}
@@ -908,7 +867,6 @@ func (c *conn) sendOp(op uint8, kb []byte, val uint64, noreply, last bool, ts in
 	s.ts = ts
 	s.rlen = 0
 	s.mhdr = 0
-	s.next = nil
 	s.fillKey(kb)
 	if op != opGet {
 		c.wpend[s.shard].Add(1)
@@ -916,22 +874,32 @@ func (c *conn) sendOp(op uint8, kb []byte, val uint64, noreply, last bool, ts in
 	return c.dispatch(s)
 }
 
+// epochSpin bounds one fast-lane wait on an odd epoch, counted in loads
+// of the epoch word.
+const epochSpin = 1024
+
 // fastGet runs the optimistic lock-free read protocol against one
 // shard: snapshot the seqlock epoch, walk the store device-direct, and
 // re-validate the epoch. An odd epoch means a mutating FASE is in
-// flight — instead of re-walking hot, the reader parks on the device's
-// next commit ticket, cancelled by the epoch itself in case the FASE's
-// fence already landed before the even bump. Bounded attempts; ok=false
-// tells the caller to fall back to the slot path. A successful return
-// was validated under an even, unchanged epoch, so the data it reports
-// was produced by a completed FASE, whose Exec return implies its final
-// persist fence: acked ⇒ durable holds with zero fences on this path.
+// flight — instead of re-walking hot, the reader spins on the epoch
+// until it moves (yielding every 16 loads, touching no device word) or
+// epochSpin loads pass, then retries. The epoch is its own cancel word:
+// a writer that died mid-FASE leaves it odd, and the reader leaves by
+// the bound. Bounded attempts; ok=false tells the caller to fall back
+// to the slot path. A successful return was validated under an even,
+// unchanged epoch, so the data it reports was produced by a completed
+// FASE, whose Exec return implies its final persist fence: acked ⇒
+// durable holds with zero fences on this path.
 func (c *conn) fastGet(sh *shard, k0, k1 uint64) (v uint64, hit, ok bool) {
 	for attempt := 0; attempt < 4; attempt++ {
 		s1 := sh.seq.Load()
 		if s1&1 != 0 {
 			sh.fastParks.Add(1)
-			sh.dev.WaitTicket(sh.dev.CommitTicket()+1, &sh.seq, s1)
+			for i := 1; i <= epochSpin && sh.seq.Load() == s1; i++ {
+				if i&15 == 0 {
+					runtime.Gosched()
+				}
+			}
 			continue
 		}
 		v, hit, wok := sh.srv.store.GetFast(sh.idx, k0, k1)
@@ -945,13 +913,11 @@ func (c *conn) fastGet(sh *shard, k0, k1 uint64) (v uint64, hit, ok bool) {
 }
 
 // sendGets serves a (multi-)get. Slots are claimed in key order — ring
-// order is emission order, so the gather side comes for free: the
-// writer already emits in claim order regardless of which side
-// completed each slot. Every key first tries the fast lane and, on
-// success, completes immediately on this goroutine with no dispatch at
-// all. Fallbacks are chained per shard through slot.next and handed
-// over as one batched dispatch per shard (the scatter), so an N-key
-// multi-get costs at most min(N, shards) queue sends instead of N.
+// order is emission order, so the writer replies in request order
+// regardless of which side completed each slot. Every key first tries
+// the fast lane and, on success, completes immediately on this
+// goroutine with no dispatch at all; a key that misses it is
+// dispatched to its shard on its own, like a single GET.
 func (c *conn) sendGets(raw []byte, keys [][2]int, mget bool, ts int64) bool {
 	mc := c.srv.cfg.Proto == ProtoMemcache
 	fast := !c.srv.cfg.DisableFastReads
@@ -968,7 +934,6 @@ func (c *conn) sendGets(raw []byte, keys [][2]int, mget bool, ts int64) bool {
 		s.val = 0
 		s.ts = ts
 		s.rlen = 0
-		s.next = nil
 		s.mhdr = 0
 		if mget && i == 0 {
 			s.mhdr = int32(len(keys))
@@ -999,24 +964,11 @@ func (c *conn) sendGets(raw []byte, keys [][2]int, mget bool, ts int64) bool {
 				continue
 			}
 		}
-		if c.schHead[s.shard] == nil {
-			c.schHead[s.shard] = s
-			c.schIdx = append(c.schIdx, s.shard)
-		} else {
-			c.schTail[s.shard].next = s
-		}
-		c.schTail[s.shard] = s
-	}
-	ok := true
-	for _, si := range c.schIdx {
-		head := c.schHead[si]
-		c.schHead[si], c.schTail[si] = nil, nil
-		if ok {
-			ok = c.dispatch(head)
+		if !c.dispatch(s) {
+			return false
 		}
 	}
-	c.schIdx = c.schIdx[:0]
-	return ok
+	return true
 }
 
 func (c *conn) dispatchMc(f *mcFrame, raw []byte, ts int64) bool {
@@ -1060,16 +1012,16 @@ func (c *conn) readLoop() {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(nvm.CrashSignal); ok {
-				// A fast read hit the injected crash — a device load or
-				// ticket park on this goroutine touched the device the
-				// moment it died. Fall like a shard pipeline does.
+				// A fast read hit the injected crash — a device load on
+				// this goroutine touched the device the moment it died.
+				// Fall like a shard pipeline does.
 				c.srv.noteCrash()
 				return
 			}
 			panic(r)
 		}
 	}()
-	buf := make([]byte, c.srv.cfg.ReadBuf)
+	buf := make([]byte, readBuf)
 	mc := c.srv.cfg.Proto == ProtoMemcache
 	start, end := 0, 0
 	for {
