@@ -16,11 +16,11 @@ package mnemosyne
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
-
-	"sync"
 
 	"github.com/ido-nvm/ido/internal/locks"
 	"github.com/ido-nvm/ido/internal/nvm"
@@ -97,6 +97,7 @@ func (rt *Runtime) NewThread() (persist.Thread, error) {
 	t := &thread{
 		rt: rt, id: rt.nextID, log: log,
 		writes: make(map[uint64]uint64),
+		rng:    uint64(rt.nextID+1) * 0x9E3779B97F4A7C15,
 	}
 	t.rc = dev.Tracer().ThreadRing(fmt.Sprintf("mnemosyne/t%d", t.id))
 	rt.nextID++
@@ -179,6 +180,7 @@ type thread struct {
 
 	rc     *obs.Ring // event ring; nil when tracing is off
 	faseT0 int64     // tracer clock at transaction entry
+	rng    uint64    // xorshift64 state for abort backoff, never zero
 
 	stats persist.RuntimeStats
 }
@@ -188,12 +190,35 @@ func (t *thread) ID() int { return t.id }
 // Exec retries op until its transactions commit. op must confine its side
 // effects to Thread stores, which the STM buffers.
 func (t *thread) Exec(op func()) {
+	window := backoffMinNS
 	for {
 		if t.try(op) {
 			return
 		}
 		t.stats.Aborts++
+		t.backoff(window)
+		window = min(2*window, backoffMaxNS)
 	}
+}
+
+// Contention management, as in TinySTM: after an abort a thread waits a
+// random time below a window that doubles with each consecutive abort of
+// the same operation, then yields its P. An immediate retry livelocks
+// once goroutines outnumber Ps: a committer descheduled while it holds
+// stripe locks leaves every running thread aborting on them until the
+// scheduler preempts it. The wait is pure CPU with no device event, and a
+// single-threaded run never aborts, so its event sequence is unchanged.
+const (
+	backoffMinNS = 256
+	backoffMaxNS = 64 << 10
+)
+
+func (t *thread) backoff(window int) {
+	t.rng ^= t.rng << 13
+	t.rng ^= t.rng >> 7
+	t.rng ^= t.rng << 17
+	nvm.SpinWait(int(t.rng % uint64(window)))
+	runtime.Gosched()
 }
 
 func (t *thread) try(op func()) (ok bool) {

@@ -22,19 +22,24 @@ func (d *Device) ReadWords(addr uint64, dst []uint64) {
 	i := 0
 	for i < len(dst) {
 		a := addr + uint64(i)*WordSize
-		li := a >> lineShift
 		wi := a >> wordShift & (wordsPerLine - 1)
 		n := int(wordsPerLine - wi)
 		if n > len(dst)-i {
 			n = len(dst) - i
 		}
-		valid := d.state[li].Load() >> validShift & laneMask
-		w := a >> wordShift
+		p := d.readPage(a)
+		if p == nil {
+			clear(dst[i : i+n])
+			i += n
+			continue
+		}
+		valid := p.state[pageLine(a)].Load() >> validShift & laneMask
+		w := pageWord(a)
 		for k := 0; k < n; k++ {
 			if valid&(1<<(wi+uint64(k))) != 0 {
-				dst[i+k] = loadWord(&d.cached[w+uint64(k)])
+				dst[i+k] = loadWord(&p.cached[w+uint64(k)])
 			} else {
-				dst[i+k] = loadWord(&d.words[w+uint64(k)])
+				dst[i+k] = loadWord(&p.words[w+uint64(k)])
 			}
 		}
 		i += n
@@ -53,20 +58,24 @@ func (d *Device) WriteWords(addr uint64, src []uint64) {
 	i := 0
 	for i < len(src) {
 		a := addr + uint64(i)*WordSize
-		li := a >> lineShift
 		wi := a >> wordShift & (wordsPerLine - 1)
 		n := int(wordsPerLine - wi)
 		if n > len(src)-i {
 			n = len(src) - i
 		}
 		var mask uint32
-		w := a >> wordShift
-		st := d.lockLine(li)
+		p := d.readPage(a)
+		if p == nil {
+			p = d.installPage(a)
+		}
+		w := pageWord(a)
+		s := &p.state[pageLine(a)]
+		st := d.lockLine(s)
 		for k := 0; k < n; k++ {
-			storeWord(&d.cached[w+uint64(k)], src[i+k])
+			storeWord(&p.cached[w+uint64(k)], src[i+k])
 			mask |= 1 << (wi + uint64(k))
 		}
-		d.unlockLine(li, st|mask<<validShift|mask<<dirtyShift)
+		unlockLine(s, st|mask<<validShift|mask<<dirtyShift)
 		i += n
 	}
 }
@@ -87,20 +96,24 @@ func (d *Device) WriteWordsNT(addr uint64, src []uint64) {
 	i := 0
 	for i < len(src) {
 		a := addr + uint64(i)*WordSize
-		li := a >> lineShift
 		wi := a >> wordShift & (wordsPerLine - 1)
 		n := int(wordsPerLine - wi)
 		if n > len(src)-i {
 			n = len(src) - i
 		}
 		var mask uint32
-		w := a >> wordShift
-		st := d.lockLine(li)
+		p := d.readPage(a)
+		if p == nil {
+			p = d.installPage(a)
+		}
+		w := pageWord(a)
+		s := &p.state[pageLine(a)]
+		st := d.lockLine(s)
 		for k := 0; k < n; k++ {
-			storeWord(&d.words[w+uint64(k)], src[i+k])
+			storeWord(&p.words[w+uint64(k)], src[i+k])
 			mask |= 1 << (wi + uint64(k))
 		}
-		d.unlockLine(li, st&^(mask<<validShift|mask<<dirtyShift))
+		unlockLine(s, st&^(mask<<validShift|mask<<dirtyShift))
 		spin(d.cfg.NTStoreNS + extra)
 		if tr != nil {
 			// One event per word, matching the per-word stat count.
@@ -128,10 +141,8 @@ func (d *Device) FlushLines(lines []uint64) {
 		d.checkAddr(base)
 		d.count(statFlushes, 1)
 		t0 := tr.Clock()
-		li := base >> lineShift
-		if d.state[li].Load()&(laneMask<<dirtyShift) != 0 {
-			st := d.lockLine(li)
-			d.unlockLine(li, d.writeBack(li, st))
+		if p := d.readPage(base); p != nil {
+			d.flushLine(p, pageLine(base))
 		}
 		spin(cost)
 		if tr != nil {

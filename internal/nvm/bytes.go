@@ -63,36 +63,58 @@ func (d *Device) Memset64(addr, val uint64, count int) {
 // the bytes that would survive an immediate CrashDiscard. Volatile cache
 // contents are deliberately excluded.
 func (d *Device) SnapshotPersistent() []byte {
-	out := make([]byte, len(d.words)*WordSize)
-	// Hold each line's lock while copying it so an in-flight write-back
-	// is never observed torn within a line.
-	for li := range d.state {
-		st := d.lockLine(uint64(li))
-		wbase := uint64(li) * (LineSize / WordSize)
-		for wi := uint64(0); wi < LineSize/WordSize; wi++ {
-			w := loadWord(&d.words[wbase+wi])
-			binary.LittleEndian.PutUint64(out[(wbase+wi)*WordSize:], w)
+	out := make([]byte, d.limit)
+	for pi := range d.pages {
+		p := d.pages[pi].Load()
+		if p == nil {
+			continue // never written: zeros, which out already holds
 		}
-		d.unlockLine(uint64(li), st)
+		img := out[pi<<pageShift : min((pi+1)<<pageShift, len(out))]
+		// Hold each line's lock while copying it so an in-flight
+		// write-back is never observed torn within a line.
+		for l := 0; l*LineSize < len(img); l++ {
+			s := &p.state[l]
+			st := d.lockLine(s)
+			for w := l * wordsPerLine; w < (l+1)*wordsPerLine; w++ {
+				binary.LittleEndian.PutUint64(img[w*WordSize:], loadWord(&p.words[w]))
+			}
+			unlockLine(s, st)
+		}
 	}
 	return out
 }
 
 // RestorePersistent overwrites the persistence domain from a snapshot and
 // clears the cache, as when a recovery process maps a region file after a
-// crash. The snapshot length must match the device size.
+// crash. The snapshot length must match the device size. A page the
+// device never wrote is installed only if the snapshot holds a nonzero
+// word in it.
 func (d *Device) RestorePersistent(img []byte) {
 	if len(img) != d.Size() {
 		panic("nvm: snapshot size mismatch")
 	}
-	for li := range d.state {
-		st := d.lockLine(uint64(li))
-		_ = st
-		wbase := uint64(li) * (LineSize / WordSize)
-		for wi := uint64(0); wi < LineSize/WordSize; wi++ {
-			v := binary.LittleEndian.Uint64(img[(wbase+wi)*WordSize:])
-			storeWord(&d.words[wbase+wi], v)
+	var words [wordsPerPage]uint64
+	for pi := range d.pages {
+		chunk := img[pi<<pageShift : min((pi+1)<<pageShift, len(img))]
+		var nz uint64
+		for w := range len(chunk) / WordSize {
+			words[w] = binary.LittleEndian.Uint64(chunk[w*WordSize:])
+			nz |= words[w]
 		}
-		d.unlockLine(uint64(li), 0) // cached copies die with the old image
+		p := d.pages[pi].Load()
+		if p == nil {
+			if nz == 0 {
+				continue
+			}
+			p = d.installPage(uint64(pi) << pageShift)
+		}
+		for l := 0; l*LineSize < len(chunk); l++ {
+			s := &p.state[l]
+			d.lockLine(s)
+			for w := l * wordsPerLine; w < (l+1)*wordsPerLine; w++ {
+				storeWord(&p.words[w], words[w])
+			}
+			unlockLine(s, 0) // cached copies die with the old image
+		}
 	}
 }

@@ -17,17 +17,23 @@
 //
 // # Hot-path architecture
 //
-// The cache is a flat line table preallocated at New: three arrays indexed
-// directly by word or line number — words (the persistence domain), cached
-// (the volatile copies), and one state word per line packing the line's
-// valid bitmask, dirty bitmask, and a spinlock bit. There are no maps, no
-// allocation after New, and no locks shared between lines, so simulated
+// The device is one table of page pointers indexed by addr/4096. A page
+// covers 64 lines and holds their state words (valid bitmask, dirty
+// bitmask and a spinlock bit per line), their persistent words and their
+// cached copies. New allocates only the table; a page is allocated once,
+// on the first store, NT store or bulk write into it, and installed by
+// compare-and-swap. A page that was never written reads as zero and is
+// never cached or dirty, so the host pays for the bytes a program writes,
+// not for the device's capacity — as a DAX mapping behind a cache would.
+// There are no maps and no locks shared between lines, so simulated
 // memory traffic from different threads only meets where real cache lines
 // would (see README.md in this directory for the locking discipline and
 // the argument that crash semantics are unchanged).
 //
-// Loads are lock-free: one atomic read of the line state picks the cached
-// or the persistent copy. Stores take only their own line's lock bit.
+// Loads are lock-free: one atomic read of the page pointer and one of the
+// line state pick the cached or the persistent copy. Pages are never
+// freed or recycled while the device lives, so a pointer once read stays
+// valid and there is no ABA. Stores take only their own line's lock bit.
 // Event counters are striped across padded per-goroutine-ish slots and
 // summed lazily by Stats.
 package nvm
@@ -52,7 +58,25 @@ const (
 	wordsPerLine = LineSize / WordSize
 	lineShift    = 6 // log2(LineSize)
 	wordShift    = 3 // log2(WordSize)
+
+	linesPerPage = 64
+	wordsPerPage = linesPerPage * wordsPerLine
+	pageShift    = 12 // log2(linesPerPage * LineSize)
 )
+
+// page is 4 KiB of the device: the state words of its 64 lines, their
+// persistent words (what survives CrashDiscard) and their cached copies.
+// state is indexed by line within the page, words and cached by word
+// within the page.
+type page struct {
+	state  [linesPerPage]atomic.Uint32
+	words  [wordsPerPage]uint64
+	cached [wordsPerPage]uint64
+}
+
+// pageLine and pageWord index addr's line and word within its page.
+func pageLine(addr uint64) uint64 { return addr >> lineShift & (linesPerPage - 1) }
+func pageWord(addr uint64) uint64 { return addr >> wordShift & (wordsPerPage - 1) }
 
 // Per-line state word layout. Bits 0–7 are the valid mask (word i of the
 // line has a cached copy), bits 8–15 the dirty mask (cached copy not yet
@@ -177,13 +201,9 @@ type Device struct {
 	cfg   Config
 	limit uint64 // capacity in bytes
 
-	// The flat line table: words is the persistence domain, cached the
-	// volatile copies, state one lock/valid/dirty word per line. words
-	// and cached are indexed by word number (addr/8), state by line
-	// number (addr/64). All three are fully allocated at New.
-	words  []uint64
-	cached []uint64
-	state  []atomic.Uint32
+	// pages is indexed by page number (addr/4096). An entry is nil until
+	// the first write into its page and never changes after that.
+	pages []atomic.Pointer[page]
 
 	stripes [nStripes]statStripe
 	evict   [nStripes]evictStripe
@@ -224,11 +244,9 @@ func New(cfg Config) *Device {
 	}
 	lines := (cfg.Size + LineSize - 1) / LineSize
 	d := &Device{
-		cfg:    cfg,
-		limit:  uint64(lines) * LineSize,
-		words:  make([]uint64, lines*wordsPerLine),
-		cached: make([]uint64, lines*wordsPerLine),
-		state:  make([]atomic.Uint32, lines),
+		cfg:   cfg,
+		limit: uint64(lines) * LineSize,
+		pages: make([]atomic.Pointer[page], (lines+linesPerPage-1)/linesPerPage),
 	}
 	seed := uint64(0x1D0)
 	for i := range d.evict {
@@ -282,12 +300,30 @@ func (d *Device) count(ev int, n uint64) {
 	addCounter(&d.stripes[h>>58].n[ev], n)
 }
 
-// lockLine acquires line li's spinlock via test-and-set and returns the
-// observed state (lock bit set). Only the lock holder may mutate the
-// line's cached words or its valid/dirty masks, so the holder releases
-// by storing the complete new state word. The loop is crash-aware:
-// waiters die once an injected crash has fired, mirroring the lock-spin
-// behavior documented in inject.go.
+// readPage returns the page holding addr, or nil if nothing was ever
+// written into it: a nil page reads as zero and is never cached or dirty.
+func (d *Device) readPage(addr uint64) *page { return d.pages[addr>>pageShift].Load() }
+
+// installPage returns the page holding addr, allocating and installing a
+// zeroed one if nothing was written there yet. Writers call it only after
+// readPage returned nil, which keeps their fast path one inlined load. Of
+// two racing first writers, one compare-and-swap wins and both use its
+// page; the loser's allocation is garbage that no reader ever saw.
+func (d *Device) installPage(addr uint64) *page {
+	pp := &d.pages[addr>>pageShift]
+	p := new(page)
+	if pp.CompareAndSwap(nil, p) {
+		return p
+	}
+	return pp.Load()
+}
+
+// lockLine acquires the spinlock in line state s via test-and-set and
+// returns the observed state (lock bit set). Only the lock holder may
+// mutate the line's cached words or its valid/dirty masks, so the holder
+// releases by storing the complete new state word. The loop is
+// crash-aware: waiters die once an injected crash has fired, mirroring
+// the lock-spin behavior documented in inject.go.
 //
 // Acquisition is spelled Load+CompareAndSwap rather than the tidier
 // s.Or(lineLock): go1.24.0/amd64 lowers value-returning atomic Or to a
@@ -295,8 +331,7 @@ func (d *Device) count(ev int, n uint64) {
 // the allocator may park a live pointer there — with d needed across
 // the intrinsic for the crash check below, the spin then dereferenced
 // a state word as d and segfaulted under lock contention.
-func (d *Device) lockLine(li uint64) uint32 {
-	s := &d.state[li]
+func (d *Device) lockLine(s *atomic.Uint32) uint32 {
 	for i := 0; ; i++ {
 		if st := s.Load(); st&lineLock == 0 && s.CompareAndSwap(st, st|lineLock) {
 			return st | lineLock
@@ -318,41 +353,46 @@ func (d *Device) lockLine(li uint64) uint32 {
 
 // unlockLine publishes st (computed by the holder, lock bit clear) as the
 // line's new state.
-func (d *Device) unlockLine(li uint64, st uint32) {
-	d.state[li].Store(st &^ lineLock)
-}
+func unlockLine(s *atomic.Uint32, st uint32) { s.Store(st &^ lineLock) }
 
 // Store64 writes an 8-byte word into the volatile cache.
 func (d *Device) Store64(addr, val uint64) {
 	d.crashTick()
 	d.checkAddr(addr)
 	d.count(statStores, 1)
-	w := addr >> wordShift
-	li := addr >> lineShift
-	wi := w & (wordsPerLine - 1)
-	st := d.lockLine(li)
-	storeWord(&d.cached[w], val)
-	d.unlockLine(li, st|1<<(validShift+wi)|1<<(dirtyShift+wi))
+	p := d.readPage(addr)
+	if p == nil {
+		p = d.installPage(addr)
+	}
+	wi := addr >> wordShift & (wordsPerLine - 1)
+	s := &p.state[pageLine(addr)]
+	st := d.lockLine(s)
+	storeWord(&p.cached[pageWord(addr)], val)
+	unlockLine(s, st|1<<(validShift+wi)|1<<(dirtyShift+wi))
 	if r := d.cfg.EvictionRate; r > 0 {
-		d.maybeEvict(li, r)
+		d.maybeEvict(addr>>lineShift, r)
 	}
 }
 
 // Load64 reads an 8-byte word, observing the cache first. The read is
-// lock-free: one atomic read of the line state selects the cached or the
-// persistent copy, and a load racing a store to the same word returns
-// either the old or the new value — exactly the guarantee 8-byte-atomic
-// hardware gives two unsynchronized threads.
+// lock-free: one atomic read of the page pointer and one of the line
+// state select the cached or the persistent copy, and a load racing a
+// store to the same word returns either the old or the new value —
+// exactly the guarantee 8-byte-atomic hardware gives two unsynchronized
+// threads.
 func (d *Device) Load64(addr uint64) uint64 {
 	d.crashTick()
 	d.checkAddr(addr)
 	d.count(statLoads, 1)
-	w := addr >> wordShift
-	wi := w & (wordsPerLine - 1)
-	if d.state[addr>>lineShift].Load()&(1<<(validShift+wi)) != 0 {
-		return loadWord(&d.cached[w])
+	p := d.readPage(addr)
+	if p == nil {
+		return 0
 	}
-	return loadWord(&d.words[w])
+	w := pageWord(addr)
+	if p.state[w/wordsPerLine].Load()&(1<<(validShift+w%wordsPerLine)) != 0 {
+		return loadWord(&p.cached[w])
+	}
+	return loadWord(&p.words[w])
 }
 
 // StoreNT performs a non-temporal store: the word goes straight to the
@@ -364,31 +404,47 @@ func (d *Device) StoreNT(addr, val uint64) {
 	d.count(statNTStores, 1)
 	tr := d.trc.Load()
 	t0 := tr.Clock()
-	w := addr >> wordShift
-	li := addr >> lineShift
-	wi := w & (wordsPerLine - 1)
-	st := d.lockLine(li)
-	storeWord(&d.words[w], val)
-	d.unlockLine(li, st&^(1<<(validShift+wi)|1<<(dirtyShift+wi)))
+	p := d.readPage(addr)
+	if p == nil {
+		p = d.installPage(addr)
+	}
+	wi := addr >> wordShift & (wordsPerLine - 1)
+	s := &p.state[pageLine(addr)]
+	st := d.lockLine(s)
+	storeWord(&p.words[pageWord(addr)], val)
+	unlockLine(s, st&^(1<<(validShift+wi)|1<<(dirtyShift+wi)))
 	spin(d.cfg.NTStoreNS + int(d.extraNS.Load()))
 	if tr != nil {
 		tr.DevSpan(obs.KNTStore, addr, 0, t0)
 	}
 }
 
-// writeBack copies line li's dirty cached words into the persistence
+// writeBack copies line l's dirty cached words into the persistence
 // domain and returns the state with the dirty mask cleared. The line lock
 // must be held; st is the held state.
-func (d *Device) writeBack(li uint64, st uint32) uint32 {
+func (p *page) writeBack(l uint64, st uint32) uint32 {
 	dirty := st >> dirtyShift & laneMask
-	wbase := li * wordsPerLine
+	wbase := l * wordsPerLine
 	for wi := uint64(0); dirty != 0; wi++ {
 		if dirty&(1<<wi) != 0 {
-			storeWord(&d.words[wbase+wi], loadWord(&d.cached[wbase+wi]))
+			storeWord(&p.words[wbase+wi], loadWord(&p.cached[wbase+wi]))
 			dirty &^= 1 << wi
 		}
 	}
 	return st &^ (laneMask << dirtyShift)
+}
+
+// flushLine writes back line l of p if it is dirty and reports whether it
+// was. It peeks before locking: flushing an already-clean line is a
+// no-op.
+func (d *Device) flushLine(p *page, l uint64) bool {
+	s := &p.state[l]
+	if s.Load()&(laneMask<<dirtyShift) == 0 {
+		return false
+	}
+	st := d.lockLine(s)
+	unlockLine(s, p.writeBack(l, st))
+	return st&(laneMask<<dirtyShift) != 0
 }
 
 // CLWB writes back the dirty words of the cache line containing addr to
@@ -399,11 +455,8 @@ func (d *Device) CLWB(addr uint64) {
 	d.count(statFlushes, 1)
 	tr := d.trc.Load()
 	t0 := tr.Clock()
-	li := addr >> lineShift
-	// Peek before locking: flushing an already-clean line is a no-op.
-	if d.state[li].Load()&(laneMask<<dirtyShift) != 0 {
-		st := d.lockLine(li)
-		d.unlockLine(li, d.writeBack(li, st))
+	if p := d.readPage(addr); p != nil {
+		d.flushLine(p, pageLine(addr))
 	}
 	spin(d.cfg.FlushNS + int(d.extraNS.Load()))
 	if tr != nil {
@@ -495,24 +548,19 @@ func (d *Device) maybeEvict(li uint64, rate int) {
 		return
 	}
 	// Probe a bounded window of lines from a pseudo-random start for a
-	// dirty victim. The dirty peek is lock-free; only a hit locks.
-	nl := uint64(len(d.state))
+	// dirty victim. The dirty peek is lock-free; only a hit locks. A line
+	// on a page never written is clean.
+	nl := d.limit >> lineShift
 	start := (x >> 17) % nl
 	probes := nl
 	if probes > 256 {
 		probes = 256
 	}
 	for i, lj := uint64(0), start; i < probes; i++ {
-		if d.state[lj].Load()&(laneMask<<dirtyShift) != 0 {
-			st := d.lockLine(lj)
-			if st&(laneMask<<dirtyShift) != 0 {
-				d.unlockLine(lj, d.writeBack(lj, st))
-				d.count(statEvictions, 1)
-				if tr := d.trc.Load(); tr != nil {
-					tr.DevEmit(obs.KEvict, lj<<lineShift, 0)
-				}
-			} else {
-				d.unlockLine(lj, st)
+		if p := d.readPage(lj << lineShift); p != nil && d.flushLine(p, lj%linesPerPage) {
+			d.count(statEvictions, 1)
+			if tr := d.trc.Load(); tr != nil {
+				tr.DevEmit(obs.KEvict, lj<<lineShift, 0)
 			}
 			return
 		}
@@ -539,24 +587,34 @@ func (d *Device) Crash(mode CrashMode, rng *rand.Rand) {
 	if mode == CrashRandom && rng == nil {
 		panic("nvm: CrashRandom requires a *rand.Rand")
 	}
-	for li := range d.state {
-		st := d.lockLine(uint64(li))
-		if dirty := st >> dirtyShift & laneMask; dirty != 0 {
-			wbase := uint64(li) * wordsPerLine
-			switch mode {
-			case CrashPersistAll:
-				d.writeBack(uint64(li), st)
-			case CrashRandom:
-				for wi := uint64(0); wi < wordsPerLine; wi++ {
-					if dirty&(1<<wi) != 0 && rng.Intn(2) == 0 {
-						storeWord(&d.words[wbase+wi], loadWord(&d.cached[wbase+wi]))
-					}
-				}
-			case CrashDiscard:
-				// dirty words are simply lost
-			}
+	// Pages never written hold no cache state. The walk keeps ascending
+	// address order, so CrashRandom draws rng for the same dirty words in
+	// the same order whatever the page table holds.
+	for pi := range d.pages {
+		p := d.pages[pi].Load()
+		if p == nil {
+			continue
 		}
-		d.unlockLine(uint64(li), 0) // the whole line's cache state dies
+		for l := range p.state {
+			s := &p.state[l]
+			st := d.lockLine(s)
+			if dirty := st >> dirtyShift & laneMask; dirty != 0 {
+				wbase := uint64(l) * wordsPerLine
+				switch mode {
+				case CrashPersistAll:
+					p.writeBack(uint64(l), st)
+				case CrashRandom:
+					for wi := uint64(0); wi < wordsPerLine; wi++ {
+						if dirty&(1<<wi) != 0 && rng.Intn(2) == 0 {
+							storeWord(&p.words[wbase+wi], loadWord(&p.cached[wbase+wi]))
+						}
+					}
+				case CrashDiscard:
+					// dirty words are simply lost
+				}
+			}
+			unlockLine(s, 0) // the whole line's cache state dies
+		}
 	}
 	// The fence token is volatile CPU-side state: whoever held it is
 	// dead, so the reopened device starts with it free.
@@ -566,12 +624,12 @@ func (d *Device) Crash(mode CrashMode, rng *rand.Rand) {
 // DrainCache writes back every dirty line (a global flush). Used by
 // region snapshotting, not by the runtimes.
 func (d *Device) DrainCache() {
-	for li := range d.state {
-		if d.state[li].Load()&(laneMask<<dirtyShift) == 0 {
-			continue
+	for pi := range d.pages {
+		if p := d.pages[pi].Load(); p != nil {
+			for l := range p.state {
+				d.flushLine(p, uint64(l))
+			}
 		}
-		st := d.lockLine(uint64(li))
-		d.unlockLine(uint64(li), d.writeBack(uint64(li), st))
 	}
 }
 

@@ -29,7 +29,7 @@ func gcDevice(cfg GroupCommitConfig, tr *obs.Tracer) *Device {
 // the cache.
 func (d *Device) assertPersisted(t *testing.T, addr, want uint64) {
 	t.Helper()
-	if got := loadWord(&d.words[addr>>wordShift]); got != want {
+	if got := d.persistedWord(addr); got != want {
 		t.Fatalf("addr %#x: persistence domain has %d, want %d", addr, got, want)
 	}
 }
@@ -188,7 +188,7 @@ func TestGroupCommitSoloFallsThrough(t *testing.T) {
 		}
 		a.Crash(CrashDiscard, nil)
 		b.Crash(CrashDiscard, nil)
-		if !reflect.DeepEqual(a.words, b.words) {
+		if !reflect.DeepEqual(a.SnapshotPersistent(), b.SnapshotPersistent()) {
 			t.Fatalf("crash at tick %d: persistent images differ", k)
 		}
 		if a.Stats().Fences != b.Stats().Fences {

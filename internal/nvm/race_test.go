@@ -90,8 +90,7 @@ func TestDeviceConcurrentHammer(t *testing.T) {
 
 	// Post-mortem coherence: every line's state word must be unlocked and
 	// honor dirty ⊆ valid.
-	for li := range d.state {
-		st := d.state[li].Load()
+	d.eachLineState(func(li uint64, st uint32) {
 		if st&lineLock != 0 {
 			t.Fatalf("line %d left locked: state %#x", li, st)
 		}
@@ -100,7 +99,7 @@ func TestDeviceConcurrentHammer(t *testing.T) {
 		if dirty&^valid != 0 {
 			t.Fatalf("line %d dirty bits outside valid: state %#x", li, st)
 		}
-	}
+	})
 
 	// The device must still work: a store/flush/fence/crash round trip
 	// persists exactly as in the single-threaded contract.
@@ -110,6 +109,73 @@ func TestDeviceConcurrentHammer(t *testing.T) {
 	d.Crash(CrashDiscard, nil)
 	if got := d.Load64(512); got != 0xDEADBEEF {
 		t.Fatalf("flushed store lost after hammer: got %#x", got)
+	}
+}
+
+// TestDeviceConcurrentFirstWrites races page installation: 16 goroutines
+// each write their own word of every even page while a disruptor crashes
+// (persist-all, so no write is lost) and snapshots the device. Every page
+// is first written by whichever goroutine gets there first, so every
+// install is contested; a writer that lost the compare-and-swap yet wrote
+// into its own page would lose its word. Odd pages are never written and
+// must stay absent.
+func TestDeviceConcurrentFirstWrites(t *testing.T) {
+	const (
+		workers   = 16
+		pages     = 256
+		pageBytes = 1 << pageShift
+	)
+	d := New(Config{Size: pages * pageBytes})
+	tag := func(g, pi uint64) uint64 { return g<<32 | pi + 1 }
+
+	stop := make(chan struct{})
+	var workersWG, disruptorWG sync.WaitGroup
+	disruptorWG.Add(1)
+	go func() {
+		defer disruptorWG.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%2 == 0 {
+				d.Crash(CrashPersistAll, nil)
+			} else {
+				_ = d.SnapshotPersistent()
+			}
+		}
+	}()
+	for g := uint64(0); g < workers; g++ {
+		workersWG.Add(1)
+		go func(g uint64) {
+			defer workersWG.Done()
+			for pi := uint64(0); pi < pages; pi += 2 {
+				a := pi*pageBytes + g*LineSize
+				switch (pi/2 + g) % 3 {
+				case 0:
+					d.Store64(a, tag(g, pi))
+				case 1:
+					d.StoreNT(a, tag(g, pi))
+				case 2:
+					d.WriteWords(a, []uint64{tag(g, pi)})
+				}
+			}
+		}(g)
+	}
+	workersWG.Wait()
+	close(stop)
+	disruptorWG.Wait()
+
+	if n := d.installedPages(); n != pages/2 {
+		t.Fatalf("%d pages installed, want the %d written", n, pages/2)
+	}
+	for pi := uint64(0); pi < pages; pi += 2 {
+		for g := uint64(0); g < workers; g++ {
+			if got := d.Load64(pi*pageBytes + g*LineSize); got != tag(g, pi) {
+				t.Fatalf("page %d, writer %d: got %#x, want %#x", pi, g, got, tag(g, pi))
+			}
+		}
 	}
 }
 
