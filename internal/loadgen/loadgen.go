@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math/bits"
 	"math/rand"
 	"net"
 	"strconv"
@@ -129,70 +128,6 @@ func AppendKey(b []byte, k uint64) []byte {
 	return b
 }
 
-// latHist is a local log2 latency histogram (same bucketing as obs).
-// Buckets are atomic so the live reporter can snapshot a connection's
-// distribution while its reader goroutine observes into it.
-type latHist struct {
-	buckets [65]atomic.Uint64
-	sum     atomic.Uint64
-	count   atomic.Uint64
-}
-
-func (h *latHist) observe(ns uint64) {
-	h.buckets[bits.Len64(ns)].Add(1)
-	h.sum.Add(ns)
-	h.count.Add(1)
-}
-
-// read accumulates the histogram's current state into dst.
-func (h *latHist) read(dst *latSnap) {
-	for i := range h.buckets {
-		dst.buckets[i] += h.buckets[i].Load()
-	}
-	dst.sum += h.sum.Load()
-	dst.count += h.count.Load()
-}
-
-// latSnap is a plain (non-atomic) histogram snapshot: closed under
-// subtraction, which is what windows an interval out of two cumulative
-// reads.
-type latSnap struct {
-	buckets [65]uint64
-	sum     uint64
-	count   uint64
-}
-
-func (s *latSnap) sub(p *latSnap) latSnap {
-	var out latSnap
-	for i := range s.buckets {
-		out.buckets[i] = s.buckets[i] - p.buckets[i]
-	}
-	out.sum = s.sum - p.sum
-	out.count = s.count - p.count
-	return out
-}
-
-func (s *latSnap) quantile(q float64) uint64 {
-	if s.count == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(s.count))
-	if rank >= s.count {
-		rank = s.count - 1
-	}
-	var seen uint64
-	for i, c := range s.buckets {
-		seen += c
-		if seen > rank {
-			if i == 0 {
-				return 0
-			}
-			return 1<<uint(i) - 1
-		}
-	}
-	return ^uint64(0)
-}
-
 // pend is the reader-side record of one in-flight request. hist carries
 // the tracked key's history by pointer so the reader never touches the
 // writer-owned tracked map: the writer appends to Ops, the reader only
@@ -216,7 +151,7 @@ type clientConn struct {
 
 	// Reader-written, atomically readable by the live reporter.
 	ops, errs, hits, misses atomic.Uint64
-	lat                     latHist
+	lat                     obs.Histogram // response latency, ns
 
 	// Fault-tolerance counters (RunFT).
 	retries, reconnects, failovers, timedOut atomic.Uint64
@@ -304,7 +239,7 @@ func run(cfg Config, dials []func() (net.Conn, error), ft bool) (*Result, error)
 	close(repStop)
 	repWG.Wait()
 	res := &Result{Elapsed: time.Since(start)}
-	var all latSnap
+	var all obs.HistCounts
 	for _, c := range clients {
 		res.Ops += c.ops.Load()
 		res.Errs += c.errs.Load()
@@ -314,7 +249,7 @@ func run(cfg Config, dials []func() (net.Conn, error), ft bool) (*Result, error)
 		res.Reconnects += c.reconnects.Load()
 		res.Failovers += c.failovers.Load()
 		res.TimedOut += c.timedOut.Load()
-		c.lat.read(&all)
+		c.lat.AddTo(&all)
 		if cfg.Track {
 			if res.Tracked == nil {
 				res.Tracked = map[uint64]*KeyHist{}
@@ -324,12 +259,10 @@ func run(cfg Config, dials []func() (net.Conn, error), ft bool) (*Result, error)
 			}
 		}
 	}
-	res.P50 = all.quantile(0.50)
-	res.P99 = all.quantile(0.99)
-	res.Max = all.quantile(1.0)
-	if all.count > 0 {
-		res.MeanNS = float64(all.sum) / float64(all.count)
-	}
+	res.P50 = all.Quantile(0.50)
+	res.P99 = all.Quantile(0.99)
+	res.Max = all.Quantile(1.0)
+	res.MeanNS = all.Mean()
 	return res, nil
 }
 
@@ -450,7 +383,7 @@ func reportLoop(cfg *Config, clients []*clientConn, start time.Time, stop <-chan
 	tick := time.NewTicker(cfg.ReportEvery)
 	defer tick.Stop()
 	var prevOps, prevErrs uint64
-	var prevLat latSnap
+	var prevLat obs.HistCounts
 	prevT := start
 	seq := 0
 	for {
@@ -460,24 +393,24 @@ func reportLoop(cfg *Config, clients []*clientConn, start time.Time, stop <-chan
 		case now := <-tick.C:
 			var ops, errs uint64
 			var rc, fo, to uint64
-			var lat latSnap
+			var lat obs.HistCounts
 			for _, c := range clients {
 				ops += c.ops.Load()
 				errs += c.errs.Load()
 				rc += c.reconnects.Load()
 				fo += c.failovers.Load()
 				to += c.timedOut.Load()
-				c.lat.read(&lat)
+				c.lat.AddTo(&lat)
 			}
-			win := lat.sub(&prevLat)
+			win := lat.Sub(&prevLat)
 			iv := Interval{
-				Seq:     seq + 1,
-				Elapsed: now.Sub(start),
-				Window:  now.Sub(prevT),
-				Ops:     ops - prevOps,
-				Errs:    errs - prevErrs,
-				P50:        win.quantile(0.50),
-				P99:        win.quantile(0.99),
+				Seq:        seq + 1,
+				Elapsed:    now.Sub(start),
+				Window:     now.Sub(prevT),
+				Ops:        ops - prevOps,
+				Errs:       errs - prevErrs,
+				P50:        win.Quantile(0.50),
+				P99:        win.Quantile(0.99),
 				Reconnects: rc,
 				Failovers:  fo,
 				TimedOut:   to,
@@ -718,7 +651,7 @@ func (ss *session) readLoop(opTimeout time.Duration) (lost int) {
 			break
 		}
 		lat := uint64(time.Now().UnixNano() - p.ts)
-		c.lat.observe(lat)
+		c.lat.Observe(lat)
 		if c.cfg.Tracer != nil {
 			c.cfg.Tracer.Observe(obs.HReqLatency, lat)
 		}

@@ -124,7 +124,6 @@ func WritePrometheus(w io.Writer, cur *Snapshot, d *Delta) {
 		}
 	}
 	counter("ido_events_dropped_total", "Events lost to full rings (counts stay exact).", cur.Obs.Dropped)
-	counter("ido_events_sampled_out_total", "Events thinned from rings by sampling (counts stay exact).", cur.Obs.SampledOut)
 
 	// Histograms.
 	for _, he := range histExport {

@@ -4,22 +4,22 @@
 // persisted eagerly, so a post-crash scan can always rebuild the volatile
 // free lists; the free lists themselves are transient.
 //
-// The volatile side is segregated and lock-light, mirroring the device's
-// striped hot path: power-of-two size classes (16 B .. 4 KiB), each
-// fronted by a magazine — a lock-free ring of atomic words caching
-// pre-carved blocks — so a steady-state Alloc/Free claims or parks a
-// block with one atomic swap and touches no lock at all. Behind the
-// magazines sit lock-striped per-class free-list shards, and requests
-// above the largest class fall back to striped first-fit buckets.
+// The volatile side is one mutex over plain slices: a LIFO free list per
+// power-of-two size class (16 B .. 4 KiB), the uncarved tails of each
+// class's segments, first-fit buckets for everything above the largest
+// class, and the segments a restart left unscanned. Every list change —
+// a pop, a push, a carve, a large split, an adoption scan — runs under
+// that lock, so a free block is always in some list and a failed search
+// is a real out-of-memory. The header write and fence that publish an
+// Alloc or a Free run outside it.
 //
 // Determinism contract: a single-threaded sequence of Alloc/Free calls
 // against identical heaps produces identical addresses and identical
 // device traffic. Every placement decision is a function of block
-// addresses and the call sequence (magazine rings and shard scans go in
-// fixed index order, shard homes hash the block address) — never of
-// goroutine identity or stack layout. The engine-equivalence suites
-// (decoded VM vs tree-walker, native vs VM) rely on this to compare
-// runs word-for-word.
+// addresses and the call sequence (LIFO lists, bucket scans in fixed
+// order) — never of goroutine identity or stack layout. The
+// engine-equivalence suites (decoded VM vs tree-walker, native vs VM)
+// rely on this to compare runs word-for-word.
 //
 // The persistent layout is one run of size<<1|flags headers, written and
 // flushed before any block changes ownership. Class blocks live in
@@ -34,11 +34,8 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
-	"unsafe"
 
 	"github.com/ido-nvm/ido/internal/nvm"
 	"github.com/ido-nvm/ido/internal/obs"
@@ -61,28 +58,13 @@ const (
 	segSize = 64 << 10
 
 	// Size classes: classSize(c) = minBlock << c, c in [0, nClasses).
-	// The largest class (4 KiB) bounds the magazine path; bigger blocks
-	// take the striped first-fit path.
+	// The largest class (4 KiB) bounds the class lists; bigger blocks
+	// take the first-fit path.
 	nClasses = 9
 	maxSmall = minBlock << (nClasses - 1)
 
-	// Volatile layout: per-class magazine depth, lock stripes per class,
-	// large-path stripes, counter lanes, and blocks carved per refill.
-	magDepth  = 16
-	nShards   = 8
-	nLarge    = 8
-	nStripes  = 16
-	magRefill = 16
-
-	// A failed full scan re-runs while other threads hold free extents
-	// privately (see Alloc): the first spinRetries rescans just yield,
-	// after which the waiter sleeps with an escalating (capped) backoff
-	// so a holder starved of CPU on an oversubscribed box still gets to
-	// finish its carve. oomRetries bounds the total so a pathological
-	// every-thread-failing churn becomes an error instead of a livelock;
-	// a real carve window clears in a few yields.
-	spinRetries = 32
-	oomRetries  = 512
+	// refill is the number of class blocks one carve cuts.
+	refill = 16
 )
 
 func classSize(c int) uint64 { return minBlock << c }
@@ -127,112 +109,38 @@ type block struct {
 	addr, size uint64
 }
 
-// magazine is one size class's lock-free cache of pre-carved blocks: a
-// fixed ring of atomic words, each either 0 (empty) or a packed free
-// block. Alloc claims a slot with a single Swap, Free parks with a
-// CompareAndSwap; both scan the ring in fixed index order, so a
-// single-threaded run is deterministic while concurrent threads simply
-// skip slots another thread just won. A word packs its block as
-// addr | presentBit | extraBit: addresses are 8-aligned so the low
-// three bits are spare; extraBit marks a classSize+8 block (the folded
-// tail sliver), and presentBit distinguishes a block at address 0 from
-// an empty slot.
-type magazine struct {
-	w [magDepth]atomic.Uint64
-}
-
-const (
-	hotPresent = 2
-	hotExtra   = 1
-)
-
-func packHot(c int, b block) uint64 {
-	w := b.addr | hotPresent
-	if b.size != classSize(c) {
-		w |= hotExtra
-	}
-	return w
-}
-
-func unpackHot(c int, w uint64) block {
-	b := block{addr: w &^ 7, size: classSize(c)}
-	if w&hotExtra != 0 {
-		b.size += 8
-	}
-	return b
-}
-
-// classShard is one stripe of a size class's shared free list.
-type classShard struct {
-	mu  sync.Mutex
-	blk []block
-	_   [32]byte
-}
-
-// largeShard is one stripe of the first-fit path: floor-class ->
-// candidate blocks.
-type largeShard struct {
-	mu   sync.Mutex
-	free map[int][]block
-}
-
-// stripe is one lane of the allocator's counters, padded to a cache
-// line. allocated is signed: a lane may see more frees than allocs.
-type stripe struct {
-	allocated atomic.Int64
-	allocs    atomic.Uint64
-	frees     atomic.Uint64
-	refills   atomic.Uint64
-	magHits   atomic.Uint64
-	_         [24]byte
-}
-
-// lane picks a counter stripe by hashing the caller's stack position —
-// the same goroutine-affine trick as the device's striped stat
-// counters. Counters are the one place this hash is safe: which lane a
-// delta lands in never changes any allocation decision, only where the
-// addition happens, and Stats sums all lanes.
-func lane() uint64 {
-	var probe byte
-	return (uint64(uintptr(unsafe.Pointer(&probe))) * 0x9E3779B97F4A7C15) >> (64 - 4)
-}
-
 // Allocator hands out word-aligned blocks from [start, end) on a device.
-// All methods are safe for concurrent use. Every internal lock is
-// released by defer: device accesses panic with nvm.CrashSignal when an
-// injection budget fires, and no lock may be leaked across that unwind.
+// All methods are safe for concurrent use. mu is released by defer:
+// device accesses under it panic with nvm.CrashSignal when an injection
+// budget fires, and the lock may not be leaked across that unwind.
 type Allocator struct {
 	dev        *nvm.Device
 	start, end uint64
 
-	mags   [nClasses]magazine
-	shards [nClasses][nShards]classShard
+	// mu guards every list below and npending.
+	mu sync.Mutex
+	// free is each class's LIFO list of free blocks.
+	free [nClasses][]block
 	// tails holds, per class, the uncarved free tails of its segments:
-	// what carve cuts the next magRefill blocks from.
-	tails [nClasses]classShard
-	large [nLarge]largeShard
-	stat  [nStripes]stripe
-
-	// seg is the volatile state of each arena segment: segNone (extent
-	// territory), segPending (a slab a crash left behind, not scanned
-	// yet) or segAdopted (a slab whose free blocks are in the lists).
-	// pending lists the unscanned slabs per class in address order and
-	// npending counts them; adoptMu orders an adoption scan against a
-	// Free into the segment being scanned, the only two writers of a
-	// pending segment's state.
-	seg      []atomic.Uint32
-	adoptMu  sync.Mutex
+	// what carve cuts the next refill blocks from.
+	tails [nClasses][]block
+	// large holds the free extents, bucketed by sizeClassFloor.
+	large [64][]block
+	// pending lists the slabs a crash left behind and no scan has
+	// adopted yet, per class in address order; npending counts them.
 	pending  [nClasses][]uint32
-	npending atomic.Int64
+	npending int
 
-	// held counts threads that have removed a free extent from the
-	// shared lists and not yet pushed the pieces back (mid-carve,
-	// mid-split, mid-large-fit); heldGen ticks each time such memory
-	// becomes visible again. Together they let Alloc distinguish a
-	// genuinely exhausted heap from one whose only free extent is
-	// briefly in another thread's hands.
-	held    atomic.Int64
-	heldGen atomic.Uint64
+	// seg is the state of each arena segment: segNone (extent
+	// territory), segPending or segAdopted. Once Attach returns it
+	// changes only under mu, but it is read without it (writeHeader,
+	// Free's pending check).
+	seg []atomic.Uint32
+
+	// allocated is signed: Attach and adoption scans add a segment's
+	// blocks only when they read them, after Frees may have run.
+	allocated                       atomic.Int64
+	allocs, frees, refills, magHits atomic.Uint64
 }
 
 // New formats [start, end) of dev as a fresh heap: one big free block.
@@ -253,9 +161,9 @@ func New(dev *nvm.Device, start, end uint64) *Allocator {
 // segment and per extent: a slab head is hopped over whole and its
 // segment left pending, an extent is filed or counted and hopped by its
 // size. The headers are the sole source of truth — a block that sat in
-// a magazine or shard at crash time carries a free header and is found
-// again, by this walk or by its segment's adoption scan — so nothing a
-// crash strands in volatile caches is ever lost.
+// a free list at crash time carries a free header and is found again,
+// by this walk or by its segment's adoption scan — so nothing a crash
+// strands in volatile lists is ever lost.
 func Attach(dev *nvm.Device, start, end uint64) (*Allocator, error) {
 	if start%8 != 0 || end%8 != 0 || end-start < minBlock {
 		return nil, fmt.Errorf("nvalloc: bad arena [%#x,%#x)", start, end)
@@ -274,29 +182,23 @@ func Attach(dev *nvm.Device, start, end uint64) (*Allocator, error) {
 			k := (p - start) / segSize
 			a.seg[k].Store(segPending)
 			a.pending[c] = append(a.pending[c], uint32(k))
-			a.npending.Add(1)
+			a.npending++
 			_, lim := a.segBounds(k)
 			size = lim - p
 		case h&allocBit != 0:
 			allocated += size
-		case class:
-			a.classPush(c, block{p, size})
 		default:
-			a.pushLarge(block{p, size})
+			a.file(block{p, size})
 		}
 		p += size
 	}
-	a.stat[0].allocated.Add(int64(allocated))
+	a.allocated.Add(int64(allocated))
 	return a, nil
 }
 
 func newAllocator(dev *nvm.Device, start, end uint64) *Allocator {
-	a := &Allocator{dev: dev, start: start, end: end,
+	return &Allocator{dev: dev, start: start, end: end,
 		seg: make([]atomic.Uint32, (end-start+segSize-1)/segSize)}
-	for i := range a.large {
-		a.large[i].free = map[int][]block{}
-	}
-	return a
 }
 
 const (
@@ -338,45 +240,13 @@ func (a *Allocator) Alloc(n int) (uint64, error) {
 	if need < minBlock {
 		need = minBlock
 	}
-	// A failed scan is not proof of exhaustion: between takeLarge and
-	// the push-back at the end of a carve or split, the heap's only free
-	// extent can be privately held by another thread, and a scan that
-	// overlaps that window sees an empty allocator. Accept the
-	// out-of-memory verdict only when no private hold overlapped the
-	// scan (held was zero after it and heldGen never moved across it);
-	// otherwise yield and rescan. held must be read before heldGen:
-	// release bumps the generation before dropping the hold count, so a
-	// hold that ends between the two loads is always caught by one of
-	// them. Single-threaded runs take one pass, keeping placement
-	// deterministic.
-	var b block
-	var err error
-	for attempt := 0; ; attempt++ {
-		gen := a.heldGen.Load()
-		if need <= maxSmall {
-			b, err = a.allocSmall(classFor(need))
-		} else {
-			b, err = a.allocLarge(need)
-		}
-		if err == nil {
-			break
-		}
-		if err != errNoFit {
-			return 0, err
-		}
-		if (a.held.Load() == 0 && a.heldGen.Load() == gen) || attempt >= oomRetries {
-			return 0, fmt.Errorf("nvalloc: out of memory (want %d bytes, %d allocated of %d)",
-				need, a.allocatedBytes(), a.end-a.start)
-		}
-		if attempt < spinRetries {
-			runtime.Gosched()
-		} else {
-			d := time.Duration(attempt-spinRetries+1) * time.Microsecond
-			if d > time.Millisecond {
-				d = time.Millisecond
-			}
-			time.Sleep(d)
-		}
+	b, err := a.take(need)
+	if err == errNoFit {
+		return 0, fmt.Errorf("nvalloc: out of memory (want %d bytes, %d allocated of %d)",
+			need, a.allocated.Load(), a.end-a.start)
+	}
+	if err != nil {
+		return 0, err
 	}
 	// Publish: the allocated header must be persistent before the block
 	// is handed out. Until this CLWB lands, the block's previous free
@@ -385,9 +255,8 @@ func (a *Allocator) Alloc(n int) (uint64, error) {
 	// scan sees, so a crash here merely forgets an unreturned block.
 	a.writeHeader(b.addr, b.size, true)
 	a.dev.Fence()
-	st := &a.stat[lane()]
-	st.allocated.Add(int64(b.size))
-	st.allocs.Add(1)
+	a.allocated.Add(int64(b.size))
+	a.allocs.Add(1)
 	user := b.addr + headerSize
 	// Zero the requested bytes, not the whole block: class rounding can
 	// hand a 64-byte request a 128-byte block, and zeroing the rounding
@@ -400,31 +269,38 @@ func (a *Allocator) Alloc(n int) (uint64, error) {
 	return user, nil
 }
 
-// errNoFit is a scan of the volatile lists that found no block; Alloc
-// decides whether that means out of memory.
+// errNoFit is a search of the lists that found no block: since every
+// free block is always in a list, the heap is out of memory.
 var errNoFit = errors.New("nvalloc: no free block fits")
 
-// allocSmall satisfies a class-sized request: magazine, then shards,
-// then — after a restart — one pre-crash segment of the class adopted,
-// then a carve from the class's segment tail or a fresh segment. Only
-// when all of those fail does it adopt every segment left, pull the
-// magazines and tails back into the shared lists, retry, and finally
-// cut the class out of any extent or bigger block — so a request fails
-// only when no free block anywhere can hold it. The only error besides
-// errNoFit is a corrupt header met by an adoption scan.
+// take removes a free block of at least need bytes from the lists.
+func (a *Allocator) take(need uint64) (block, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if need <= maxSmall {
+		return a.allocSmall(classFor(need))
+	}
+	return a.allocLarge(need)
+}
+
+// allocSmall satisfies a class-sized request (caller holds mu): the
+// class's free list, then — after a restart — one pre-crash segment of
+// the class adopted, then a carve from the class's segment tail or a
+// fresh segment. Only when all of those fail does it adopt every segment
+// left, hand the tails to the extent buckets, retry, and finally cut the
+// class out of any extent or bigger block — so a request fails only when
+// no free block anywhere can hold it. The only error besides errNoFit is
+// a corrupt header met by an adoption scan.
 func (a *Allocator) allocSmall(c int) (block, error) {
-	if b, ok := a.magPop(c); ok {
-		a.stat[lane()].magHits.Add(1)
+	if b, ok := a.pop(c); ok {
+		a.magHits.Add(1)
 		return b, nil
 	}
-	if b, ok := a.classPop(c); ok {
-		return b, nil
-	}
-	if a.npending.Load() > 0 {
+	if len(a.pending[c]) > 0 {
 		if err := a.adopt(c); err != nil {
 			return block{}, err
 		}
-		if b, ok := a.classPop(c); ok {
+		if b, ok := a.pop(c); ok {
 			return b, nil
 		}
 	}
@@ -435,7 +311,7 @@ func (a *Allocator) allocSmall(c int) (block, error) {
 		return block{}, err
 	}
 	a.scavenge()
-	if b, ok := a.classPop(c); ok {
+	if b, ok := a.pop(c); ok {
 		return b, nil
 	}
 	if b, ok := a.carveAny(c); ok {
@@ -444,18 +320,32 @@ func (a *Allocator) allocSmall(c int) (block, error) {
 	return block{}, errNoFit
 }
 
-// adopt scans pre-crash slab segments into the volatile lists: the
-// highest-addressed pending segment of class c (the one its free tail
-// is in, if any survives), or every pending segment when c < 0. Each
-// segment is scanned once, here, under adoptMu; a scan that meets a
-// corrupt header keeps what it filed so far, strands the rest of that
-// segment and returns the error.
-func (a *Allocator) adopt(c int) error {
-	if a.npending.Load() == 0 {
-		return nil
+// pop takes the most recently filed block off class c's free list.
+func (a *Allocator) pop(c int) (block, bool) {
+	l := a.free[c]
+	if len(l) == 0 {
+		return block{}, false
 	}
-	a.adoptMu.Lock()
-	defer a.adoptMu.Unlock()
+	a.free[c] = l[:len(l)-1]
+	return l[len(l)-1], true
+}
+
+// file puts a free block on its class's list, or in the extent buckets
+// when its size is no class's.
+func (a *Allocator) file(b block) {
+	if c, ok := classOfBlock(b.size); ok {
+		a.free[c] = append(a.free[c], b)
+	} else {
+		a.pushLarge(b)
+	}
+}
+
+// adopt scans pre-crash slab segments into the lists (caller holds mu):
+// the highest-addressed pending segment of class c (the one its free
+// tail is in, if any survives), or every pending segment when c < 0. A
+// scan that meets a corrupt header keeps what it filed so far, strands
+// the rest of that segment and returns the error.
+func (a *Allocator) adopt(c int) error {
 	var first error
 	for cc := range a.pending {
 		if c >= 0 && cc != c {
@@ -476,10 +366,17 @@ func (a *Allocator) adopt(c int) error {
 	return first
 }
 
+// adoptAll adopts every pending segment.
+func (a *Allocator) adoptAll() error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.adopt(-1)
+}
+
 // scanSegment walks the headers of pending slab segment k, of class c
-// (caller holds adoptMu): allocated blocks are counted, free class
-// blocks go to their shards, and a free run big enough to carve from
-// becomes a tail of the class again.
+// (caller holds mu): allocated blocks are counted, free class blocks are
+// filed, and a free run big enough to carve from becomes a tail of the
+// class again.
 func (a *Allocator) scanSegment(c int, k uint64) (err error) {
 	at, lim := a.segBounds(k)
 	csize := classSize(c)
@@ -491,136 +388,48 @@ func (a *Allocator) scanSegment(c int, k uint64) (err error) {
 			err = fmt.Errorf("nvalloc: corrupt header at %#x: %#x", p, h)
 			break
 		}
-		cb, class := classOfBlock(size)
 		switch {
 		case h&allocBit != 0:
 			allocated += size
 		case size >= 2*csize:
-			a.tails[c].push(block{p, size})
-		case class:
-			a.classPush(cb, block{p, size})
+			a.tails[c] = append(a.tails[c], block{p, size})
 		default:
-			a.pushLarge(block{p, size})
+			a.file(block{p, size})
 		}
 		p += size
 	}
-	a.stat[0].allocated.Add(int64(allocated))
+	a.allocated.Add(int64(allocated))
 	a.seg[k].Store(segAdopted)
-	a.npending.Add(-1)
+	a.npending--
 	return err
 }
 
-// magPop claims a cached block from the class's magazine ring: the
-// first non-empty slot in index order, taken with a single Swap.
-func (a *Allocator) magPop(c int) (block, bool) {
-	m := &a.mags[c]
-	for i := range m.w {
-		if m.w[i].Load() == 0 {
-			continue
-		}
-		if w := m.w[i].Swap(0); w != 0 {
-			return unpackHot(c, w), true
-		}
-	}
-	return block{}, false
-}
-
-// magPush parks a free block in the class's magazine ring: the first
-// empty slot in index order, won by CompareAndSwap. Returns false when
-// the ring is full so the caller falls back to the shards.
-func (a *Allocator) magPush(c int, b block) bool {
-	m := &a.mags[c]
-	packed := packHot(c, b)
-	for i := range m.w {
-		if m.w[i].Load() != 0 {
-			continue
-		}
-		if m.w[i].CompareAndSwap(0, packed) {
-			return true
-		}
-	}
-	return false
-}
-
-// classPop takes a block from the class's shard stripes in fixed index
-// order: a TryLock pass first (deterministic when uncontended, skips
-// stripes another thread holds), then a blocking pass so a block is
-// never missed just because its stripe was busy.
-func (a *Allocator) classPop(c int) (block, bool) {
-	for i := 0; i < nShards; i++ {
-		if b, ok, locked := a.shards[c][i].tryPop(); locked {
-			if ok {
-				return b, true
-			}
-		}
-	}
-	for i := 0; i < nShards; i++ {
-		if b, ok := a.shards[c][i].pop(); ok {
-			return b, true
-		}
-	}
-	return block{}, false
-}
-
-// classPush returns a block to its class's stripes; the home stripe is
-// a pure function of the block address, keeping placement deterministic
-// and spreading load across locks.
-func (a *Allocator) classPush(c int, b block) {
-	a.shards[c][(b.addr/minBlock)%nShards].push(b)
-}
-
-func (s *classShard) tryPop() (b block, ok, locked bool) {
-	if !s.mu.TryLock() {
-		return block{}, false, false
-	}
-	defer s.mu.Unlock()
-	if len(s.blk) == 0 {
-		return block{}, false, true
-	}
-	b = s.blk[len(s.blk)-1]
-	s.blk = s.blk[:len(s.blk)-1]
-	return b, true, true
-}
-
-func (s *classShard) pop() (block, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.blk) == 0 {
-		return block{}, false
-	}
-	b := s.blk[len(s.blk)-1]
-	s.blk = s.blk[:len(s.blk)-1]
-	return b, true
-}
-
-func (s *classShard) push(b block) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.blk = append(s.blk, b)
-}
-
-// carve refills a size class: it cuts up to magRefill class blocks off
-// the free tail of one of the class's segments, opening a fresh segment
-// when no tail is left. Persistence discipline (two fence phases): every
-// interior header — the remainder's, then the carved blocks' from back
-// to front — is written and fenced while the extent's original spanning
-// free header still covers them; then block 0's header is shrunk to its
-// own free block and fenced, retiring the spanning header, and only
-// after that fence does any carved piece enter a globally visible list.
-// A crash inside the carve therefore leaves either the untouched
-// spanning free block or a fully chained run — and once another thread
-// can see (and allocate, and commit into) an interior block, no durable
-// header spans it anymore, so a crash can never re-adopt it as free.
+// carve refills a size class (caller holds mu): it cuts up to refill
+// class blocks off the free tail of one of the class's segments, opening
+// a fresh segment when no tail is left. Persistence discipline (two
+// fence phases): every interior header — the remainder's, then the
+// carved blocks' from back to front — is written and fenced while the
+// extent's original spanning free header still covers them; then block
+// 0's header is shrunk to its own free block and fenced, retiring the
+// spanning header, and only after that fence does any carved piece
+// enter a list. A crash inside the carve therefore leaves either the
+// untouched spanning free block or a fully chained run — and once
+// another thread can pop (and allocate, and commit into) an interior
+// block, no durable header spans it anymore, so a crash can never
+// re-adopt it as free.
 func (a *Allocator) carve(c int) (block, bool) {
-	a.held.Add(1)
-	defer a.held.Add(-1)
-	lb, ok := a.tails[c].pop()
-	at, lim := lb.addr, lb.addr+lb.size
-	if !ok {
+	var lb block
+	var at, lim uint64
+	if n := len(a.tails[c]); n > 0 {
+		lb = a.tails[c][n-1]
+		a.tails[c] = a.tails[c][:n-1]
+		at, lim = lb.addr, lb.addr+lb.size
+	} else {
 		// Open a segment: the first-fit extent with an aligned segment
 		// inside it. The carve below splits the segment out and cuts
 		// its first blocks in the same two phases.
 		csize := classSize(c)
+		var ok bool
 		lb, ok = a.takeLarge(csize, func(b block) bool {
 			_, _, fits := a.segFit(b, csize)
 			return fits
@@ -631,9 +440,7 @@ func (a *Allocator) carve(c int) (block, bool) {
 		at, lim, _ = a.segFit(lb, csize)
 		a.seg[(at-a.start)/segSize].Store(segAdopted)
 	}
-	b := a.carveExtent(c, lb, at, lim)
-	a.heldGen.Add(1)
-	return b, true
+	return a.carveExtent(c, lb, at, lim), true
 }
 
 // segFit places a slab segment in the free extent b: the first segment
@@ -653,11 +460,11 @@ func (a *Allocator) segFit(b block, csize uint64) (at, lim uint64, ok bool) {
 // (header persistent, owned by the caller); what lb holds before at and
 // after lim — nothing, except when a segment is being opened — is split
 // off as free extents by the same two phases. See carve for the
-// persistence argument.
+// persistence argument. Blocks 1..k-1 are filed so that k-1 pops first.
 func (a *Allocator) carveExtent(c int, lb block, at, lim uint64) block {
 	csize := classSize(c)
 	end := lb.addr + lb.size
-	k := min((lim-at)/csize, magRefill)
+	k := min((lim-at)/csize, refill)
 	rest := lim - at - k*csize
 	lastExtra := uint64(0)
 	if rest > 0 && rest < minBlock {
@@ -691,9 +498,9 @@ func (a *Allocator) carveExtent(c int, lb block, at, lim uint64) block {
 		// Phase 2: retire the spanning header. The extent's first piece
 		// (block 0, or the run before an opened segment) shrinks to its
 		// own free header, so from here on no durable header covers more
-		// than one piece — a prerequisite for exposing the pieces below,
-		// since a concurrent thread may allocate and commit into one
-		// before this carver's caller publishes block 0 as allocated.
+		// than one piece — a prerequisite for filing the pieces below,
+		// since another thread may allocate and commit into one before
+		// this carver's caller publishes block 0 as allocated.
 		if at > lb.addr {
 			a.writeHeader(lb.addr, at-lb.addr, false)
 		} else {
@@ -708,75 +515,58 @@ func (a *Allocator) carveExtent(c int, lb block, at, lim uint64) block {
 		a.pushLarge(block{lim, end - lim})
 	}
 	if rest >= csize {
-		a.tails[c].push(block{at + k*csize, rest})
+		a.tails[c] = append(a.tails[c], block{at + k*csize, rest})
 	} else if rest > 0 {
 		a.pushLarge(block{at + k*csize, rest})
 	}
-	for i := k - 1; i >= 1; i-- {
-		b := block{at + i*csize, sizeOf(i)}
-		if !a.magPush(c, b) {
-			a.classPush(c, b)
-		}
+	for i := uint64(1); i < k; i++ {
+		a.free[c] = append(a.free[c], block{at + i*csize, sizeOf(i)})
 	}
-	a.stat[lane()].refills.Add(1)
+	a.refills.Add(1)
 	if tr := a.dev.Tracer(); tr != nil {
 		tr.DevEmit(obs.KRefill, csize, k)
 	}
 	return block{at, sizeOf(0)}
 }
 
-// carveAny serves class c once no segment can be opened: from any free
-// extent the large path holds (a run too short for a segment, another
-// class's tail), else from a block cached by a bigger class, cut up
+// carveAny serves class c once no segment can be opened (caller holds
+// mu): from any free extent (a run too short for a segment, another
+// class's tail), else from a free block of a bigger class, cut up
 // exactly like a carve. Without it memory parked outside the class's
 // own segments would be unreachable and the allocator could report
 // out-of-memory while most of the heap sits free.
 func (a *Allocator) carveAny(c int) (block, bool) {
-	a.held.Add(1)
-	defer a.held.Add(-1)
 	lb, ok := a.takeLarge(classSize(c), nil)
 	for cc := c + 1; !ok && cc < nClasses; cc++ {
-		if lb, ok = a.magPop(cc); !ok {
-			lb, ok = a.classPop(cc)
-		}
+		lb, ok = a.pop(cc)
 	}
 	if !ok {
 		return block{}, false
 	}
-	b := a.carveExtent(c, lb, lb.addr, lb.addr+lb.size)
-	a.heldGen.Add(1)
-	return b, true
+	return a.carveExtent(c, lb, lb.addr, lb.addr+lb.size), true
 }
 
-// scavenge drains every magazine ring into the shards and every segment
-// tail into the large buckets. Only the out-of-memory path calls it; it
-// makes cached memory visible to carveAny and allocLarge, which only
-// look there.
+// scavenge hands every segment tail to the extent buckets (caller holds
+// mu). Only the out-of-memory path calls it; it makes the tails visible
+// to carveAny and allocLarge, which only look there.
 func (a *Allocator) scavenge() {
-	for c := range a.mags {
-		m := &a.mags[c]
-		for i := range m.w {
-			if w := m.w[i].Swap(0); w != 0 {
-				a.classPush(c, unpackHot(c, w))
-			}
-		}
-		for b, ok := a.tails[c].pop(); ok; b, ok = a.tails[c].pop() {
+	for c := range a.tails {
+		for _, b := range a.tails[c] {
 			a.pushLarge(b)
 		}
+		a.tails[c] = a.tails[c][:0]
 	}
 }
 
 // allocLarge satisfies a request above maxSmall by first fit over the
-// large buckets, splitting off the tail. The split follows the same
-// two-phase discipline as carveExtent: the remainder's free header is
-// fenced durable, then the head's header is shrunk (free) and fenced to
-// retire the spanning header, and only then does the remainder enter
-// the shared buckets — so a block another thread allocates out of the
-// remainder can never be re-adopted by a crash scan that still sees
-// the original extent-spanning free header.
+// extent buckets, splitting off the tail (caller holds mu). The split
+// follows the same two-phase discipline as carveExtent: the remainder's
+// free header is fenced durable, then the head's header is shrunk (free)
+// and fenced to retire the spanning header, and only then is the
+// remainder filed — so a block another thread allocates out of the
+// remainder can never be re-adopted by a crash scan that still sees the
+// original extent-spanning free header.
 func (a *Allocator) allocLarge(need uint64) (block, error) {
-	a.held.Add(1)
-	defer a.held.Add(-1)
 	lb, ok := a.takeLarge(need, nil)
 	if !ok {
 		// The extents are spent; a segment tail, adopted or not, may
@@ -798,44 +588,20 @@ func (a *Allocator) allocLarge(need uint64) (block, error) {
 		a.pushLarge(rest)
 		lb.size = need
 	}
-	a.heldGen.Add(1)
 	return lb, nil
 }
 
 // takeLarge removes a free extent of at least need bytes that fits
-// (any, when fits is nil) from the large buckets, scanning stripes in
-// fixed index order.
+// (any, when fits is nil) from the buckets. A block of size sz lives in
+// bucket sizeClassFloor(sz); any block with sz >= need lives in bucket
+// >= sizeClassFloor(need), so starting at the floor bucket visits every
+// candidate, smallest buckets (and tightest fits) first.
 func (a *Allocator) takeLarge(need uint64, fits func(block) bool) (block, bool) {
-	for i := 0; i < nLarge; i++ {
-		if b, ok := a.large[i].take(need, fits); ok {
-			return b, true
-		}
-	}
-	return block{}, false
-}
-
-// pushLarge files a free extent under the stripe its address hashes to,
-// a deterministic spread like classPush.
-func (a *Allocator) pushLarge(b block) {
-	s := &a.large[(b.addr/minBlock)%nLarge]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := sizeClassFloor(b.size)
-	s.free[c] = append(s.free[c], b)
-}
-
-func (s *largeShard) take(need uint64, fits func(block) bool) (block, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// A block of size sz lives in bucket sizeClassFloor(sz); any block
-	// with sz >= need lives in bucket >= sizeClassFloor(need), so
-	// starting at the floor bucket visits every candidate, smallest
-	// buckets (and tightest fits) first.
-	for c := sizeClassFloor(need); c < 64; c++ {
-		list := s.free[c]
+	for c := sizeClassFloor(need); c < len(a.large); c++ {
+		list := a.large[c]
 		for i := len(list) - 1; i >= 0; i-- {
 			if b := list[i]; b.size >= need && (fits == nil || fits(b)) {
-				s.free[c] = append(list[:i], list[i+1:]...)
+				a.large[c] = append(list[:i], list[i+1:]...)
 				return b, true
 			}
 		}
@@ -843,14 +609,20 @@ func (s *largeShard) take(need uint64, fits func(block) bool) (block, bool) {
 	return block{}, false
 }
 
+// pushLarge files a free extent in its bucket.
+func (a *Allocator) pushLarge(b block) {
+	c := sizeClassFloor(b.size)
+	a.large[c] = append(a.large[c], b)
+}
+
 // Free returns the block whose user address is addr to the heap. The
-// free header is persistent before the block re-enters any volatile
-// list, so a crash cannot leave a reused block claiming two owners. A
-// block in a segment no scan has adopted yet gets the header and
-// nothing else: the scan will find it, so filing it here too would own
-// it twice. Freeing the same block twice panics (the second call reads
-// a free header), as does freeing an address outside the arena;
-// concurrent double frees of one block are a data race and undetected.
+// free header is persistent before the block re-enters any list, so a
+// crash cannot leave a reused block claiming two owners. A block in a
+// segment no scan has adopted yet gets the header and nothing else: the
+// scan will find it, so filing it here too would own it twice. Freeing
+// the same block twice panics (the second call reads a free header), as
+// does freeing an address outside the arena; concurrent double frees of
+// one block are a data race and undetected.
 func (a *Allocator) Free(addr uint64) {
 	blk := addr - headerSize
 	if blk < a.start || blk >= a.end {
@@ -865,27 +637,30 @@ func (a *Allocator) Free(addr uint64) {
 	if a.seg[k].Load() != segPending || !a.freePending(k, b) {
 		a.writeHeader(blk, b.size, false)
 		a.dev.Fence()
-		a.stat[lane()].allocated.Add(-int64(b.size))
-		if c, ok := classOfBlock(b.size); !ok {
-			a.pushLarge(b)
-		} else if !a.magPush(c, b) {
-			a.classPush(c, b)
-		}
+		a.allocated.Add(-int64(b.size))
+		a.put(b)
 	}
-	a.stat[lane()].frees.Add(1)
+	a.frees.Add(1)
 	if tr := a.dev.Tracer(); tr != nil {
 		tr.DevEmit(obs.KFree, blk, b.size)
 	}
 }
 
+// put files a freed block under the lock.
+func (a *Allocator) put(b block) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.file(b)
+}
+
 // freePending persists b's free header if segment k is still pending,
-// under adoptMu so the segment's scan sees the block either allocated
-// (and counts it, as this Free then runs on the adopted segment) or
-// free. The allocated count does not move: it learns of a segment's
-// blocks only when the scan adds them up.
+// under mu so the segment's scan sees the block either allocated (and
+// counts it, as this Free then runs on the adopted segment) or free.
+// The allocated count does not move: it learns of a segment's blocks
+// only when the scan adds them up.
 func (a *Allocator) freePending(k uint64, b block) bool {
-	a.adoptMu.Lock()
-	defer a.adoptMu.Unlock()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	if a.seg[k].Load() != segPending {
 		return false
 	}
@@ -909,35 +684,27 @@ type Stats struct {
 	AllocatedBytes uint64
 	ArenaBytes     uint64
 	Allocs, Frees  uint64
-	// Refills counts magazine refill carves from the large path; MagHits
-	// counts Allocs served straight from a magazine ring. MagHits/Allocs
-	// is the fraction of allocations that touched no lock.
+	// Refills counts carves; MagHits counts Allocs served straight off
+	// their class's free list, so MagHits/Allocs is the share of
+	// allocations that neither carved nor scanned.
 	Refills, MagHits uint64
-}
-
-func (a *Allocator) allocatedBytes() uint64 {
-	var total int64
-	for i := range a.stat {
-		total += a.stat[i].allocated.Load()
-	}
-	return uint64(total)
 }
 
 // Stats returns a snapshot of allocation counters, after adopting the
 // segments a restart left pending so AllocatedBytes is exact (a corrupt
-// header met on the way is CheckInvariants' to report). The lanes are
-// summed without a lock; concurrent callers get a consistent view only
-// of a quiescent heap.
+// header met on the way is CheckInvariants' to report). The counters
+// are read one by one; concurrent callers get a consistent view only of
+// a quiescent heap.
 func (a *Allocator) Stats() Stats {
-	_ = a.adopt(-1)
-	s := Stats{ArenaBytes: a.end - a.start, AllocatedBytes: a.allocatedBytes()}
-	for i := range a.stat {
-		s.Allocs += a.stat[i].allocs.Load()
-		s.Frees += a.stat[i].frees.Load()
-		s.Refills += a.stat[i].refills.Load()
-		s.MagHits += a.stat[i].magHits.Load()
+	_ = a.adoptAll()
+	return Stats{
+		AllocatedBytes: uint64(a.allocated.Load()),
+		ArenaBytes:     a.end - a.start,
+		Allocs:         a.allocs.Load(),
+		Frees:          a.frees.Load(),
+		Refills:        a.refills.Load(),
+		MagHits:        a.magHits.Load(),
 	}
-	return s
 }
 
 // CheckInvariants walks the heap verifying header chaining and segment
@@ -952,7 +719,7 @@ func (a *Allocator) CheckInvariants() error { return a.Audit(nil) }
 // block (header address and size) in address order: what a leak audit
 // holds against the blocks the application can still reach.
 func (a *Allocator) Audit(visit func(blk, size uint64)) error {
-	if err := a.adopt(-1); err != nil {
+	if err := a.adoptAll(); err != nil {
 		return err
 	}
 	var total, lim uint64 // lim: end of the slab segment p is in
@@ -978,7 +745,7 @@ func (a *Allocator) Audit(visit func(blk, size uint64)) error {
 		}
 		p += size
 	}
-	if counted := a.allocatedBytes(); total != counted {
+	if counted := uint64(a.allocated.Load()); total != counted {
 		return fmt.Errorf("allocated bytes drifted: walked %d, counted %d", total, counted)
 	}
 	return nil

@@ -1,7 +1,6 @@
 package nvalloc
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -47,6 +46,27 @@ func TestAllocFreeReuse(t *testing.T) {
 	}
 	if len(seen) > 4 {
 		t.Fatalf("free blocks not reused: %d distinct addrs", len(seen))
+	}
+}
+
+// TestFreshCarvePopsDescending pins where a pure-insert history puts its
+// blocks: the first carve returns block 0 and files blocks 1..15 so that
+// block 15 pops first. Every prefill (fase-direct's included) lays out
+// its items this way, and its device counts depend on that layout.
+func TestFreshCarvePopsDescending(t *testing.T) {
+	_, a := newHeap(t, 1<<20)
+	want := []uint64{0}
+	for i := uint64(15); i >= 1; i-- {
+		want = append(want, i)
+	}
+	for i, w := range want {
+		p, err := a.Alloc(56)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blk := p - headerSize; blk != w*64 {
+			t.Fatalf("Alloc %d returned the block at %#x, want block %d of the first segment (%#x)", i, blk, w, w*64)
+		}
 	}
 }
 
@@ -279,43 +299,22 @@ func TestDisjointBlocksProperty(t *testing.T) {
 	}
 }
 
-// leakedLock try-locks every internal mutex — class shards, segment
-// tails, large buckets and the adoption lock; magazines are lock-free —
-// and names the first one still held. Used after a CrashSignal unwind: a leaked lock turns an
+// leakedLock try-locks the allocator's mutex and names it if it is still
+// held. Used after a CrashSignal unwind: a leaked lock turns an
 // injected crash into a process-wide deadlock (the table1 harness hit
 // exactly that: one worker killed mid-Alloc, the rest asleep in Lock).
 func leakedLock(a *Allocator) string {
-	for c := range a.shards {
-		for i := range a.shards[c] {
-			if !a.shards[c][i].mu.TryLock() {
-				return fmt.Sprintf("class %d shard %d", c, i)
-			}
-			a.shards[c][i].mu.Unlock()
-		}
+	if !a.mu.TryLock() {
+		return "allocator"
 	}
-	for c := range a.tails {
-		if !a.tails[c].mu.TryLock() {
-			return fmt.Sprintf("class %d tails", c)
-		}
-		a.tails[c].mu.Unlock()
-	}
-	for i := range a.large {
-		if !a.large[i].mu.TryLock() {
-			return fmt.Sprintf("large shard %d", i)
-		}
-		a.large[i].mu.Unlock()
-	}
-	if !a.adoptMu.TryLock() {
-		return "adoption"
-	}
-	a.adoptMu.Unlock()
+	a.mu.Unlock()
 	return ""
 }
 
 // TestAllocCrashReleasesLock sweeps the injection budget so CrashSignal
 // fires at every device event inside Alloc and Free — including the
-// ones under magazine, shard, and large-bucket locks — and asserts no
-// lock is leaked by the unwind.
+// ones under the allocator's lock (carves, splits, adoption scans, a
+// Free into a pending segment) — and asserts the unwind leaks no lock.
 func TestAllocCrashReleasesLock(t *testing.T) {
 	defer nvm.ArmCrash(-1)
 	crashed := 0

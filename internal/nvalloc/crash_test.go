@@ -40,8 +40,8 @@ func (st *sweepState) free(a *Allocator, p uint64) {
 
 // sweepWork drives every allocator path that touches the device. Before
 // the restart: segment openings (one per size class), carves from a
-// segment tail, magazine hits, shard traffic, the large first-fit path,
-// and frees of each. Then a restart with half the blocks still live —
+// segment tail, free-list reuse, the large first-fit path, and frees of
+// each. Then a restart with half the blocks still live —
 // Attach's hop over the segment and extent heads — and after it: frees
 // of pre-crash blocks into segments no scan has adopted, allocations
 // that adopt those segments lazily, a fresh segment opened beside them,
@@ -54,10 +54,10 @@ func sweepWork(d *nvm.Device, a *Allocator, st *sweepState) {
 	for i := 0; i < len(order); i += 2 {
 		st.free(a, order[i])
 	}
-	for i := 0; i < 6; i++ { // magazine round-trips
+	for i := 0; i < 6; i++ { // free-list round-trips
 		st.free(a, st.alloc(a, 40))
 	}
-	for i := 0; i < 2*magRefill; i++ { // past one refill: a carve from the segment's tail
+	for i := 0; i < 2*refill; i++ { // past one refill: a carve from the segment's tail
 		order = append(order, st.alloc(a, 40))
 	}
 	st.free(a, st.alloc(a, 5000)) // above maxSmall: large path
@@ -155,7 +155,7 @@ func leakedBytes(t *testing.T, a *Allocator, st *sweepState, at string) uint64 {
 
 // TestAllocCrashSweepRecovers kills the device at every event inside the
 // workload — each header write, flush, fence, and zeroing store in
-// Alloc, Free, the magazine-refill carve and the segment opening, each
+// Alloc, Free, the refill carve and the segment opening, each
 // header load of Attach's hop and of a lazy adoption scan, each event of
 // a Free into a segment not adopted yet — then settles the persistence
 // domain and proves recovery: Attach succeeds, the header chain is
@@ -214,28 +214,33 @@ func TestAllocCrashSweepRecovers(t *testing.T) {
 }
 
 // TestCarveRetiresSpanningHeader pins the two-phase carve discipline:
-// once a carved piece is visible in a magazine or shard, no durable
-// free header may span it. It drives the race window by hand — carve
-// an extent but never publish block 0 (the carver "stalls"), let a
-// second allocation claim a carved piece and publish it, then crash.
-// If the carve had exposed pieces while the extent's spanning free
-// header was still authoritative, the scan would re-adopt the whole
-// extent and hand the committed block out again.
+// once a carved piece is in a free list, no durable free header may
+// span it. It drives the race window by hand — carve an extent but
+// never publish block 0 (the carver "stalls"), let a second allocation
+// claim a carved piece and publish it, then crash. If the carve had
+// filed pieces while the extent's spanning free header was still
+// authoritative, the scan would re-adopt the whole extent and hand the
+// committed block out again.
 func TestCarveRetiresSpanningHeader(t *testing.T) {
 	const arena = 1 << 16
 	d := nvm.New(nvm.Config{Size: arena})
 	a := New(d, 0, arena)
-	// The carver: takes the whole-arena extent, parks the interior
+	// The carver: takes the whole-arena extent, files the interior
 	// blocks, returns block 0 — whose allocated header is deliberately
 	// never published.
-	if _, ok := a.carve(0); !ok {
+	a.mu.Lock()
+	_, ok := a.carve(0)
+	a.mu.Unlock()
+	if !ok {
 		t.Fatal("carve failed on a fresh heap")
 	}
 	// The racing thread: claims a carved interior block and commits it
 	// (allocated header fenced durable), exactly what Alloc does.
-	vb, ok := a.magPop(0)
+	a.mu.Lock()
+	vb, ok := a.pop(0)
+	a.mu.Unlock()
 	if !ok {
-		t.Fatal("carve parked nothing in the magazine")
+		t.Fatal("carve filed nothing in the free list")
 	}
 	a.writeHeader(vb.addr, vb.size, true)
 	d.Fence()
@@ -274,7 +279,10 @@ func TestLargeSplitRetiresSpanningHeader(t *testing.T) {
 	a := New(d, 0, arena)
 	// The splitter: takes the whole-arena extent, files the remainder,
 	// stalls before publishing the head's allocated header.
-	if _, err := a.allocLarge(8192); err != nil {
+	a.mu.Lock()
+	_, err := a.allocLarge(8192)
+	a.mu.Unlock()
+	if err != nil {
 		t.Fatalf("allocLarge failed on a fresh heap: %v", err)
 	}
 	// The racing thread: a full Alloc out of the remainder, committed.
@@ -310,7 +318,7 @@ func TestLargeSplitRetiresSpanningHeader(t *testing.T) {
 }
 
 // TestAllocHammer16 runs 16 goroutines of mixed Alloc/Free against one
-// heap — the contention profile the sharded design exists for — then
+// heap — far more callers than any workload puts on one lock — then
 // checks the header chain and counters balance exactly. Run with -race
 // this doubles as the allocator's data-race certification.
 func TestAllocHammer16(t *testing.T) {
@@ -361,13 +369,13 @@ func TestAllocHammer16(t *testing.T) {
 	}
 }
 
-// TestAllocNoTransientOOM reproduces the failure mode the idobench fig5
-// capture hit: between takeLarge and the push-back at the end of a
-// carve, the heap's only free extent is held privately by one thread,
-// and with many goroutines on few cores every other allocator caller
-// used to scan an apparently empty heap and report out-of-memory with
-// almost nothing allocated. Alloc must never fail while total live
-// bytes are far below capacity, no matter how the carver is preempted.
+// TestAllocNoTransientOOM guards the failure mode the idobench fig5
+// capture once hit: a carve that took the heap's only free extent out
+// of every list made every other caller scan an apparently empty heap
+// and report out-of-memory with almost nothing allocated. A carve now
+// runs wholly under the allocator's lock, so no free block is ever
+// outside a list; Alloc must never fail while total live bytes are far
+// below capacity, no matter how the carver is preempted.
 func TestAllocNoTransientOOM(t *testing.T) {
 	const (
 		arena   = 1 << 22
@@ -375,9 +383,9 @@ func TestAllocNoTransientOOM(t *testing.T) {
 		perW    = 2048 // 64 B blocks each: 16*2048*64 = half the arena
 	)
 	// Pure allocation keeps every worker leaning on the carve path at
-	// once (frees would restock the magazines and hide the window), and
+	// once (frees would restock the free lists and skip the carves), and
 	// the persistence cost model's spin delays stretch the carve's
-	// header writes, so a preempted carver holds the extent across many
+	// header writes, so a preempted carver holds the lock across many
 	// scheduler slices — the same shape as the figure sweeps.
 	d := nvm.New(nvm.Config{Size: arena, FlushNS: 50, FenceNS: 400})
 	a := New(d, 0, arena)
@@ -453,8 +461,8 @@ func TestAttachCrashSweepReattaches(t *testing.T) {
 	nvm.ArmCrash(1 << 40)
 	ref, _ := restart(1 << 40)
 	scanEvents := int64(1)<<40 - nvm.CrashBudgetRemaining()
-	if ref.npending.Load() != 0 || scanEvents < 2*sweepArena/segSize {
-		t.Fatalf("restart performed only %d device events, %d segments pending", scanEvents, ref.npending.Load())
+	if ref.npending != 0 || scanEvents < 2*sweepArena/segSize {
+		t.Fatalf("restart performed only %d device events, %d segments pending", scanEvents, ref.npending)
 	}
 	refAllocated := ref.Stats().AllocatedBytes
 

@@ -94,8 +94,8 @@ func TestAdoptHammer16(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.npending.Load() < 3 {
-		t.Fatalf("only %d segments pending after the restart", a.npending.Load())
+	if a.npending < 3 {
+		t.Fatalf("only %d segments pending after the restart", a.npending)
 	}
 
 	var owner sync.Map // live user address -> struct{}

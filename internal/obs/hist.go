@@ -60,18 +60,32 @@ func (h HistKind) String() string {
 	}
 }
 
-// hist is a lock-free log2 histogram: bucket i counts values in
-// [2^(i-1), 2^i); bucket 0 counts zeros.
-type hist struct {
+// Histogram is a lock-free log2 histogram: bucket i counts values in
+// [2^(i-1), 2^i); bucket 0 counts zeros. The zero value is empty, and
+// AddTo may run while other goroutines Observe.
+type Histogram struct {
 	buckets [65]atomic.Uint64
 	sum     atomic.Uint64
 }
 
-// Observe feeds v into histogram h.
-func (tr *Tracer) Observe(h HistKind, v uint64) {
-	hh := &tr.hists[h]
+// Observe records v.
+func (hh *Histogram) Observe(v uint64) {
 	hh.buckets[bits.Len64(v)].Add(1)
 	hh.sum.Add(v)
+}
+
+// AddTo adds the histogram's current buckets and sum into c, so several
+// histograms read into one HistCounts merge.
+func (hh *Histogram) AddTo(c *HistCounts) {
+	for i := range c.Buckets {
+		c.Buckets[i] += hh.buckets[i].Load()
+	}
+	c.Sum += hh.sum.Load()
+}
+
+// Observe feeds v into histogram h.
+func (tr *Tracer) Observe(h HistKind, v uint64) {
+	tr.hists[h].Observe(v)
 }
 
 // Summary condenses one histogram: Count and Sum are exact; the
@@ -98,17 +112,9 @@ func bucketHigh(i int) uint64 {
 	return 1<<uint(i) - 1
 }
 
-// load copies the histogram's buckets and sum into c.
-func (hh *hist) load(c *HistCounts) {
-	for i := range c.Buckets {
-		c.Buckets[i] = hh.buckets[i].Load()
-	}
-	c.Sum = hh.sum.Load()
-}
-
 // Hist summarizes histogram h.
 func (tr *Tracer) Hist(h HistKind) Summary {
 	var c HistCounts
-	tr.hists[h].load(&c)
+	tr.hists[h].AddTo(&c)
 	return c.Summary()
 }

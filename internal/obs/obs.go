@@ -92,8 +92,9 @@ const (
 	// KFree is one persistent-heap block free (header published free).
 	// A = block address, B = block bytes including the header.
 	KFree
-	// KRefill is one magazine refill: a run of size-class blocks carved
-	// from the backing store. A = class block size, B = blocks carved.
+	// KRefill is one carve: a run of size-class blocks cut from a
+	// segment tail or a fresh segment. A = class block size, B = blocks
+	// carved.
 	KRefill
 	// KFenceCombined is one persist fence that returned on another
 	// thread's drain instead of draining itself (nvm drain sharing).
@@ -188,14 +189,6 @@ type Config struct {
 	ThreadRingCap int
 	// DeviceRingCap is the capacity of each of the device stripe rings.
 	DeviceRingCap int
-	// SampleEvery, when non-nil, records only one in every N events of a
-	// kind in the rings (per ring, deterministically: occurrences 1, N+1,
-	// 2N+1, ... are kept). Values <= 1 record every event. Counts stay
-	// exact regardless — sampling thins the timeline, never the counters —
-	// and thinned events are tallied by SampledOut, not Dropped. This is
-	// the fig-scale knob for event storms (e.g. trace 1-in-100 nt-stores
-	// through an NVThreads page flush) without giant rings.
-	SampleEvery map[Kind]int
 }
 
 // DefaultConfig holds a FASE-timeline's worth of events per thread and a
@@ -217,14 +210,9 @@ type Tracer struct {
 	epoch time.Time
 	cfg   Config
 
-	// sample[k] is the 1-in-N recording period for kind k (0 or 1 = keep
-	// all), copied out of cfg.SampleEvery so the emit path indexes a flat
-	// array instead of a map.
-	sample [nKinds]uint64
-
 	dev [nDevStripes]*Ring
 
-	hists [nHist]hist
+	hists [nHist]Histogram
 
 	// rings is the atomically published registry of every ring, device
 	// stripes first. Registration copies the slice and swings the pointer,
@@ -243,11 +231,6 @@ func New(cfg Config) *Tracer {
 		cfg.DeviceRingCap = DefaultConfig().DeviceRingCap
 	}
 	tr := &Tracer{epoch: time.Now(), cfg: cfg}
-	for k, n := range cfg.SampleEvery {
-		if int(k) < NumKinds && n > 1 {
-			tr.sample[k] = uint64(n)
-		}
-	}
 	rings := make([]*Ring, 0, nDevStripes)
 	for i := range tr.dev {
 		r := &Ring{
@@ -335,23 +318,12 @@ func (tr *Tracer) Count(k Kind) uint64 {
 }
 
 // Dropped returns the number of events lost to full rings. The exported
-// trace is complete if and only if this and SampledOut are zero; Count is
-// exact either way.
+// trace is complete if and only if this is zero; Count is exact either
+// way.
 func (tr *Tracer) Dropped() uint64 {
 	var n uint64
 	for _, r := range *tr.rings.Load() {
 		n += r.dropped.Load()
-	}
-	return n
-}
-
-// SampledOut returns the number of events deliberately thinned from the
-// rings by Config.SampleEvery. Unlike Dropped, these are an intentional
-// trade; Count still includes them.
-func (tr *Tracer) SampledOut() uint64 {
-	var n uint64
-	for _, r := range *tr.rings.Load() {
-		n += r.sampled.Load()
 	}
 	return n
 }
@@ -380,7 +352,7 @@ func (tr *Tracer) Events() []Event {
 // finish their write into whichever buffer they claimed a slot in; a slot
 // published into the old buffer after collection is missed from the
 // returned window but still counted by Count. Cumulative counters
-// (Count, Dropped, SampledOut, histograms) are unaffected.
+// (Count, Dropped, histograms) are unaffected.
 func (tr *Tracer) Rotate() []Event {
 	if tr == nil {
 		return nil
@@ -436,17 +408,12 @@ type Ring struct {
 	tid     int32
 	label   string
 	dropped atomic.Uint64
-	sampled atomic.Uint64
 	kcount  [nKinds]atomic.Uint64
 	rb      atomic.Pointer[ringBuf]
 }
 
 func (r *Ring) emit(k Kind, a, b uint64, ts, dur int64) {
-	c := r.kcount[k].Add(1)
-	if n := r.tr.sample[k]; n > 1 && (c-1)%n != 0 {
-		r.sampled.Add(1)
-		return
-	}
+	r.kcount[k].Add(1)
 	rb := r.rb.Load()
 	i := rb.next.Add(1) - 1
 	if i >= uint64(len(rb.buf)) {

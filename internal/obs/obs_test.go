@@ -218,59 +218,3 @@ func TestHistPercentiles(t *testing.T) {
 		t.Fatalf("max = %d, want 4095", s.Max)
 	}
 }
-
-func TestSampleEveryThinsRingsNotCounts(t *testing.T) {
-	tr := New(Config{
-		ThreadRingCap: 1 << 10,
-		DeviceRingCap: 1 << 10,
-		SampleEvery:   map[Kind]int{KNTStore: 10},
-	})
-	r := tr.ThreadRing("t/0")
-	for i := 0; i < 100; i++ {
-		r.Emit(KNTStore, uint64(i), 0)
-		r.Emit(KFlush, uint64(i), 0) // unsampled kind: recorded in full
-	}
-	if got := tr.Count(KNTStore); got != 100 {
-		t.Fatalf("Count(KNTStore) = %d, want 100 (counts must stay exact)", got)
-	}
-	if got := tr.SampledOut(); got != 90 {
-		t.Fatalf("SampledOut = %d, want 90", got)
-	}
-	if got := tr.Dropped(); got != 0 {
-		t.Fatalf("Dropped = %d, want 0 (sampling is not dropping)", got)
-	}
-	var nt, fl int
-	for _, e := range tr.Events() {
-		switch e.Kind {
-		case KNTStore:
-			nt++
-		case KFlush:
-			fl++
-		}
-	}
-	if nt != 10 {
-		t.Fatalf("ring holds %d nt-store events, want 10 (1-in-10)", nt)
-	}
-	if fl != 100 {
-		t.Fatalf("ring holds %d flush events, want all 100", fl)
-	}
-}
-
-func TestSampleEveryFirstOccurrenceKept(t *testing.T) {
-	// A sampled kind must still record its first occurrence per ring, so a
-	// rare event under an aggressive knob is never silently invisible.
-	tr := New(Config{SampleEvery: map[Kind]int{KEvict: 1000}})
-	tr.DevEmit(KEvict, 0x40, 0)
-	var seen bool
-	for _, e := range tr.Events() {
-		if e.Kind == KEvict {
-			seen = true
-		}
-	}
-	if !seen {
-		t.Fatal("first evict event was sampled out")
-	}
-	if got := tr.Count(KEvict); got != 1 {
-		t.Fatalf("Count(KEvict) = %d, want 1", got)
-	}
-}

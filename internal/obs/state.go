@@ -93,14 +93,13 @@ func (h *HistCounts) Summary() Summary {
 }
 
 // State is one cumulative snapshot of a tracer: exact per-kind event
-// counts, the drop/thinning tallies, and every metric histogram in raw
-// bucket form. Two States subtract into interval rates; one State
-// renders directly as cumulative counters.
+// counts, the drop tally, and every metric histogram in raw bucket form.
+// Two States subtract into interval rates; one State renders directly
+// as cumulative counters.
 type State struct {
-	Counts     [NumKinds]uint64
-	Dropped    uint64
-	SampledOut uint64
-	Hists      [NumHists]HistCounts
+	Counts  [NumKinds]uint64
+	Dropped uint64
+	Hists   [NumHists]HistCounts
 }
 
 // ReadState fills dst with a cumulative snapshot of the tracer. It is
@@ -121,9 +120,8 @@ func (tr *Tracer) ReadState(dst *State) {
 			dst.Counts[k] += r.kcount[k].Load()
 		}
 		dst.Dropped += r.dropped.Load()
-		dst.SampledOut += r.sampled.Load()
 	}
 	for h := range dst.Hists {
-		tr.hists[h].load(&dst.Hists[h])
+		tr.hists[h].AddTo(&dst.Hists[h])
 	}
 }

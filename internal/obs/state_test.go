@@ -6,7 +6,7 @@ import (
 )
 
 // TestSnapshotWhileEmitting is the -race contract for the snapshot path:
-// Count/Dropped/SampledOut/ReadState/Events/Rotate all run concurrently
+// Count/Dropped/ReadState/Events/Rotate all run concurrently
 // with 16 goroutines emitting (and registering rings mid-flight). Under
 // the race detector this proves the consistent-read protocol — cursor
 // read once, publish words checked — not just absence of panics.
@@ -51,7 +51,7 @@ func TestSnapshotWhileEmitting(t *testing.T) {
 				case 1:
 					_ = tr.Events()
 				case 2:
-					_ = tr.Count(KFlush) + tr.Dropped() + tr.SampledOut()
+					_ = tr.Count(KFlush) + tr.Dropped()
 				case 3:
 					_ = tr.Rotate()
 				}
