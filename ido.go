@@ -146,7 +146,9 @@ func (db *DB) SetRoot(slot int, addr uint64) { db.Region.SetRoot(slot, addr) }
 func (db *DB) Root(slot int) uint64 { return db.Region.Root(slot) }
 
 // Recover completes every FASE a crash interrupted, using the resume
-// entries registered on db.Registry (§III-C).
+// entries registered on db.Registry (§III-C). Call it before the first
+// NewThread: the iDO runtime then hands the recovered threads, and their
+// logs, back out instead of creating new ones.
 func (db *DB) Recover() (RecoveryStats, error) { return db.Runtime.Recover(db.Registry) }
 
 // NewResumeRegistry returns an empty registry (for callers managing their

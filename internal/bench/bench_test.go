@@ -86,12 +86,29 @@ func TestFig7ShapesQuick(t *testing.T) {
 	// Exercise the bounded pool; each point still owns its world, and
 	// nothing below compares one point's throughput with another's.
 	o.Workers = 4
+	var printed strings.Builder
+	o.Out = &printed
 	figs, err := RunFig7(o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(figs) != 6 {
 		t.Fatalf("figures = %d (4 balanced + 2 pop-heavy churn)", len(figs))
+	}
+	// Each table is followed by Mnemosyne's aborts per commit, one value
+	// per thread count; a lone thread never conflicts.
+	var abortLines int
+	for _, line := range strings.Split(printed.String(), "\n") {
+		if !strings.HasPrefix(line, "mnemosyne aborts/commit") {
+			continue
+		}
+		abortLines++
+		if f := strings.Fields(line); len(f) != 2+len(o.Threads) || f[2] != "1:0.000" {
+			t.Fatalf("aborts line %q: want one value per thread count, 0 at 1 thread", line)
+		}
+	}
+	if abortLines != len(figs) {
+		t.Fatalf("%d mnemosyne aborts/commit lines for %d tables:\n%s", abortLines, len(figs), printed.String())
 	}
 	// The throughput gap on the hash map is ~1.35x, which 60 ms windows
 	// on a 1-core host cannot resolve reliably; assert the deterministic

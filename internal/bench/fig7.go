@@ -56,23 +56,30 @@ func RunFig7(o Options) ([]*stats.Figure, error) {
 				}
 			}
 			ops := make([]uint64, len(jobs))
+			abr := make([]float64, len(jobs))
 			structure := structure
 			err := runPoints(o, len(jobs), func(i int) error {
 				j := jobs[i]
-				n, err := runMicroPoint(o, j.sp, structure, j.nt, mix.insertPct)
+				n, a, err := runMicroPoint(o, j.sp, structure, j.nt, mix.insertPct)
 				if err != nil {
 					return fmt.Errorf("fig7 %s/%s/%d: %w", structure, j.sp.name, j.nt, err)
 				}
-				ops[i] = n
+				ops[i], abr[i] = n, a
 				return nil
 			})
 			if err != nil {
 				return nil, err
 			}
+			// Mnemosyne's throughput is only meaningful next to how often
+			// its transactions re-execute.
+			aborts := "mnemosyne aborts/commit"
 			for i, j := range jobs {
 				fig.Add(j.sp.name, float64(j.nt), stats.Throughput(ops[i], o.Duration))
+				if j.sp.name == "mnemosyne" {
+					aborts += fmt.Sprintf("  %d:%.3f", j.nt, abr[i])
+				}
 			}
-			fprintf(o.out(), "%s\n", fig)
+			fprintf(o.out(), "%s%s\n\n", fig, aborts)
 			out = append(out, fig)
 		}
 	}
@@ -89,17 +96,38 @@ const (
 	mapBuckets   = 1 << 8
 )
 
-func runMicroPoint(o Options, sp spec, structure string, nThreads, insertPct int) (uint64, error) {
+// runMicroPoint measures one Fig. 7 point: the operations completed, and
+// the runtime's aborts per committed FASE over the measured phase (0 for
+// every runtime that never re-executes).
+func runMicroPoint(o Options, sp spec, structure string, nThreads, insertPct int) (ops uint64, abortsPerCommit float64, err error) {
 	w, err := newWorld(o, sp.mk, 0)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
+	setup, err := microSetup(w, structure, insertPct)
+	if err != nil {
+		return 0, 0, err
+	}
+	before := w.rt.Stats()
+	if ops, err = measure(w, nThreads, o.Duration, setup); err != nil {
+		return 0, 0, err
+	}
+	after := w.rt.Stats()
+	if commits := after.FASEs - before.FASEs; commits > 0 {
+		abortsPerCommit = float64(after.Aborts-before.Aborts) / float64(commits)
+	}
+	return ops, abortsPerCommit, nil
+}
+
+// microSetup builds and prefills one structure in w and returns measure's
+// per-worker op builder for it.
+func microSetup(w *world, structure string, insertPct int) (func(i int, t persist.Thread) func(), error) {
 	env := &ds.Env{Reg: w.reg, LM: w.lm}
 	switch structure {
 	case "stack":
 		s, _, err := ds.NewStack(env)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		// Prefill so removes usually succeed.
 		pre, _ := w.rt.NewThread()
@@ -107,7 +135,7 @@ func runMicroPoint(o Options, sp spec, structure string, nThreads, insertPct int
 			i := i
 			pre.Exec(func() { s.Push(pre, uint64(i+1)) })
 		}
-		return measure(w, nThreads, o.Duration, func(i int, t persist.Thread) func() {
+		return func(i int, t persist.Thread) func() {
 			// Insert/remove only: the non-insert share is all pops.
 			gen := workload.NewUniformMix(int64(100+i), 1<<30, insertPct, 100-insertPct)
 			return func() {
@@ -117,18 +145,18 @@ func runMicroPoint(o Options, sp spec, structure string, nThreads, insertPct int
 					s.Pop(t)
 				}
 			}
-		})
+		}, nil
 	case "queue":
 		q, _, err := ds.NewQueue(env)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		pre, _ := w.rt.NewThread()
 		for i := 0; i < 256; i++ {
 			i := i
 			pre.Exec(func() { q.Enqueue(pre, uint64(i+1)) })
 		}
-		return measure(w, nThreads, o.Duration, func(i int, t persist.Thread) func() {
+		return func(i int, t persist.Thread) func() {
 			gen := workload.NewUniformMix(int64(200+i), 1<<30, insertPct, 100-insertPct)
 			return func() {
 				if op := gen.Next(); op.Kind == workload.OpInsert {
@@ -137,18 +165,18 @@ func runMicroPoint(o Options, sp spec, structure string, nThreads, insertPct int
 					q.Dequeue(t)
 				}
 			}
-		})
+		}, nil
 	case "orderedlist":
 		l, _, err := ds.NewList(env)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		pre, _ := w.rt.NewThread()
 		for k := uint64(2); k <= listKeyRange; k += 2 {
 			k := k
 			pre.Exec(func() { l.Put(pre, k, k) })
 		}
-		return measure(w, nThreads, o.Duration, func(i int, t persist.Thread) func() {
+		return func(i int, t persist.Thread) func() {
 			rng := rand.New(rand.NewSource(int64(300 + i)))
 			return func() {
 				k := uint64(rng.Intn(listKeyRange)) + 1
@@ -158,18 +186,18 @@ func runMicroPoint(o Options, sp spec, structure string, nThreads, insertPct int
 					l.Get(t, k)
 				}
 			}
-		})
+		}, nil
 	case "hashmap":
 		m, _, err := ds.NewHashMap(env, mapBuckets)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		pre, _ := w.rt.NewThread()
 		for k := uint64(1); k <= mapKeyRange; k += 2 {
 			k := k
 			pre.Exec(func() { m.Put(pre, k, k) })
 		}
-		return measure(w, nThreads, o.Duration, func(i int, t persist.Thread) func() {
+		return func(i int, t persist.Thread) func() {
 			rng := rand.New(rand.NewSource(int64(400 + i)))
 			return func() {
 				k := uint64(rng.Intn(mapKeyRange)) + 1
@@ -179,7 +207,7 @@ func runMicroPoint(o Options, sp spec, structure string, nThreads, insertPct int
 					m.Get(t, k)
 				}
 			}
-		})
+		}, nil
 	}
-	return 0, fmt.Errorf("unknown structure %q", structure)
+	return nil, fmt.Errorf("unknown structure %q", structure)
 }

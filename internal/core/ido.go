@@ -43,6 +43,7 @@ type Runtime struct {
 
 	mu      sync.Mutex
 	threads []*Thread
+	spares  idolog.Spares[*Thread]
 	nextID  int
 }
 
@@ -64,19 +65,25 @@ func (rt *Runtime) Attach(reg *region.Region, lm *locks.Manager) error {
 	return nil
 }
 
-// NewThread registers a worker: it creates the thread's iDO_Log, one slot
-// per persist register, on the region's log list.
+// NewThread registers a worker. It first hands out a thread Recover
+// adopted, oldest log first, which keeps its log and id; only when none
+// is left does it create an iDO_Log, one slot per persist register, on
+// the region's log list.
 func (rt *Runtime) NewThread() (persist.Thread, error) {
 	// Deferred unlock: Create's device calls panic with nvm.CrashSignal
 	// under armed injection, and the mutex must not survive the unwind.
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	t := &Thread{}
-	if err := t.Create(rt.reg, rt.Name(), rt.nextID, persist.MaxOutputs, rt.stride, 0, false); err != nil {
-		return nil, err
+	t, ok := rt.spares.Take(rt.Name())
+	if !ok {
+		t = &Thread{}
+		if err := t.Create(rt.reg, rt.Name(), rt.nextID, persist.MaxOutputs, rt.stride, 0, false); err != nil {
+			return nil, err
+		}
+		rt.nextID++
+		rt.threads = append(rt.threads, t)
 	}
-	rt.nextID++
-	rt.threads = append(rt.threads, t)
+	rt.spares.Handed()
 	return t, nil
 }
 
@@ -113,9 +120,21 @@ func (rt *Runtime) Stats() persist.RuntimeStats {
 
 // Recover implements persist.Runtime with the shared walk (§III-C); a
 // crashed thread's resume step is the entry rr holds for its region.
+// When it succeeds, every thread it adopted whose log has the layout
+// NewThread creates is kept for NewThread, so the log list grows only
+// when an incarnation runs more threads than any before it. It must run
+// before the runtime hands out its first thread.
 func (rt *Runtime) Recover(rr *persist.ResumeRegistry) (persist.RecoveryStats, error) {
-	return idolog.Recover(rt.reg, rt.lm, rt.Name(), func(id int, pc uint64) (*idolog.Log, func([]uint64), error) {
+	rt.mu.Lock()
+	err := rt.spares.Recovering(rt.Name())
+	rt.mu.Unlock()
+	if err != nil {
+		return persist.RecoveryStats{}, err
+	}
+	var adopted []*Thread
+	st, err := idolog.Recover(rt.reg, rt.lm, rt.Name(), func(id int, pc uint64) (*idolog.Log, func([]uint64), error) {
 		t := &Thread{}
+		adopted = append(adopted, t)
 		rt.mu.Lock()
 		rt.threads = append(rt.threads, t)
 		rt.nextID = max(rt.nextID, id+1)
@@ -130,6 +149,13 @@ func (rt *Runtime) Recover(rr *persist.ResumeRegistry) (persist.RecoveryStats, e
 		}
 		return &t.Log, func(rf []uint64) { fn(t, rf) }, nil
 	})
+	if err != nil {
+		return st, err
+	}
+	rt.mu.Lock()
+	rt.spares.Keep(adopted, persist.MaxOutputs, rt.stride, false)
+	rt.mu.Unlock()
+	return st, nil
 }
 
 var _ persist.Runtime = (*Runtime)(nil)

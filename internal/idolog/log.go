@@ -200,9 +200,21 @@ func (l *Log) Create(reg *region.Region, name string, id, regs int, stride, extr
 	dev.PersistRange(l.addr, size)
 	dev.Fence()
 	reg.SetRoot(region.RootIDOHead, l.addr) // fenced internally
-	l.rc = dev.Tracer().ThreadRing(fmt.Sprintf("%s/t%d", name, id))
+	l.traceAs(name, "")
 	return nil
 }
+
+// traceAs gives the log the trace ring name/t<id><suffix>, or none when
+// the device has no tracer; the label is only formatted for a tracer.
+func (l *Log) traceAs(name, suffix string) {
+	l.rc = nil
+	if tr := l.dev.Tracer(); tr != nil {
+		l.rc = tr.ThreadRing(fmt.Sprintf("%s/t%d%s", name, l.id, suffix))
+	}
+}
+
+// log is how Spares reaches the Log a runtime's thread type embeds.
+func (l *Log) log() *Log { return l }
 
 // setLayout derives the handle's layout from a log's meta word.
 func (l *Log) setLayout(dev *nvm.Device, meta uint64) error {

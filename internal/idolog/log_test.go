@@ -301,3 +301,28 @@ func TestCorruptRegisterIndexIsRejected(t *testing.T) {
 		t.Fatal("a FASE resumed from a corrupt log")
 	}
 }
+
+// TestRecoverIdleWalkAllocs: with no tracer attached, an idle log costs
+// Recover's walk its register mirror and the runtime's thread, not a
+// formatted trace-ring label.
+func TestRecoverIdleWalkAllocs(t *testing.T) {
+	walk := func(n int) float64 {
+		reg := region.Create(1<<20, nvm.Config{})
+		for i := 0; i < n; i++ {
+			if err := new(Log).Create(reg, "test", i, 16, 8, 0, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lm := locks.NewManager(reg)
+		return testing.AllocsPerRun(10, func() {
+			if _, err := Recover(reg, lm, "test", func(int, uint64) (*Log, func([]uint64), error) {
+				return &Log{}, nil, nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if perLog := (walk(33) - walk(1)) / 32; perLog > 2.5 {
+		t.Fatalf("Recover allocates %.2f times per idle log; want at most 2.5 (the register mirror and the thread)", perLog)
+	}
+}

@@ -23,7 +23,66 @@ import (
 // register file the log decodes to (nil for a raw log, whose runtime
 // reads its own record). An error means pc cannot be resumed; Recover
 // fails with it before any FASE resumes.
+//
+// The thread outlives recovery. Once Recover has returned nil, every
+// adopted log is idle — it was, or its resumed FASE has run to its end —
+// and the runtime keeps the threads in its Spares to hand out as new ones
+// instead of creating a log per thread per restart.
 type Adopt func(id int, pc uint64) (l *Log, resume func(rf []uint64), err error)
+
+// Spares holds the threads a runtime's last successful Recover adopted,
+// for its NewThread to hand out before it creates a log. That keeps the
+// log list, and so the next walk, as long as the most threads one
+// incarnation ran at once, not growing by a log per thread per restart.
+// T is the runtime's thread type, which embeds Log. The runtime guards
+// its Spares with its own mutex.
+type Spares[T interface{ log() *Log }] struct {
+	idle   []T  // in list order: Take pops from the end, the oldest log
+	handed bool // the runtime has handed out a thread
+}
+
+// Recovering is Recover's guard: it fails once the runtime has handed
+// out a thread, whose log the walk would adopt from under it.
+func (s *Spares[T]) Recovering(name string) error {
+	if s.handed {
+		return fmt.Errorf("%s: Recover after NewThread: recovery must come before the runtime's first thread", name)
+	}
+	return nil
+}
+
+// Keep makes the spares those of adopted — the threads a successful
+// Recover adopted, in list order — whose log has exactly the layout the
+// runtime's Create passes (regs, stride, raw) and no FASE open. A log of
+// another layout, an ablation's or another runtime's, stays on the list
+// unused.
+func (s *Spares[T]) Keep(adopted []T, regs int, stride uint64, raw bool) {
+	s.idle = s.idle[:0]
+	for _, t := range adopted {
+		if l := t.log(); l.regs == regs && l.stride == stride && l.raw == raw && l.Depth() == 0 {
+			s.idle = append(s.idle, t)
+		}
+	}
+}
+
+// Take pops the spare with the oldest log and gives it to a new thread in
+// place of Create: the log keeps its address and id, leaves recovery (a
+// recursive Lock panics again) and traces as name/t<id>. It issues no
+// device event, and reports false when no spare is left.
+func (s *Spares[T]) Take(name string) (t T, ok bool) {
+	n := len(s.idle)
+	if n == 0 {
+		return t, false
+	}
+	t = s.idle[n-1]
+	s.idle = s.idle[:n-1]
+	l := t.log()
+	l.recovering = false
+	l.traceAs(name, "")
+	return t, true
+}
+
+// Handed records that the runtime has handed out a thread.
+func (s *Spares[T]) Handed() { s.handed = true }
 
 // Recover implements §III-C: walk the persistent log list, re-acquire each
 // interrupted thread's locks, barrier, hand each thread its register file,
@@ -45,7 +104,10 @@ func Recover(reg *region.Region, lm *locks.Manager, name string, adopt Adopt) (p
 	// before the first resume.
 	serial := nvm.RecoveryCrashArmed()
 	stats := persist.RecoveryStats{Attempt: attempt, Audit: &obs.RecoveryAudit{Runtime: name, Attempt: attempt}}
-	rc := dev.Tracer().ThreadRing(name + "/recover")
+	var rc *obs.Ring
+	if tr := dev.Tracer(); tr != nil {
+		rc = tr.ThreadRing(name + "/recover")
+	}
 	scanT0 := rc.Clock()
 
 	type pending struct {
@@ -159,7 +221,7 @@ func Recover(reg *region.Region, lm *locks.Manager, name string, adopt Adopt) (p
 			walkErr = fmt.Errorf("%s: log %#x: corrupt header: %w", name, p, err)
 			break
 		}
-		opened.rc = dev.Tracer().ThreadRing(fmt.Sprintf("%s/t%d-rec", name, opened.id))
+		opened.traceAs(name, "-rec")
 		audit := obs.ThreadAudit{ThreadID: opened.id, LogAddr: p, Action: obs.AuditIdle, RecoveryPC: pc}
 		l, step, err := adopt(opened.id, pc)
 		if err != nil {

@@ -13,30 +13,49 @@ import (
 
 // Recover completes every FASE a crash interrupted, per the machine's
 // mode (§III-C for iDO; the analogous store-granularity resumption for
-// JUSTDO), with the shared walk: it re-creates a thread per log,
-// re-acquires locks via the indirect holders and hands iDO threads their
-// decoded register file; this package jumps to the logged location and
-// executes to the end of the FASE.
+// JUSTDO), with the shared walk: it adopts a thread per log, re-acquires
+// locks via the indirect holders and hands iDO threads their decoded
+// register file; this package jumps to the logged location and executes
+// to the end of the FASE. When it succeeds, the adopted threads whose log
+// this machine's NewThread would have created (121 registers, raw only
+// under JUSTDO) are kept for NewThread, stack frame and all. It must run
+// before the machine hands out its first thread.
 //
 // Fidelity note: JUSTDO was designed for machines with nonvolatile
 // caches (§I). This implementation fences each ⟨addr, val⟩ record durable
 // before the single pc store that publishes it, so its replay is exact
 // under the volatile-cache crash adversaries too.
 func (m *Machine) Recover() (persist.RecoveryStats, error) {
-	name := "vm-" + m.Mode.String()
+	m.mu.Lock()
+	err := m.spares.Recovering(m.name())
+	m.mu.Unlock()
+	if err != nil {
+		return persist.RecoveryStats{}, err
+	}
 	if m.Mode == ModeOrigin {
 		attempt := nvm.EnterRecovery()
 		nvm.ExitRecovery()
-		return persist.RecoveryStats{Attempt: attempt, Audit: &obs.RecoveryAudit{Runtime: name, Attempt: attempt}}, nil
+		return persist.RecoveryStats{Attempt: attempt, Audit: &obs.RecoveryAudit{Runtime: m.name(), Attempt: attempt}}, nil
 	}
-	return idolog.Recover(m.Reg, m.LM, name, m.adopt)
+	var adopted []*Thread
+	st, err := idolog.Recover(m.Reg, m.LM, m.name(), func(id int, pc uint64) (*idolog.Log, func([]uint64), error) {
+		t := &Thread{m: m}
+		adopted = append(adopted, t)
+		return m.adopt(t, id, pc)
+	})
+	if err != nil {
+		return st, err
+	}
+	m.mu.Lock()
+	m.spares.Keep(adopted, MaxRegs+1, 8, m.Mode == ModeJUSTDO)
+	m.mu.Unlock()
+	return st, nil
 }
 
-// adopt is idolog.Adopt for this machine: a recovery thread for the log
-// and, for a live pc, the jump to what it names — an iDO region's entry,
-// or the instruction after a JUSTDO record's.
-func (m *Machine) adopt(id int, pc uint64) (*idolog.Log, func([]uint64), error) {
-	t := &Thread{m: m}
+// adopt is idolog.Adopt for this machine, with t the recovery thread for
+// the log: for a live pc it returns the jump to what the pc names — an
+// iDO region's entry, or the instruction after a JUSTDO record's.
+func (m *Machine) adopt(t *Thread, id int, pc uint64) (*idolog.Log, func([]uint64), error) {
 	m.mu.Lock()
 	m.threads = append(m.threads, t)
 	m.nextID = max(m.nextID, id+1)

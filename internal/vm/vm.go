@@ -123,6 +123,7 @@ type Machine struct {
 
 	mu      sync.Mutex
 	threads []*Thread
+	spares  idolog.Spares[*Thread]
 	nextID  int
 }
 
@@ -276,28 +277,47 @@ const frameSize = 4096
 
 // NewThread registers an execution context: its NVM stack frame and its
 // log, one register slot per virtual register and one for the stack
-// pointer, on the region's log list.
+// pointer, on the region's log list. A thread Recover adopted goes first,
+// oldest log first, with the frame its log names, so a restart allocates
+// neither.
 func (m *Machine) NewThread() (*Thread, error) {
-	frame, err := m.Reg.Alloc.Alloc(frameSize)
-	if err != nil {
-		return nil, fmt.Errorf("vm: allocating stack frame: %w", err)
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	t := &Thread{m: m, frame: frame, sp: frame}
-	if err := t.Create(m.Reg, "vm-"+m.Mode.String(), m.nextID, MaxRegs+1, 8, extraSize, m.Mode == ModeJUSTDO); err != nil {
-		return nil, err
-	}
-	// The frame base only matters to a resumed FASE, and none can publish
-	// before this fence.
 	dev := m.Reg.Dev
-	dev.Store64(t.Extra()+xFrame, frame)
-	dev.CLWB(t.Extra() + xFrame)
-	dev.Fence()
-	m.nextID++
-	m.threads = append(m.threads, t)
+	t, reused := m.spares.Take(m.name())
+	if reused {
+		t.frame = dev.Load64(t.Extra() + xFrame)
+	}
+	// A reused log names no frame when its creator died between linking
+	// it and the fence below (Create zeroes the word); that frame is lost
+	// with the crash, and this thread gets a new one like a new log.
+	if !reused || t.frame == 0 {
+		frame, err := m.Reg.Alloc.Alloc(frameSize)
+		if err != nil {
+			return nil, fmt.Errorf("vm: allocating stack frame: %w", err)
+		}
+		if !reused {
+			t = &Thread{m: m}
+			if err := t.Create(m.Reg, m.name(), m.nextID, MaxRegs+1, 8, extraSize, m.Mode == ModeJUSTDO); err != nil {
+				return nil, err
+			}
+			m.nextID++
+			m.threads = append(m.threads, t)
+		}
+		// The frame base only matters to a resumed FASE, and none can
+		// publish before this fence.
+		t.frame = frame
+		dev.Store64(t.Extra()+xFrame, frame)
+		dev.CLWB(t.Extra() + xFrame)
+		dev.Fence()
+	}
+	t.sp = t.frame
+	m.spares.Handed()
 	return t, nil
 }
+
+// name labels the machine's audits and trace rings.
+func (m *Machine) name() string { return "vm-" + m.Mode.String() }
 
 // Call executes fn with the given arguments. It returns the values of a
 // ret instruction, or ErrCrashed if the injected crash fired mid-run.
