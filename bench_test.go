@@ -266,12 +266,12 @@ func BenchmarkTable1Recovery(b *testing.B) {
 			s.Push(t, uint64(i))
 		}
 		// Kill mid-FASE for realism: arm a tiny budget and push once.
-		nvm.ArmCrash(25)
+		reg.Dev.ArmLocalCrash(25)
 		func() {
 			defer func() { recover() }()
 			s.Push(t, 1)
 		}()
-		nvm.ArmCrash(-1)
+		reg.Dev.ArmLocalCrash(-1)
 		reg.Dev.Crash(nvm.CrashRandom, rand.New(rand.NewSource(1)))
 		reg2, err := region.Attach(reg.Dev)
 		if err != nil {

@@ -44,20 +44,30 @@ func TestDumpDecodesVMImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := region.Create(1<<20, nvm.Config{})
-	lm := locks.NewManager(reg)
-	m := vm.New(reg, lm, prog, vm.ModeIDO)
-	stk, err := irprog.NewStack(reg, lm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	th, err := m.NewThread()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetCrashBudget(6) // load, lock, boundary, load, alloc, the first store: published
-	if _, err := th.Call("stack_push", stk, 7); err != vm.ErrCrashed {
-		t.Fatalf("stack_push returned %v, want the injected crash", err)
+	// Probe for the first device event at which a crash leaves the FASE
+	// published: stack_push dies right after its first store.
+	var reg *region.Region
+	for budget := int64(0); ; budget++ {
+		reg = region.Create(1<<20, nvm.Config{})
+		lm := locks.NewManager(reg)
+		m := vm.New(reg, lm, prog, vm.ModeIDO)
+		stk, err := irprog.NewStack(reg, lm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		th, err := m.NewThread()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SetCrashBudget(budget)
+		_, err = th.Call("stack_push", stk, 7)
+		m.SetCrashBudget(-1)
+		if err != vm.ErrCrashed {
+			t.Fatalf("budget %d: stack_push returned %v before its FASE published, want the injected crash", budget, err)
+		}
+		if logs, err := idolog.Inspect(reg); err != nil || logs[0].PC != 0 {
+			break
+		}
 	}
 	reg.Dev.Crash(nvm.CrashDiscard, nil)
 	reg2, err := region.Attach(reg.Dev)

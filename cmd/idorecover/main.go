@@ -43,7 +43,7 @@ import (
 )
 
 func main() {
-	budget := flag.Int64("budget", -2, "crash after N VM events (-2: random)")
+	budget := flag.Int64("budget", -2, "crash after N device events (-2: random)")
 	modeStr := flag.String("mode", "random", "crash adversary: discard|random|persist-all")
 	image := flag.String("image", "", "save the post-crash image to this file and reopen it")
 	seed := flag.Int64("seed", 1, "workload seed")

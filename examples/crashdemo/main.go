@@ -51,10 +51,13 @@ func main() {
 		}
 	}
 	fmt.Println("inserted keys 10, 30, 50; now inserting 20 with a crash armed...")
-	m.SetCrashBudget(35) // dies inside the insert FASE
+	m.SetCrashBudget(60) // device events: dies inside the insert FASE
 	_, err = th.Call("list_insert", lst, 20, 21)
 	fmt.Printf("call result: %v\n", err)
 	m.SetCrashBudget(-1)
+	if err == nil {
+		log.Fatal("the armed insert did not crash")
+	}
 
 	// Power failure with the adversarial write-back model.
 	reg.Dev.Crash(nvm.CrashRandom, rand.New(rand.NewSource(3)))

@@ -34,7 +34,7 @@ func main() {
 	}
 	reg.SetRoot(1, tbl)
 
-	// Concurrent workers set keys; a machine-wide crash is armed to fire
+	// Concurrent workers set keys; the device's crash is armed to fire
 	// somewhere inside the burst.
 	const workers, perWorker = 4, 300
 	completed := make([][]uint64, workers)
@@ -47,7 +47,7 @@ func main() {
 		threads[i] = t
 	}
 	rng := rand.New(rand.NewSource(7))
-	nvm.ArmCrash(int64(20000 + rng.Intn(40000)))
+	reg.Dev.ArmLocalCrash(int64(20000 + rng.Intn(40000)))
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
@@ -69,7 +69,6 @@ func main() {
 		}(g)
 	}
 	wg.Wait()
-	nvm.ArmCrash(-1)
 	total := 0
 	for _, c := range completed {
 		total += len(c)

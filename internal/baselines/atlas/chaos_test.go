@@ -89,7 +89,6 @@ func TestTornCountDoesNotResurrectStaleEntry(t *testing.T) {
 // so whatever prefix of the pass survives, re-running it must leave the
 // same final state and empty logs.
 func TestRecoverTruncationIsReentrant(t *testing.T) {
-	defer nvm.ArmCrash(-1)
 	for budget := int64(1); ; budget++ {
 		reg := region.Create(1<<20, nvm.Config{})
 		lm := locks.NewManager(reg)
@@ -127,7 +126,7 @@ func TestRecoverTruncationIsReentrant(t *testing.T) {
 		if err := rt2.Attach(reg2, locks.NewManager(reg2)); err != nil {
 			t.Fatal(err)
 		}
-		nvm.ArmRecoveryCrash(budget)
+		reg2.Dev.ArmRecoveryCrash(budget)
 		crashed := func() (c bool) {
 			defer func() {
 				if r := recover(); r != nil {
@@ -143,7 +142,7 @@ func TestRecoverTruncationIsReentrant(t *testing.T) {
 			}
 			return false
 		}()
-		nvm.ArmCrash(-1)
+		reg2.Dev.ArmLocalCrash(-1)
 		if !crashed {
 			if budget == 1 {
 				t.Fatal("budget 1 did not crash: recovery-scoped injection is not reaching atlas Recover")

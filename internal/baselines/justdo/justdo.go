@@ -84,8 +84,8 @@ func (rt *Runtime) NewThread() (persist.Thread, error) {
 // The pass is still bracketed as a recovery attempt so the chaos harness
 // sees a consistent attempt count across runtimes.
 func (rt *Runtime) Recover(*persist.ResumeRegistry) (persist.RecoveryStats, error) {
-	attempt := nvm.EnterRecovery()
-	defer nvm.ExitRecovery()
+	attempt := rt.reg.Dev.EnterRecovery()
+	defer rt.reg.Dev.ExitRecovery()
 	return persist.RecoveryStats{Attempt: attempt}, fmt.Errorf(
 		"justdo: native recovery is store-granularity and provided by the VM (internal/vm); see DESIGN.md")
 }
@@ -242,7 +242,7 @@ func (t *thread) loggedStore(addr, val uint64) {
 	dev.Store64(t.aAddr, addr)
 	dev.Store64(t.aVal, val)
 	dev.CLWB(t.aPC) // pc/addr/val share the log's first line
-	dev.Fence()             // log entry durable before the store
+	dev.Fence()     // log entry durable before the store
 	dev.Store64(addr, val)
 	dev.CLWB(addr)
 	dev.Fence() // store durable before the next log entry

@@ -122,8 +122,8 @@ func (rt *Runtime) Stats() persist.RuntimeStats {
 func (rt *Runtime) Recover(*persist.ResumeRegistry) (persist.RecoveryStats, error) {
 	start := time.Now()
 	dev := rt.reg.Dev
-	attempt := nvm.EnterRecovery()
-	defer nvm.ExitRecovery()
+	attempt := dev.EnterRecovery()
+	defer dev.ExitRecovery()
 	var stats persist.RecoveryStats
 	stats.Attempt = attempt
 	stats.Audit = &obs.RecoveryAudit{Runtime: rt.Name(), Attempt: attempt}

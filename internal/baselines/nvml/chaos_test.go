@@ -86,7 +86,6 @@ func TestTornCountDoesNotRevertCommittedData(t *testing.T) {
 // outcome: the undo application is fenced durable before the truncation
 // store, so the pass can die anywhere and be re-run.
 func TestRecoverIsReentrant(t *testing.T) {
-	defer nvm.ArmCrash(-1)
 	for budget := int64(1); ; budget++ {
 		reg := region.Create(1<<20, nvm.Config{})
 		rt := New()
@@ -119,7 +118,7 @@ func TestRecoverIsReentrant(t *testing.T) {
 		if err := rt2.Attach(reg2, nil); err != nil {
 			t.Fatal(err)
 		}
-		nvm.ArmRecoveryCrash(budget)
+		reg2.Dev.ArmRecoveryCrash(budget)
 		crashed := func() (c bool) {
 			defer func() {
 				if r := recover(); r != nil {
@@ -134,7 +133,7 @@ func TestRecoverIsReentrant(t *testing.T) {
 			}
 			return false
 		}()
-		nvm.ArmCrash(-1)
+		reg2.Dev.ArmLocalCrash(-1)
 		if !crashed {
 			if budget == 1 {
 				t.Fatal("budget 1 did not crash: recovery-scoped injection is not reaching nvml Recover")

@@ -29,7 +29,7 @@ const (
 	// without erasure — a stale entry from an earlier, committed FASE
 	// that a torn count would otherwise expose as live. Rolling such an
 	// entry back would revert committed data.
-	logCount  = 0  // live entry count; 0 = no FASE in flight
+	logCount  = 0 // live entry count; 0 = no FASE in flight
 	logNext   = 8
 	logGen    = 16 // generation, bumped at every truncation
 	logBase   = 64
@@ -113,8 +113,8 @@ func (rt *Runtime) Stats() persist.RuntimeStats {
 func (rt *Runtime) Recover(*persist.ResumeRegistry) (persist.RecoveryStats, error) {
 	start := time.Now()
 	dev := rt.reg.Dev
-	attempt := nvm.EnterRecovery()
-	defer nvm.ExitRecovery()
+	attempt := dev.EnterRecovery()
+	defer dev.ExitRecovery()
 	var stats persist.RecoveryStats
 	stats.Attempt = attempt
 	stats.Audit = &obs.RecoveryAudit{Runtime: rt.Name(), Attempt: attempt}

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"github.com/ido-nvm/ido/internal/locks"
-	"github.com/ido-nvm/ido/internal/nvm"
 	"github.com/ido-nvm/ido/internal/obs"
 	"github.com/ido-nvm/ido/internal/persist"
 	"github.com/ido-nvm/ido/internal/region"
@@ -117,8 +116,8 @@ func (rt *Runtime) Stats() persist.RuntimeStats {
 func (rt *Runtime) Recover(*persist.ResumeRegistry) (persist.RecoveryStats, error) {
 	start := time.Now()
 	dev := rt.reg.Dev
-	attempt := nvm.EnterRecovery()
-	defer nvm.ExitRecovery()
+	attempt := dev.EnterRecovery()
+	defer dev.ExitRecovery()
 	var stats persist.RecoveryStats
 	stats.Attempt = attempt
 	stats.Audit = &obs.RecoveryAudit{Runtime: rt.Name(), Attempt: attempt}

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"github.com/ido-nvm/ido/internal/locks"
-	"github.com/ido-nvm/ido/internal/nvm"
 	"github.com/ido-nvm/ido/internal/obs"
 	"github.com/ido-nvm/ido/internal/persist"
 	"github.com/ido-nvm/ido/internal/region"
@@ -48,8 +47,8 @@ func (rt *Runtime) NewThread() (persist.Thread, error) {
 // Recover implements persist.Runtime; origin cannot recover anything.
 // The audit is present but empty, so callers can print it uniformly.
 func (rt *Runtime) Recover(*persist.ResumeRegistry) (persist.RecoveryStats, error) {
-	attempt := nvm.EnterRecovery()
-	defer nvm.ExitRecovery()
+	attempt := rt.reg.Dev.EnterRecovery()
+	defer rt.reg.Dev.ExitRecovery()
 	return persist.RecoveryStats{
 		Attempt: attempt,
 		Audit:   &obs.RecoveryAudit{Runtime: rt.Name(), Attempt: attempt},

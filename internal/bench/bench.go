@@ -56,7 +56,8 @@ type Options struct {
 	// co-scheduled point steals cycles from the one being timed; raise it
 	// to overlap construction and warm-up when sweeping a large grid.
 	// Crash-injection experiments (Table I, recovery ablations) ignore it
-	// and stay serial: the injection arming is process-global.
+	// and stay serial: they time recovery, which a co-scheduled point
+	// would slow down.
 	Workers int
 }
 

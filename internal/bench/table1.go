@@ -160,10 +160,11 @@ func recoveryTime(o Options, rtName, structure string, threads int, kill time.Du
 		return 0, fmt.Errorf("unknown structure %q", structure)
 	}
 
-	// Run workers until the kill time, then pull the plug. Injection is
-	// armed (with an unreachable budget) BEFORE the workers start so lock
-	// waiters use the crash-aware spin path; TriggerCrash then kills
-	// every thread at its next memory access or lock-spin check.
+	// Run workers until the kill time, then pull the plug. The device's
+	// injection is armed (with an unreachable budget) BEFORE the workers
+	// start so lock waiters use the crash-aware spin path;
+	// TriggerLocalCrash then kills every thread at its next memory access
+	// or lock-spin check, and Crash disarms the device again.
 	done := make(chan struct{}, threads)
 	ths := make([]persist.Thread, threads)
 	for i := range ths {
@@ -173,7 +174,7 @@ func recoveryTime(o Options, rtName, structure string, threads int, kill time.Du
 		}
 		ths[i] = t
 	}
-	nvm.ArmCrash(1 << 62)
+	w.reg.Dev.ArmLocalCrash(1 << 62)
 	for i := 0; i < threads; i++ {
 		go func(i int) {
 			defer func() { done <- struct{}{} }()
@@ -192,11 +193,10 @@ func recoveryTime(o Options, rtName, structure string, threads int, kill time.Du
 		}(i)
 	}
 	time.Sleep(kill)
-	nvm.TriggerCrash() // SIGKILL
+	w.reg.Dev.TriggerLocalCrash() // SIGKILL
 	for i := 0; i < threads; i++ {
 		<-done
 	}
-	nvm.ArmCrash(-1)
 	w.reg.Dev.Crash(nvm.CrashRandom, rand.New(rand.NewSource(crashSeedFor(o.seed(), rtName, structure, kill))))
 
 	// Process restart: reattach and recover under the same system.

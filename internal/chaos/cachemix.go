@@ -57,6 +57,8 @@ type cacheDriver struct {
 	tbl   uint64
 }
 
+func (d *cacheDriver) dev() *nvm.Device { return d.reg.Dev }
+
 func (d *cacheDriver) prepare(seed int64) error {
 	d.reg = region.Create(1<<20, d.s.nvmConfig())
 	d.lm = locks.NewManager(d.reg)

@@ -27,12 +27,10 @@
 // A Schedule is the single replayable tuple. Its String form round-trips
 // through ParseSchedule and is accepted by `idorecover -chaos -replay`,
 // so any failure a sweep prints can be reproduced in isolation.
-//
-// Crash injection is process-global (internal/nvm/inject.go), so Run,
-// the probes, and Sweep must not be called concurrently.
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -42,6 +40,7 @@ import (
 	"github.com/ido-nvm/ido/internal/obs"
 	"github.com/ido-nvm/ido/internal/persist"
 	"github.com/ido-nvm/ido/internal/region"
+	"github.com/ido-nvm/ido/internal/vm"
 )
 
 // MaxDepth is the deepest supported recovery nesting: a schedule may
@@ -148,7 +147,7 @@ func ParseSchedule(s string) (Schedule, error) {
 // passes a nested crash cut short (their audit is lost with the pass;
 // the index and budget still attribute the crash point).
 type Attempt struct {
-	Index   int   // process recovery-pass index since the run started, 0-based
+	Index   int   // the device's recovery-pass index, 0-based
 	Budget  int64 // armed recovery crash budget; -1 for the final clean pass
 	Crashed bool  // the armed budget fired inside this pass
 	Err     string
@@ -222,6 +221,10 @@ var allModes = []nvm.CrashMode{nvm.CrashDiscard, nvm.CrashRandom, nvm.CrashPersi
 // Crash injection is armed and caught by the harness, never the driver.
 type driver interface {
 	prepare(seed int64) error
+	// dev is the device prepare formatted; reopen settles and reattaches
+	// the same device, so its crash budget and recovery-pass count
+	// follow the schedule through every phase.
+	dev() *nvm.Device
 	forward() error
 	// reopen settles the device under mode and attaches a fresh runtime,
 	// exactly like a restarted process re-mapping the region.
@@ -271,8 +274,9 @@ func newDriver(s Schedule) (driver, caps, error) {
 	return newNativeDriver(s)
 }
 
-// catchCrash runs fn, converting an injected nvm.CrashSignal panic into
-// crashed=true. Any other panic propagates.
+// catchCrash runs fn, converting an injected nvm.CrashSignal panic (or
+// the vm.ErrCrashed a VM call turns it into) into crashed=true. Any other
+// panic propagates.
 func catchCrash(fn func() error) (crashed bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -283,7 +287,10 @@ func catchCrash(fn func() error) (crashed bool, err error) {
 			err = nil
 		}
 	}()
-	return false, fn()
+	if err = fn(); errors.Is(err, vm.ErrCrashed) {
+		return true, nil
+	}
+	return false, err
 }
 
 // Run executes one schedule end to end and verifies convergence.
@@ -323,15 +330,14 @@ func Run(s Schedule) (*Result, error) {
 	}
 
 	res := &Result{Schedule: s, Oracle: oracle, PersistAll: oraclePA}
-	defer nvm.ArmCrash(-1)
-	nvm.ResetRecoveryPasses()
-
 	if err := d.prepare(s.Seed); err != nil {
 		return nil, fmt.Errorf("chaos: schedule %s: prepare: %w", s, err)
 	}
-	nvm.ArmCrash(s.Forward)
+	dev := d.dev()
+	defer dev.ArmLocalCrash(-1)
+	dev.ArmLocalCrash(s.Forward)
 	crashed, ferr := catchCrash(d.forward)
-	nvm.ArmCrash(-1)
+	dev.ArmLocalCrash(-1)
 	if ferr != nil {
 		return nil, fmt.Errorf("chaos: schedule %s: forward workload: %w", s, ferr)
 	}
@@ -346,10 +352,10 @@ func Run(s Schedule) (*Result, error) {
 		}
 		var st persist.RecoveryStats
 		var rerr error
-		nvm.ArmRecoveryCrash(r)
+		dev.ArmRecoveryCrash(r)
 		crashed, _ := catchCrash(func() error { st, rerr = d.recover(); return nil })
-		nvm.ArmCrash(-1)
-		at := Attempt{Index: nvm.RecoveryPasses() - 1, Budget: r, Crashed: crashed}
+		dev.ArmLocalCrash(-1)
+		at := Attempt{Index: dev.RecoveryPasses() - 1, Budget: r, Crashed: crashed}
 		if !crashed {
 			at.Audit = st.Audit
 			if rerr != nil {
@@ -376,7 +382,7 @@ func Run(s Schedule) (*Result, error) {
 		return nil, fmt.Errorf("chaos: schedule %s: final reopen: %w", s, err)
 	}
 	st, rerr := d.recover()
-	at := Attempt{Index: nvm.RecoveryPasses() - 1, Budget: -1}
+	at := Attempt{Index: dev.RecoveryPasses() - 1, Budget: -1}
 	if rerr != nil {
 		at.Err = rerr.Error()
 		if !c.recoverErr {
@@ -433,13 +439,14 @@ func runOracle(s Schedule, c caps, mode nvm.CrashMode) (map[string]uint64, error
 	if err != nil {
 		return nil, err
 	}
-	defer nvm.ArmCrash(-1)
 	if err := d.prepare(s.Seed); err != nil {
 		return nil, fmt.Errorf("chaos: schedule %s: oracle prepare: %w", s, err)
 	}
-	nvm.ArmCrash(s.Forward)
+	dev := d.dev()
+	defer dev.ArmLocalCrash(-1)
+	dev.ArmLocalCrash(s.Forward)
 	crashed, ferr := catchCrash(d.forward)
-	nvm.ArmCrash(-1)
+	dev.ArmLocalCrash(-1)
 	if ferr != nil {
 		return nil, fmt.Errorf("chaos: schedule %s: oracle workload: %w", s, ferr)
 	}
@@ -534,14 +541,15 @@ func ForwardEvents(s Schedule) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	defer nvm.ArmCrash(-1)
 	if err := d.prepare(s.Seed); err != nil {
 		return 0, err
 	}
-	nvm.ArmCrash(probeBudget)
+	dev := d.dev()
+	defer dev.ArmLocalCrash(-1)
+	dev.ArmLocalCrash(probeBudget)
 	crashed, ferr := catchCrash(d.forward)
-	n := probeBudget - nvm.CrashBudgetRemaining()
-	nvm.ArmCrash(-1)
+	n := probeBudget - dev.LocalCrashBudgetRemaining()
+	dev.ArmLocalCrash(-1)
 	if ferr != nil {
 		return 0, ferr
 	}
@@ -560,13 +568,14 @@ func RecoveryEvents(s Schedule) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	defer nvm.ArmCrash(-1)
 	if err := d.prepare(s.Seed); err != nil {
 		return 0, err
 	}
-	nvm.ArmCrash(s.Forward)
+	dev := d.dev()
+	defer dev.ArmLocalCrash(-1)
+	dev.ArmLocalCrash(s.Forward)
 	crashed, ferr := catchCrash(d.forward)
-	nvm.ArmCrash(-1)
+	dev.ArmLocalCrash(-1)
 	if ferr != nil {
 		return 0, ferr
 	}
@@ -577,11 +586,11 @@ func RecoveryEvents(s Schedule) (int64, error) {
 	if err := d.reopen(s.Mode, rng); err != nil {
 		return 0, err
 	}
-	nvm.ArmRecoveryCrash(probeBudget)
+	dev.ArmRecoveryCrash(probeBudget)
 	var rerr error
 	crashed, _ = catchCrash(func() error { _, rerr = d.recover(); return nil })
-	n := probeBudget - nvm.CrashBudgetRemaining()
-	nvm.ArmCrash(-1)
+	n := probeBudget - dev.LocalCrashBudgetRemaining()
+	dev.ArmLocalCrash(-1)
 	if crashed {
 		return 0, fmt.Errorf("chaos: probe budget fired after %d recovery events", n)
 	}

@@ -3,6 +3,7 @@ package chaos
 import (
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,9 +11,6 @@ import (
 	"github.com/ido-nvm/ido/internal/nvm"
 	"github.com/ido-nvm/ido/internal/region"
 )
-
-// Crash injection is process-global, so no test here may call
-// t.Parallel.
 
 func pick(full, short int) int {
 	if testing.Short() {
@@ -411,6 +409,55 @@ func TestRunRejectsUnsupportedMode(t *testing.T) {
 	}
 }
 
+// TestRunsOnSeparateDevicesAreIndependent: a schedule arms and crashes
+// only its own device, so schedules run at the same time must each end
+// exactly as they do alone — a native one and a VM one, three of each.
+func TestRunsOnSeparateDevicesAreIndependent(t *testing.T) {
+	native, err := ParseSchedule("ido:counter:random:7:12:3,5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vmS := Schedule{Runtime: "vm-ido", Workload: "mapput", Mode: nvm.CrashRandom, Seed: 5}
+	fwd, err := ForwardEvents(vmS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vmS.Forward = fwd / 2
+	rec, err := RecoveryEvents(vmS)
+	if err != nil || rec < 2 {
+		t.Fatalf("%s: %d recovery events (%v)", vmS, rec, err)
+	}
+	vmS.Recovery = []int64{rec / 2}
+	scheds := []Schedule{native, vmS}
+	serial := make([]*Result, len(scheds))
+	for i, s := range scheds {
+		if serial[i], err = Run(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	results := make([]*Result, 3*len(scheds))
+	errs := make([]error, len(results))
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = Run(scheds[i%len(scheds)])
+		}(i)
+	}
+	wg.Wait()
+	for i, r := range results {
+		s := scheds[i%len(scheds)]
+		if errs[i] != nil {
+			t.Fatalf("%s, run concurrently: %v", s, errs[i])
+		}
+		if !reflect.DeepEqual(r, serial[i%len(scheds)]) {
+			t.Errorf("%s: concurrent run differs from the serial one\nconcurrent: %+v\nserial:     %+v", s, r, serial[i%len(scheds)])
+		}
+	}
+}
+
 // TestReplayIsDeterministic: the String form replays to the identical
 // observation, which is what makes a printed failing tuple actionable.
 func TestReplayIsDeterministic(t *testing.T) {
@@ -446,7 +493,6 @@ func TestReplayIsDeterministic(t *testing.T) {
 // so no settle is needed to read what a restart would see.
 func crashedLog(t *testing.T, s Schedule) (idolog.Entry, nvm.Stats) {
 	t.Helper()
-	defer nvm.ArmCrash(-1)
 	d, _, err := newDriver(s)
 	if err != nil {
 		t.Fatal(err)
@@ -454,11 +500,12 @@ func crashedLog(t *testing.T, s Schedule) (idolog.Entry, nvm.Stats) {
 	if err := d.prepare(s.Seed); err != nil {
 		t.Fatal(err)
 	}
-	nvm.ArmCrash(s.Forward)
+	defer d.dev().ArmLocalCrash(-1)
+	d.dev().ArmLocalCrash(s.Forward)
 	if crashed, err := catchCrash(d.forward); err != nil || !crashed {
 		t.Fatalf("%s: forward crashed=%v err=%v", s, crashed, err)
 	}
-	nvm.ArmCrash(-1)
+	d.dev().ArmLocalCrash(-1)
 	var reg *region.Region
 	switch d := d.(type) {
 	case *compactDriver:

@@ -66,6 +66,8 @@ type compactDriver struct {
 	cells uint64
 }
 
+func (d *compactDriver) dev() *nvm.Device { return d.reg.Dev }
+
 func (d *compactDriver) prepare(seed int64) error {
 	d.reg = region.Create(1<<16, d.s.nvmConfig())
 	d.lm = locks.NewManager(d.reg)

@@ -135,6 +135,8 @@ func nativeRuntime(name string) (func() persist.Runtime, caps, error) {
 	return mk, c, nil
 }
 
+func (d *nativeDriver) dev() *nvm.Device { return d.reg.Dev }
+
 func (d *nativeDriver) prepare(seed int64) error {
 	d.reg = region.Create(1<<20, d.s.nvmConfig())
 	d.lm = locks.NewManager(d.reg)

@@ -72,6 +72,8 @@ type prefixDriver struct {
 	lock [4]*locks.Lock // header, node 0..2
 }
 
+func (d *prefixDriver) dev() *nvm.Device { return d.reg.Dev }
+
 func (d *prefixDriver) prepare(seed int64) error {
 	d.reg = region.Create(1<<16, d.s.nvmConfig())
 	d.lm = locks.NewManager(d.reg)

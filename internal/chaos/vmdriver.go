@@ -70,6 +70,8 @@ func newVMDriver(s Schedule) (driver, caps, error) {
 	return &vmDriver{s: s, mode: mode}, c, nil
 }
 
+func (d *vmDriver) dev() *nvm.Device { return d.reg.Dev }
+
 func (d *vmDriver) prepare(seed int64) error {
 	prog, err := compiledProg()
 	if err != nil {

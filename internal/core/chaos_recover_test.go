@@ -154,7 +154,6 @@ func (f *duoFixture) interruptBoth(t *testing.T) {
 // must instead drain every launched goroutine before re-raising the
 // crash.
 func TestRecoverCrashMidPassLeaksNoGoroutines(t *testing.T) {
-	defer nvm.ArmCrash(-1)
 	base := runtime.NumGoroutine()
 	crashes := 0
 	for budget := int64(1); ; budget++ {
@@ -162,7 +161,7 @@ func TestRecoverCrashMidPassLeaksNoGoroutines(t *testing.T) {
 		f.interruptBoth(t)
 		f2 := f.reopen(t, nvm.CrashDiscard, nil)
 		rr := f2.registry()
-		nvm.ArmCrash(budget)
+		f2.reg.Dev.ArmLocalCrash(budget)
 		var recErr error
 		func() {
 			defer func() {
@@ -174,8 +173,8 @@ func TestRecoverCrashMidPassLeaksNoGoroutines(t *testing.T) {
 			}()
 			_, recErr = f2.rt.Recover(rr)
 		}()
-		fired := nvm.CrashFired()
-		nvm.ArmCrash(-1)
+		fired := f2.reg.Dev.LocalCrashFired()
+		f2.reg.Dev.ArmLocalCrash(-1)
 		if !fired {
 			if recErr != nil {
 				t.Fatalf("budget %d: recover failed without an injected crash: %v", budget, recErr)
@@ -207,14 +206,12 @@ func TestRecoverCrashMidPassLeaksNoGoroutines(t *testing.T) {
 // converges to the uninterrupted outcome: both counters incremented,
 // both locks free.
 func TestRecoverSerialPathCrashSweepConverges(t *testing.T) {
-	defer nvm.ArmCrash(-1)
 	crashes := 0
 	for budget := int64(1); ; budget++ {
 		f := newDuoFixture(t)
 		f.interruptBoth(t)
 		f2 := f.reopen(t, nvm.CrashDiscard, nil)
-		nvm.ResetRecoveryPasses()
-		nvm.ArmRecoveryCrash(budget)
+		f2.reg.Dev.ArmRecoveryCrash(budget)
 		crashed := func() (c bool) {
 			defer func() {
 				if r := recover(); r != nil {
@@ -229,7 +226,7 @@ func TestRecoverSerialPathCrashSweepConverges(t *testing.T) {
 			}
 			return false
 		}()
-		nvm.ArmCrash(-1)
+		f2.reg.Dev.ArmLocalCrash(-1)
 		if !crashed {
 			if budget == 1 {
 				t.Fatal("budget 1 did not crash: recovery-scoped injection is not reaching Recover")

@@ -101,7 +101,6 @@ func (w *roWorld) holders() []uint64 {
 // at any of its device events leaves nothing to resume: every log idle
 // or scrubbed, every lock acquirable, the data untouched.
 func TestReadOnlyFASEIsFree(t *testing.T) {
-	defer nvm.ArmCrash(-1)
 	ops := []struct {
 		name string
 		run  func(w *roWorld)
@@ -132,10 +131,10 @@ func TestReadOnlyFASEIsFree(t *testing.T) {
 		w := newROWorld(t)
 		want := w.contents()
 		before := w.reg.Dev.Stats()
-		nvm.ArmCrash(huge)
+		w.reg.Dev.ArmLocalCrash(huge)
 		op.run(w)
-		events := huge - nvm.CrashBudgetRemaining()
-		nvm.ArmCrash(-1)
+		events := huge - w.reg.Dev.LocalCrashBudgetRemaining()
+		w.reg.Dev.ArmLocalCrash(-1)
 		after := w.reg.Dev.Stats()
 		if f, nt := after.Fences-before.Fences, after.NTStores-before.NTStores; f != 0 || nt != 0 {
 			t.Errorf("%s: %d fences, %d NT stores; a FASE that stores nothing pays neither", op.name, f, nt)
@@ -150,7 +149,7 @@ func TestReadOnlyFASEIsFree(t *testing.T) {
 		for f := int64(0); f < events; f++ {
 			for _, mode := range []nvm.CrashMode{nvm.CrashDiscard, nvm.CrashRandom, nvm.CrashPersistAll} {
 				w := newROWorld(t)
-				nvm.ArmCrash(f)
+				w.reg.Dev.ArmLocalCrash(f)
 				died := func() (died bool) {
 					defer func() {
 						if r := recover(); r != nil {
@@ -163,7 +162,7 @@ func TestReadOnlyFASEIsFree(t *testing.T) {
 					op.run(w)
 					return false
 				}()
-				nvm.ArmCrash(-1)
+				w.reg.Dev.ArmLocalCrash(-1)
 				if !died {
 					t.Fatalf("%s: crash budget %d of %d did not fire", op.name, f, events)
 				}

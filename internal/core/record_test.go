@@ -229,7 +229,6 @@ func TestInspectLogsDecodesRecord(t *testing.T) {
 // can only sit under A's fenced recovery_pc == 0: Recover scrubs it and
 // never re-acquires, so the holder is re-acquired once, by B.
 func TestStaleSlotUnderClearedPCIsScrubbed(t *testing.T) {
-	defer nvm.ArmCrash(-1)
 	// The clear's CLWB is the last device event of A's FASE.
 	probe := newFixture(t)
 	pa, err := probe.rt.NewThread()
@@ -237,10 +236,10 @@ func TestStaleSlotUnderClearedPCIsScrubbed(t *testing.T) {
 		t.Fatal(err)
 	}
 	const huge = int64(1) << 40
-	nvm.ArmCrash(huge)
+	probe.reg.Dev.ArmLocalCrash(huge)
 	probe.incrementFASE(pa, &crasher{k: -1})
-	events := huge - nvm.CrashBudgetRemaining()
-	nvm.ArmCrash(-1)
+	events := huge - probe.reg.Dev.LocalCrashBudgetRemaining()
+	probe.reg.Dev.ArmLocalCrash(-1)
 
 	for _, mode := range []nvm.CrashMode{nvm.CrashDiscard, nvm.CrashRandom, nvm.CrashPersistAll} {
 		f := newFixture(t)
@@ -252,7 +251,7 @@ func TestStaleSlotUnderClearedPCIsScrubbed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nvm.ArmCrash(events - 1)
+		f.reg.Dev.ArmLocalCrash(events - 1)
 		died := func() (died bool) {
 			defer func() {
 				if r := recover(); r != nil {
@@ -265,7 +264,7 @@ func TestStaleSlotUnderClearedPCIsScrubbed(t *testing.T) {
 			f.incrementFASE(a, &crasher{k: -1})
 			return false
 		}()
-		nvm.ArmCrash(-1)
+		f.reg.Dev.ArmLocalCrash(-1)
 		aPC := ^uint64(0)
 		for _, e := range inspect(t, f.reg) {
 			if e.ThreadID == a.ID() {

@@ -217,7 +217,7 @@ func catchCrash(fn func()) (crashed bool) {
 // run iDO recovery with the ds resume registry.
 func reopenIDO(t *testing.T, env *Env, cm nvm.CrashMode, rng *rand.Rand) (*Env, persist.RecoveryStats) {
 	t.Helper()
-	nvm.ArmCrash(-1)
+	env.Reg.Dev.ArmLocalCrash(-1)
 	env.Reg.Dev.Crash(cm, rng)
 	reg2, err := region.Attach(env.Reg.Dev)
 	if err != nil {
@@ -251,7 +251,7 @@ func TestIDOStackCrashRecoveryFuzz(t *testing.T) {
 		env.Reg.SetRoot(1, hdr)
 		th, _ := rt.NewThread()
 		pushed := 0
-		nvm.ArmCrash(int64(rng.Intn(400)))
+		env.Reg.Dev.ArmLocalCrash(int64(rng.Intn(400)))
 		crashed := catchCrash(func() {
 			for i := 1; i <= 8; i++ {
 				s.Push(th, uint64(i))
@@ -294,7 +294,7 @@ func TestIDOQueueCrashRecoveryFuzz(t *testing.T) {
 		env.Reg.SetRoot(1, hdr)
 		th, _ := rt.NewThread()
 		enq := 0
-		nvm.ArmCrash(int64(rng.Intn(400)))
+		env.Reg.Dev.ArmLocalCrash(int64(rng.Intn(400)))
 		catchCrash(func() {
 			for i := 1; i <= 8; i++ {
 				q.Enqueue(th, uint64(i))
@@ -331,7 +331,7 @@ func TestIDOListCrashRecoveryFuzz(t *testing.T) {
 		th, _ := rt.NewThread()
 		keys := []uint64{40, 10, 50, 20, 30, 15}
 		done := map[uint64]bool{}
-		nvm.ArmCrash(int64(rng.Intn(900)))
+		env.Reg.Dev.ArmLocalCrash(int64(rng.Intn(900)))
 		catchCrash(func() {
 			for _, k := range keys {
 				l.Put(th, k, k+1)
@@ -384,7 +384,7 @@ func TestIDOConcurrentMapCrashRecovery(t *testing.T) {
 			threads[g] = th
 		}
 		var wg sync.WaitGroup
-		nvm.ArmCrash(int64(500 + rng.Intn(4000)))
+		env.Reg.Dev.ArmLocalCrash(int64(500 + rng.Intn(4000)))
 		for g := 0; g < workers; g++ {
 			th := threads[g]
 			wg.Add(1)
@@ -477,7 +477,7 @@ func TestTransferTopAtomicity(t *testing.T) {
 		for i := 1; i <= N; i++ {
 			s1.Push(th, uint64(i))
 		}
-		nvm.ArmCrash(int64(rng.Intn(250)))
+		env.Reg.Dev.ArmLocalCrash(int64(rng.Intn(250)))
 		moves := 0
 		catchCrash(func() {
 			for i := 0; i < 3; i++ {
@@ -566,7 +566,7 @@ func TestIDOStackCrashFuzzWithEvictions(t *testing.T) {
 		env.Reg.SetRoot(1, hdr)
 		th, _ := rt.NewThread()
 		pushed := 0
-		nvm.ArmCrash(int64(rng.Intn(400)))
+		env.Reg.Dev.ArmLocalCrash(int64(rng.Intn(400)))
 		catchCrash(func() {
 			for i := 1; i <= 8; i++ {
 				s.Push(th, uint64(i))

@@ -326,3 +326,62 @@ func TestRecoverIdleWalkAllocs(t *testing.T) {
 		t.Fatalf("Recover allocates %.2f times per idle log; want at most 2.5 (the register mirror and the thread)", perLog)
 	}
 }
+
+// TestCorruptLogListIsRejected: a region image can come from a file, so
+// Recover and Inspect must end a log list that loops back on itself or
+// links outside the device with an error. The walk runs under an armed
+// device budget, so a walk that never ends runs the budget out instead
+// of hanging the test.
+func TestCorruptLogListIsRejected(t *testing.T) {
+	const lastLine = 1<<20 - nvm.LineSize
+	cases := []struct {
+		name string
+		link func(a, b uint64) (fromA, fromB uint64) // the links out of the two logs
+		want string
+	}{
+		{"self-cycle", func(a, b uint64) (uint64, uint64) { return a, 0 }, "returns to log"},
+		{"two-log cycle", func(a, b uint64) (uint64, uint64) { return b, a }, "returns to log"},
+		{"out of range", func(a, b uint64) (uint64, uint64) { return 1 << 40, 0 }, "inside the device"},
+		{"past the end", func(a, b uint64) (uint64, uint64) { return lastLine, 0 }, "past the device"},
+		{"misaligned", func(a, b uint64) (uint64, uint64) { return b + 8, 0 }, "line-aligned"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			reg := region.Create(1<<20, nvm.Config{})
+			var logs [2]Log
+			for i := range logs {
+				if err := logs[i].Create(reg, "test", i, 16, 8, 0, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a := reg.Root(region.RootIDOHead) // the last log created heads the list
+			b := reg.Dev.Load64(a + logNext)
+			// A well-formed header in the device's last line, whose log
+			// would run past the end.
+			reg.Dev.Store64(lastLine+logMeta, reg.Dev.Load64(a+logMeta))
+			fromA, fromB := c.link(a, b)
+			reg.Dev.Store64(a+logNext, fromA)
+			reg.Dev.Store64(b+logNext, fromB)
+
+			reg.Dev.ArmLocalCrash(1 << 16)
+			defer reg.Dev.ArmLocalCrash(-1)
+			walk := func(label string, fn func() error) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%s panicked instead of failing (%v; CrashSignal: the walk ran out a 65536-event budget)", label, r)
+					}
+				}()
+				if err := fn(); err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("%s: err = %v, want one containing %q", label, err, c.want)
+				}
+			}
+			walk("Inspect", func() error { _, err := Inspect(reg); return err })
+			walk("Recover", func() error {
+				_, err := Recover(reg, locks.NewManager(reg), "test", func(int, uint64) (*Log, func([]uint64), error) {
+					return &Log{}, nil, nil
+				})
+				return err
+			})
+		})
+	}
+}

@@ -2,6 +2,7 @@ package idolog
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,15 +95,15 @@ func (s *Spares[T]) Handed() { s.handed = true }
 func Recover(reg *region.Region, lm *locks.Manager, name string, adopt Adopt) (persist.RecoveryStats, error) {
 	start := time.Now()
 	dev := reg.Dev
-	attempt := nvm.EnterRecovery()
-	defer nvm.ExitRecovery()
+	attempt := dev.EnterRecovery()
+	defer dev.ExitRecovery()
 	// With a recovery-scoped crash budget armed, run the single-goroutine
 	// restore path: goroutine interleaving would make "the Nth device
 	// event of recovery" a different event on every run, and the chaos
 	// harness needs schedules to replay bit-for-bit. The serial path
 	// preserves the §III-C barrier by finishing every restore/re-acquire
 	// before the first resume.
-	serial := nvm.RecoveryCrashArmed()
+	serial := dev.RecoveryCrashArmed()
 	stats := persist.RecoveryStats{Attempt: attempt, Audit: &obs.RecoveryAudit{Runtime: name, Attempt: attempt}}
 	var rc *obs.Ring
 	if tr := dev.Tracer(); tr != nil {
@@ -211,16 +212,21 @@ func Recover(reg *region.Region, lm *locks.Manager, name string, adopt Adopt) (p
 	}
 
 	var walkErr error
-	for p := reg.Root(region.RootIDOHead); p != 0; p = dev.Load64(p + logNext) {
+	list := walkList(reg)
+	for {
+		opened, ok, err := list.step()
+		if !ok {
+			if err != nil {
+				walkErr = fmt.Errorf("%s: %w", name, err)
+			}
+			break
+		}
+		p := opened.addr
 		stats.Threads++
 		stats.LogEntries++
 		pc := dev.Load64(p + logPC)
 		bits := dev.Load64(p + logLockBits)
-		opened := Log{addr: p, recovering: true}
-		if err := opened.setLayout(dev, dev.Load64(p+logMeta)); err != nil {
-			walkErr = fmt.Errorf("%s: log %#x: corrupt header: %w", name, p, err)
-			break
-		}
+		opened.recovering = true
 		opened.traceAs(name, "-rec")
 		audit := obs.ThreadAudit{ThreadID: opened.id, LogAddr: p, Action: obs.AuditIdle, RecoveryPC: pc}
 		l, step, err := adopt(opened.id, pc)
@@ -412,11 +418,13 @@ type Entry struct {
 func Inspect(reg *region.Region) ([]Entry, error) {
 	dev := reg.Dev
 	var out []Entry
-	for p := reg.Root(region.RootIDOHead); p != 0; p = dev.Load64(p + logNext) {
-		l := Log{addr: p}
-		if err := l.setLayout(dev, dev.Load64(p+logMeta)); err != nil {
-			return out, fmt.Errorf("log %#x: corrupt header: %w", p, err)
+	list := walkList(reg)
+	for {
+		l, ok, err := list.step()
+		if !ok {
+			return out, err
 		}
+		p := l.addr
 		e := Entry{LogAddr: p, ThreadID: l.id, Regs: l.regs, Raw: l.raw, PC: dev.Load64(p + logPC)}
 		if e.PC != 0 && !l.raw {
 			var n int
@@ -433,5 +441,48 @@ func Inspect(reg *region.Region) ([]Entry, error) {
 		}
 		out = append(out, e)
 	}
-	return out, nil
+}
+
+// listWalk steps along a region's log list, for Recover and Inspect
+// alike. A region image can come from outside the program
+// (region.OpenFile), so a link is trusted only as far as it can be
+// checked: it must name a line-aligned log lying inside the device, and
+// one the walk has not visited — a cycle would otherwise adopt a log
+// twice, or never end. Distinct line-aligned logs also bound the walk at
+// dev.Size()/nvm.LineSize entries.
+type listWalk struct {
+	dev  *nvm.Device
+	head uint64   // the list's first link
+	seen []uint64 // the logs walked so far, in list order
+}
+
+func walkList(reg *region.Region) listWalk {
+	return listWalk{dev: reg.Dev, head: reg.Root(region.RootIDOHead), seen: make([]uint64, 0, 8)}
+}
+
+// step opens the next log on the list. It reports false at the end of
+// the list, with an error when the list is corrupt.
+func (w *listWalk) step() (l Log, ok bool, err error) {
+	dev, size := w.dev, uint64(w.dev.Size())
+	p := w.head
+	if n := len(w.seen); n > 0 {
+		p = dev.Load64(w.seen[n-1] + logNext) // read once the caller is done with that log
+	}
+	switch {
+	case p == 0:
+		return l, false, nil
+	case p%nvm.LineSize != 0 || p > size-rfBase:
+		return l, false, fmt.Errorf("log link %#x after %d logs names no line-aligned log header inside the device's %d bytes", p, len(w.seen), size)
+	case slices.Contains(w.seen, p):
+		return l, false, fmt.Errorf("log list returns to log %#x after %d logs", p, len(w.seen))
+	}
+	l.addr = p
+	if err := l.setLayout(dev, dev.Load64(p+logMeta)); err != nil {
+		return l, false, fmt.Errorf("log %#x: corrupt header: %w", p, err)
+	}
+	if end := p + l.slotOff(NumSlots); end > size {
+		return l, false, fmt.Errorf("log %#x: runs to %#x, past the device's %d bytes", p, end, size)
+	}
+	w.seen = append(w.seen, p)
+	return l, true, nil
 }

@@ -39,6 +39,16 @@ func (w *world) reopen(t *testing.T, cm nvm.CrashMode, rng *rand.Rand, mode vm.M
 	return &world{reg: reg2, lm: lm2, m: vm.New(reg2, lm2, w.prog, mode), prog: w.prog}
 }
 
+// deviceEvents counts the device events fn issues on w's device: crash
+// budgets 0..n-1 fire inside fn, n runs it to the end.
+func (w *world) deviceEvents(fn func()) int64 {
+	const probe = int64(1) << 40
+	w.reg.Dev.ArmLocalCrash(probe)
+	defer w.reg.Dev.ArmLocalCrash(-1)
+	fn()
+	return probe - w.reg.Dev.LocalCrashBudgetRemaining()
+}
+
 func call(t *testing.T, th *vm.Thread, fn string, args ...uint64) []uint64 {
 	t.Helper()
 	rets, err := th.Call(fn, args...)
@@ -211,8 +221,8 @@ func checkList(t *testing.T, reg *region.Region, lst uint64) map[uint64]uint64 {
 // that, post recovery, the list is sorted and contains exactly the
 // completed inserts (plus the resumed one).
 func TestListCrashFuzz(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 50; trial++ {
+	keys := []uint64{50, 10, 30, 20, 40}
+	setup := func() (*world, uint64, *vm.Thread) {
 		w := build(t, vm.ModeIDO)
 		lst, err := NewList(w.reg, w.lm)
 		if err != nil {
@@ -220,8 +230,20 @@ func TestListCrashFuzz(t *testing.T) {
 		}
 		w.reg.SetRoot(1, lst)
 		th, _ := w.m.NewThread()
-		keys := []uint64{50, 10, 30, 20, 40}
-		w.m.SetCrashBudget(int64(rng.Intn(400)))
+		return w, lst, th
+	}
+	// Budgets 0..events: every crash point of the inserts, and the clean
+	// run.
+	pw, plst, pth := setup()
+	events := pw.deviceEvents(func() {
+		for _, k := range keys {
+			call(t, pth, "list_insert", plst, k, k+1)
+		}
+	})
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 50; trial++ {
+		w, lst, th := setup()
+		w.m.SetCrashBudget(int64(rng.Intn(int(events) + 1)))
 		done := map[uint64]bool{}
 		crashed := false
 		for _, k := range keys {
@@ -259,8 +281,7 @@ func TestListCrashFuzz(t *testing.T) {
 // queue must contain a prefix (completed) possibly plus the resumed one,
 // in FIFO order.
 func TestQueueCrashFuzz(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 50; trial++ {
+	setup := func() (*world, uint64, *vm.Thread) {
 		w := build(t, vm.ModeIDO)
 		q, err := NewQueue(w.reg, w.lm)
 		if err != nil {
@@ -268,7 +289,20 @@ func TestQueueCrashFuzz(t *testing.T) {
 		}
 		w.reg.SetRoot(1, q)
 		th, _ := w.m.NewThread()
-		w.m.SetCrashBudget(int64(rng.Intn(250)))
+		return w, q, th
+	}
+	// Budgets 0..events: every crash point of the five enqueues, and the
+	// clean run.
+	pw, pq, pth := setup()
+	events := pw.deviceEvents(func() {
+		for i := 1; i <= 5; i++ {
+			call(t, pth, "queue_enq", pq, uint64(i))
+		}
+	})
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 50; trial++ {
+		w, q, th := setup()
+		w.m.SetCrashBudget(int64(rng.Intn(int(events) + 1)))
 		enq := 0
 		for i := 1; i <= 5; i++ {
 			if _, err := th.Call("queue_enq", q, uint64(i)); err != nil {
@@ -304,24 +338,42 @@ func TestQueueCrashFuzz(t *testing.T) {
 // TestMapConcurrentCrashFuzz runs several VM threads on the hash map,
 // crashes them all, recovers, and checks every completed put survived.
 func TestMapConcurrentCrashFuzz(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 12; trial++ {
+	const workers = 4
+	setup := func() (*world, uint64, []*vm.Thread) {
 		w := build(t, vm.ModeIDO)
 		mp, err := NewMap(w.reg, w.lm, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		w.reg.SetRoot(1, mp)
-		const workers = 4
-		type result struct{ done []uint64 }
-		results := make([]result, workers)
-		w.m.SetCrashBudget(int64(200 + rng.Intn(1500)))
-		doneCh := make(chan int, workers)
-		for g := 0; g < workers; g++ {
-			th, err := w.m.NewThread()
-			if err != nil {
+		ths := make([]*vm.Thread, workers)
+		for g := range ths {
+			if ths[g], err = w.m.NewThread(); err != nil {
 				t.Fatal(err)
 			}
+		}
+		return w, mp, ths
+	}
+	// The workers' puts issue about events device events in all (run
+	// here one worker after another); budgets span from an eighth of
+	// them, so some puts complete, past the end.
+	pw, pmp, pths := setup()
+	events := pw.deviceEvents(func() {
+		for g, th := range pths {
+			for i := 0; i < 10; i++ {
+				k := uint64(g*100 + i + 1)
+				call(t, th, "map_put", pmp, k, k*2)
+			}
+		}
+	})
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 12; trial++ {
+		w, mp, ths := setup()
+		type result struct{ done []uint64 }
+		results := make([]result, workers)
+		w.m.SetCrashBudget(events/8 + int64(rng.Intn(int(events))))
+		doneCh := make(chan int, workers)
+		for g, th := range ths {
 			go func(g int, th *vm.Thread) {
 				defer func() { doneCh <- g }()
 				for i := 0; i < 10; i++ {
@@ -357,8 +409,7 @@ func TestMapConcurrentCrashFuzz(t *testing.T) {
 // TestRedisDurableCrashFuzz crashes redis_set mid-FASE and verifies the
 // durable-region recovery completes or cleanly excludes the update.
 func TestRedisDurableCrashFuzz(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	for budget := int64(0); budget < 120; budget += 3 {
+	setup := func() (*world, uint64, *vm.Thread) {
 		w := build(t, vm.ModeIDO)
 		rd, err := NewKVTable(w.reg, w.lm, 4, false)
 		if err != nil {
@@ -367,6 +418,15 @@ func TestRedisDurableCrashFuzz(t *testing.T) {
 		w.reg.SetRoot(1, rd)
 		th, _ := w.m.NewThread()
 		call(t, th, "redis_set", rd, 5, 50)
+		return w, rd, th
+	}
+	// Budgets 0..events: crash points across the update, and the clean
+	// run.
+	pw, prd, pth := setup()
+	events := pw.deviceEvents(func() { call(t, pth, "redis_set", prd, 5, 51) })
+	rng := rand.New(rand.NewSource(55))
+	for budget := int64(0); budget <= events; budget += 3 {
+		w, rd, th := setup()
 		w.m.SetCrashBudget(budget)
 		_, callErr := th.Call("redis_set", rd, 5, 51)
 		w.m.SetCrashBudget(-1)
@@ -430,8 +490,7 @@ func TestFig8StatisticsShape(t *testing.T) {
 // injection: after recovery the table is well formed and every completed
 // set is visible.
 func TestMCSetCrashFuzz(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 40; trial++ {
+	setup := func() (*world, uint64, *vm.Thread) {
 		w := build(t, vm.ModeIDO)
 		tb, err := NewKVTable(w.reg, w.lm, 8, true)
 		if err != nil {
@@ -439,10 +498,26 @@ func TestMCSetCrashFuzz(t *testing.T) {
 		}
 		w.reg.SetRoot(1, tb)
 		th, _ := w.m.NewThread()
-		w.m.SetCrashBudget(int64(rng.Intn(800)))
+		return w, tb, th
+	}
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 40; trial++ {
+		keys := make([]uint64, 15)
+		for i := range keys {
+			keys[i] = uint64(rng.Intn(8) + 1)
+		}
+		// Budgets 0..events: every crash point of this trial's sets, and
+		// the clean run.
+		pw, ptb, pth := setup()
+		events := pw.deviceEvents(func() {
+			for i, k := range keys {
+				call(t, pth, "mc_set", ptb, k, uint64(i+100))
+			}
+		})
+		w, tb, th := setup()
+		w.m.SetCrashBudget(int64(rng.Intn(int(events) + 1)))
 		done := map[uint64]uint64{}
-		for i := 0; i < 15; i++ {
-			k := uint64(rng.Intn(8) + 1)
+		for i, k := range keys {
 			v := uint64(i + 100)
 			if _, err := th.Call("mc_set", tb, k, v); err != nil {
 				break
@@ -473,8 +548,7 @@ func TestMCSetCrashFuzz(t *testing.T) {
 // TestRedisSetCrashFuzzJUSTDO exercises the VM's JUSTDO recovery on the
 // redis kernel under the persistent-cache crash model it assumes.
 func TestRedisSetCrashFuzzJUSTDO(t *testing.T) {
-	rng := rand.New(rand.NewSource(88))
-	for trial := 0; trial < 25; trial++ {
+	setup := func() (*world, uint64, *vm.Thread) {
 		w := build(t, vm.ModeJUSTDO)
 		tb, err := NewKVTable(w.reg, w.lm, 8, false)
 		if err != nil {
@@ -482,7 +556,21 @@ func TestRedisSetCrashFuzzJUSTDO(t *testing.T) {
 		}
 		w.reg.SetRoot(1, tb)
 		th, _ := w.m.NewThread()
-		w.m.SetCrashBudget(int64(rng.Intn(1500)))
+		return w, tb, th
+	}
+	// Budgets 0..events: every crash point of the twelve sets, and the
+	// clean run.
+	pw, ptb, pth := setup()
+	events := pw.deviceEvents(func() {
+		for i := 0; i < 12; i++ {
+			k := uint64(i + 1)
+			call(t, pth, "redis_set", ptb, k, k*5)
+		}
+	})
+	rng := rand.New(rand.NewSource(88))
+	for trial := 0; trial < 25; trial++ {
+		w, tb, th := setup()
+		w.m.SetCrashBudget(int64(rng.Intn(int(events) + 1)))
 		count := 0
 		for i := 0; i < 12; i++ {
 			k := uint64(i + 1)

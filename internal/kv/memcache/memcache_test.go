@@ -288,7 +288,7 @@ func TestIDOCacheCrashRecoveryFuzz(t *testing.T) {
 				plan = append(plan, op{kind: 0, k: k, v: uint64(i + 100)})
 			}
 		}
-		nvm.ArmCrash(int64(rng.Intn(3000)))
+		env.Reg.Dev.ArmLocalCrash(int64(rng.Intn(3000)))
 		done := 0
 		catchCrash(func() {
 			for _, o := range plan {
@@ -302,7 +302,7 @@ func TestIDOCacheCrashRecoveryFuzz(t *testing.T) {
 				done++
 			}
 		})
-		nvm.ArmCrash(-1)
+		env.Reg.Dev.ArmLocalCrash(-1)
 		env.Reg.Dev.Crash(nvm.CrashMode(rng.Intn(3)), rng)
 		reg2, err := region.Attach(env.Reg.Dev)
 		if err != nil {
@@ -414,7 +414,7 @@ func TestIDOEvictOneCrashFuzz(t *testing.T) {
 		for k := uint64(1); k <= N; k++ {
 			c.Set(th, k, k^7, k)
 		}
-		nvm.ArmCrash(int64(rng.Intn(600)))
+		env.Reg.Dev.ArmLocalCrash(int64(rng.Intn(600)))
 		evicted := 0
 		catchCrash(func() {
 			for i := 0; i < 5; i++ {
@@ -424,7 +424,7 @@ func TestIDOEvictOneCrashFuzz(t *testing.T) {
 				evicted++
 			}
 		})
-		nvm.ArmCrash(-1)
+		env.Reg.Dev.ArmLocalCrash(-1)
 		env.Reg.Dev.Crash(nvm.CrashMode(rng.Intn(3)), rng)
 		reg2, err := region.Attach(env.Reg.Dev)
 		if err != nil {

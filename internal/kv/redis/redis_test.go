@@ -144,7 +144,7 @@ func TestIDODBCrashRecoveryFuzz(t *testing.T) {
 			k := uint64(rng.Intn(10) + 1)
 			plan = append(plan, op{del: rng.Intn(4) == 0, k: k, v: uint64(i + 500)})
 		}
-		nvm.ArmCrash(int64(rng.Intn(2500)))
+		reg.Dev.ArmLocalCrash(int64(rng.Intn(2500)))
 		done := 0
 		catchCrash(func() {
 			for _, o := range plan {
@@ -156,7 +156,7 @@ func TestIDODBCrashRecoveryFuzz(t *testing.T) {
 				done++
 			}
 		})
-		nvm.ArmCrash(-1)
+		reg.Dev.ArmLocalCrash(-1)
 		reg.Dev.Crash(nvm.CrashMode(rng.Intn(3)), rng)
 		reg2, err := region.Attach(reg.Dev)
 		if err != nil {
@@ -217,7 +217,7 @@ func TestNVMLDBCrashRollback(t *testing.T) {
 		for k := uint64(1); k <= 10; k++ {
 			db.Set(th, k, k)
 		}
-		nvm.ArmCrash(int64(rng.Intn(300)))
+		reg.Dev.ArmLocalCrash(int64(rng.Intn(300)))
 		done := uint64(0)
 		catchCrash(func() {
 			for k := uint64(11); k <= 20; k++ {
@@ -225,7 +225,7 @@ func TestNVMLDBCrashRollback(t *testing.T) {
 				done = k
 			}
 		})
-		nvm.ArmCrash(-1)
+		reg.Dev.ArmLocalCrash(-1)
 		reg.Dev.Crash(nvm.CrashPersistAll, nil)
 		reg2, err := region.Attach(reg.Dev)
 		if err != nil {

@@ -20,24 +20,26 @@ import (
 // holderMagic marks an NVM cell as an indirect lock holder.
 const holderMagic = 0x1D0_10CC
 
-// Lock is a transient mutex identified persistently by its holder address.
+// Lock is a transient mutex identified persistently by its holder
+// address on its manager's device.
 type Lock struct {
 	mu     sync.Mutex
 	holder uint64
+	dev    *nvm.Device
 }
 
 // Acquire locks the transient mutex. Persistence bookkeeping (lock-array
 // updates, fences) is the runtime's job, not the lock's. While crash
-// injection is armed (nvm.ArmCrash), waiters spin so that a machine-wide
-// injected crash also kills goroutines blocked on locks — under a real
-// power failure nobody keeps waiting.
+// injection is armed on the lock's device, waiters spin so that the
+// device's injected crash also kills goroutines blocked on its locks —
+// under a real power failure nobody keeps waiting.
 func (l *Lock) Acquire() {
-	if !nvm.CrashArmed() {
+	if !l.dev.LocalCrashArmed() {
 		l.mu.Lock()
 		return
 	}
 	for !l.mu.TryLock() {
-		if nvm.CrashFired() {
+		if l.dev.LocalCrashFired() {
 			panic(nvm.CrashSignal{})
 		}
 		runtime.Gosched()
@@ -79,7 +81,7 @@ func (m *Manager) Create() (*Lock, error) {
 	m.reg.Dev.Store64(addr, holderMagic)
 	m.reg.Dev.CLWB(addr)
 	m.reg.Dev.Fence()
-	l := &Lock{holder: addr}
+	l := &Lock{holder: addr, dev: m.reg.Dev}
 	m.mu.Lock()
 	m.byHolder[addr] = l
 	m.mu.Unlock()
@@ -99,7 +101,7 @@ func (m *Manager) ByHolder(addr uint64) *Lock {
 	if got := m.reg.Dev.Load64(addr); got != holderMagic {
 		panic(fmt.Sprintf("locks: %#x is not a lock holder (contains %#x)", addr, got))
 	}
-	l := &Lock{holder: addr}
+	l := &Lock{holder: addr, dev: m.reg.Dev}
 	m.byHolder[addr] = l
 	return l
 }

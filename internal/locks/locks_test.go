@@ -3,6 +3,7 @@ package locks
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/ido-nvm/ido/internal/nvm"
 	"github.com/ido-nvm/ido/internal/region"
@@ -95,10 +96,10 @@ func TestTryAcquire(t *testing.T) {
 func TestAcquireUnderArmedInjectionStillExcludes(t *testing.T) {
 	// With injection armed but a huge budget, the spin path must still
 	// provide mutual exclusion.
-	_, m := newMgr(t)
+	reg, m := newMgr(t)
 	l, _ := m.Create()
-	nvm.ArmCrash(1 << 60)
-	defer nvm.ArmCrash(-1)
+	reg.Dev.ArmLocalCrash(1 << 60)
+	defer reg.Dev.ArmLocalCrash(-1)
 	var counter int
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -115,5 +116,39 @@ func TestAcquireUnderArmedInjectionStillExcludes(t *testing.T) {
 	wg.Wait()
 	if counter != 2000 {
 		t.Fatalf("counter = %d", counter)
+	}
+}
+
+// TestLockWaiterDiesWithItsDevice: a waiter blocked on a lock whose
+// holder is inside a crashed device's FASE must die with the device, as
+// every other user of the device does, instead of waiting for a release
+// that never comes.
+func TestLockWaiterDiesWithItsDevice(t *testing.T) {
+	reg, m := newMgr(t)
+	l, err := m.Create()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Dev.ArmLocalCrash(1 << 60)
+	defer reg.Dev.ArmLocalCrash(-1)
+	l.Acquire() // the holder, which the crash kills before it releases
+
+	waiting := make(chan struct{})
+	died := make(chan any, 1)
+	go func() {
+		defer func() { died <- recover() }()
+		close(waiting)
+		l.Acquire()
+		l.Release()
+	}()
+	<-waiting
+	reg.Dev.TriggerLocalCrash()
+	select {
+	case r := <-died:
+		if _, ok := r.(nvm.CrashSignal); !ok {
+			t.Fatalf("waiter ended with %v, want the device's CrashSignal", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter still blocked 5 s after its device crashed")
 	}
 }

@@ -197,9 +197,6 @@ func TestMetricsReconcile(t *testing.T) {
 }
 
 func TestHealthTransitionsAcrossCrash(t *testing.T) {
-	nvm.ArmCrash(1 << 60)
-	defer nvm.ArmCrash(-1)
-
 	// Before the store is ready, /readyz refuses with the boot reason.
 	h := metrics.NewHealth("attaching store")
 	coll := metrics.NewCollector(nil, nil)
@@ -216,6 +213,8 @@ func TestHealthTransitionsAcrossCrash(t *testing.T) {
 	w := newAdminWorld(t, nvm.Config{
 		GroupCommit: nvm.GroupCommitConfig{Enabled: true},
 	})
+	w.reg.Dev.ArmLocalCrash(1 << 60)
+	defer w.reg.Dev.ArmLocalCrash(-1)
 	if st, body := get(t, w.admin.URL+"/readyz"); st != http.StatusOK || !strings.Contains(body, "serving") {
 		t.Fatalf("serving /readyz = %d %q", st, body)
 	}
@@ -236,7 +235,7 @@ func TestHealthTransitionsAcrossCrash(t *testing.T) {
 		})
 	}()
 	time.Sleep(50 * time.Millisecond)
-	nvm.TriggerCrash()
+	w.reg.Dev.TriggerLocalCrash()
 	select {
 	case <-w.srv.Crashed():
 	case <-time.After(30 * time.Second):
@@ -264,7 +263,7 @@ func TestHealthTransitionsAcrossCrash(t *testing.T) {
 
 	// Restarted process: recover the image and flip ready again, the
 	// idoserve boot sequence.
-	nvm.ArmCrash(-1)
+	w.reg.Dev.ArmLocalCrash(-1)
 	reg2, err := w.reg.Crash(nvm.CrashRandom, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatalf("reattach: %v", err)

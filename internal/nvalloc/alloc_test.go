@@ -316,14 +316,13 @@ func leakedLock(a *Allocator) string {
 // ones under the allocator's lock (carves, splits, adoption scans, a
 // Free into a pending segment) — and asserts the unwind leaks no lock.
 func TestAllocCrashReleasesLock(t *testing.T) {
-	defer nvm.ArmCrash(-1)
 	crashed := 0
 	for budget := int64(1); budget < 96; budget++ {
-		_, a := newHeap(t, 1<<16)
+		d, a := newHeap(t, 1<<16)
 		if _, err := a.Alloc(24); err != nil { // populate free lists
 			t.Fatal(err)
 		}
-		nvm.ArmCrash(budget)
+		d.ArmLocalCrash(budget)
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
@@ -345,7 +344,7 @@ func TestAllocCrashReleasesLock(t *testing.T) {
 				a.Free(p)
 			}
 		}()
-		nvm.ArmCrash(-1)
+		d.ArmLocalCrash(-1)
 		if name := leakedLock(a); name != "" {
 			t.Fatalf("budget %d: %s lock leaked by crash unwind", budget, name)
 		}

@@ -94,10 +94,10 @@ func runSweep(budget int64) (d *nvm.Device, st *sweepState, events int64, crashe
 	d = nvm.New(nvm.Config{Size: sweepArena})
 	a := New(d, 0, sweepArena)
 	st = &sweepState{live: map[uint64]int{}}
-	nvm.ArmCrash(budget)
-	defer nvm.ArmCrash(-1)
+	d.ArmLocalCrash(budget)
+	defer d.ArmLocalCrash(-1)
 	defer func() {
-		events = budget - nvm.CrashBudgetRemaining()
+		events = budget - d.LocalCrashBudgetRemaining()
 		if r := recover(); r != nil {
 			if _, ok := r.(nvm.CrashSignal); !ok {
 				panic(r)
@@ -425,7 +425,6 @@ func TestAllocNoTransientOOM(t *testing.T) {
 // agree byte-for-byte on allocated bytes with a MutexAllocator attach of
 // the same image (the full-walk oracle for the persistent format).
 func TestAttachCrashSweepReattaches(t *testing.T) {
-	defer nvm.ArmCrash(-1)
 	// Probe the workload's event count, then crash it past its own
 	// restart, so the image Attach reads carries pending segments,
 	// frees into them and in-flight state.
@@ -441,8 +440,8 @@ func TestAttachCrashSweepReattaches(t *testing.T) {
 
 	// restart is the path under test; it reports whether a crash cut it.
 	restart := func(budget int64) (a *Allocator, crashed bool) {
-		nvm.ArmCrash(budget)
-		defer nvm.ArmCrash(-1)
+		d.ArmLocalCrash(budget)
+		defer d.ArmLocalCrash(-1)
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(nvm.CrashSignal); !ok {
@@ -458,9 +457,9 @@ func TestAttachCrashSweepReattaches(t *testing.T) {
 		a.Stats()
 		return a, false
 	}
-	nvm.ArmCrash(1 << 40)
+	d.ArmLocalCrash(1 << 40)
 	ref, _ := restart(1 << 40)
-	scanEvents := int64(1)<<40 - nvm.CrashBudgetRemaining()
+	scanEvents := int64(1)<<40 - d.LocalCrashBudgetRemaining()
 	if ref.npending != 0 || scanEvents < 2*sweepArena/segSize {
 		t.Fatalf("restart performed only %d device events, %d segments pending", scanEvents, ref.npending)
 	}

@@ -223,9 +223,9 @@ type Device struct {
 	// draining one write queue (groupcommit.go).
 	fence fenceState
 
-	// linj is device-scoped crash injection (inject_local.go), checked
-	// by every event hook after the global state.
-	linj localInject
+	// inj is the device's crash injection (inject.go), checked by every
+	// event hook.
+	inj inject
 }
 
 // SetTracer attaches (or, with nil, detaches) a persist-event tracer.
@@ -322,8 +322,8 @@ func (d *Device) installPage(addr uint64) *page {
 // returns the observed state (lock bit set). Only the lock holder may
 // mutate the line's cached words or its valid/dirty masks, so the holder
 // releases by storing the complete new state word. The loop is
-// crash-aware: waiters die once an injected crash has fired, mirroring
-// the lock-spin behavior documented in inject.go.
+// crash-aware: waiters die once the device's injected crash has fired
+// (inject.go).
 //
 // Acquisition is spelled Load+CompareAndSwap rather than the tidier
 // s.Or(lineLock): go1.24.0/amd64 lowers value-returning atomic Or to a
@@ -342,7 +342,7 @@ func (d *Device) lockLine(s *atomic.Uint32) uint32 {
 		for s.Load()&lineLock != 0 {
 			i++
 			if i&63 == 0 {
-				if d.anyCrashFired() {
+				if d.LocalCrashFired() {
 					panic(CrashSignal{})
 				}
 				runtime.Gosched()
@@ -516,7 +516,7 @@ func (d *Device) Fence() {
 		// holds the token, so the token cannot leak across an injected
 		// crash.
 		if i&63 == 63 {
-			if d.anyCrashFired() {
+			if d.LocalCrashFired() {
 				panic(CrashSignal{})
 			}
 			runtime.Gosched()
@@ -577,9 +577,8 @@ func (d *Device) maybeEvict(li uint64, rate int) {
 // reached the persistence domain, exactly like a machine losing power.
 func (d *Device) Crash(mode CrashMode, rng *rand.Rand) {
 	d.count(statCrashes, 1)
-	// The local crash (if any) has now happened: the reopened device
-	// starts with injection disarmed, like a rebooted machine. Global
-	// injection stays armed until the harness disarms it, as before.
+	// The injected crash (if any) has now happened: the reopened device
+	// starts with injection disarmed, like a rebooted machine.
 	d.ArmLocalCrash(-1)
 	if tr := d.trc.Load(); tr != nil {
 		tr.DevEmit(obs.KCrash, uint64(mode), 0)

@@ -334,15 +334,15 @@ func TestGroupCommitLeaderCrashWakesParked(t *testing.T) {
 			d := gcDevice(GroupCommitConfig{Enabled: true}, nil)
 			d.fence.tok.Store(1)
 			d.fence.started.Store(1)
-			ArmCrash(3 + budget)
-			defer ArmCrash(-1)
+			d.ArmLocalCrash(3 + budget)
+			defer d.ArmLocalCrash(-1)
 			if returned, died := collect(t, commitAsync(d, 3), 3); returned != 0 || died != 3 {
 				t.Fatalf("%d committers returned, %d died; the token was never released", returned, died)
 			}
-			if !CrashFired() {
+			if !d.LocalCrashFired() {
 				t.Fatal("crash budget never fired: the sweep no longer covers the commit path")
 			}
-			ArmCrash(-1)
+			d.ArmLocalCrash(-1)
 			d.Crash(CrashDiscard, nil)
 			if d.fence.tok.Load() != 0 {
 				t.Fatal("Crash left the fence token held")
@@ -366,9 +366,8 @@ func TestGroupCommitCrashMidBatchResets(t *testing.T) {
 	d.Store64(1024, 42)
 	d.CLWB(1024)
 	d.Store64(2048, 7) // never flushed
-	ArmCrash(manyTicks)
-	defer ArmCrash(-1)
 	d.ArmLocalCrash(manyTicks)
+	defer d.ArmLocalCrash(-1)
 
 	drained := make(chan struct{})
 	go func() {
@@ -380,7 +379,7 @@ func TestGroupCommitCrashMidBatchResets(t *testing.T) {
 	}
 	results := commitAsync(d, 2)
 	waitTicks(t, d, 1+6) // the drainer's tick, then both waiters' fence ticks
-	TriggerCrash()
+	d.TriggerLocalCrash()
 	returned, died := collect(t, results, 2)
 	select {
 	case <-drained:
@@ -390,7 +389,7 @@ func TestGroupCommitCrashMidBatchResets(t *testing.T) {
 	if died == 0 {
 		t.Fatalf("no waiter died with the crash (%d returned)", returned)
 	}
-	ArmCrash(-1)
+	d.ArmLocalCrash(-1)
 
 	d.Crash(CrashDiscard, nil)
 	if f.tok.Load() != 0 {

@@ -49,9 +49,9 @@ type ThreadAudit struct {
 type RecoveryAudit struct {
 	Runtime string
 	// Attempt is this pass's recovery-attempt index (0 for the first
-	// pass since nvm.ResetRecoveryPasses). Under the chaos harness each
-	// nested crash-during-recovery bumps it, so a failing schedule's
-	// audit trail shows which nesting level did what.
+	// pass over its device, nvm.Device.EnterRecovery). Under the chaos
+	// harness each nested crash-during-recovery bumps it, so a failing
+	// schedule's audit trail shows which nesting level did what.
 	Attempt int
 	Threads []ThreadAudit
 }

@@ -65,8 +65,6 @@ const (
 	KEvict
 	// KCrash is a device crash settling the persistence domain. A = mode.
 	KCrash
-	// KCrashInject is an injected crash firing mid-execution.
-	KCrashInject
 	// KLogAppend is one runtime log record written. A = payload bytes,
 	// B = a runtime-specific tag (site pc, entry kind, region ID).
 	KLogAppend
@@ -135,8 +133,6 @@ func (k Kind) String() string {
 		return "evict"
 	case KCrash:
 		return "crash"
-	case KCrashInject:
-		return "crash-inject"
 	case KLogAppend:
 		return "log-append"
 	case KBoundary:

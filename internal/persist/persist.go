@@ -160,9 +160,9 @@ type RecoveryStats struct {
 	Elapsed    time.Duration // wall time of the pass
 
 	// Attempt is the recovery-attempt index of this pass (0 for the
-	// first pass since nvm.ResetRecoveryPasses). A pass that runs after
-	// an earlier pass crashed mid-recovery reports a higher Attempt —
-	// the re-entrancy counter the chaos harness asserts on.
+	// first pass over its device, nvm.Device.EnterRecovery). A pass that
+	// runs after an earlier pass crashed mid-recovery reports a higher
+	// Attempt — the re-entrancy counter the chaos harness asserts on.
 	Attempt int
 
 	// Audit is the per-thread audit trail of what this pass did — which

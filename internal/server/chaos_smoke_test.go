@@ -50,10 +50,9 @@ func TestServerCrashUnderFastReads(t *testing.T) {
 		Size:        1 << 22,
 		GroupCommit: nvm.GroupCommitConfig{Enabled: true},
 	}
-	nvm.ArmCrash(400_000)
-	defer nvm.ArmCrash(-1)
-
 	reg := region.Create(1<<22, devcfg)
+	reg.Dev.ArmLocalCrash(400_000)
+	defer reg.Dev.ArmLocalCrash(-1)
 	lm := locks.NewManager(reg)
 	rt := core.New(core.DefaultConfig())
 	if err := rt.Attach(reg, lm); err != nil {
@@ -118,7 +117,7 @@ func TestServerCrashUnderFastReads(t *testing.T) {
 	if wres.err != nil || rres.err != nil {
 		t.Fatalf("loadgen: writers=%v readers=%v", wres.err, rres.err)
 	}
-	if !nvm.CrashFired() {
+	if !reg.Dev.LocalCrashFired() {
 		t.Fatalf("injected crash did not fire")
 	}
 	// Every reply either side acked before the crash parsed cleanly
@@ -135,7 +134,7 @@ func TestServerCrashUnderFastReads(t *testing.T) {
 
 	// Recover as a restarted process and hold the image to the same
 	// structural and history invariants as the mid-serve smoke.
-	nvm.ArmCrash(-1)
+	reg.Dev.ArmLocalCrash(-1)
 	rng := rand.New(rand.NewSource(3))
 	reg2, err := reg.Crash(nvm.CrashRandom, rng)
 	if err != nil {
@@ -224,13 +223,12 @@ func runCrashMidServe(t *testing.T, proto server.Proto) {
 		Size:        1 << 22,
 		GroupCommit: nvm.GroupCommitConfig{Enabled: true},
 	}
-	// Arm before anything runs so every lock waiter takes the
+	// Arm before anything else runs so every lock waiter takes the
 	// crash-aware spin path; the budget is far beyond reach, the actual
-	// kill is the timed TriggerCrash below.
-	nvm.ArmCrash(1 << 60)
-	defer nvm.ArmCrash(-1)
-
+	// kill is the timed TriggerLocalCrash below.
 	reg := region.Create(1<<22, devcfg)
+	reg.Dev.ArmLocalCrash(1 << 60)
+	defer reg.Dev.ArmLocalCrash(-1)
 	lm := locks.NewManager(reg)
 	rt := core.New(core.DefaultConfig())
 	if err := rt.Attach(reg, lm); err != nil {
@@ -283,7 +281,7 @@ func runCrashMidServe(t *testing.T, proto server.Proto) {
 
 	// Let the mix run, then pull the plug mid-flight.
 	time.Sleep(150 * time.Millisecond)
-	nvm.TriggerCrash()
+	reg.Dev.TriggerLocalCrash()
 	select {
 	case <-srv.Crashed():
 	case <-time.After(30 * time.Second):
@@ -302,13 +300,13 @@ func runCrashMidServe(t *testing.T, proto server.Proto) {
 	if res.Ops == 0 {
 		t.Fatalf("crash fired before any request was acknowledged; smoke proves nothing")
 	}
-	if !nvm.CrashFired() {
+	if !reg.Dev.LocalCrashFired() {
 		t.Fatalf("injected crash did not fire")
 	}
 	t.Logf("%s: %d acked ops, %d tracked keys at crash", proto, res.Ops, len(res.Tracked))
 
 	// Settle the persistence domain and recover, as a restarted process.
-	nvm.ArmCrash(-1)
+	reg.Dev.ArmLocalCrash(-1)
 	rng := rand.New(rand.NewSource(7))
 	reg2, err := reg.Crash(nvm.CrashRandom, rng)
 	if err != nil {

@@ -18,36 +18,14 @@ import (
 // tree-walker must be indistinguishable at the device boundary. The
 // observation below captures everything the paper's figures are computed
 // from — return values, trace output, runtime statistics, the device's
-// store/write-back/fence counters, the number of crash-budget ticks
-// consumed, and a prefix of the persistent image itself.
+// event counters (every crash-injection point is a device event), and a
+// prefix of the persistent image itself.
 type observed struct {
 	rets   [][]uint64
 	trace  []uint64
 	rstats persist.RuntimeStats
 	dstats nvm.Stats
-	ticks  int64
 	mem    []uint64
-}
-
-// equivBudget arms injection without ever firing, so tick consumption is
-// part of the observation (a tick miscount would shift every
-// crash-injection point).
-const equivBudget = int64(1) << 40
-
-// consumedTicks is the number of crash-budget events actually consumed:
-// the shared-budget drawdown minus the allotments still parked on
-// threads (batch refills reserve tickBatch events at a time).
-func consumedTicks(m *Machine, budget int64) int64 {
-	c := budget - m.crashBudget.Load()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	gen := m.crashGen.Load()
-	for _, t := range m.threads {
-		if t.tickGen == gen {
-			c -= t.ticks
-		}
-	}
-	return c
 }
 
 func observe(m *Machine, reg *region.Region, rets [][]uint64) observed {
@@ -56,7 +34,6 @@ func observe(m *Machine, reg *region.Region, rets [][]uint64) observed {
 		trace:  m.Trace(),
 		rstats: m.Stats(),
 		dstats: reg.Dev.Stats(),
-		ticks:  consumedTicks(m, equivBudget),
 	}
 	o.mem = make([]uint64, 1<<15)
 	reg.Dev.ReadWords(0, o.mem)
@@ -76,9 +53,6 @@ func diffObserved(t *testing.T, label string, dec, leg observed) {
 	}
 	if dec.dstats != leg.dstats {
 		t.Errorf("%s: device event counts diverge\ndecoded: %+v\nlegacy:  %+v", label, dec.dstats, leg.dstats)
-	}
-	if dec.ticks != leg.ticks {
-		t.Errorf("%s: crash ticks diverge: decoded %d, legacy %d", label, dec.ticks, leg.ticks)
 	}
 	if !reflect.DeepEqual(dec.mem, leg.mem) {
 		for i := range dec.mem {
@@ -103,7 +77,6 @@ func runIrprogConformance(t *testing.T, mode Mode, legacy bool) observed {
 	lm := locks.NewManager(reg)
 	m := New(reg, lm, prog, mode)
 	m.useLegacy(legacy)
-	m.SetCrashBudget(equivBudget)
 
 	stk, err := irprog.NewStack(reg, lm)
 	if err != nil {
@@ -214,7 +187,6 @@ func runTraceConformance(t *testing.T, mode Mode, legacy bool) observed {
 	lm := locks.NewManager(reg)
 	m := New(reg, lm, c, mode)
 	m.useLegacy(legacy)
-	m.SetCrashBudget(equivBudget)
 	hdr, err := reg.Alloc.Alloc(16)
 	if err != nil {
 		t.Fatal(err)
@@ -291,8 +263,22 @@ func TestEquivCrashRecoverSweep(t *testing.T) {
 			}
 			return crashedAt, atCrash, w2.reg.Dev.Load64(w2.stk + 8)
 		}
+		// Budgets 0..events-1 crash inside the calls; events runs them
+		// to the end.
+		w := build(t, tc.mode, compile.Config{})
+		th, err := w.m.NewThread()
+		if err != nil {
+			t.Fatal(err)
+		}
+		events := deviceEvents(w.reg.Dev, func() {
+			for i := 0; i < calls; i++ {
+				if _, err := th.Call("inc", w.stk); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 		sawCrash, sawClean := false, false
-		for b := int64(0); b <= 120; b += 1 {
+		for b := int64(0); b <= events; b++ {
 			c1, s1, f1 := run(false, b)
 			c2, s2, f2 := run(true, b)
 			if c1 != c2 {

@@ -46,7 +46,6 @@ func (t *Thread) runLegacy(f *ir.Func, block, idx, stopAtDepth int) []uint64 {
 		}
 		in := &b.Instrs[idx]
 		pc := compile.PackPC(fnIdx, block, idx)
-		t.tick()
 		switch in.Op {
 		case ir.OpConst:
 			t.def(pc, in.Dest, in.Imm)

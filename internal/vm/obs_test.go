@@ -172,7 +172,21 @@ func TestTracedCrashRecoverSweep(t *testing.T) {
 		}
 		return w2.reg.Dev.Load64(w2.stk + 8), st.Audit
 	}
-	for budget := int64(0); budget <= 80; budget++ {
+	// Budgets 0..events: every crash point of the four incs, and the
+	// clean run.
+	p := build(t, ModeIDO, compile.Config{})
+	th, err := p.m.NewThread()
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := deviceEvents(p.reg.Dev, func() {
+		for i := 0; i < 4; i++ {
+			if _, err := th.Call("inc", p.stk); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	for budget := int64(0); budget <= events; budget++ {
 		tr := obs.New(obs.DefaultConfig())
 		got, audit := run(tr, budget)
 		want, _ := run(nil, budget)

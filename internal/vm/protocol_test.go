@@ -172,7 +172,6 @@ done:
 // cells before the FASE published, the completed FASE after. The sweep
 // must have seen the base image live, i.e. have crossed a compaction.
 func TestVMCompactionSweep(t *testing.T) {
-	defer nvm.ArmCrash(-1)
 	const iters = 40
 	prog, err := ir.Parse(churnSrc)
 	if err != nil {
@@ -208,7 +207,7 @@ func TestVMCompactionSweep(t *testing.T) {
 	}
 	run := func(reg *region.Region, th *Thread, k int64) (crashed bool) {
 		defer func() {
-			nvm.ArmCrash(-1)
+			reg.Dev.ArmLocalCrash(-1)
 			if r := recover(); r != nil {
 				if _, ok := r.(nvm.CrashSignal); !ok {
 					panic(r)
@@ -216,21 +215,22 @@ func TestVMCompactionSweep(t *testing.T) {
 				crashed = true
 			}
 		}()
-		nvm.ArmCrash(k)
-		if _, err := th.Call("churn", reg.Root(1), iters); err != nil {
+		reg.Dev.ArmLocalCrash(k)
+		_, err := th.Call("churn", reg.Root(1), iters)
+		if err != nil && err != ErrCrashed {
 			t.Fatal(err)
 		}
-		return false
+		return err == ErrCrashed
 	}
 
 	reg, th := setup()
 	const huge = int64(1) << 40
-	nvm.ArmCrash(huge)
+	reg.Dev.ArmLocalCrash(huge)
 	if _, err := th.Call("churn", reg.Root(1), iters); err != nil {
 		t.Fatal(err)
 	}
-	events := huge - nvm.CrashBudgetRemaining()
-	nvm.ArmCrash(-1)
+	events := huge - reg.Dev.LocalCrashBudgetRemaining()
+	reg.Dev.ArmLocalCrash(-1)
 	done := [2]uint64{reg.Dev.Load64(reg.Root(1) + 8), reg.Dev.Load64(reg.Root(1) + 16)}
 	if done[0] != done[1] || done[0] == 2 {
 		t.Fatalf("the kernel left cells %v", done)

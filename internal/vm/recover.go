@@ -6,7 +6,6 @@ import (
 	"github.com/ido-nvm/ido/internal/compile"
 	"github.com/ido-nvm/ido/internal/idolog"
 	"github.com/ido-nvm/ido/internal/ir"
-	"github.com/ido-nvm/ido/internal/nvm"
 	"github.com/ido-nvm/ido/internal/obs"
 	"github.com/ido-nvm/ido/internal/persist"
 )
@@ -33,8 +32,8 @@ func (m *Machine) Recover() (persist.RecoveryStats, error) {
 		return persist.RecoveryStats{}, err
 	}
 	if m.Mode == ModeOrigin {
-		attempt := nvm.EnterRecovery()
-		nvm.ExitRecovery()
+		attempt := m.Reg.Dev.EnterRecovery()
+		m.Reg.Dev.ExitRecovery()
 		return persist.RecoveryStats{Attempt: attempt, Audit: &obs.RecoveryAudit{Runtime: m.name(), Attempt: attempt}}, nil
 	}
 	var adopted []*Thread

@@ -24,21 +24,30 @@ func TestRestartReusesLogs(t *testing.T) {
 		cycles  = 20
 		crashAt = 7
 	)
-	w := build(t, ModeIDO, compile.Config{})
-	// A budget of n instructions crashes at the tick of instruction n: inc
-	// is straight-line, so this one dies just before its unlock.
-	unlockAt := -1
-	for i, in := range w.m.code["inc"].Code {
-		if in.Op == compile.DUnlock {
-			unlockAt = i
-			break
+	// The crash budget: the first device event of inc at which a crash
+	// leaves its FASE published (recovery_pc live), found on throwaway
+	// worlds. inc is straight-line, so this one dies right after its
+	// store published the FASE, before the unlock.
+	published := int64(-1)
+	for b := int64(0); published < 0; b++ {
+		s := build(t, ModeIDO, compile.Config{})
+		th, err := s.m.NewThread()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.m.SetCrashBudget(b)
+		_, err = th.Call("inc", s.stk)
+		s.m.SetCrashBudget(-1)
+		if err == nil {
+			t.Fatal("no crash point of inc leaves its FASE published")
+		}
+		if logs, err := idolog.Inspect(s.reg); err != nil || logs[0].PC != 0 {
+			published = b
 		}
 	}
-	if unlockAt < 0 {
-		t.Fatal("inc has no unlock")
-	}
+	w := build(t, ModeIDO, compile.Config{})
 	interrupted := func(th *Thread) bool {
-		th.m.SetCrashBudget(int64(unlockAt))
+		th.m.SetCrashBudget(published)
 		defer th.m.SetCrashBudget(-1)
 		_, err := th.Call("inc", w.stk)
 		return err == ErrCrashed

@@ -1,6 +1,6 @@
 // Package vm executes compiled mini-IR programs against simulated NVM,
 // providing what the paper gets from native execution on real hardware:
-// the ability to crash at any instruction boundary and to resume — jump to
+// the ability to crash at any device event and to resume — jump to
 // a logged program counter with a restored register file — during
 // recovery.
 //
@@ -36,10 +36,8 @@ package vm
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"github.com/ido-nvm/ido/internal/compile"
 	"github.com/ido-nvm/ido/internal/idolog"
@@ -96,10 +94,7 @@ const jdBufBit = uint64(1) << 63
 // ⟨addr, val⟩ pair the published pc's logged store lives in.
 func (t *Thread) jdRec(buf int) uint64 { return t.Extra() + xJDRec + uint64(buf)*nvm.LineSize }
 
-// errCrash unwinds execution when the crash budget hits zero.
-type errCrash struct{}
-
-// ErrCrashed is returned by Call and Resume when the injected crash fired.
+// ErrCrashed is returned by Call when the device's injected crash fired.
 var ErrCrashed = fmt.Errorf("vm: injected crash")
 
 // Machine executes one compiled program on one region.
@@ -115,11 +110,6 @@ type Machine struct {
 
 	funcNames []string
 	code      map[string]*compile.DecodedFunc
-
-	crashArmed  atomic.Bool
-	crashed     atomic.Bool
-	crashBudget atomic.Int64
-	crashGen    atomic.Uint64 // bumped by SetCrashBudget to invalidate per-thread allotments
 
 	mu      sync.Mutex
 	threads []*Thread
@@ -153,73 +143,14 @@ func New(reg *region.Region, lm *locks.Manager, prog *compile.Compiled, mode Mod
 		}
 		m.code[n] = d
 	}
-	m.crashBudget.Store(-1)
 	return m
 }
 
-// SetCrashBudget arms crash injection: execution aborts with ErrCrashed
-// after n more VM events (instructions, and the phases of JUSTDO's
-// protocol; a crash inside the iDO log protocol is the device's to
-// inject) across ALL threads — once the budget is spent the whole machine is
-// "powered off" and every thread dies at its next event, including
-// threads blocked on locks. Negative disables injection.
-//
-// Threads draw down the shared budget in batches of tickBatch events
-// (see Thread.tick); bumping crashGen here discards every outstanding
-// per-thread allotment so a fresh budget is exact from its first event.
-func (m *Machine) SetCrashBudget(n int64) {
-	m.crashGen.Add(1)
-	if n < 0 {
-		m.crashArmed.Store(false)
-		m.crashed.Store(false)
-		return
-	}
-	m.crashed.Store(false)
-	m.crashBudget.Store(n)
-	m.crashArmed.Store(true)
-}
-
-// tickBatch is the crash-budget refill granularity: a thread reserves up
-// to this many events from the shared budget in one atomic operation.
-// The total number of events before the crash fires is unchanged — with
-// one thread the crash lands on exactly the same event as a per-event
-// counter would — but a thread that stops running (or the power-off
-// itself) can strand up to tickBatch-1 reserved events per other thread.
-const tickBatch = 32
-
-// tick consumes one crash-budget event. With injection disarmed this is
-// a single atomic load; armed, it spends the thread-local allotment and
-// refills from the shared budget every tickBatch events.
-func (t *Thread) tick() {
-	if !t.m.crashArmed.Load() {
-		return
-	}
-	t.tickSlow()
-}
-
-func (t *Thread) tickSlow() {
-	m := t.m
-	if m.crashed.Load() {
-		panic(errCrash{})
-	}
-	if g := m.crashGen.Load(); g != t.tickGen {
-		t.tickGen, t.ticks = g, 0
-	}
-	if t.ticks > 0 {
-		t.ticks--
-		return
-	}
-	got := m.crashBudget.Add(-tickBatch) + tickBatch // budget before this refill
-	if got > tickBatch {
-		got = tickBatch
-	}
-	if got <= 0 {
-		m.crashed.Store(true)
-		t.Ring().Emit(obs.KCrashInject, uint64(t.ID()), 0)
-		panic(errCrash{})
-	}
-	t.ticks = got - 1 // this event consumes one of the reserved batch
-}
+// SetCrashBudget arms crash injection on the machine's device: after n
+// more device events every thread using the device dies at its next
+// event or lock wait, and Call returns ErrCrashed. Negative disables
+// injection.
+func (m *Machine) SetCrashBudget(n int64) { m.Reg.Dev.ArmLocalCrash(n) }
 
 // Stats returns aggregated execution statistics (call while quiescent).
 func (m *Machine) Stats() persist.RuntimeStats {
@@ -256,9 +187,6 @@ type Thread struct {
 	rf        [MaxRegs]uint64
 
 	originDepth int // ModeOrigin keeps no log: locks held plus open durable sections
-
-	ticks   int64  // remaining crash-budget allotment
-	tickGen uint64 // crashGen the allotment belongs to
 
 	outs       []persist.RegVal // iDO: boundary output scratch
 	dirtySlots []uint64         // JUSTDO: slot lines written outside FASEs
@@ -320,7 +248,8 @@ func (m *Machine) NewThread() (*Thread, error) {
 func (m *Machine) name() string { return "vm-" + m.Mode.String() }
 
 // Call executes fn with the given arguments. It returns the values of a
-// ret instruction, or ErrCrashed if the injected crash fired mid-run.
+// ret instruction, or ErrCrashed if the device's injected crash fired
+// mid-run.
 // The returned slice aliases a per-thread buffer and is valid until this
 // thread's next Call or Resume; copy it to retain values longer.
 func (t *Thread) Call(fn string, args ...uint64) (rets []uint64, err error) {
@@ -336,7 +265,7 @@ func (t *Thread) Call(fn string, args ...uint64) (rets []uint64, err error) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			if _, is := r.(errCrash); is {
+			if _, is := r.(nvm.CrashSignal); is {
 				err = ErrCrashed
 				return
 			}
@@ -379,16 +308,15 @@ func (t *Thread) valB(in *compile.DInstr) uint64 {
 // values.
 //
 // Event equivalence with the tree-walking oracle: one DInstr per ir
-// instruction, one tick before each handler, and the handlers call the
-// same protocol helpers — fall-through edges, which execute no
-// instruction in either engine, are the only control transfers that
-// differ in mechanism (stream adjacency here, Succs[0] there).
+// instruction, and the handlers call the same protocol helpers —
+// fall-through edges, which execute no instruction in either engine, are
+// the only control transfers that differ in mechanism (stream adjacency
+// here, Succs[0] there).
 func (t *Thread) exec(d *compile.DecodedFunc, pc int, stopAtDepth int) []uint64 {
 	dev := t.m.Reg.Dev
 	code := d.Code
 	for {
 		in := &code[pc]
-		t.tick()
 		switch in.Op {
 		case compile.DConst:
 			t.def(in.PC, ir.Reg(in.Dest), in.Imm)
@@ -610,7 +538,6 @@ func (t *Thread) justdoLoggedStore(pc, addr, v uint64) {
 	t.Publish(pc | uint64(buf)<<63)
 	dev.Fence()
 	t.jdBuf = buf
-	t.tick()
 	dev.Store64(addr, v)
 	dev.CLWB(addr)
 	dev.Fence()
@@ -672,27 +599,12 @@ func (t *Thread) boundary(id uint64, regs []ir.Reg) {
 	t.Boundary(id, out...)
 }
 
-// acquire takes the mutex; with crash injection armed it spins so a
-// machine-wide crash also kills threads waiting on locks.
-func (t *Thread) acquire(l *locks.Lock) {
-	if !t.m.crashArmed.Load() {
-		l.Acquire()
-		return
-	}
-	for !l.TryAcquire() {
-		if t.m.crashed.Load() {
-			panic(errCrash{})
-		}
-		runtime.Gosched()
-	}
-}
-
 // lock acquires l and records it in the thread's log. JUSTDO first
 // persists its intention to acquire, with the pre-FASE register slots
 // under the same fence, and fences the record at once.
 func (t *Thread) lock(l *locks.Lock) {
 	if t.m.Mode == ModeOrigin {
-		t.acquire(l)
+		l.Acquire()
 		t.originDepth++
 		return
 	}
@@ -705,9 +617,8 @@ func (t *Thread) lock(l *locks.Lock) {
 		dev.CLWB(intent)
 		t.flushSlots()
 		dev.Fence()
-		t.tick()
 	}
-	t.acquire(l)
+	l.Acquire()
 	t.Acquired(l)
 	if t.m.Mode == ModeJUSTDO {
 		dev.Store64(intent, 0)
@@ -731,7 +642,6 @@ func (t *Thread) unlock(l *locks.Lock) {
 		dev.Store64(intent, l.Holder())
 		dev.CLWB(intent)
 		dev.Fence()
-		t.tick()
 		dev.Store64(intent, 0)
 	}
 	t.Unlock(l)

@@ -116,6 +116,16 @@ func build(t *testing.T, mode Mode, idemCfg compile.Config) *world {
 	return &world{reg: reg, lm: lm, m: m, prog: c, stk: hdr}
 }
 
+// deviceEvents counts the device events fn issues on dev: crash budgets
+// 0..n-1 fire inside fn, n runs it to the end.
+func deviceEvents(dev *nvm.Device, fn func()) int64 {
+	const probe = int64(1) << 40
+	dev.ArmLocalCrash(probe)
+	defer dev.ArmLocalCrash(-1)
+	fn()
+	return probe - dev.LocalCrashBudgetRemaining()
+}
+
 // reopen simulates process death: crash the device, reattach, rebuild the
 // machine over the surviving persistent bytes.
 func (w *world) reopen(t *testing.T, mode nvm.CrashMode, rng *rand.Rand, vmMode Mode) *world {
@@ -162,6 +172,7 @@ func TestIDOIncCrashEverywhere(t *testing.T) {
 			th, _ := w.m.NewThread()
 			w.m.SetCrashBudget(budget)
 			_, err := th.Call("inc", w.stk)
+			w.m.SetCrashBudget(-1)
 			if err == nil {
 				// Budget exceeded the op length: done with this mode.
 				if got := w.reg.Dev.Load64(w.stk + 8); got != 1 {
@@ -242,12 +253,23 @@ func checkStack(t *testing.T, w *world, pushed int) int {
 // TestIDOStackCrashFuzz pushes values 1..N with a random crash and
 // verifies the stack is a consistent prefix after recovery, repeatedly.
 func TestIDOStackCrashFuzz(t *testing.T) {
+	const N = 6
+	// Budgets 0..events: every crash point of the N pushes, and the
+	// clean run.
+	p := build(t, ModeIDO, compile.Config{})
+	pth, _ := p.m.NewThread()
+	events := deviceEvents(p.reg.Dev, func() {
+		for i := 1; i <= N; i++ {
+			if _, err := pth.Call("push", p.stk, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
 		w := build(t, ModeIDO, compile.Config{})
 		th, _ := w.m.NewThread()
-		const N = 6
-		budget := int64(rng.Intn(160))
+		budget := int64(rng.Intn(int(events) + 1))
 		w.m.SetCrashBudget(budget)
 		pushed := 0
 		crashed := false
@@ -280,17 +302,31 @@ func TestIDOStackCrashFuzz(t *testing.T) {
 
 // TestIDOPopCrashFuzz pops from a prepared stack with crash injection.
 func TestIDOPopCrashFuzz(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 40; trial++ {
+	const N = 5
+	pushed := func() (*world, *Thread) {
 		w := build(t, ModeIDO, compile.Config{})
 		th, _ := w.m.NewThread()
-		const N = 5
 		for i := 1; i <= N; i++ {
 			if _, err := th.Call("push", w.stk, uint64(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		w.m.SetCrashBudget(int64(rng.Intn(120)))
+		return w, th
+	}
+	// Budgets 0..events: every crash point of the three pops, and the
+	// clean run.
+	p, pth := pushed()
+	events := deviceEvents(p.reg.Dev, func() {
+		for i := 0; i < 3; i++ {
+			if _, err := pth.Call("pop", p.stk); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 40; trial++ {
+		w, th := pushed()
+		w.m.SetCrashBudget(int64(rng.Intn(int(events) + 1)))
 		pops := 0
 		for i := 0; i < 3; i++ {
 			if _, err := th.Call("pop", w.stk); err != nil {
@@ -320,16 +356,19 @@ func TestIDOLoopKernel(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rets, err := th.Call("sum", w.stk)
+	var rets []uint64
+	var err error
+	events := deviceEvents(w.reg.Dev, func() { rets, err = th.Call("sum", w.stk) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rets[0] != 36 {
 		t.Fatalf("sum = %d, want 36", rets[0])
 	}
-	// Now crash mid-sum at many points; the recovered sum must be stored.
+	// Now crash mid-sum at many points, up to its last device event; the
+	// recovered sum must be stored.
 	rng := rand.New(rand.NewSource(3))
-	for budget := int64(5); budget < 200; budget += 7 {
+	for budget := int64(5); budget <= events; budget += 7 {
 		w2 := build(t, ModeIDO, compile.Config{})
 		th2, _ := w2.m.NewThread()
 		for i := 1; i <= 8; i++ {
@@ -515,8 +554,7 @@ entry:
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(4))
-	for budget := int64(0); budget < 60; budget++ {
+	setup := func() (*region.Region, *Thread, uint64) {
 		reg := region.Create(1<<20, nvm.Config{})
 		lm := locks.NewManager(reg)
 		m := New(reg, lm, c, ModeIDO)
@@ -527,9 +565,21 @@ entry:
 		reg.Dev.Fence()
 		reg.SetRoot(1, hdr)
 		th, _ := m.NewThread()
-		m.SetCrashBudget(budget)
+		return reg, th, hdr
+	}
+	// Budgets 0..events: every crash point of the call, and the clean run.
+	preg, pth, phdr := setup()
+	events := deviceEvents(preg.Dev, func() {
+		if _, err := pth.Call("scratch", phdr); err != nil {
+			t.Fatal(err)
+		}
+	})
+	rng := rand.New(rand.NewSource(4))
+	for budget := int64(0); budget <= events; budget++ {
+		reg, th, hdr := setup()
+		th.m.SetCrashBudget(budget)
 		_, callErr := th.Call("scratch", hdr)
-		m.SetCrashBudget(-1)
+		th.m.SetCrashBudget(-1)
 		reg2, err := reg.Crash(nvm.CrashRandom, rng)
 		if err != nil {
 			t.Fatal(err)
