@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -147,12 +148,11 @@ func (f *duoFixture) interruptBoth(t *testing.T) {
 }
 
 // TestRecoverCrashMidPassLeaksNoGoroutines sweeps an all-events crash
-// budget across the whole parallel Recover pass. Pre-fix, a CrashSignal
-// that unwound the log walk left the already-launched restore goroutines
-// parked forever on the resume gate (and holding the re-acquired locks):
-// this sweep's goroutine count climbed by one per crashed pass. Recover
-// must instead drain every launched goroutine before re-raising the
-// crash.
+// budget across a whole two-thread Recover pass. Every budget that fires
+// must surface as nvm.CrashSignal — never as a returned error, whether it
+// fired in the walk, a restore or a resume goroutine — and only once every
+// resume goroutine has stopped: a pass that re-raised with one still
+// running would leak it, and the locks it holds.
 func TestRecoverCrashMidPassLeaksNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	crashes := 0
@@ -163,32 +163,37 @@ func TestRecoverCrashMidPassLeaksNoGoroutines(t *testing.T) {
 		rr := f2.registry()
 		f2.reg.Dev.ArmLocalCrash(budget)
 		var recErr error
-		func() {
+		crashed := func() (c bool) {
 			defer func() {
 				if r := recover(); r != nil {
 					if _, ok := r.(nvm.CrashSignal); !ok {
 						panic(r)
 					}
+					c = true
 				}
 			}()
 			_, recErr = f2.rt.Recover(rr)
+			return false
 		}()
 		fired := f2.reg.Dev.LocalCrashFired()
 		f2.reg.Dev.ArmLocalCrash(-1)
 		if !fired {
-			if recErr != nil {
-				t.Fatalf("budget %d: recover failed without an injected crash: %v", budget, recErr)
+			if crashed || recErr != nil {
+				t.Fatalf("budget %d: recover failed without an injected crash: crash %v, error %v", budget, crashed, recErr)
 			}
 			if budget == 1 {
 				t.Fatal("budget 1 did not crash: injection is not reaching Recover")
 			}
 			break // budget outlasted the pass: every point swept
 		}
+		if !crashed {
+			t.Fatalf("budget %d: the injected crash surfaced as error %v, not as nvm.CrashSignal", budget, recErr)
+		}
 		crashes++
 		deadline := time.Now().Add(10 * time.Second)
 		for runtime.NumGoroutine() > base+2 {
 			if time.Now().After(deadline) {
-				t.Fatalf("budget %d: %d goroutines above baseline %d after a crash during Recover — restore goroutines leaked on the gate",
+				t.Fatalf("budget %d: %d goroutines above baseline %d after a crash during Recover — resume goroutines leaked",
 					budget, runtime.NumGoroutine()-base, base)
 			}
 			time.Sleep(time.Millisecond)
@@ -200,12 +205,11 @@ func TestRecoverCrashMidPassLeaksNoGoroutines(t *testing.T) {
 	t.Logf("swept %d crash points through Recover", crashes)
 }
 
-// TestRecoverSerialPathCrashSweepConverges arms a recovery-scoped budget
-// (which switches Recover to its deterministic serial path), crashes the
-// pass at every recovery event, re-settles, and proves a second Recover
-// converges to the uninterrupted outcome: both counters incremented,
-// both locks free.
-func TestRecoverSerialPathCrashSweepConverges(t *testing.T) {
+// TestRecoverScopedCrashSweepConverges arms a recovery-scoped budget,
+// crashes a two-thread Recover pass at every recovery event, re-settles,
+// and proves a second Recover converges to the uninterrupted outcome:
+// both counters incremented, both locks free.
+func TestRecoverScopedCrashSweepConverges(t *testing.T) {
 	crashes := 0
 	for budget := int64(1); ; budget++ {
 		f := newDuoFixture(t)
@@ -255,6 +259,185 @@ func TestRecoverSerialPathCrashSweepConverges(t *testing.T) {
 	}
 	if crashes == 0 {
 		t.Fatal("sweep never crashed")
+	}
+	t.Logf("swept %d recovery crash points", crashes)
+}
+
+// Region IDs and root of the dependent-resume fixture.
+const (
+	ridDepA1 = 0x161
+	ridDepA2 = 0x162
+	ridDepA3 = 0x163
+	ridDepA4 = 0x164
+	ridDepB1 = 0x171
+
+	rootDepWords = 7 // two words: mark, then seen
+)
+
+// interruptDependent leaves two FASEs whose resumes depend on each other.
+// Thread B holds lock 1, has published its increment of counter 1, and
+// dies. Thread A, created later and so walked first, holds lock 0, has
+// incremented counter 0, and dies in the region that next takes lock 1:
+// its resume has to wait for B's to release it.
+func (f *duoFixture) interruptDependent(t *testing.T) {
+	t.Helper()
+	words, err := f.reg.Alloc.Alloc(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.reg.SetRoot(rootDepWords, words)
+	b, err := f.rt.NewThread()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runWithCrash(func() {
+		b.Lock(f.lock[1])
+		b.Boundary(ridChB0)
+		v := b.Load64(f.ctr[1])
+		b.Boundary(ridDepB1, persist.RV(0, v))
+		b.Store64(f.ctr[1], v+1)
+		panic(errCrash{})
+	})
+	a, err := f.rt.NewThread()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runWithCrash(func() {
+		a.Lock(f.lock[0])
+		a.Boundary(ridChA0)
+		v := a.Load64(f.ctr[0])
+		a.Boundary(ridDepA1, persist.RV(0, v))
+		a.Store64(f.ctr[0], v+1)
+		a.Boundary(ridDepA2)
+		a.Store64(words, v+1)
+		panic(errCrash{}) // lock 1 is B's: the Lock would never return
+	})
+}
+
+// dependentRegistry resumes the regions interruptDependent can publish.
+// A's last region records, in the word after mark, the counter 1 it reads
+// under lock 1: B's increment, if A resumed only after B released it.
+func (f *duoFixture) dependentRegistry() *persist.ResumeRegistry {
+	words := f.reg.Root(rootDepWords)
+	rr := persist.NewResumeRegistry()
+	rr.Register(ridDepA2, func(th persist.Thread, rf []uint64) {
+		th.Store64(words, rf[0]+1)
+		th.Lock(f.lock[1])
+		th.Boundary(ridDepA3)
+		v := th.Load64(f.ctr[1])
+		th.Boundary(ridDepA4, persist.RV(1, v))
+		th.Store64(words+8, v)
+		th.Unlock(f.lock[1])
+		th.Unlock(f.lock[0])
+	})
+	rr.Register(ridDepA4, func(th persist.Thread, rf []uint64) {
+		th.Store64(words+8, rf[1])
+		th.Unlock(f.lock[1])
+		th.Unlock(f.lock[0])
+	})
+	rr.Register(ridDepB1, func(th persist.Thread, rf []uint64) {
+		th.Store64(f.ctr[1], rf[0]+1)
+		th.Unlock(f.lock[1])
+	})
+	return rr
+}
+
+// recoverWithin runs Recover and fails the test if it has not returned
+// after 10 s. It reports whether the pass crashed.
+func (f *duoFixture) recoverWithin(t *testing.T, label string, rr *persist.ResumeRegistry) (crashed bool) {
+	t.Helper()
+	type result struct {
+		crashed bool
+		err     error
+	}
+	done := make(chan result, 1)
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(nvm.CrashSignal); !ok {
+					panic(r)
+				}
+				done <- result{crashed: true}
+			}
+		}()
+		_, err := f.rt.Recover(rr)
+		done <- result{err: err}
+	}()
+	select {
+	case res := <-done:
+		if res.err != nil {
+			t.Fatalf("%s: recover: %v", label, res.err)
+		}
+		return res.crashed
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: Recover still blocked after 10 s: a resumed FASE waits on a lock another interrupted FASE holds", label)
+		return false
+	}
+}
+
+// checkDependent holds a recovered dependent fixture to the uninterrupted
+// outcome: both counters advanced, A saw B's increment, both locks free.
+func (f *duoFixture) checkDependent(t *testing.T, label string) {
+	t.Helper()
+	words := f.reg.Root(rootDepWords)
+	dev := f.reg.Dev
+	got := [4]uint64{dev.Load64(f.ctr[0]), dev.Load64(f.ctr[1]), dev.Load64(words), dev.Load64(words + 8)}
+	if got != [4]uint64{6, 6, 6, 6} {
+		t.Fatalf("%s: counter 0, counter 1, mark, seen = %v, want all 6", label, got)
+	}
+	for i := 0; i < 2; i++ {
+		if !f.lock[i].TryAcquire() {
+			t.Fatalf("%s: lock %d still held after recovery", label, i)
+		}
+		f.lock[i].Release()
+	}
+}
+
+// TestRecoverResumesDependentThreads recovers two interrupted FASEs where
+// the one walked first resumes into a Lock the other holds. Recovery must
+// finish whether or not a recovery-scoped budget is armed — each
+// interrupted FASE resumes on its own recovery thread, as in §III-C — and
+// a pass crashed at any of its device events must re-recover to the same
+// outcome.
+func TestRecoverResumesDependentThreads(t *testing.T) {
+	for _, armed := range []bool{false, true} {
+		f := newDuoFixture(t)
+		f.interruptDependent(t)
+		f2 := f.reopen(t, nvm.CrashDiscard, nil)
+		if armed {
+			f2.reg.Dev.ArmRecoveryCrash(1 << 40)
+		}
+		label := fmt.Sprintf("armed=%v", armed)
+		if f2.recoverWithin(t, label, f2.dependentRegistry()) {
+			t.Fatalf("%s: recovery crashed with no budget to spend", label)
+		}
+		f2.reg.Dev.ArmLocalCrash(-1)
+		f2.checkDependent(t, label)
+	}
+
+	crashes := 0
+	for budget := int64(1); ; budget++ {
+		f := newDuoFixture(t)
+		f.interruptDependent(t)
+		f2 := f.reopen(t, nvm.CrashDiscard, nil)
+		f2.reg.Dev.ArmRecoveryCrash(budget)
+		label := fmt.Sprintf("budget %d", budget)
+		crashed := f2.recoverWithin(t, label, f2.dependentRegistry())
+		f2.reg.Dev.ArmLocalCrash(-1)
+		if !crashed {
+			if budget == 1 {
+				t.Fatal("budget 1 did not crash: recovery-scoped injection is not reaching Recover")
+			}
+			f2.checkDependent(t, label)
+			break
+		}
+		crashes++
+		f3 := f2.reopen(t, nvm.CrashRandom, rand.New(rand.NewSource(budget)))
+		label += " re-recovery"
+		if f3.recoverWithin(t, label, f3.dependentRegistry()) {
+			t.Fatalf("%s: crashed with no budget armed", label)
+		}
+		f3.checkDependent(t, label)
 	}
 	t.Logf("swept %d recovery crash points", crashes)
 }

@@ -117,32 +117,6 @@ func insScan(env *Env, t persist.Thread, key, val, prev, plkH uint64) {
 	}
 }
 
-// insCheckResume re-enters the loop at the post-lock comparison.
-func insCheckResume(env *Env, t persist.Thread, key, val, prev, plkH, cur, clkH uint64) {
-	k := t.Load64(cur)
-	if k >= key {
-		if k == key {
-			t.Boundary(ridInsUpd)
-			insUpdate(env, t, val, cur, clkH, plkH)
-			return
-		}
-		t.Boundary(ridInsLink)
-		insLink(env, t, key, val, prev, plkH, cur, clkH)
-		return
-	}
-	t.Boundary(ridInsAdv)
-	t.Unlock(env.lockAt(plkH))
-	insScan(env, t, key, val, cur, clkH)
-}
-
-// insAdvResume re-executes the release-and-advance region: release prev
-// (a no-op if the crashed thread already had) and continue the scan from
-// cur, whose lock is held.
-func insAdvResume(env *Env, t persist.Thread, key, val, plkH, cur, clkH uint64) {
-	t.Unlock(env.lockAt(plkH))
-	insScan(env, t, key, val, cur, clkH)
-}
-
 // insUpdate is region ridInsUpd: overwrite the value, release both locks.
 func insUpdate(env *Env, t persist.Thread, val, cur, clkH, plkH uint64) {
 	t.Store64(cur+8, val)
@@ -230,18 +204,6 @@ func getScan(env *Env, t persist.Thread, key, prev, plkH uint64) (uint64, bool) 
 	}
 }
 
-func getCheckResume(env *Env, t persist.Thread, key, plkH, cur, clkH uint64) {
-	k := t.Load64(cur)
-	if k >= key {
-		t.Boundary(ridGetRel2)
-		getRel2(env, t, clkH, plkH)
-		return
-	}
-	t.Boundary(ridGetAdv)
-	t.Unlock(env.lockAt(plkH))
-	getScan(env, t, key, cur, clkH)
-}
-
 func getRel2(env *Env, t persist.Thread, clkH, plkH uint64) {
 	t.Unlock(env.lockAt(clkH))
 	getRel1(env, t, plkH)
@@ -259,16 +221,14 @@ func (l *List) Walk(f func(k, v uint64)) {
 	}
 }
 
+// registerList registers a resume entry for each list region a crash can
+// leave as recovery_pc, and no other. A list FASE publishes at its first
+// store, and a release before that publishes nothing: a Put first stores
+// in ridInsUpd, ridInsLink or ridInsApp, and a Get never stores. The scan,
+// check and advance regions and the Get's release region therefore never
+// resume; their boundaries still stage the live-ins the first publish
+// writes.
 func registerList(rr *persist.ResumeRegistry, env *Env) {
-	rr.Register(ridInsScan, func(t persist.Thread, rf []uint64) {
-		insScan(env, t, rf[0], rf[1], rf[2], rf[3])
-	})
-	rr.Register(ridInsCheck, func(t persist.Thread, rf []uint64) {
-		insCheckResume(env, t, rf[0], rf[1], rf[2], rf[3], rf[4], rf[5])
-	})
-	rr.Register(ridInsAdv, func(t persist.Thread, rf []uint64) {
-		insAdvResume(env, t, rf[0], rf[1], rf[3], rf[4], rf[5])
-	})
 	rr.Register(ridInsUpd, func(t persist.Thread, rf []uint64) {
 		insUpdate(env, t, rf[1], rf[4], rf[5], rf[3])
 	})
@@ -280,18 +240,5 @@ func registerList(rr *persist.ResumeRegistry, env *Env) {
 	})
 	rr.Register(ridInsRel2, func(t persist.Thread, rf []uint64) {
 		insRel2(env, t, rf[5], rf[3])
-	})
-	rr.Register(ridGetScan, func(t persist.Thread, rf []uint64) {
-		getScan(env, t, rf[0], rf[2], rf[3])
-	})
-	rr.Register(ridGetCheck, func(t persist.Thread, rf []uint64) {
-		getCheckResume(env, t, rf[0], rf[3], rf[4], rf[5])
-	})
-	rr.Register(ridGetAdv, func(t persist.Thread, rf []uint64) {
-		t.Unlock(env.lockAt(rf[3]))
-		getScan(env, t, rf[0], rf[4], rf[5])
-	})
-	rr.Register(ridGetRel2, func(t persist.Thread, rf []uint64) {
-		getRel2(env, t, rf[5], rf[3])
 	})
 }

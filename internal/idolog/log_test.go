@@ -385,3 +385,49 @@ func TestCorruptLogListIsRejected(t *testing.T) {
 		})
 	}
 }
+
+// TestRestoreFailureReleasesLocks: a lock slot naming a word that is not
+// a lock holder fails Recover's restore step with an error naming the
+// log. The locks the step had already re-acquired for the thread walked
+// before it are released, and nothing resumes.
+func TestRestoreFailureReleasesLocks(t *testing.T) {
+	reg := region.Create(1<<20, nvm.Config{})
+	lm := locks.NewManager(reg)
+	cell, err := reg.Alloc.Alloc(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logs [2]Log // logs[1] is created last, so it is walked first
+	var held [2]*locks.Lock
+	for i := range logs {
+		if held[i], err = lm.Create(); err != nil {
+			t.Fatal(err)
+		}
+		if err := logs[i].Create(reg, "test", i, 16, 8, 0, false); err != nil {
+			t.Fatal(err)
+		}
+		logs[i].Lock(held[i])
+		logs[i].Boundary(0x20)
+		logs[i].Store64(cell+uint64(i)*8, 1)
+	}
+	reg2, err := reg.Crash(nvm.CrashPersistAll, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &logs[0]
+	reg2.Dev.StoreNT(bad.addr+bad.slotOff(0), cell)
+	lm2 := locks.NewManager(reg2)
+	resumed := false
+	_, err = Recover(reg2, lm2, "test", func(id int, pc uint64) (*Log, func([]uint64), error) {
+		return &Log{}, func([]uint64) { resumed = true }, nil
+	})
+	if want := "restore of log " + hex(bad.addr); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want one containing %q", err, want)
+	}
+	if resumed {
+		t.Fatal("a FASE resumed after a failed restore")
+	}
+	if lk := lm2.ByHolder(held[1].Holder()); !lk.TryAcquire() {
+		t.Fatal("the lock re-acquired for the log walked first is still held after the failed restore")
+	}
+}

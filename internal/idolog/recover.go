@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/ido-nvm/ido/internal/locks"
@@ -20,10 +19,10 @@ import (
 // fresh thread of the runtime's own type, which Recover then opens on the
 // crashed log, and — for pc != 0 — the step that enters the interrupted
 // code and runs it to the end of its FASE: the jump to recovery_pc. The
-// step runs once every crashed thread's locks are re-acquired, with the
-// register file the log decodes to (nil for a raw log, whose runtime
-// reads its own record). An error means pc cannot be resumed; Recover
-// fails with it before any FASE resumes.
+// step runs on a goroutine of its own once every crashed thread's locks
+// are re-acquired, with the register file the log decodes to (nil for a
+// raw log, whose runtime reads its own record). An error means pc cannot
+// be resumed; Recover fails with it before any FASE resumes.
 //
 // The thread outlives recovery. Once Recover has returned nil, every
 // adopted log is idle — it was, or its resumed FASE has run to its end —
@@ -85,25 +84,33 @@ func (s *Spares[T]) Take(name string) (t T, ok bool) {
 // Handed records that the runtime has handed out a thread.
 func (s *Spares[T]) Handed() { s.handed = true }
 
-// Recover implements §III-C: walk the persistent log list, re-acquire each
-// interrupted thread's locks, barrier, hand each thread its register file,
-// and resume each interrupted region forward to the end of its FASE. Logs
-// with recovery_pc == 0 and live lock slots (the thread was in a FASE's
-// read-only prefix, or in the benign robbed-lock window between mutex
-// acquisition and the slot's record) are scrubbed. name is the runtime's,
-// for the audit and the trace rings.
+// Recover implements §III-C in three steps, with one recovery thread per
+// interrupted FASE. name is the runtime's, for the audit and the trace
+// rings.
+//
+//  1. Walk the persistent log list, adopting a thread per log. Logs with
+//     recovery_pc == 0 and live lock slots (the thread was in a FASE's
+//     read-only prefix, or in the benign robbed-lock window between mutex
+//     acquisition and the slot's record) are scrubbed.
+//  2. Restore, on the calling goroutine in walk order, each interrupted
+//     thread's lock slots, and re-acquire its locks: the barrier. Nothing
+//     has resumed and each lock was held by at most one crashed thread, so
+//     no acquire waits. A restore that fails other than by a crash
+//     releases every lock the step took.
+//  3. Resume each interrupted region forward to the end of its FASE on a
+//     goroutine of its own, and wait for them all: a resumed FASE may wait
+//     on a lock another one releases.
+//
+// A crash injected in any step surfaces as nvm.CrashSignal, re-raised once
+// every resume goroutine has stopped; any other failure is the first error
+// in walk order. With at most one interrupted FASE the device sees one
+// goroutine at a time, so a recovery-scoped crash budget names the same
+// event on every replay.
 func Recover(reg *region.Region, lm *locks.Manager, name string, adopt Adopt) (persist.RecoveryStats, error) {
 	start := time.Now()
 	dev := reg.Dev
 	attempt := dev.EnterRecovery()
 	defer dev.ExitRecovery()
-	// With a recovery-scoped crash budget armed, run the single-goroutine
-	// restore path: goroutine interleaving would make "the Nth device
-	// event of recovery" a different event on every run, and the chaos
-	// harness needs schedules to replay bit-for-bit. The serial path
-	// preserves the §III-C barrier by finishing every restore/re-acquire
-	// before the first resume.
-	serial := dev.RecoveryCrashArmed()
 	stats := persist.RecoveryStats{Attempt: attempt, Audit: &obs.RecoveryAudit{Runtime: name, Attempt: attempt}}
 	var rc *obs.Ring
 	if tr := dev.Tracer(); tr != nil {
@@ -119,105 +126,17 @@ func Recover(reg *region.Region, lm *locks.Manager, name string, adopt Adopt) (p
 		resume   func(rf []uint64)
 		locks    []uint64
 		acquired int // locks actually re-acquired (slot order)
+		crashed  bool
 		err      error
 	}
 	var work []*pending
 
-	// The re-acquire phase of each interrupted thread overlaps the serial
-	// log walk: as soon as a log entry is decoded, a goroutine reads that
-	// thread's lock slots and re-acquires its locks while the walk moves
-	// on to the next entry. The acq group is the §III-C barrier — every
-	// lock re-acquired before any thread resumes — and the gate
-	// additionally holds resumption until the walk has seen every log,
-	// preserving the all-threads-recovered-together contract. Each lock
-	// was held by at most one crashed thread, so the acquisitions cannot
-	// deadlock.
-	var acq, done sync.WaitGroup
-	gate := make(chan struct{})
-	var gateOnce sync.Once
-	openGate := func() { gateOnce.Do(func() { close(gate) }) }
-	var abort atomic.Bool
-
-	// A crash injected while this frame is driving the walk (or the
-	// serial restore) must not strand launched goroutines: they block on
-	// <-gate after their acq phase, and a panic that unwinds past this
-	// frame would leak them — and the locks they re-acquired — forever.
-	// Flag the abort, open the gate so they drain down the release path,
-	// and re-raise.
-	defer func() {
-		if r := recover(); r != nil {
-			abort.Store(true)
-			openGate()
-			done.Wait()
-			panic(r)
-		}
-	}()
-
-	// restore reads one interrupted thread's lock slots from its log and
-	// re-acquires its locks. Panics propagate to the caller (each call
-	// path wraps it per its own death semantics).
-	restore := func(w *pending) {
-		l := w.l
-		l.slots = l.loadSlots(w.bits)
-		for i, h := range l.slots {
-			if h != 0 {
-				l.bits |= 1 << uint(i)
-				w.locks = append(w.locks, h)
-			}
-		}
-		if len(w.locks) == 0 {
-			l.durableDepth = 1 // a programmer-delineated FASE was active
-		}
-		for _, h := range w.locks {
-			lm.ByHolder(h).Acquire()
-			w.acquired++
-			l.rc.Emit(obs.KLockAcq, h, 0)
-		}
-	}
-	// release drops the locks a failed/aborted thread actually grabbed so
-	// the manager is not left poisoned for the caller's next attempt.
-	// Only the first w.acquired were locked — a panic can land after
-	// w.locks is filled but before (or mid) the acquisition loop, and
-	// releasing a never-acquired lock would be a fatal
-	// unlock-of-unlocked-mutex.
-	release := func(w *pending) {
-		for _, h := range w.locks[:w.acquired] {
-			lm.ByHolder(h).Release()
-		}
-	}
-	resume := func(w *pending) { w.resume(w.rf) }
-	launch := func(w *pending) {
-		defer done.Done()
-		func() {
-			defer acq.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					w.err = fmt.Errorf("%s: restore of log %#x panicked: %v", name, w.l.addr, r)
-				}
-			}()
-			restore(w)
-		}()
-		<-gate
-		if abort.Load() || w.err != nil {
-			// The walk failed (or this restore did): nothing resumes.
-			release(w)
-			return
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				w.err = fmt.Errorf("%s: resume at pc %#x panicked: %v", name, w.pc, r)
-			}
-		}()
-		resume(w)
-	}
-
-	var walkErr error
 	list := walkList(reg)
 	for {
 		opened, ok, err := list.step()
 		if !ok {
 			if err != nil {
-				walkErr = fmt.Errorf("%s: %w", name, err)
+				return stats, fmt.Errorf("%s: %w", name, err)
 			}
 			break
 		}
@@ -231,9 +150,8 @@ func Recover(reg *region.Region, lm *locks.Manager, name string, adopt Adopt) (p
 		audit := obs.ThreadAudit{ThreadID: opened.id, LogAddr: p, Action: obs.AuditIdle, RecoveryPC: pc}
 		l, step, err := adopt(opened.id, pc)
 		if err != nil {
-			walkErr = err
 			stats.Audit.Add(audit)
-			break
+			return stats, err
 		}
 		*l = opened
 
@@ -268,9 +186,8 @@ func Recover(reg *region.Region, lm *locks.Manager, name string, adopt Adopt) (p
 				l.base = pcBase
 			}
 			if w.rf, _, err = l.decode(l.pairs, baseValid); err != nil {
-				walkErr = fmt.Errorf("%s: %w", name, err)
 				stats.Audit.Add(audit)
-				break
+				return stats, fmt.Errorf("%s: %w", name, err)
 			}
 			copy(l.rf, w.rf)
 			audit.Action = obs.AuditResumed
@@ -280,77 +197,86 @@ func Recover(reg *region.Region, lm *locks.Manager, name string, adopt Adopt) (p
 		stats.Audit.Add(audit)
 		w.ai = len(stats.Audit.Threads) - 1
 		work = append(work, w)
-		if !serial {
-			acq.Add(1)
-			done.Add(1)
-			go launch(w)
-		}
 	}
 	rc.Span(obs.KRecovery, obs.PhaseScan, stats.LogEntries, scanT0)
 
-	// guard runs one step of the deterministic serial path (restore every
-	// thread, then resume every thread, here, in walk order). An injected
-	// CrashSignal propagates — the crash kills recovery mid-flight and the
-	// harness settles and re-recovers; another panic is the step's error.
-	guard := func(label string, w *pending, step func(*pending)) bool {
+	// restore reads one interrupted thread's lock slots from its log and
+	// re-acquires its locks. An injected crash propagates; another panic
+	// (a slot naming no lock holder) is the restore's error.
+	restore := func(w *pending) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				if _, crash := r.(nvm.CrashSignal); crash {
 					panic(r)
 				}
-				w.err = fmt.Errorf("%s: %s panicked: %v", name, label, r)
+				err = fmt.Errorf("%s: restore of log %#x panicked: %v", name, w.l.addr, r)
 			}
 		}()
-		step(w)
-		return w.err == nil
-	}
-	firstErr := walkErr
-	if !serial {
-		acq.Wait()
-	} else if walkErr == nil {
-		for _, w := range work {
-			if !guard(fmt.Sprintf("restore of log %#x", w.l.addr), w, restore) {
-				firstErr = w.err
-				break
+		l := w.l
+		l.slots = l.loadSlots(w.bits)
+		for i, h := range l.slots {
+			if h != 0 {
+				l.bits |= 1 << uint(i)
+				w.locks = append(w.locks, h)
 			}
 		}
+		if len(w.locks) == 0 {
+			l.durableDepth = 1 // a programmer-delineated FASE was active
+		}
+		for _, h := range w.locks {
+			lm.ByHolder(h).Acquire()
+			w.acquired++
+			l.rc.Emit(obs.KLockAcq, h, 0)
+		}
+		return nil
 	}
-	// Fold what the restores found into the audit, in walk order: the
-	// slice is stable once the walk has finished, the locks final past the
-	// barrier. The re-acquire span starts at scanT0: restores overlap the walk.
+	acqT0 := rc.Clock()
 	var locksTotal uint64
-	for _, w := range work {
+	for i, w := range work {
+		if err := restore(w); err != nil {
+			// Only the first w.acquired of each thread's locks are held:
+			// releasing one never acquired is a fatal unlock of an
+			// unlocked mutex.
+			for _, w := range work[:i+1] {
+				for _, h := range w.locks[:w.acquired] {
+					lm.ByHolder(h).Release()
+				}
+			}
+			return stats, err
+		}
 		stats.Audit.Threads[w.ai].Locks = w.locks
 		locksTotal += uint64(len(w.locks))
 	}
-	rc.Span(obs.KRecovery, obs.PhaseReacquire, locksTotal, scanT0)
+	rc.Span(obs.KRecovery, obs.PhaseReacquire, locksTotal, acqT0)
+
 	resumeT0 := rc.Clock()
-	switch {
-	case !serial:
-		if walkErr != nil {
-			abort.Store(true) // launched threads release instead of resuming
-		}
-		openGate()
-		done.Wait()
-		for _, w := range work {
-			if firstErr == nil {
-				firstErr = w.err
-			}
-		}
-	case firstErr != nil:
-		for _, w := range work {
-			release(w)
-		}
-	default:
-		for _, w := range work {
-			if !guard(fmt.Sprintf("resume at pc %#x", w.pc), w, resume) {
-				firstErr = w.err
-				break
-			}
+	var wg sync.WaitGroup
+	for _, w := range work {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					if _, crash := r.(nvm.CrashSignal); crash {
+						w.crashed = true
+					} else {
+						w.err = fmt.Errorf("%s: resume at pc %#x panicked: %v", name, w.pc, r)
+					}
+				}
+			}()
+			w.resume(w.rf)
+		}()
+	}
+	wg.Wait()
+	for _, w := range work {
+		if w.crashed {
+			panic(nvm.CrashSignal{})
 		}
 	}
-	if firstErr != nil {
-		return stats, firstErr
+	for _, w := range work {
+		if w.err != nil {
+			return stats, w.err
+		}
 	}
 	rc.Span(obs.KRecovery, obs.PhaseResume, uint64(len(work)), resumeT0)
 	stats.Resumed = len(work)

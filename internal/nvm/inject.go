@@ -63,14 +63,6 @@ func (d *Device) ArmLocalCrash(n int64) { d.arm(n, scopeAll) }
 // recovery do not consume the budget. A negative n disarms.
 func (d *Device) ArmRecoveryCrash(n int64) { d.arm(n, scopeRecovery) }
 
-// RecoveryCrashArmed reports whether a live recovery-scoped budget is
-// armed. Recover implementations consult this to switch to their
-// deterministic serial restore path, so the n-th recovery event is the
-// same event on every replay.
-func (d *Device) RecoveryCrashArmed() bool {
-	return d.inj.armed.Load() && !d.inj.fired.Load() && d.inj.scope.Load() == scopeRecovery
-}
-
 // EnterRecovery marks a Recover pass over the device live and returns
 // its attempt index (0 for the device's first pass). Every Recover
 // implementation brackets itself with EnterRecovery/ExitRecovery so

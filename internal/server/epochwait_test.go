@@ -1,7 +1,6 @@
 package server
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
@@ -15,10 +14,11 @@ import (
 // TestFastGetWaitsOnEpoch drives the fast lane's odd-epoch wait
 // directly: the test goroutine holds a shard's epoch odd, as the
 // pipeline does while a mutating FASE is in flight, and a reader calls
-// fastGet on a stored key. If the epoch goes even while the reader
-// waits, the read succeeds after exactly one wait and no fallback; if
-// it stays odd (a writer that died mid-FASE), the reader gives up on
-// its own bound and falls back once.
+// fastGet on a stored key. If the epoch goes even once the reader has
+// begun to wait (the shard's onPark hook flips it there, so no schedule
+// can let the reader exhaust its bound first), the read succeeds after
+// exactly one wait and no fallback; if it stays odd (a writer that died
+// mid-FASE), the reader gives up on its own bound and falls back once.
 func TestFastGetWaitsOnEpoch(t *testing.T) {
 	setup := func(t *testing.T) (*shard, uint64, uint64) {
 		reg := region.Create(1<<22, nvm.Config{Size: 1 << 22})
@@ -61,12 +61,8 @@ func TestFastGetWaitsOnEpoch(t *testing.T) {
 	t.Run("write finishes", func(t *testing.T) {
 		sh, k0, k1 := setup(t)
 		sh.seq.Add(1) // a write in flight
-		got := read(sh, k0, k1)
-		for sh.fastParks.Load() == 0 {
-			runtime.Gosched()
-		}
-		sh.seq.Add(1) // the write finished while the reader waits
-		r := <-got
+		sh.onPark = func() { sh.seq.Add(1) } // it finishes once the reader waits
+		r := <-read(sh, k0, k1)
 		if !r.ok || !r.hit || r.v != 42 {
 			t.Fatalf("fastGet = (%d, hit %v, ok %v), want (42, true, true)", r.v, r.hit, r.ok)
 		}

@@ -91,8 +91,9 @@ type Config struct {
 	// builds a private collector over its own gauges alone.
 	Metrics *metrics.Collector
 	// MaxItems, when > 0, is the per-shard live-item watermark: after
-	// each mutating FASE the pipeline thread evicts (at most a couple
-	// per request, so writes stay bounded) while the shard exceeds it.
+	// each mutating FASE, before its reply is completed, the pipeline
+	// thread evicts (at most a couple per request, so writes stay
+	// bounded) while the shard exceeds it.
 	MaxItems int
 	// DisableFastReads forces every GET through the slot path,
 	// serializing reads behind writes on the shard pipelines. The slot
@@ -236,6 +237,10 @@ type shard struct {
 	fastFalls   atomic.Uint64
 	touches     atomic.Uint64
 	evictions   atomic.Uint64
+
+	// onPark, nil outside tests, runs when fastGet starts waiting on an
+	// odd epoch.
+	onPark func()
 }
 
 // Stats is a point-in-time counter snapshot.
@@ -682,6 +687,9 @@ func (sh *shard) serve(s *slot, mc bool) {
 	} else {
 		encodeRespReply(s)
 	}
+	if wr {
+		sh.maybeEvict()
+	}
 	if sh.ring != nil {
 		now := sh.ring.Clock()
 		sh.ring.Span(obs.KNetReq, uint64(s.op), uint64(sh.idx), s.ts)
@@ -708,15 +716,15 @@ func (sh *shard) serve(s *slot, mc bool) {
 	} else {
 		complete(s)
 	}
-	if wr {
-		sh.maybeEvict()
-	}
 }
 
-// maybeEvict enforces the size watermark after a mutating FASE: while
-// the shard holds more than MaxItems live items, evict — bounded per
-// request so one write never stalls behind a long eviction storm.
-// Evictions are writes, so they run inside their own seqlock sections.
+// maybeEvict enforces the size watermark after a mutating FASE and
+// before its reply is completed: while the shard holds more than
+// MaxItems live items, evict — bounded per request so one write never
+// stalls behind a long eviction storm. A write adds at most one item,
+// so a client never reads the shard above MaxItems once its reply is
+// out. Evictions are writes, so they run inside their own seqlock
+// sections.
 func (sh *shard) maybeEvict() {
 	max := sh.srv.cfg.MaxItems
 	if max <= 0 {
@@ -895,6 +903,9 @@ func (c *conn) fastGet(sh *shard, k0, k1 uint64) (v uint64, hit, ok bool) {
 		s1 := sh.seq.Load()
 		if s1&1 != 0 {
 			sh.fastParks.Add(1)
+			if sh.onPark != nil {
+				sh.onPark()
+			}
 			for i := 1; i <= epochSpin && sh.seq.Load() == s1; i++ {
 				if i&15 == 0 {
 					runtime.Gosched()
