@@ -1,7 +1,6 @@
 // Command idoserve runs the networked KV front end: the memcache text
 // protocol or RESP over the iDO failure-atomicity runtime, with requests
-// hashed to per-shard commit pipelines whose commit fences share the
-// device's drains.
+// hashed to per-shard commit pipelines.
 //
 // Usage:
 //
@@ -15,7 +14,7 @@
 //
 // The default mode listens on -addr and serves until SIGINT/SIGTERM,
 // then drains gracefully: in-flight FASEs finish, their responses
-// flush, a final fence drains, and the process exits
+// flush, a final fence runs, and the process exits
 // 0. With -load it instead drives the built-in load generator (the
 // Fig. 5c GET/SET/DELETE mix) and prints client throughput, latency
 // quantiles, and device fences per operation.
@@ -107,8 +106,7 @@ func main() {
 		tr = obs.New(obs.Config{ThreadRingCap: 1 << 12, DeviceRingCap: 1 << 13})
 	}
 
-	// Drain sharing is on, as in every benchmark workload's device.
-	cfg := nvm.Config{Size: *size, Tracer: tr, GroupCommit: nvm.GroupCommitConfig{Enabled: true}}
+	cfg := nvm.Config{Size: *size, Tracer: tr}
 	reg := region.Create(*size, cfg)
 
 	// The admin plane comes up before the store attaches so /readyz
@@ -289,8 +287,8 @@ func statsLogger(coll *metrics.Collector, every time.Duration, stop <-chan struc
 		case <-tick.C:
 			cur := coll.Snapshot()
 			metrics.Diff(prev, cur, &d)
-			fmt.Printf("stats: %8.0f req/s  fences/op %.2f  occupancy %.2f  p50 %v  p99 %v  depth %d  conns %d\n",
-				d.OpsPerSec, d.FencesPerOp, d.BatchOccupancy,
+			fmt.Printf("stats: %8.0f req/s  fences/op %.2f  p50 %v  p99 %v  depth %d  conns %d\n",
+				d.OpsPerSec, d.FencesPerOp,
 				time.Duration(d.ReqP50NS), time.Duration(d.ReqP99NS),
 				cur.Srv.Totals().QueueDepth, cur.Srv.ConnsOpen)
 			prev = cur
@@ -343,8 +341,7 @@ func runLoad(srv *server.Server, dev *nvm.Device, cfg loadgen.Config, targets st
 			res.Retries, res.Reconnects, res.Failovers, res.TimedOut)
 	}
 	if res.Ops > 0 && targets == "" {
-		fmt.Printf("fences %d  %.2f fences/op  %d covered by another thread's drain\n",
-			fences, float64(fences)/float64(res.Ops), dev.GroupCommitStats().Combined)
+		fmt.Printf("fences %d  %.2f fences/op\n", fences, float64(fences)/float64(res.Ops))
 	}
 }
 

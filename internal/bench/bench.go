@@ -143,8 +143,7 @@ type world struct {
 	rt  persist.Runtime
 }
 
-// newWorld builds one universe over the figure cost model. Its device
-// fences directly (no drain sharing), as in the committed idobench.out.
+// newWorld builds one universe over the figure cost model.
 func newWorld(o Options, mk func() persist.Runtime, extraNS int) (*world, error) {
 	cfg := nvmConfig(o.DeviceBytes, extraNS)
 	cfg.Tracer = o.Tracer // attach at birth so trace counts equal device stats

@@ -60,7 +60,7 @@ type cacheDriver struct {
 func (d *cacheDriver) dev() *nvm.Device { return d.reg.Dev }
 
 func (d *cacheDriver) prepare(seed int64) error {
-	d.reg = region.Create(1<<20, d.s.nvmConfig())
+	d.reg = region.Create(1<<20, nvm.Config{})
 	d.lm = locks.NewManager(d.reg)
 	d.rt = d.mk()
 	if err := d.rt.Attach(d.reg, d.lm); err != nil {

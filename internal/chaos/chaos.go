@@ -246,25 +246,12 @@ type heapAuditor interface {
 	heap() (reg *region.Region, reach []uint64, err error)
 }
 
-// Runtimes lists the runtime names Run accepts, native first. "ido-gc"
-// is ido over a device with drain sharing enabled. Schedules are
-// single-threaded and a lone committer shares nothing, so it must walk
-// exactly ido's event sequence: one variant pins that (on any runtime
-// the device sees the same calls, only the config bit differs).
+// Runtimes lists the runtime names Run accepts, native first.
 func Runtimes() []string {
 	return []string{
 		"ido", "atlas", "mnemosyne", "nvthreads", "nvml", "justdo", "origin",
-		"ido-gc",
 		"vm-ido", "vm-justdo", "vm-origin",
 	}
-}
-
-// gcRuntime is the one drain-sharing variant.
-const gcRuntime = "ido-gc"
-
-// nvmConfig is the device config of a native schedule.
-func (s Schedule) nvmConfig() nvm.Config {
-	return nvm.Config{GroupCommit: nvm.GroupCommitConfig{Enabled: s.Runtime == gcRuntime}}
 }
 
 func newDriver(s Schedule) (driver, caps, error) {

@@ -337,67 +337,6 @@ func TestNVThreadsCommitSelfClobber(t *testing.T) {
 	}
 }
 
-// TestGroupCommitDenseDiscard walks EVERY forward event of the counter
-// workload on the drain-sharing device under the discard adversary (the
-// strongest — anything not covered by a completed drain is lost). A
-// divergence from the persist-all oracle or a counter outside the
-// bounded deficit fails the Run. -short strides.
-func TestGroupCommitDenseDiscard(t *testing.T) {
-	base := Schedule{Runtime: gcRuntime, Workload: "counter", Mode: nvm.CrashDiscard, Seed: 1}
-	stride := int64(pick(1, 11))
-	t.Run(base.Runtime, func(t *testing.T) {
-		k, err := ForwardEvents(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for f := int64(1); f < k; f += stride {
-			s := base
-			s.Forward = f
-			if _, err := Run(s); err != nil {
-				t.Fatalf("replay with: idorecover -chaos -replay '%s': %v", s, err)
-			}
-		}
-		t.Logf("covered forward 1..%d stride %d", k-1, stride)
-	})
-}
-
-// TestGroupCommitMatchesDirectObservables: a lone committer shares no
-// drain, so drain sharing adds no crash point — ido-gc has exactly as
-// many forward events as ido, and crashing the two at the same event
-// under the discard adversary recovers the same observables.
-func TestGroupCommitMatchesDirectObservables(t *testing.T) {
-	for _, wl := range []string{"counter", "cachemix"} {
-		direct := Schedule{Runtime: "ido", Workload: wl, Seed: 1}
-		gc := Schedule{Runtime: gcRuntime, Workload: wl, Seed: 1}
-		kd, err := ForwardEvents(direct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kg, err := ForwardEvents(gc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kd != kg {
-			t.Fatalf("%s: %d forward events direct, %d with drain sharing", wl, kd, kg)
-		}
-		direct.Mode, gc.Mode = nvm.CrashDiscard, nvm.CrashDiscard
-		for f := int64(1); f < kd; f += int64(pick(5, 23)) {
-			direct.Forward, gc.Forward = f, f
-			rd, err := Run(direct)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rg, err := Run(gc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(rd.Final, rg.Final) {
-				t.Fatalf("%s crash at %d: direct recovers %v, shared %v", wl, f, rd.Final, rg.Final)
-			}
-		}
-	}
-}
-
 // TestRunRejectsUnsupportedMode: runtimes without recovery are only
 // comparable to the oracle under persist-all.
 func TestRunRejectsUnsupportedMode(t *testing.T) {

@@ -69,7 +69,7 @@ type compactDriver struct {
 func (d *compactDriver) dev() *nvm.Device { return d.reg.Dev }
 
 func (d *compactDriver) prepare(seed int64) error {
-	d.reg = region.Create(1<<16, d.s.nvmConfig())
+	d.reg = region.Create(1<<16, nvm.Config{})
 	d.lm = locks.NewManager(d.reg)
 	d.rt = d.mk()
 	if err := d.rt.Attach(d.reg, d.lm); err != nil {

@@ -56,11 +56,7 @@ type nativeDriver struct {
 }
 
 func newNativeDriver(s Schedule) (driver, caps, error) {
-	base := s.Runtime
-	if base == gcRuntime {
-		base = "ido"
-	}
-	mk, c, err := nativeRuntime(base)
+	mk, c, err := nativeRuntime(s.Runtime)
 	if err != nil {
 		return nil, caps{}, err
 	}
@@ -72,7 +68,7 @@ func newNativeDriver(s Schedule) (driver, caps, error) {
 		// (or wholly discards) the in-flight FASE: a torn chain unlink is
 		// a structural invariant violation, not a bounded counter deficit,
 		// so the no-recovery and cached-truncation runtimes are out.
-		switch base {
+		switch s.Runtime {
 		case "ido", "mnemosyne", "nvthreads":
 		default:
 			return nil, caps{}, fmt.Errorf("chaos: runtime %s: workload \"cachemix\" needs FASE-exact recovery (supported on ido|mnemosyne|nvthreads)", s.Runtime)
@@ -81,15 +77,15 @@ func newNativeDriver(s Schedule) (driver, caps, error) {
 	case "compact":
 		// One FASE that overflows the iDO log's record area twice: only
 		// iDO has a record area to compact.
-		if base != "ido" {
-			return nil, caps{}, fmt.Errorf("chaos: runtime %s: workload \"compact\" exercises the iDO log (supported on ido|ido-gc)", s.Runtime)
+		if s.Runtime != "ido" {
+			return nil, caps{}, fmt.Errorf("chaos: runtime %s: workload \"compact\" exercises the iDO log (supported on ido)", s.Runtime)
 		}
 		return &compactDriver{s: s, mk: mk}, c, nil
 	case "prefix":
 		// A long store-free FASE prefix and a read-only FASE: only iDO
 		// publishes lazily, and only its lock slots can be left stale.
-		if base != "ido" {
-			return nil, caps{}, fmt.Errorf("chaos: runtime %s: workload \"prefix\" exercises the iDO log (supported on ido|ido-gc)", s.Runtime)
+		if s.Runtime != "ido" {
+			return nil, caps{}, fmt.Errorf("chaos: runtime %s: workload \"prefix\" exercises the iDO log (supported on ido)", s.Runtime)
 		}
 		return &prefixDriver{s: s, mk: mk}, c, nil
 	}
@@ -138,7 +134,7 @@ func nativeRuntime(name string) (func() persist.Runtime, caps, error) {
 func (d *nativeDriver) dev() *nvm.Device { return d.reg.Dev }
 
 func (d *nativeDriver) prepare(seed int64) error {
-	d.reg = region.Create(1<<20, d.s.nvmConfig())
+	d.reg = region.Create(1<<20, nvm.Config{})
 	d.lm = locks.NewManager(d.reg)
 	d.rt = d.mk()
 	if err := d.rt.Attach(d.reg, d.lm); err != nil {

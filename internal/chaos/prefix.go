@@ -75,7 +75,7 @@ type prefixDriver struct {
 func (d *prefixDriver) dev() *nvm.Device { return d.reg.Dev }
 
 func (d *prefixDriver) prepare(seed int64) error {
-	d.reg = region.Create(1<<16, d.s.nvmConfig())
+	d.reg = region.Create(1<<16, nvm.Config{})
 	d.lm = locks.NewManager(d.reg)
 	d.rt = d.mk()
 	if err := d.rt.Attach(d.reg, d.lm); err != nil {

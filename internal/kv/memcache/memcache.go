@@ -482,40 +482,26 @@ func (c *Cache) Count() uint64 { return c.env.Reg.Dev.Load64(c.tbl + tCount) }
 
 // Register installs the cache's resume entries. The register slots carry
 // every address a resumed region needs, so one registration serves all
-// caches in the region.
+// caches in the region. A FASE publishes recovery_pc at its first store,
+// so only a region that stores can be resumed: the store-only regions
+// below. The entry regions after the lock and the miss paths that only
+// release never store, so no crash can leave one as recovery_pc; their
+// boundaries still stage the live-ins the first publish writes.
 func Register(rr *persist.ResumeRegistry, env *Env) {
-	rr.Register(ridSetEntry, func(t persist.Thread, rf []uint64) {
-		setEntry(env, t, rf[0], rf[1], rf[2], rf[3])
-	})
 	rr.Register(ridPush2, func(t persist.Thread, rf []uint64) {
 		setUpdate(env, t, rf[0], rf[3], rf[4], rf[5], rf[6], rf[7], rf[9])
 	})
 	rr.Register(ridSetIns2, func(t persist.Thread, rf []uint64) {
 		setInsert(env, t, rf[0], rf[1], rf[2], rf[3], rf[4], rf[5], rf[6], rf[7], rf[8], rf[9])
 	})
-	rr.Register(ridGetEntry, func(t persist.Thread, rf []uint64) {
-		getEntry(env, t, rf[0], rf[1], rf[2])
-	})
 	rr.Register(ridGetRel, func(t persist.Thread, rf []uint64) {
 		getRel(env, t, rf[0], rf[4], rf[7], rf[9], rf[10])
-	})
-	rr.Register(ridDelEntry, func(t persist.Thread, rf []uint64) {
-		delEntry(env, t, rf[0], rf[1], rf[2])
 	})
 	rr.Register(ridDelChain, func(t persist.Thread, rf []uint64) {
 		delChain(env, t, rf[0], rf[4], rf[5], rf[6], rf[7], rf[8], rf[9], rf[10])
 	})
-	rr.Register(ridEvEntry, func(t persist.Thread, rf []uint64) {
-		evEntry(env, t, rf[0])
-	})
-	rr.Register(ridIncrEnt, func(t persist.Thread, rf []uint64) {
-		incrEntry(env, t, rf[0], rf[1], rf[2], rf[3], rf[10])
-	})
 	rr.Register(ridIncrUpd, func(t persist.Thread, rf []uint64) {
 		incrUpd(env, t, rf[0], rf[4], rf[3])
-	})
-	rr.Register(ridTouchEnt, func(t persist.Thread, rf []uint64) {
-		touchEntry(env, t, rf[0], rf[1], rf[2], rf[3], rf[5])
 	})
 	rr.Register(ridTouchRel, func(t persist.Thread, rf []uint64) {
 		touchRel(env, t, rf[0], rf[4], rf[7], rf[9])

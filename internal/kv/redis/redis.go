@@ -316,27 +316,19 @@ func (d *DB) EvictOne(t persist.Thread) bool {
 // single-threaded by design).
 func (d *DB) Count() uint64 { return d.env.Reg.Dev.Load64(d.tbl + tCount) }
 
-// Register installs the store's resume entries.
+// Register installs the store's resume entries: one per store-only
+// region. A FASE publishes recovery_pc at its first store, and the entry
+// regions and a DEL miss's ridEnd never store, so no crash can leave one
+// of them as recovery_pc; their boundaries still stage the live-ins the
+// first publish writes.
 func Register(rr *persist.ResumeRegistry, env *Env) {
-	rr.Register(ridSetEntry, func(t persist.Thread, rf []uint64) {
-		setEntry(env, t, rf[0], rf[1], rf[2])
-	})
 	rr.Register(ridSetUpd, func(t persist.Thread, rf []uint64) {
 		setUpdate(env, t, rf[0], rf[3], rf[2], rf[7])
 	})
 	rr.Register(ridSetIns2, func(t persist.Thread, rf []uint64) {
 		setInsert(env, t, rf[0], rf[1], rf[2], rf[3], rf[5], rf[6], rf[7], rf[8])
 	})
-	rr.Register(ridEnd, func(t persist.Thread, rf []uint64) {
-		end(env, t)
-	})
-	rr.Register(ridDelEntry, func(t persist.Thread, rf []uint64) {
-		delEntry(env, t, rf[0], rf[1])
-	})
 	rr.Register(ridDelChain, func(t persist.Thread, rf []uint64) {
 		delChain(env, t, rf[0], rf[4], rf[5], rf[6], rf[7])
-	})
-	rr.Register(ridIncrEnt, func(t persist.Thread, rf []uint64) {
-		incrEntry(env, t, rf[0], rf[1], rf[2])
 	})
 }

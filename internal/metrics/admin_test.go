@@ -123,9 +123,7 @@ func promValue(t testing.TB, body, series string) uint64 {
 }
 
 func TestMetricsReconcile(t *testing.T) {
-	w := newAdminWorld(t, nvm.Config{
-		GroupCommit: nvm.GroupCommitConfig{Enabled: true},
-	})
+	w := newAdminWorld(t, nvm.Config{})
 	res := w.load(t, 400)
 	if res.Ops == 0 {
 		t.Fatalf("no ops served")
@@ -169,11 +167,6 @@ func TestMetricsReconcile(t *testing.T) {
 		t.Errorf("hits/misses %d/%d != client-observed %d/%d", hits, misses, res.Hits, res.Misses)
 	}
 
-	// Group commit was enabled: its drains show up.
-	if promValue(t, body, "ido_gc_epochs_total") == 0 {
-		t.Errorf("group commit enabled but no drain scraped")
-	}
-
 	// Latency histogram framing: one +Inf bucket, count == sum of events.
 	if n := strings.Count(body, `ido_req_latency_ns_bucket{le="+Inf"}`); n != 1 {
 		t.Errorf("want exactly one +Inf bucket for ido_req_latency_ns, got %d", n)
@@ -210,9 +203,7 @@ func TestHealthTransitionsAcrossCrash(t *testing.T) {
 	}
 	pre.Close()
 
-	w := newAdminWorld(t, nvm.Config{
-		GroupCommit: nvm.GroupCommitConfig{Enabled: true},
-	})
+	w := newAdminWorld(t, nvm.Config{})
 	w.reg.Dev.ArmLocalCrash(1 << 60)
 	defer w.reg.Dev.ArmLocalCrash(-1)
 	if st, body := get(t, w.admin.URL+"/readyz"); st != http.StatusOK || !strings.Contains(body, "serving") {

@@ -1,11 +1,10 @@
 // Package metrics is the introspection plane over the serving stack: a
 // lock-free snapshot/delta layer that turns the cumulative counters the
 // hot paths already maintain — obs.Tracer event counts and histograms,
-// nvm.Device persist-event stats, drain-sharing gauges, and the
-// server's per-shard pipeline gauges — into one coherent Snapshot that
-// renders as Prometheus text, memcache `stats`, RESP `INFO`, or JSON,
-// and diffs into interval rates (req/s, fences/op, batch occupancy,
-// latency quantiles).
+// nvm.Device persist-event stats and the server's per-shard pipeline
+// gauges — into one coherent Snapshot that renders as Prometheus text,
+// memcache `stats`, RESP `INFO`, or JSON, and diffs into interval rates
+// (req/s, fences/op, latency quantiles).
 //
 // The design constraint is the same one the tracer lives under: the
 // serve path stays 0 allocs/op. Producers never do metrics work beyond
@@ -137,7 +136,6 @@ type Snapshot struct {
 	UptimeNS int64
 
 	Dev  nvm.Stats
-	GC   nvm.GCStats
 	Obs  obs.State
 	Srv  ServerStats
 	Repl ReplStats
@@ -176,10 +174,8 @@ func (c *Collector) Read(s *Snapshot) {
 	c.Tracer.ReadState(&s.Obs)
 	if c.Dev != nil {
 		s.Dev = c.Dev.Stats()
-		s.GC = c.Dev.GroupCommitStats()
 	} else {
 		s.Dev = nvm.Stats{}
-		s.GC = nvm.GCStats{}
 	}
 	if c.Src != nil {
 		c.Src.MetricsSnapshot(&s.Srv)
@@ -215,11 +211,6 @@ type Delta struct {
 	FlushesPerOp float64 // device write-backs per request
 	NTPerOp      float64 // non-temporal stores per request
 
-	// BatchOccupancy is fences completed per drain performed over the
-	// window (nvm drain sharing) — 0 when no drain completed, 1 when
-	// no fence was ever covered by another thread's drain.
-	BatchOccupancy float64
-
 	// Request latency quantiles over the window, from the HReqLatency
 	// log2 buckets (bucket upper bounds, so within 2x).
 	ReqP50NS  uint64
@@ -248,9 +239,6 @@ func Diff(prev, cur *Snapshot, d *Delta) {
 		d.FencesPerOp = float64(sub(cur.Dev.Fences, prev.Dev.Fences)) / float64(ops)
 		d.FlushesPerOp = float64(sub(cur.Dev.Flushes, prev.Dev.Flushes)) / float64(ops)
 		d.NTPerOp = float64(sub(cur.Dev.NTStores, prev.Dev.NTStores)) / float64(ops)
-	}
-	if drains := sub(cur.GC.Epochs, prev.GC.Epochs); drains > 0 {
-		d.BatchOccupancy = float64(sub(cur.GC.ServedFASEs, prev.GC.ServedFASEs)) / float64(drains)
 	}
 	lat := cur.Obs.Hists[obs.HReqLatency].Sub(&prev.Obs.Hists[obs.HReqLatency])
 	d.ReqP50NS = lat.Quantile(0.50)

@@ -49,17 +49,11 @@ func WritePrometheus(w io.Writer, cur *Snapshot, d *Delta) {
 	gaugeF("ido_uptime_seconds", "Seconds since the collector started.", float64(cur.UptimeNS)/1e9)
 
 	// Device persist events — the paper's currency.
-	counter("ido_fences_total", "Persist fences drained by the NVM device.", cur.Dev.Fences)
+	counter("ido_fences_total", "Persist fences issued to the NVM device.", cur.Dev.Fences)
 	counter("ido_flushes_total", "Cache-line write-backs (CLWB) issued.", cur.Dev.Flushes)
 	counter("ido_nt_stores_total", "Non-temporal stores issued.", cur.Dev.NTStores)
 	counter("ido_evictions_total", "Spontaneous cache evictions written back.", cur.Dev.Evictions)
 	counter("ido_device_crashes_total", "Device crashes settled.", cur.Dev.Crashes)
-
-	// Group commit (drain sharing).
-	counter("ido_gc_epochs_total", "Fence drains performed with drain sharing on.", cur.GC.Epochs)
-	counter("ido_gc_solo_commits_total", "Drains that found the fence token free on arrival.", cur.GC.Solo)
-	counter("ido_gc_combined_commits_total", "Fences covered by another thread's drain.", cur.GC.Combined)
-	counter("ido_gc_served_fases_total", "Fences completed, drained or covered.", cur.GC.ServedFASEs)
 
 	// Front end.
 	counter("ido_server_requests_total", "Requests completed by the server.", cur.Srv.Reqs)
@@ -135,7 +129,6 @@ func WritePrometheus(w io.Writer, cur *Snapshot, d *Delta) {
 		gaugeF("ido_requests_per_second", "Request rate over the last scrape interval.", d.OpsPerSec)
 		gaugeF("ido_fences_per_op", "Device fences per request over the last scrape interval.", d.FencesPerOp)
 		gaugeF("ido_flushes_per_op", "Cache-line write-backs per request over the last scrape interval.", d.FlushesPerOp)
-		gaugeF("ido_gc_batch_occupancy", "Fences completed per drain over the last scrape interval.", d.BatchOccupancy)
 		fmt.Fprintf(w, "# HELP ido_req_latency_interval_ns Request latency quantiles over the last scrape interval.\n# TYPE ido_req_latency_interval_ns gauge\n")
 		fmt.Fprintf(w, "ido_req_latency_interval_ns{quantile=\"0.5\"} %d\n", d.ReqP50NS)
 		fmt.Fprintf(w, "ido_req_latency_interval_ns{quantile=\"0.99\"} %d\n", d.ReqP99NS)

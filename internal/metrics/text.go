@@ -64,8 +64,6 @@ func AppendMemcacheStats(b []byte, s *Snapshot) []byte {
 	if s.Srv.Reqs > 0 {
 		b = appendStatF(b, "ido_fences_per_op", float64(s.Dev.Fences)/float64(s.Srv.Reqs))
 	}
-	b = appendStat(b, "ido_gc_epochs", s.GC.Epochs)
-	b = appendStat(b, "ido_gc_combined", s.GC.Combined)
 	lat := &s.Obs.Hists[obs.HReqLatency]
 	b = appendStat(b, "ido_req_p50_ns", lat.Quantile(0.50))
 	b = appendStat(b, "ido_req_p99_ns", lat.Quantile(0.99))
@@ -138,8 +136,6 @@ func appendInfoPayload(b []byte, s *Snapshot) []byte {
 	if s.Srv.Reqs > 0 {
 		b = appendInfoF(b, "ido_fences_per_op", float64(s.Dev.Fences)/float64(s.Srv.Reqs))
 	}
-	b = appendInfo(b, "ido_gc_epochs", s.GC.Epochs)
-	b = appendInfo(b, "ido_gc_combined", s.GC.Combined)
 	b = append(b, "# Replication\r\n"...)
 	switch s.Repl.Role {
 	case ReplRolePrimary:

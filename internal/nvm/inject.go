@@ -5,8 +5,8 @@ import "sync/atomic"
 // Crash injection: a device counts its memory events and, when an armed
 // budget is exhausted, panics with CrashSignal in whichever goroutine
 // issued the event — and in every other goroutine at its next access to
-// the device or crash-aware spin on it (a line lock, the fence token, a
-// locks.Lock of a manager over the device). This is the simulation's
+// the device or crash-aware spin on it (a line lock or a locks.Lock of
+// a manager over the device). This is the simulation's
 // power failure of one persistence domain: every user of the device
 // dies, volatile state is abandoned, and the harness then calls Crash to
 // settle the domain and reattaches. The budget belongs to the device, so

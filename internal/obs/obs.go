@@ -94,10 +94,6 @@ const (
 	// segment tail or a fresh segment. A = class block size, B = blocks
 	// carved.
 	KRefill
-	// KFenceCombined is one persist fence that returned on another
-	// thread's drain instead of draining itself (nvm drain sharing).
-	// A = the earliest drain that could cover it.
-	KFenceCombined
 	// KNetReq is one served network request (parse → shard dispatch →
 	// respond), emitted as a span by the owning shard pipeline.
 	// A = request opcode, B = shard index.
@@ -153,8 +149,6 @@ func (k Kind) String() string {
 		return "free"
 	case KRefill:
 		return "refill"
-	case KFenceCombined:
-		return "fence-combined"
 	case KNetReq:
 		return "net-req"
 	case KNetBatch:

@@ -16,7 +16,7 @@ import (
 // independent FASE domain: the server binds shard i to exactly one
 // persist.Thread, and only that thread's pipeline goroutine ever executes
 // operations on it, so shards commit concurrently without contending on
-// store locks — they meet only at the device's fence token. Keys are
+// store locks — they meet only where their cache lines do. Keys are
 // pre-encoded into the two fixed words the parsers produce (RESP uses
 // only k0).
 type Store interface {

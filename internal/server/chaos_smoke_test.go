@@ -47,8 +47,7 @@ func TestServerCrashMidServe(t *testing.T) {
 func TestServerCrashUnderFastReads(t *testing.T) {
 	const shards = 4
 	devcfg := nvm.Config{
-		Size:        1 << 22,
-		GroupCommit: nvm.GroupCommitConfig{Enabled: true},
+		Size: 1 << 22,
 	}
 	reg := region.Create(1<<22, devcfg)
 	reg.Dev.ArmLocalCrash(400_000)
@@ -220,8 +219,7 @@ func dialer2(srv *server.Server) func() (net.Conn, error) {
 func runCrashMidServe(t *testing.T, proto server.Proto) {
 	const shards = 4
 	devcfg := nvm.Config{
-		Size:        1 << 22,
-		GroupCommit: nvm.GroupCommitConfig{Enabled: true},
+		Size: 1 << 22,
 	}
 	// Arm before anything else runs so every lock waiter takes the
 	// crash-aware spin path; the budget is far beyond reach, the actual

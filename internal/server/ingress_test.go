@@ -108,8 +108,7 @@ func TestIdleTimeoutKicksIdleConn(t *testing.T) {
 // the store re-servable by a fresh front end.
 func TestDrainMidLoad(t *testing.T) {
 	w := newWorld(t, server.ProtoMemcache, 4, nvm.Config{
-		Size:        1 << 22,
-		GroupCommit: nvm.GroupCommitConfig{Enabled: true},
+		Size: 1 << 22,
 	}, nil)
 
 	type out struct {

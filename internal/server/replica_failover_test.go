@@ -34,8 +34,7 @@ func newReplWorld(t *testing.T, shards int) *replWorld {
 	t.Helper()
 	w := &replWorld{}
 	w.reg = region.Create(1<<22, nvm.Config{
-		Size:        1 << 22,
-		GroupCommit: nvm.GroupCommitConfig{Enabled: true},
+		Size: 1 << 22,
 	})
 	w.lm = locks.NewManager(w.reg)
 	w.rt = core.New(core.DefaultConfig())

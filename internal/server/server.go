@@ -1,18 +1,16 @@
 // Package server is the networked front end over the paper's Fig. 5
 // key-value runtimes: a memcache-text-protocol server backed by
-// kv/memcache and a RESP server backed by kv/redis, both riding the
-// device's shared fence drains.
+// kv/memcache and a RESP server backed by kv/redis.
 //
 // The shape is the whole point. Per-connection reader goroutines parse
 // zero-copy frames and hash each request to one of N shard pipelines; a
 // shard pipeline is a single goroutine owning one persist.Thread and one
 // store shard, executing FASEs back-to-back. Under load every shard has
-// a request in hand, so N commit streams hit Fence
-// concurrently — exactly the overlap drain sharing turns into one
-// device drain for several commits. Responses complete out of order
-// across shards but are emitted in arrival order per connection through
-// a fixed slot ring, and a per-connection writer batches however many
-// responses are ready into one socket write.
+// a request in hand, so N commit streams fence concurrently, each paying
+// for its own fence as one core's sfence would. Responses complete out
+// of order across shards but are emitted in arrival order per connection
+// through a fixed slot ring, and a per-connection writer batches however
+// many responses are ready into one socket write.
 //
 // GETs skip the pipeline when they can: the reader walks the store
 // device-direct under its shard's seqlock epoch, and on an odd epoch (a
@@ -486,9 +484,8 @@ func (srv *Server) Close() error {
 // Drain is the graceful shutdown path: stop accepting, nudge every
 // connection's reader off its blocking Read, and wait (up to timeout)
 // for in-flight FASEs to finish and their responses to flush before
-// tearing the process down. The final fence publishes whatever the last
-// group-commit epoch still held. Safe to call once; Close after Drain
-// only joins.
+// tearing the process down. A final fence orders every write-back
+// issued before it. Safe to call once; Close after Drain only joins.
 func (srv *Server) Drain(timeout time.Duration) error {
 	srv.draining.Store(true)
 	srv.mu.Lock()
@@ -517,8 +514,7 @@ func (srv *Server) Drain(timeout time.Duration) error {
 	}
 	srv.shutdown()
 	srv.wg.Wait()
-	// Flush the final group-commit epoch so the store image is durable
-	// at exit.
+	// Order every write-back issued so far before exit.
 	srv.store.Device().Fence()
 	if left > 0 {
 		return fmt.Errorf("server: drain timed out with %d connections open", left)

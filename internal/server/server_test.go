@@ -286,7 +286,7 @@ func TestServerHammer16(t *testing.T) {
 		proto := proto
 		t.Run(proto.String(), func(t *testing.T) {
 			tr := obs.New(obs.Config{})
-			w := newWorld(t, proto, 8, nvm.Config{Size: 1 << 22, GroupCommit: nvm.GroupCommitConfig{Enabled: true}}, tr)
+			w := newWorld(t, proto, 8, nvm.Config{Size: 1 << 22}, tr)
 			lp := loadgen.ProtoMemcache
 			if proto == server.ProtoRESP {
 				lp = loadgen.ProtoRESP

@@ -65,7 +65,6 @@ var mcStatOrder = []string{
 	"ido_fast_fallbacks", "ido_touch_fases",
 	"ido_fences", "ido_flushes", "ido_nt_stores", "ido_crashes",
 	"ido_fences_per_op",
-	"ido_gc_epochs", "ido_gc_combined",
 	"ido_req_p50_ns", "ido_req_p99_ns",
 	"ido_repl_role", "ido_repl_attached", "ido_repl_records",
 	"ido_repl_bytes", "ido_repl_acked", "ido_repl_degraded",
