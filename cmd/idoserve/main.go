@@ -258,7 +258,7 @@ func main() {
 		fmt.Println("idoserve: interrupt, draining")
 		health.Set(false, "draining")
 		err := srv.Drain(*draintimeout)
-		st := srv.Stats()
+		st := coll.Snapshot().Srv
 		fmt.Printf("idoserve: served %d requests in %d write batches\n", st.Reqs, st.Batches)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "idoserve: drain: %v\n", err)
@@ -269,7 +269,7 @@ func main() {
 	if err := srv.Serve(ln); err != nil && err != server.ErrServerClosed {
 		fatalf("serve: %v", err)
 	}
-	st := srv.Stats()
+	st := coll.Snapshot().Srv
 	fmt.Printf("idoserve: served %d requests in %d write batches\n", st.Reqs, st.Batches)
 }
 

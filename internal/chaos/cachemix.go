@@ -121,61 +121,38 @@ func (d *cacheDriver) recover() (persist.RecoveryStats, error) {
 	return d.rt.Recover(rr)
 }
 
-// Table/item field offsets, mirrored from the memcache layout for the
-// raw-device walks below (the driver inspects the image directly, like
-// a recovery auditor, rather than through cache FASEs).
-const (
-	cTLRUHead = 16
-	cTLRUTail = 24
-	cTCount   = 32
-	cTCmdGet  = 40
-	cTCmdSet  = 48
-	cTHits    = 56
-	cTArray   = 64
-	cIK0      = 0
-	cIK1      = 8
-	cIVal     = 16
-	cIHNext   = 24
-	cILPrev   = 32
-	cILNext   = 40
-)
-
 // walkChains visits every item of every bucket chain, first pinning the
-// bucket count to the driver's known geometry (the exported walker only
+// bucket count to the driver's known geometry (memcache's walker only
 // bounds-checks it).
 func (d *cacheDriver) walkChains(fn func(item uint64) error) error {
-	if n := d.reg.Dev.Load64(d.tbl + 8); n != cacheBuckets {
+	if n := memcache.ReadHeader(d.reg.Dev, d.tbl).Buckets; n != cacheBuckets {
 		return fmt.Errorf("cache header: %d buckets, want %d", n, cacheBuckets)
 	}
-	return WalkCacheChains(d.reg.Dev, d.tbl, fn)
+	return memcache.WalkCacheChains(d.reg.Dev, d.tbl, fn)
 }
 
 func (d *cacheDriver) observe() (map[string]uint64, error) {
-	dev := d.reg.Dev
-	out := map[string]uint64{
-		"count": dev.Load64(d.tbl + cTCount),
-		"sets":  dev.Load64(d.tbl + cTCmdSet),
-		"gets":  dev.Load64(d.tbl + cTCmdGet),
-		"hits":  dev.Load64(d.tbl + cTHits),
-	}
+	h := memcache.ReadHeader(d.reg.Dev, d.tbl)
+	out := map[string]uint64{"count": h.Count, "sets": h.CmdSet, "gets": h.CmdGet, "hits": h.Hits}
 	err := d.walkChains(func(item uint64) error {
-		out[fmt.Sprintf("k%d", dev.Load64(item+cIK0))] = dev.Load64(item + cIVal)
+		k0, _, v := memcache.ReadItem(d.reg.Dev, item)
+		out[fmt.Sprintf("k%d", k0)] = v
 		return nil
 	})
 	return out, err
 }
 
 // invariants checks the structural contract every completed recovery
-// must restore (see CheckCacheImage), after pinning the geometry.
+// must restore (see memcache.CheckCacheImage), after pinning the geometry.
 func (d *cacheDriver) invariants() error {
-	if n := d.reg.Dev.Load64(d.tbl + 8); n != cacheBuckets {
+	if n := memcache.ReadHeader(d.reg.Dev, d.tbl).Buckets; n != cacheBuckets {
 		return fmt.Errorf("cache header: %d buckets, want %d", n, cacheBuckets)
 	}
-	return CheckCacheImage(d.reg.Dev, d.tbl)
+	return memcache.CheckCacheImage(d.reg.Dev, d.tbl)
 }
 
 func (d *cacheDriver) locksFree() error {
-	return CheckCacheLockFree(d.reg.Dev, d.lm, d.tbl)
+	return memcache.CheckCacheLockFree(d.reg.Dev, d.lm, d.tbl)
 }
 
 // heap names what the cache still reaches: its table, the holder of its

@@ -61,10 +61,10 @@ var memcacheSweep = kvSweep[*memcache.Cache]{
 		memcache.Register(rr, &memcache.Env{Reg: reg, LM: lm})
 	},
 	check: func(reg *region.Region, lm *locks.Manager, tbl uint64) (map[string]uint64, error) {
-		if err := CheckCacheImage(reg.Dev, tbl); err != nil {
+		if err := memcache.CheckCacheImage(reg.Dev, tbl); err != nil {
 			return nil, err
 		}
-		if err := CheckCacheLockFree(reg.Dev, lm, tbl); err != nil {
+		if err := memcache.CheckCacheLockFree(reg.Dev, lm, tbl); err != nil {
 			return nil, err
 		}
 		return (&cacheDriver{reg: reg, tbl: tbl}).observe()
@@ -92,18 +92,16 @@ var redisSweep = kvSweep[*redis.DB]{
 		redis.Register(rr, &redis.Env{Reg: reg})
 	},
 	check: func(reg *region.Region, _ *locks.Manager, tbl uint64) (map[string]uint64, error) {
-		if err := CheckRedisImage(reg.Dev, tbl); err != nil {
+		if err := redis.CheckRedisImage(reg.Dev, tbl); err != nil {
 			return nil, err
 		}
-		const rTDirty, rEVal = 16, 8
-		dev := reg.Dev
-		out := map[string]uint64{"count": dev.Load64(tbl + rTCount), "dirty": dev.Load64(tbl + rTDirty)}
-		for b := uint64(0); b < dev.Load64(tbl+rTBuckets); b++ {
-			for e := dev.Load64(tbl + rTArray + b*8); e != 0; e = dev.Load64(e + rENext) {
-				out[fmt.Sprintf("k%d", dev.Load64(e+rEKey))] = dev.Load64(e + rEVal)
-			}
-		}
-		return out, nil
+		h := redis.ReadHeader(reg.Dev, tbl)
+		out := map[string]uint64{"count": h.Count, "dirty": h.Dirty}
+		err := redis.WalkEntries(reg.Dev, tbl, func(k, v uint64) error {
+			out[fmt.Sprintf("k%d", k)] = v
+			return nil
+		})
+		return out, err
 	},
 }
 

@@ -205,8 +205,10 @@ type Device struct {
 	// the first write into its page and never changes after that.
 	pages []atomic.Pointer[page]
 
-	stripes [nStripes]statStripe
-	evict   [nStripes]evictStripe
+	// Separate 4 KiB pointer-free allocations, so each starts on a cache
+	// line and every 64-byte stripe owns exactly one.
+	stripes *[nStripes]statStripe
+	evict   *[nStripes]evictStripe
 
 	extraNS atomic.Int64 // runtime-adjustable copy of cfg.ExtraNS
 
@@ -239,9 +241,11 @@ func New(cfg Config) *Device {
 	}
 	lines := (cfg.Size + LineSize - 1) / LineSize
 	d := &Device{
-		cfg:   cfg,
-		limit: uint64(lines) * LineSize,
-		pages: make([]atomic.Pointer[page], (lines+linesPerPage-1)/linesPerPage),
+		cfg:     cfg,
+		limit:   uint64(lines) * LineSize,
+		pages:   make([]atomic.Pointer[page], (lines+linesPerPage-1)/linesPerPage),
+		stripes: new([nStripes]statStripe),
+		evict:   new([nStripes]evictStripe),
 	}
 	seed := uint64(0x1D0)
 	for i := range d.evict {

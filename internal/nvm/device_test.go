@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func newDev(t testing.TB) *Device {
@@ -288,6 +289,24 @@ func TestStatsCount(t *testing.T) {
 	d.ResetStats()
 	if d.Stats() != (Stats{}) {
 		t.Fatal("ResetStats did not zero counters")
+	}
+}
+
+// TestStripesOwnCacheLines checks that the counter and eviction-RNG
+// stripes start on a cache line, so each 64-byte stripe fills exactly
+// one line and two goroutines' stripes never share one.
+func TestStripesOwnCacheLines(t *testing.T) {
+	if unsafe.Sizeof(statStripe{}) != LineSize || unsafe.Sizeof(evictStripe{}) != LineSize {
+		t.Fatalf("stripe sizes %d and %d, want %d", unsafe.Sizeof(statStripe{}), unsafe.Sizeof(evictStripe{}), LineSize)
+	}
+	for i := 0; i < 8; i++ {
+		d := New(Config{Size: LineSize})
+		if p := uintptr(unsafe.Pointer(&d.stripes[0])); p%LineSize != 0 {
+			t.Errorf("device %d: counter stripes start at %d mod %d", i, p%LineSize, LineSize)
+		}
+		if p := uintptr(unsafe.Pointer(&d.evict[0])); p%LineSize != 0 {
+			t.Errorf("device %d: eviction stripes start at %d mod %d", i, p%LineSize, LineSize)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/ido-nvm/ido/internal/chaos"
 	"github.com/ido-nvm/ido/internal/core"
 	"github.com/ido-nvm/ido/internal/kv/memcache"
 	"github.com/ido-nvm/ido/internal/kv/redis"
@@ -154,10 +153,10 @@ func TestServerCrashUnderFastReads(t *testing.T) {
 		t.Fatalf("recover: %v", err)
 	}
 	for i, tbl := range store2.Tables() {
-		if err := chaos.CheckCacheImage(reg2.Dev, tbl); err != nil {
+		if err := memcache.CheckCacheImage(reg2.Dev, tbl); err != nil {
 			t.Fatalf("shard %d image: %v", i, err)
 		}
-		if err := chaos.CheckCacheLockFree(reg2.Dev, lm2, tbl); err != nil {
+		if err := memcache.CheckCacheLockFree(reg2.Dev, lm2, tbl); err != nil {
 			t.Fatalf("shard %d lock: %v", i, err)
 		}
 	}
@@ -339,16 +338,16 @@ func runCrashMidServe(t *testing.T, proto server.Proto) {
 	// Structural invariants over every recovered shard image.
 	if mc, ok := store2.(*server.McStore); ok {
 		for i, tbl := range mc.Tables() {
-			if err := chaos.CheckCacheImage(reg2.Dev, tbl); err != nil {
+			if err := memcache.CheckCacheImage(reg2.Dev, tbl); err != nil {
 				t.Fatalf("shard %d image: %v", i, err)
 			}
-			if err := chaos.CheckCacheLockFree(reg2.Dev, lm2, tbl); err != nil {
+			if err := memcache.CheckCacheLockFree(reg2.Dev, lm2, tbl); err != nil {
 				t.Fatalf("shard %d lock: %v", i, err)
 			}
 		}
 	} else {
 		for i, tbl := range store2.(*server.RespStore).Tables() {
-			if err := chaos.CheckRedisImage(reg2.Dev, tbl); err != nil {
+			if err := redis.CheckRedisImage(reg2.Dev, tbl); err != nil {
 				t.Fatalf("shard %d image: %v", i, err)
 			}
 		}

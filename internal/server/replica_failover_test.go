@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/ido-nvm/ido/internal/chaos"
 	"github.com/ido-nvm/ido/internal/core"
 	"github.com/ido-nvm/ido/internal/kv/memcache"
 	"github.com/ido-nvm/ido/internal/loadgen"
@@ -249,7 +248,7 @@ func TestFailoverPrimaryCrashMidLoad(t *testing.T) {
 	// The standby's image is structurally sound and re-serves reads
 	// error-free.
 	for i, tbl := range standby.store.Tables() {
-		if err := chaos.CheckCacheImage(standby.reg.Dev, tbl); err != nil {
+		if err := memcache.CheckCacheImage(standby.reg.Dev, tbl); err != nil {
 			t.Fatalf("standby shard %d image: %v", i, err)
 		}
 	}
@@ -374,7 +373,7 @@ func TestStandbyCrashMidApplyReplays(t *testing.T) {
 		t.Fatalf("recover: %v", err)
 	}
 	for i, tbl := range store2.Tables() {
-		if err := chaos.CheckCacheImage(reg2.Dev, tbl); err != nil {
+		if err := memcache.CheckCacheImage(reg2.Dev, tbl); err != nil {
 			t.Fatalf("recovered shard %d image: %v", i, err)
 		}
 	}

@@ -241,13 +241,6 @@ type shard struct {
 	onPark func()
 }
 
-// Stats is a point-in-time counter snapshot.
-type Stats struct {
-	Reqs     uint64 // responses emitted (including errors and canned replies)
-	Batches  uint64 // socket writes (response flushes)
-	BytesOut uint64
-}
-
 // Server multiplexes client connections over the shard pipelines.
 type Server struct {
 	cfg    Config
@@ -344,15 +337,6 @@ func New(rt persist.Runtime, store Store, cfg Config, tr *obs.Tracer) (*Server, 
 // the server then shuts down as a crashed process would — abruptly,
 // leaving recovery to the next attach.
 func (srv *Server) Crashed() <-chan struct{} { return srv.crashc }
-
-// Stats snapshots the serve counters.
-func (srv *Server) Stats() Stats {
-	return Stats{
-		Reqs:     srv.reqs.Load(),
-		Batches:  srv.batches.Load(),
-		BytesOut: srv.bytesOut.Load(),
-	}
-}
 
 // MetricsSnapshot fills dst with the front end's gauges and counters —
 // the metrics.Source contract. dst's shard slice is reused whenever its

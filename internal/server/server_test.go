@@ -323,7 +323,8 @@ func TestServerHammer16(t *testing.T) {
 			if sum := tr.Hist(obs.HReqLatency); sum.Count == 0 {
 				t.Fatalf("no HReqLatency observations")
 			}
-			st := w.srv.Stats()
+			var st metrics.ServerStats
+			w.srv.MetricsSnapshot(&st)
 			if st.Reqs < res.Ops || st.Batches == 0 || st.Batches > st.Reqs {
 				t.Fatalf("stats look wrong: %+v vs %d client ops", st, res.Ops)
 			}
