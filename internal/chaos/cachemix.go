@@ -2,10 +2,8 @@ package chaos
 
 import (
 	"fmt"
-	"math/rand"
 
 	"github.com/ido-nvm/ido/internal/kv/memcache"
-	"github.com/ido-nvm/ido/internal/locks"
 	"github.com/ido-nvm/ido/internal/nvm"
 	"github.com/ido-nvm/ido/internal/persist"
 	"github.com/ido-nvm/ido/internal/region"
@@ -45,41 +43,24 @@ func cacheKey1(k0 uint64) uint64 { return k0 ^ 0x5A5A }
 // reconstructs (or wholly replays) the in-flight FASE — a half-applied
 // unlink is a structural violation here, not a bounded counter deficit.
 type cacheDriver struct {
-	s  Schedule
-	mk func() persist.Runtime
-
-	reg   *region.Region
-	lm    *locks.Manager
-	rt    persist.Runtime
-	th    persist.Thread
+	nativeBase
 	env   *memcache.Env
 	cache *memcache.Cache
 	tbl   uint64
 }
 
-func (d *cacheDriver) dev() *nvm.Device { return d.reg.Dev }
-
 func (d *cacheDriver) prepare(seed int64) error {
-	d.reg = region.Create(1<<20, nvm.Config{})
-	d.lm = locks.NewManager(d.reg)
-	d.rt = d.mk()
-	if err := d.rt.Attach(d.reg, d.lm); err != nil {
+	err := d.mount(region.Create(1<<20, nvm.Config{}))
+	if err != nil {
 		return err
 	}
 	d.env = &memcache.Env{Reg: d.reg, LM: d.lm}
-	cache, tbl, err := memcache.New(d.env, cacheBuckets)
-	if err != nil {
+	if d.cache, d.tbl, err = memcache.New(d.env, cacheBuckets); err != nil {
 		return err
 	}
-	d.cache = cache
-	d.tbl = tbl
-	d.reg.SetRoot(rootChaosCache, tbl)
-	th, err := d.rt.NewThread()
-	if err != nil {
-		return err
-	}
-	d.th = th
-	return nil
+	d.reg.SetRoot(rootChaosCache, d.tbl)
+	d.th, err = d.rt.NewThread()
+	return err
 }
 
 func (d *cacheDriver) forward() error {
@@ -97,21 +78,13 @@ func (d *cacheDriver) forward() error {
 	return nil
 }
 
-func (d *cacheDriver) reopen(mode nvm.CrashMode, rng *rand.Rand) error {
-	reg2, err := d.reg.Crash(mode, rng)
-	if err != nil {
+func (d *cacheDriver) attach(reg *region.Region) error {
+	if err := d.mount(reg); err != nil {
 		return err
 	}
-	d.reg = reg2
-	d.lm = locks.NewManager(reg2)
-	d.rt = d.mk()
-	if err := d.rt.Attach(reg2, d.lm); err != nil {
-		return err
-	}
-	d.env = &memcache.Env{Reg: reg2, LM: d.lm}
-	d.tbl = reg2.Root(rootChaosCache)
+	d.env = &memcache.Env{Reg: reg, LM: d.lm}
+	d.tbl = reg.Root(rootChaosCache)
 	d.cache = memcache.Attach(d.env, d.tbl)
-	d.th = nil // recovery and observation never execute workload FASEs
 	return nil
 }
 
@@ -157,11 +130,11 @@ func (d *cacheDriver) locksFree() error {
 
 // heap names what the cache still reaches: its table, the holder of its
 // lock, and every chained item.
-func (d *cacheDriver) heap() (*region.Region, []uint64, error) {
+func (d *cacheDriver) heap() ([]uint64, error) {
 	reach := []uint64{d.tbl, d.reg.Dev.Load64(d.tbl)}
 	err := d.walkChains(func(item uint64) error {
 		reach = append(reach, item)
 		return nil
 	})
-	return d.reg, reach, err
+	return reach, err
 }

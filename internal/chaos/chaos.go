@@ -3,17 +3,24 @@
 // its Nth injectable device event, then crashes each nested recovery
 // pass at the Mth event of that pass (nesting depth ≤ 3: crash the
 // recovery of the recovery), re-settles the device under the schedule's
-// adversary, and finally runs one clean recovery. The surviving state is
-// verified three ways, plus workload invariants and lock-table freedom:
+// adversary, and finally runs one clean recovery.
 //
-//  1. Convergence: the final state must equal a reference run that
-//     settles the same forward crash under the same adversary and seed
-//     but recovers once, cleanly — nested recovery crashes must be
+// The forward run happens once per crash point. Its crash image, the
+// device as the crash left it and before any settle, is never settled
+// itself: the schedule, its references and the recovery-event probe
+// each settle and recover an nvm.Device.Fork of it, so every schedule
+// crashed at one point shares one forward run and one set of
+// references. The surviving state is verified three ways, plus workload
+// invariants and lock-table freedom:
+//
+//  1. Convergence: the final state must equal the reference that
+//     settles a fork of the same image under the same adversary and
+//     seed but recovers once, cleanly — nested recovery crashes must be
 //     invisible.
 //  2. CrashPersistAll oracle, exact: for recovery-via-resumption
 //     runtimes (iDO native and VM, and the baselines whose commit point
 //     is a single unambiguous durable store) the outcome must also match
-//     the same crash settled under nvm.CrashPersistAll, the adversary
+//     a fork of the image settled under nvm.CrashPersistAll, the adversary
 //     under which nothing in flight is lost. This is §III-C's claim that
 //     the adversary cannot change what recovery reconstructs.
 //  3. CrashPersistAll oracle, bounded: the UNDO baselines (Atlas, NVML)
@@ -35,6 +42,7 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"github.com/ido-nvm/ido/internal/nvm"
 	"github.com/ido-nvm/ido/internal/obs"
@@ -75,24 +83,11 @@ func (s Schedule) String() string {
 		rec = strings.Join(parts, ",")
 	}
 	return fmt.Sprintf("%s:%s:%s:%d:%d:%s",
-		s.Runtime, s.Workload, ModeName(s.Mode), s.Seed, s.Forward, rec)
+		s.Runtime, s.Workload, s.Mode, s.Seed, s.Forward, rec)
 }
 
-// ModeName is the canonical flag spelling of a crash adversary, shared
-// with idorecover's -mode flag.
-func ModeName(m nvm.CrashMode) string {
-	switch m {
-	case nvm.CrashDiscard:
-		return "discard"
-	case nvm.CrashRandom:
-		return "random"
-	case nvm.CrashPersistAll:
-		return "persist-all"
-	}
-	return fmt.Sprintf("mode-%d", int(m))
-}
-
-// ParseMode inverts ModeName.
+// ParseMode inverts nvm.CrashMode's String, the canonical flag spelling
+// of a crash adversary shared with idorecover's -mode flag.
 func ParseMode(s string) (nvm.CrashMode, error) {
 	switch s {
 	case "discard":
@@ -218,17 +213,17 @@ func (c caps) supports(m nvm.CrashMode) bool {
 var allModes = []nvm.CrashMode{nvm.CrashDiscard, nvm.CrashRandom, nvm.CrashPersistAll}
 
 // driver runs one runtime+workload pair through the schedule's phases.
-// Crash injection is armed and caught by the harness, never the driver.
+// Crash injection is armed and caught, and the device settled, by the
+// harness, never the driver.
 type driver interface {
 	prepare(seed int64) error
-	// dev is the device prepare formatted; reopen settles and reattaches
-	// the same device, so its crash budget and recovery-pass count
-	// follow the schedule through every phase.
-	dev() *nvm.Device
+	// region is the region prepare formatted or attach was given.
+	region() *region.Region
 	forward() error
-	// reopen settles the device under mode and attaches a fresh runtime,
-	// exactly like a restarted process re-mapping the region.
-	reopen(mode nvm.CrashMode, rng *rand.Rand) error
+	// attach rebuilds the volatile side — a fresh runtime, lock manager
+	// and workload handles — over reg, a settled image, exactly like a
+	// restarted process re-mapping the region.
+	attach(reg *region.Region) error
 	recover() (persist.RecoveryStats, error)
 	// observe reads the workload's observables from the device image.
 	observe() (map[string]uint64, error)
@@ -243,7 +238,7 @@ type driver interface {
 // reaches after recovery; Run then counts what the schedule's crashes
 // leaked.
 type heapAuditor interface {
-	heap() (reg *region.Region, reach []uint64, err error)
+	heap() (reach []uint64, err error)
 }
 
 // Runtimes lists the runtime names Run accepts, native first.
@@ -280,17 +275,138 @@ func catchCrash(fn func() error) (crashed bool, err error) {
 	return false, err
 }
 
+// prepared counts driver prepares: every forward run the package makes.
+var prepared atomic.Int64
+
+// forwardRun prepares s's driver and runs its forward workload with a
+// budget of s.Forward device events armed: the one place the package
+// runs a workload forward. It returns the driver's region, the crash
+// image when the budget fired, and the events left in the budget, which
+// is negative exactly when it fired.
+func forwardRun(s Schedule) (*region.Region, int64, error) {
+	d, _, err := newDriver(s)
+	if err != nil {
+		return nil, 0, err
+	}
+	prepared.Add(1)
+	if err := d.prepare(s.Seed); err != nil {
+		return nil, 0, fmt.Errorf("chaos: schedule %s: prepare: %w", s, err)
+	}
+	dev := d.region().Dev
+	defer dev.ArmLocalCrash(-1)
+	dev.ArmLocalCrash(s.Forward)
+	if _, err := catchCrash(d.forward); err != nil {
+		return nil, 0, fmt.Errorf("chaos: schedule %s: forward workload: %w", s, err)
+	}
+	return d.region(), dev.LocalCrashBudgetRemaining(), nil
+}
+
+// point is one forward crash point: the crash image its forward run
+// left, never settled itself, and the clean-recovery references computed
+// from it so far. Every reader of the image — a reference, a probe, a
+// schedule — settles and recovers a Fork of its device, so one forward
+// run serves every adversary and every recovery budget at the point.
+type point struct {
+	s    Schedule // Runtime, Workload, Seed and Forward of the image
+	c    caps
+	img  *region.Region
+	refs map[nvm.CrashMode]reference
+}
+
+// reference is the image settled under one adversary and recovered
+// once, cleanly: what it observes, and the injectable events of that
+// recovery pass (the bound for a first Recovery budget).
+type reference struct {
+	obs    map[string]uint64
+	events int64
+}
+
+// newPoint runs s's forward workload to its crash at s.Forward.
+func newPoint(s Schedule) (*point, error) {
+	_, c, err := newDriver(s)
+	if err != nil {
+		return nil, err
+	}
+	img, left, err := forwardRun(s)
+	if err != nil {
+		return nil, err
+	}
+	if left >= 0 {
+		return nil, fmt.Errorf("chaos: schedule %s: forward budget %d outlasted the workload; probe ForwardEvents for the bound", s, s.Forward)
+	}
+	return &point{s: s, c: c, img: img, refs: map[nvm.CrashMode]reference{}}, nil
+}
+
+// fork returns a fresh driver and a fork of the image for it.
+func (p *point) fork() (driver, *nvm.Device) {
+	d, _, _ := newDriver(p.s) // newPoint accepted p.s
+	return d, p.img.Dev.Fork()
+}
+
+// seeded is the rng the settles under mode draw from: CrashRandom's,
+// seeded with the schedule's seed. The other adversaries draw nothing.
+func seeded(mode nvm.CrashMode, seed int64) *rand.Rand {
+	if mode != nvm.CrashRandom {
+		return nil
+	}
+	return rand.New(rand.NewSource(seed))
+}
+
+// settle crashes dev under mode and attaches d to what survives.
+func settle(d driver, dev *nvm.Device, mode nvm.CrashMode, rng *rand.Rand) error {
+	dev.Crash(mode, rng)
+	reg, err := region.Attach(dev)
+	if err != nil {
+		return err
+	}
+	return d.attach(reg)
+}
+
+// ref returns the reference under mode, computed once per point: a fork
+// settled from a fresh rng seeded like the schedule's own first settle,
+// one clean recovery counted by a probe budget, the invariants, and the
+// observables. s names the schedule in errors.
+func (p *point) ref(s Schedule, mode nvm.CrashMode) (reference, error) {
+	if r, ok := p.refs[mode]; ok {
+		return r, nil
+	}
+	d, dev := p.fork()
+	if err := settle(d, dev, mode, seeded(mode, p.s.Seed)); err != nil {
+		return reference{}, fmt.Errorf("chaos: schedule %s: oracle reopen: %w", s, err)
+	}
+	var rerr error
+	dev.ArmRecoveryCrash(probeBudget)
+	crashed, _ := catchCrash(func() error { _, rerr = d.recover(); return nil })
+	n := probeBudget - dev.LocalCrashBudgetRemaining()
+	dev.ArmLocalCrash(-1)
+	if crashed {
+		return reference{}, fmt.Errorf("chaos: schedule %s: probe budget fired after %d recovery events", s, n)
+	}
+	if rerr != nil && !p.c.recoverErr {
+		return reference{}, fmt.Errorf("chaos: schedule %s: oracle recovery: %w", s, rerr)
+	}
+	if err := d.invariants(); err != nil {
+		return reference{}, fmt.Errorf("chaos: schedule %s: oracle invariant violated: %w", s, err)
+	}
+	obs, err := d.observe()
+	if err != nil {
+		return reference{}, err
+	}
+	p.refs[mode] = reference{obs: obs, events: n}
+	return p.refs[mode], nil
+}
+
 // Run executes one schedule end to end and verifies convergence.
 // Failures wrap the schedule string so they can be replayed with
 // `idorecover -chaos -replay '<schedule>'`.
 func Run(s Schedule) (*Result, error) {
-	d, c, err := newDriver(s)
+	_, c, err := newDriver(s)
 	if err != nil {
 		return nil, err
 	}
 	if !c.supports(s.Mode) {
 		return nil, fmt.Errorf("chaos: schedule %s: runtime %s has no recovery under the %s adversary (supported: %s)",
-			s, s.Runtime, ModeName(s.Mode), modeNames(c.modes))
+			s, s.Runtime, s.Mode, modeNames(c.modes))
 	}
 	if s.Forward < 1 {
 		return nil, fmt.Errorf("chaos: schedule %s: forward budget must be ≥ 1", s)
@@ -298,43 +414,33 @@ func Run(s Schedule) (*Result, error) {
 	if len(s.Recovery) > MaxDepth {
 		return nil, fmt.Errorf("chaos: schedule %s: nesting depth %d exceeds %d", s, len(s.Recovery), MaxDepth)
 	}
-
-	// References: the CrashPersistAll oracle, and (when the schedule's
-	// adversary differs) the same-adversary clean-recovery run the chaos
-	// run must converge to. Both replay the identical forward crash; the
-	// same-adversary reference also replays the identical first settle
-	// (same seed, same rng draw sequence).
-	oraclePA, err := runOracle(s, c, nvm.CrashPersistAll)
+	p, err := newPoint(s)
 	if err != nil {
 		return nil, err
 	}
-	oracle := oraclePA
-	if s.Mode != nvm.CrashPersistAll {
-		oracle, err = runOracle(s, c, s.Mode)
-		if err != nil {
-			return nil, err
-		}
-	}
+	return p.run(s)
+}
 
-	res := &Result{Schedule: s, Oracle: oracle, PersistAll: oraclePA}
-	if err := d.prepare(s.Seed); err != nil {
-		return nil, fmt.Errorf("chaos: schedule %s: prepare: %w", s, err)
+// run executes s, whose forward crash is p's, on a fork of p's image and
+// verifies it against p's references: the CrashPersistAll oracle, and
+// (when the schedule's adversary differs) the same-adversary clean
+// recovery the chaos run must converge to, whose settle draws the same
+// rng sequence as the schedule's first.
+func (p *point) run(s Schedule) (*Result, error) {
+	c := p.c
+	pa, err := p.ref(s, nvm.CrashPersistAll)
+	if err != nil {
+		return nil, err
 	}
-	dev := d.dev()
-	defer dev.ArmLocalCrash(-1)
-	dev.ArmLocalCrash(s.Forward)
-	crashed, ferr := catchCrash(d.forward)
-	dev.ArmLocalCrash(-1)
-	if ferr != nil {
-		return nil, fmt.Errorf("chaos: schedule %s: forward workload: %w", s, ferr)
+	ref, err := p.ref(s, s.Mode)
+	if err != nil {
+		return nil, err
 	}
-	if !crashed {
-		return nil, fmt.Errorf("chaos: schedule %s: forward budget %d outlasted the workload; probe ForwardEvents for the bound", s, s.Forward)
-	}
-
-	rng := rand.New(rand.NewSource(s.Seed))
+	res := &Result{Schedule: s, Oracle: ref.obs, PersistAll: pa.obs}
+	d, dev := p.fork()
+	rng := seeded(s.Mode, s.Seed)
 	for _, r := range s.Recovery {
-		if err := d.reopen(s.Mode, rng); err != nil {
+		if err := settle(d, dev, s.Mode, rng); err != nil {
 			return nil, fmt.Errorf("chaos: schedule %s: reopen: %w", s, err)
 		}
 		var st persist.RecoveryStats
@@ -365,7 +471,7 @@ func Run(s Schedule) (*Result, error) {
 	}
 
 	// Final clean pass.
-	if err := d.reopen(s.Mode, rng); err != nil {
+	if err := settle(d, dev, s.Mode, rng); err != nil {
 		return nil, fmt.Errorf("chaos: schedule %s: final reopen: %w", s, err)
 	}
 	st, rerr := d.recover()
@@ -391,9 +497,9 @@ func Run(s Schedule) (*Result, error) {
 	}
 	if h, ok := d.(heapAuditor); ok {
 		res.HeapAudited = true
-		reg, reach, err := h.heap()
+		reach, err := h.heap()
 		if err == nil {
-			res.LeakedBlocks, res.LeakedBytes, err = HeapLeak(reg, reach)
+			res.LeakedBlocks, res.LeakedBytes, err = HeapLeak(d.region(), reach)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("chaos: schedule %s: heap audit: %w", s, err)
@@ -408,52 +514,17 @@ func Run(s Schedule) (*Result, error) {
 		return nil, fmt.Errorf("chaos: schedule %s: observe: %w", s, err)
 	}
 	res.Final = final
-	if err := compareObservations(oracle, final); err != nil {
+	if err := compareObservations(ref.obs, final); err != nil {
 		return nil, fmt.Errorf("chaos: schedule %s: diverged from the clean-recovery reference: %w", s, err)
 	}
 	if c.exactPA {
-		if err := compareObservations(oraclePA, final); err != nil {
+		if err := compareObservations(pa.obs, final); err != nil {
 			return nil, fmt.Errorf("chaos: schedule %s: diverged from the CrashPersistAll oracle: %w", s, err)
 		}
-	} else if err := boundObservations(oraclePA, final); err != nil {
+	} else if err := boundObservations(pa.obs, final); err != nil {
 		return nil, fmt.Errorf("chaos: schedule %s: outside the CrashPersistAll oracle's bound: %w", s, err)
 	}
 	return res, nil
-}
-
-func runOracle(s Schedule, c caps, mode nvm.CrashMode) (map[string]uint64, error) {
-	d, _, err := newDriver(s)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.prepare(s.Seed); err != nil {
-		return nil, fmt.Errorf("chaos: schedule %s: oracle prepare: %w", s, err)
-	}
-	dev := d.dev()
-	defer dev.ArmLocalCrash(-1)
-	dev.ArmLocalCrash(s.Forward)
-	crashed, ferr := catchCrash(d.forward)
-	dev.ArmLocalCrash(-1)
-	if ferr != nil {
-		return nil, fmt.Errorf("chaos: schedule %s: oracle workload: %w", s, ferr)
-	}
-	if !crashed {
-		return nil, fmt.Errorf("chaos: schedule %s: forward budget %d outlasted the workload; probe ForwardEvents for the bound", s, s.Forward)
-	}
-	var rng *rand.Rand
-	if mode == nvm.CrashRandom {
-		rng = rand.New(rand.NewSource(s.Seed))
-	}
-	if err := d.reopen(mode, rng); err != nil {
-		return nil, fmt.Errorf("chaos: schedule %s: oracle reopen: %w", s, err)
-	}
-	if _, err := d.recover(); err != nil && !c.recoverErr {
-		return nil, fmt.Errorf("chaos: schedule %s: oracle recovery: %w", s, err)
-	}
-	if err := d.invariants(); err != nil {
-		return nil, fmt.Errorf("chaos: schedule %s: oracle invariant violated: %w", s, err)
-	}
-	return d.observe()
 }
 
 func compareObservations(oracle, final map[string]uint64) error {
@@ -509,7 +580,7 @@ func boundObservations(pa, final map[string]uint64) error {
 func modeNames(ms []nvm.CrashMode) string {
 	parts := make([]string, len(ms))
 	for i, m := range ms {
-		parts[i] = ModeName(m)
+		parts[i] = m.String()
 	}
 	return strings.Join(parts, "|")
 }
@@ -524,26 +595,15 @@ const probeBudget = int64(1) << 40
 // for Schedule.Forward (every budget in 1..K-1 crashes mid-workload; at
 // K or beyond the workload finishes first).
 func ForwardEvents(s Schedule) (int64, error) {
-	d, _, err := newDriver(s)
+	s.Forward = probeBudget
+	_, left, err := forwardRun(s)
 	if err != nil {
 		return 0, err
 	}
-	if err := d.prepare(s.Seed); err != nil {
-		return 0, err
+	if left < 0 {
+		return 0, fmt.Errorf("chaos: probe budget fired after %d events", probeBudget)
 	}
-	dev := d.dev()
-	defer dev.ArmLocalCrash(-1)
-	dev.ArmLocalCrash(probeBudget)
-	crashed, ferr := catchCrash(d.forward)
-	n := probeBudget - dev.LocalCrashBudgetRemaining()
-	dev.ArmLocalCrash(-1)
-	if ferr != nil {
-		return 0, ferr
-	}
-	if crashed {
-		return 0, fmt.Errorf("chaos: probe budget fired after %d events", n)
-	}
-	return n, nil
+	return probeBudget - left, nil
 }
 
 // RecoveryEvents counts the injectable events of the schedule's first
@@ -551,38 +611,10 @@ func ForwardEvents(s Schedule) (int64, error) {
 // recovery) — the bound M for the first Recovery budget. Returns 0 for
 // runtimes whose Recover refuses or performs no device events.
 func RecoveryEvents(s Schedule) (int64, error) {
-	d, c, err := newDriver(s)
+	p, err := newPoint(s)
 	if err != nil {
 		return 0, err
 	}
-	if err := d.prepare(s.Seed); err != nil {
-		return 0, err
-	}
-	dev := d.dev()
-	defer dev.ArmLocalCrash(-1)
-	dev.ArmLocalCrash(s.Forward)
-	crashed, ferr := catchCrash(d.forward)
-	dev.ArmLocalCrash(-1)
-	if ferr != nil {
-		return 0, ferr
-	}
-	if !crashed {
-		return 0, fmt.Errorf("chaos: schedule %s: forward budget %d outlasted the workload", s, s.Forward)
-	}
-	rng := rand.New(rand.NewSource(s.Seed))
-	if err := d.reopen(s.Mode, rng); err != nil {
-		return 0, err
-	}
-	dev.ArmRecoveryCrash(probeBudget)
-	var rerr error
-	crashed, _ = catchCrash(func() error { _, rerr = d.recover(); return nil })
-	n := probeBudget - dev.LocalCrashBudgetRemaining()
-	dev.ArmLocalCrash(-1)
-	if crashed {
-		return 0, fmt.Errorf("chaos: probe budget fired after %d recovery events", n)
-	}
-	if rerr != nil && !c.recoverErr {
-		return 0, rerr
-	}
-	return n, nil
+	r, err := p.ref(s, s.Mode)
+	return r.events, err
 }

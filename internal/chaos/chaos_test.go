@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"math/rand"
 	"reflect"
 	"runtime"
 	"sync"
@@ -9,7 +10,6 @@ import (
 
 	"github.com/ido-nvm/ido/internal/idolog"
 	"github.com/ido-nvm/ido/internal/nvm"
-	"github.com/ido-nvm/ido/internal/region"
 )
 
 func pick(full, short int) int {
@@ -426,37 +426,29 @@ func TestReplayIsDeterministic(t *testing.T) {
 	}
 }
 
-// crashedLog runs a single-threaded iDO workload to s's forward crash and
-// returns the crashed thread's log as a restart would decode it, with
-// the device counts at that point. recovery_pc moves only by NT store,
-// so no settle is needed to read what a restart would see.
-func crashedLog(t *testing.T, s Schedule) (idolog.Entry, nvm.Stats) {
+// imageAt runs s's forward workload to its crash: the one crash image
+// every schedule crashed at s.Forward shares.
+func imageAt(t *testing.T, s Schedule) *point {
 	t.Helper()
-	d, _, err := newDriver(s)
+	p, err := newPoint(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.prepare(s.Seed); err != nil {
-		t.Fatal(err)
-	}
-	defer d.dev().ArmLocalCrash(-1)
-	d.dev().ArmLocalCrash(s.Forward)
-	if crashed, err := catchCrash(d.forward); err != nil || !crashed {
-		t.Fatalf("%s: forward crashed=%v err=%v", s, crashed, err)
-	}
-	d.dev().ArmLocalCrash(-1)
-	var reg *region.Region
-	switch d := d.(type) {
-	case *compactDriver:
-		reg = d.reg
-	case *prefixDriver:
-		reg = d.reg
-	}
-	logs, err := idolog.Inspect(reg)
+	return p
+}
+
+// crashedLog returns the crashed thread's log in a single-threaded iDO
+// workload's crash image as a restart would decode it, with the device
+// counts the crash left. recovery_pc moves only by NT store, so no
+// settle is needed to read what a restart would see.
+func crashedLog(t *testing.T, p *point) (idolog.Entry, nvm.Stats) {
+	t.Helper()
+	st := p.img.Dev.Stats()
+	logs, err := idolog.Inspect(p.img)
 	if err != nil || len(logs) != 1 {
-		t.Fatalf("%s: %d thread logs (%v), want 1", s, len(logs), err)
+		t.Fatalf("%s: %d thread logs (%v), want 1", p.s, len(logs), err)
 	}
-	return logs[0], reg.Dev.Stats()
+	return logs[0], st
 }
 
 // TestCompactionSweep crashes the compact workload — one FASE that
@@ -475,9 +467,9 @@ func TestCompactionSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(s Schedule) {
+	run := func(p *point, s Schedule) {
 		t.Helper()
-		if _, err := Run(s); err != nil {
+		if _, err := p.run(s); err != nil {
 			t.Fatalf("replay with: idorecover -chaos -replay '%s': %v", s, err)
 		}
 	}
@@ -491,12 +483,13 @@ func TestCompactionSweep(t *testing.T) {
 	for f := int64(1); f < k; f++ {
 		s := base
 		s.Forward = f
+		p := imageAt(t, s)
 		if f%int64(pick(1, 9)) == 0 {
 			for _, s.Mode = range allModes {
-				run(s)
+				run(p, s)
 			}
 		}
-		log, _ := crashedLog(t, s)
+		log, _ := crashedLog(t, p)
 		if len(log.Pairs) != 64 {
 			continue
 		}
@@ -505,13 +498,13 @@ func TestCompactionSweep(t *testing.T) {
 		} else {
 			full[0]++
 		}
-		if (full[0]+full[1])%pick(2, 11) != 1 {
-			continue // every other full-area crash point gets the dense second crash
+		if (full[0]+full[1]-1)%pick(1, 11) != 0 {
+			continue // -short: every 11th full-area crash point gets the dense second crash
 		}
 		for _, s.Mode = range allModes {
 			for r := int64(0); r < restoreAndCompact; r++ {
 				s.Recovery = []int64{r}
-				run(s)
+				run(p, s)
 				nested++
 			}
 		}
@@ -542,9 +535,9 @@ func TestLazyPublishSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(s Schedule, published bool) {
+	run := func(p *point, s Schedule, published bool) {
 		t.Helper()
-		res, err := Run(s)
+		res, err := p.run(s)
 		if err != nil {
 			t.Fatalf("replay with: idorecover -chaos -replay '%s': %v", s, err)
 		}
@@ -555,13 +548,14 @@ func TestLazyPublishSweep(t *testing.T) {
 			t.Fatalf("%s: crash with published=%v, final recovery pass resumed %d FASEs", s, published, final)
 		}
 	}
-	_, prev := crashedLog(t, base) // Forward 0: the counts before the first event
-	var live [2]int64              // first and last forward point that found a published pc
+	_, prev := crashedLog(t, imageAt(t, base)) // Forward 0: the counts before the first event
+	var live [2]int64                          // first and last forward point that found a published pc
 	unfenced, nested := 0, 0
 	for f := int64(1); f < k; f++ {
 		s := base
 		s.Forward = f
-		log, st := crashedLog(t, s)
+		p := imageAt(t, s)
+		log, st := crashedLog(t, p)
 		published := log.RegionID != 0
 		// Event f is the one the counts moved by.
 		switch {
@@ -586,14 +580,14 @@ func TestLazyPublishSweep(t *testing.T) {
 		}
 		for _, s.Mode = range allModes {
 			s.Recovery = nil
-			run(s, published)
-			m, err := RecoveryEvents(s)
+			run(p, s, published)
+			ref, err := p.ref(s, s.Mode)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for r := int64(0); r < m && r < 100; r += int64(pick(1, 5)) {
+			for r := int64(0); r < ref.events && r < 100; r += int64(pick(1, 5)) {
 				s.Recovery = []int64{r}
-				run(s, published)
+				run(p, s, published)
 				nested++
 			}
 		}
@@ -607,4 +601,95 @@ func TestLazyPublishSweep(t *testing.T) {
 		t.Fatalf("recovery_pc live from forward event %d to %d of %d: the prefix or the read-only FASE is gone from the workload", live[0], live[1], k-1)
 	}
 	t.Logf("%d forward events, recovery_pc live over %d..%d; %d second crashes", k-1, live[0], live[1], nested)
+}
+
+// TestSharedImageMatchesRun: a schedule run on a fork of a crash image
+// shared with every other schedule at its forward point ends exactly as
+// Run ends it on an image of its own — attempts, budgets, crash flags,
+// errors, audits, both references, the final observables and the heap
+// audit. It strides the compact and prefix workloads under every
+// adversary, each with no recovery budget, one at the first event and
+// one halfway through the first pass; and atlas's counter, whose
+// outcome does depend on the adversary, so a settle that reached the
+// shared image would show.
+func TestSharedImageMatchesRun(t *testing.T) {
+	for _, base := range []Schedule{
+		{Runtime: "ido", Workload: "compact", Seed: 1},
+		{Runtime: "ido", Workload: "prefix", Seed: 1},
+		{Runtime: "atlas", Workload: "counter", Seed: 1},
+	} {
+		k, err := ForwardEvents(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f := int64(1); f < k; f += max(1, k/int64(pick(16, 4))) {
+			s := base
+			s.Forward = f
+			p := imageAt(t, s)
+			for _, s.Mode = range allModes {
+				ref, err := p.ref(s, s.Mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, s.Recovery = range [][]int64{nil, {0}, {ref.events / 2}} {
+					shared, err := p.run(s)
+					if err != nil {
+						t.Fatalf("%s on the shared image: %v", s, err)
+					}
+					alone, err := Run(s)
+					if err != nil {
+						t.Fatalf("%s on an image of its own: %v", s, err)
+					}
+					if !reflect.DeepEqual(shared, alone) {
+						t.Fatalf("%s: the shared image's run differs from Run\nshared: %+v\nalone:  %+v", s, shared, alone)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSweepPreparesOncePerImage: a sweep runs its workload forward once
+// per crash image it uses, each strided forward point and each deep
+// sample, plus once for the ForwardEvents probe. The references and the
+// recovery-event probes all work on forks.
+func TestSweepPreparesOncePerImage(t *testing.T) {
+	o := SweepOptions{Runtime: "ido", Workload: "counter", Seed: 1, ForwardPoints: 5, RecoveryPoints: 2, DeepSamples: 2}
+	before := prepared.Load()
+	if _, err := Sweep(o); err != nil {
+		t.Fatal(err)
+	}
+	got := prepared.Load() - before
+
+	// The forward points the sweep crashes at, recomputed from the public
+	// probes: the strided ones, and the deep samples drawn per adversary.
+	base := Schedule{Runtime: o.Runtime, Workload: o.Workload, Seed: o.Seed, Forward: 1}
+	k, err := ForwardEvents(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[int64]bool{}
+	for f := int64(1); f < k; f += (k - 1 + int64(o.ForwardPoints) - 1) / int64(o.ForwardPoints) {
+		used[f] = true
+	}
+	for _, mode := range allModes {
+		rng := rand.New(rand.NewSource(o.Seed))
+		for depth := 2; depth <= MaxDepth; depth++ {
+			for i := 0; i < o.DeepSamples; i++ {
+				s := base
+				s.Mode, s.Forward = mode, 1+rng.Int63n(k-1)
+				used[s.Forward] = true
+				m, err := RecoveryEvents(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for l := 0; m > 0 && l < depth; l++ {
+					rng.Int63n(m)
+				}
+			}
+		}
+	}
+	if want := int64(len(used)) + 1; got != want {
+		t.Fatalf("the sweep prepared its driver %d times; want %d (%d crash images and the forward probe)", got, want, len(used))
+	}
 }

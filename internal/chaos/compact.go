@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"math/rand"
 
 	"github.com/ido-nvm/ido/internal/locks"
 	"github.com/ido-nvm/ido/internal/nvm"
@@ -55,27 +54,16 @@ func compactWant() [compactRegions]uint64 {
 }
 
 type compactDriver struct {
-	s  Schedule
-	mk func() persist.Runtime
-
-	reg   *region.Region
-	lm    *locks.Manager
-	rt    persist.Runtime
-	th    persist.Thread
+	nativeBase
 	lock  *locks.Lock
 	cells uint64
 }
 
-func (d *compactDriver) dev() *nvm.Device { return d.reg.Dev }
-
 func (d *compactDriver) prepare(seed int64) error {
-	d.reg = region.Create(1<<16, nvm.Config{})
-	d.lm = locks.NewManager(d.reg)
-	d.rt = d.mk()
-	if err := d.rt.Attach(d.reg, d.lm); err != nil {
+	err := d.mount(region.Create(1<<16, nvm.Config{}))
+	if err != nil {
 		return err
 	}
-	var err error
 	if d.lock, err = d.lm.Create(); err != nil {
 		return err
 	}
@@ -126,20 +114,12 @@ func (d *compactDriver) forward() error {
 	return nil
 }
 
-func (d *compactDriver) reopen(mode nvm.CrashMode, rng *rand.Rand) error {
-	reg2, err := d.reg.Crash(mode, rng)
-	if err != nil {
+func (d *compactDriver) attach(reg *region.Region) error {
+	if err := d.mount(reg); err != nil {
 		return err
 	}
-	d.reg = reg2
-	d.lm = locks.NewManager(reg2)
-	d.rt = d.mk()
-	if err := d.rt.Attach(reg2, d.lm); err != nil {
-		return err
-	}
-	d.cells = reg2.Root(rootChaosCtr0)
-	d.lock = d.lm.ByHolder(reg2.Root(rootChaosLock0))
-	d.th = nil
+	d.cells = reg.Root(rootChaosCtr0)
+	d.lock = d.lm.ByHolder(reg.Root(rootChaosLock0))
 	return nil
 }
 

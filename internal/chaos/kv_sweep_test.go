@@ -67,7 +67,7 @@ var memcacheSweep = kvSweep[*memcache.Cache]{
 		if err := memcache.CheckCacheLockFree(reg.Dev, lm, tbl); err != nil {
 			return nil, err
 		}
-		return (&cacheDriver{reg: reg, tbl: tbl}).observe()
+		return (&cacheDriver{nativeBase: nativeBase{reg: reg}, tbl: tbl}).observe()
 	},
 }
 

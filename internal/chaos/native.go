@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"math/rand"
 
 	"github.com/ido-nvm/ido/internal/baselines/atlas"
 	"github.com/ido-nvm/ido/internal/baselines/justdo"
@@ -41,16 +40,29 @@ const (
 	counterFASEs = 8 // total increments, alternating between the two counters
 )
 
-// nativeDriver runs a persist.Runtime implementation directly (no VM)
-// over one of the native workloads.
-type nativeDriver struct {
-	s  Schedule
-	mk func() persist.Runtime
+// nativeBase is what every native driver holds: the runtime's
+// constructor, and the runtime, lock manager and workload thread over
+// the current region.
+type nativeBase struct {
+	mk  func() persist.Runtime
+	reg *region.Region
+	lm  *locks.Manager
+	rt  persist.Runtime
+	th  persist.Thread // nil after attach: recovery runs no workload FASE
+}
 
-	reg  *region.Region
-	lm   *locks.Manager
-	rt   persist.Runtime
-	th   persist.Thread
+func (b *nativeBase) region() *region.Region { return b.reg }
+
+// mount attaches a fresh runtime and lock manager to reg.
+func (b *nativeBase) mount(reg *region.Region) error {
+	b.reg, b.lm, b.rt = reg, locks.NewManager(reg), b.mk()
+	return b.rt.Attach(reg, b.lm)
+}
+
+// nativeDriver runs a persist.Runtime implementation directly (no VM)
+// over the counter workload.
+type nativeDriver struct {
+	nativeBase
 	lock [2]*locks.Lock
 	ctr  [2]uint64
 }
@@ -62,7 +74,7 @@ func newNativeDriver(s Schedule) (driver, caps, error) {
 	}
 	switch s.Workload {
 	case "counter":
-		return &nativeDriver{s: s, mk: mk}, c, nil
+		return &nativeDriver{nativeBase: nativeBase{mk: mk}}, c, nil
 	case "cachemix":
 		// The delete-heavy memcache script needs recovery that completes
 		// (or wholly discards) the in-flight FASE: a torn chain unlink is
@@ -73,21 +85,21 @@ func newNativeDriver(s Schedule) (driver, caps, error) {
 		default:
 			return nil, caps{}, fmt.Errorf("chaos: runtime %s: workload \"cachemix\" needs FASE-exact recovery (supported on ido|mnemosyne|nvthreads)", s.Runtime)
 		}
-		return &cacheDriver{s: s, mk: mk}, c, nil
+		return &cacheDriver{nativeBase: nativeBase{mk: mk}}, c, nil
 	case "compact":
 		// One FASE that overflows the iDO log's record area twice: only
 		// iDO has a record area to compact.
 		if s.Runtime != "ido" {
 			return nil, caps{}, fmt.Errorf("chaos: runtime %s: workload \"compact\" exercises the iDO log (supported on ido)", s.Runtime)
 		}
-		return &compactDriver{s: s, mk: mk}, c, nil
+		return &compactDriver{nativeBase: nativeBase{mk: mk}}, c, nil
 	case "prefix":
 		// A long store-free FASE prefix and a read-only FASE: only iDO
 		// publishes lazily, and only its lock slots can be left stale.
 		if s.Runtime != "ido" {
 			return nil, caps{}, fmt.Errorf("chaos: runtime %s: workload \"prefix\" exercises the iDO log (supported on ido)", s.Runtime)
 		}
-		return &prefixDriver{s: s, mk: mk}, c, nil
+		return &prefixDriver{nativeBase: nativeBase{mk: mk}}, c, nil
 	}
 	return nil, caps{}, fmt.Errorf("chaos: runtime %s: unknown workload %q (native runtimes run \"counter\", \"cachemix\", \"compact\" or \"prefix\")", s.Runtime, s.Workload)
 }
@@ -131,13 +143,8 @@ func nativeRuntime(name string) (func() persist.Runtime, caps, error) {
 	return mk, c, nil
 }
 
-func (d *nativeDriver) dev() *nvm.Device { return d.reg.Dev }
-
 func (d *nativeDriver) prepare(seed int64) error {
-	d.reg = region.Create(1<<20, nvm.Config{})
-	d.lm = locks.NewManager(d.reg)
-	d.rt = d.mk()
-	if err := d.rt.Attach(d.reg, d.lm); err != nil {
+	if err := d.mount(region.Create(1<<20, nvm.Config{})); err != nil {
 		return err
 	}
 	dev := d.reg.Dev
@@ -160,12 +167,9 @@ func (d *nativeDriver) prepare(seed int64) error {
 	d.reg.SetRoot(rootChaosCtr1, d.ctr[1])
 	d.reg.SetRoot(rootChaosLock0, d.lock[0].Holder())
 	d.reg.SetRoot(rootChaosLock1, d.lock[1].Holder())
-	th, err := d.rt.NewThread()
-	if err != nil {
-		return err
-	}
-	d.th = th
-	return nil
+	var err error
+	d.th, err = d.rt.NewThread()
+	return err
 }
 
 // forward alternates increment FASEs over the two counters. The crash
@@ -192,28 +196,20 @@ func (d *nativeDriver) increment(i int) {
 	th.Unlock(d.lock[i])
 }
 
-func (d *nativeDriver) reopen(mode nvm.CrashMode, rng *rand.Rand) error {
-	reg2, err := d.reg.Crash(mode, rng)
-	if err != nil {
+func (d *nativeDriver) attach(reg *region.Region) error {
+	if err := d.mount(reg); err != nil {
 		return err
 	}
-	d.reg = reg2
-	d.lm = locks.NewManager(reg2)
-	d.rt = d.mk()
-	if err := d.rt.Attach(reg2, d.lm); err != nil {
-		return err
-	}
-	d.ctr = [2]uint64{reg2.Root(rootChaosCtr0), reg2.Root(rootChaosCtr1)}
+	d.ctr = [2]uint64{reg.Root(rootChaosCtr0), reg.Root(rootChaosCtr1)}
 	d.lock = [2]*locks.Lock{
-		d.lm.ByHolder(reg2.Root(rootChaosLock0)),
-		d.lm.ByHolder(reg2.Root(rootChaosLock1)),
+		d.lm.ByHolder(reg.Root(rootChaosLock0)),
+		d.lm.ByHolder(reg.Root(rootChaosLock1)),
 	}
-	d.th = nil // recovery and observation never execute workload FASEs
 	return nil
 }
 
 // registry rebuilds the resume registry against the current incarnation
-// of the locks and counters (they change at every reopen).
+// of the locks and counters (they change at every attach).
 func (d *nativeDriver) registry() *persist.ResumeRegistry {
 	rr := persist.NewResumeRegistry()
 	for i := 0; i < 2; i++ {

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"math/rand"
 
 	"github.com/ido-nvm/ido/internal/locks"
 	"github.com/ido-nvm/ido/internal/nvm"
@@ -61,27 +60,16 @@ func prefixWant() (a, b uint64) {
 }
 
 type prefixDriver struct {
-	s  Schedule
-	mk func() persist.Runtime
-
-	reg  *region.Region
-	lm   *locks.Manager
-	rt   persist.Runtime
-	th   persist.Thread
+	nativeBase
 	tbl  uint64
 	lock [4]*locks.Lock // header, node 0..2
 }
 
-func (d *prefixDriver) dev() *nvm.Device { return d.reg.Dev }
-
 func (d *prefixDriver) prepare(seed int64) error {
-	d.reg = region.Create(1<<16, nvm.Config{})
-	d.lm = locks.NewManager(d.reg)
-	d.rt = d.mk()
-	if err := d.rt.Attach(d.reg, d.lm); err != nil {
+	err := d.mount(region.Create(1<<16, nvm.Config{}))
+	if err != nil {
 		return err
 	}
-	var err error
 	if d.tbl, err = d.reg.Alloc.Alloc(pSize); err != nil {
 		return err
 	}
@@ -153,22 +141,14 @@ func (d *prefixDriver) forward() error {
 	return nil
 }
 
-func (d *prefixDriver) reopen(mode nvm.CrashMode, rng *rand.Rand) error {
-	reg2, err := d.reg.Crash(mode, rng)
-	if err != nil {
+func (d *prefixDriver) attach(reg *region.Region) error {
+	if err := d.mount(reg); err != nil {
 		return err
 	}
-	d.reg = reg2
-	d.lm = locks.NewManager(reg2)
-	d.rt = d.mk()
-	if err := d.rt.Attach(reg2, d.lm); err != nil {
-		return err
-	}
-	d.tbl = reg2.Root(rootChaosCtr0)
+	d.tbl = reg.Root(rootChaosCtr0)
 	for i := range d.lock {
-		d.lock[i] = d.lm.ByHolder(reg2.Dev.Load64(d.tbl + pLocks + uint64(i)*8))
+		d.lock[i] = d.lm.ByHolder(reg.Dev.Load64(d.tbl + pLocks + uint64(i)*8))
 	}
-	d.th = nil
 	return nil
 }
 
@@ -217,10 +197,10 @@ func (d *prefixDriver) locksFree() error {
 // heap names the table and the four lock holders; the FASEs allocate
 // nothing, so a leak here is a block of the setup or of a log gone
 // unreachable.
-func (d *prefixDriver) heap() (*region.Region, []uint64, error) {
+func (d *prefixDriver) heap() ([]uint64, error) {
 	reach := []uint64{d.tbl}
 	for _, l := range d.lock {
 		reach = append(reach, l.Holder())
 	}
-	return d.reg, reach, nil
+	return reach, nil
 }

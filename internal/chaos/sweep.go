@@ -50,9 +50,10 @@ func DefaultWorkload(runtime string) string {
 }
 
 // Sweep enumerates forward crash points × recovery crash points ×
-// sampled nesting depths for one runtime, running every schedule
-// through Run. The first non-converging schedule aborts the sweep; the
-// returned error carries the replayable schedule string.
+// sampled nesting depths for one runtime, running every schedule as Run
+// does, on a fork of its forward point's one crash image. The first
+// non-converging schedule aborts the sweep; the returned error carries
+// the replayable schedule string.
 func Sweep(o SweepOptions) (SweepStats, error) {
 	var st SweepStats
 	if o.Workload == "" {
@@ -91,8 +92,28 @@ func Sweep(o SweepOptions) (SweepStats, error) {
 		return st, fmt.Errorf("chaos: sweep %s/%s: workload has only %d injectable events", o.Runtime, o.Workload, k)
 	}
 
-	run := func(s Schedule) error {
-		res, err := Run(s)
+	// One crash image per forward point, shared by every adversary and
+	// recovery budget the sweep crashes there (deep samples included).
+	points := map[int64]*point{}
+	at := func(s Schedule) (*point, int64, error) {
+		p := points[s.Forward]
+		if p == nil {
+			var err error
+			if p, err = newPoint(s); err != nil {
+				return nil, 0, err
+			}
+			points[s.Forward] = p
+		}
+		// M: events in the first recovery pass at this crash point.
+		// Budgets 0..M-1 crash the pass.
+		r, err := p.ref(s, s.Mode)
+		if err != nil {
+			return nil, 0, fmt.Errorf("chaos: sweep %s: probing recovery events at forward %d: %w", o.Runtime, s.Forward, err)
+		}
+		return p, r.events, nil
+	}
+	run := func(p *point, s Schedule) error {
+		res, err := p.run(s)
 		if err != nil {
 			return err
 		}
@@ -108,7 +129,7 @@ func Sweep(o SweepOptions) (SweepStats, error) {
 
 	for _, mode := range modes {
 		if !c.supports(mode) {
-			return st, fmt.Errorf("chaos: sweep %s: adversary %s not supported (supported: %s)", o.Runtime, ModeName(mode), modeNames(c.modes))
+			return st, fmt.Errorf("chaos: sweep %s: adversary %s not supported (supported: %s)", o.Runtime, mode, modeNames(c.modes))
 		}
 		fstride := (k - 1 + int64(o.ForwardPoints) - 1) / int64(o.ForwardPoints)
 		if fstride < 1 {
@@ -116,16 +137,14 @@ func Sweep(o SweepOptions) (SweepStats, error) {
 		}
 		for f := int64(1); f < k; f += fstride {
 			s := Schedule{Runtime: o.Runtime, Workload: o.Workload, Mode: mode, Seed: o.Seed, Forward: f}
-			// M: events in the first recovery pass at this crash point.
-			// Budgets 0..M-1 crash the pass.
-			m, err := RecoveryEvents(s)
+			p, m, err := at(s)
 			if err != nil {
-				return st, fmt.Errorf("chaos: sweep %s: probing recovery events at forward %d: %w", o.Runtime, f, err)
+				return st, err
 			}
 			if m == 0 {
 				// Nothing to crash inside recovery (refusing or no-op
 				// runtimes): still verify the plain crash/recover cycle.
-				if err := run(s); err != nil {
+				if err := run(p, s); err != nil {
 					return st, err
 				}
 				continue
@@ -136,7 +155,7 @@ func Sweep(o SweepOptions) (SweepStats, error) {
 			}
 			for r := int64(0); r < m; r += rstride {
 				s.Recovery = []int64{r}
-				if err := run(s); err != nil {
+				if err := run(p, s); err != nil {
 					return st, err
 				}
 			}
@@ -149,11 +168,10 @@ func Sweep(o SweepOptions) (SweepStats, error) {
 		rng := rand.New(rand.NewSource(o.Seed))
 		for depth := 2; depth <= MaxDepth; depth++ {
 			for i := 0; i < o.DeepSamples; i++ {
-				f := 1 + rng.Int63n(k-1)
-				s := Schedule{Runtime: o.Runtime, Workload: o.Workload, Mode: mode, Seed: o.Seed, Forward: f}
-				m, err := RecoveryEvents(s)
+				s := Schedule{Runtime: o.Runtime, Workload: o.Workload, Mode: mode, Seed: o.Seed, Forward: 1 + rng.Int63n(k-1)}
+				p, m, err := at(s)
 				if err != nil {
-					return st, fmt.Errorf("chaos: sweep %s: probing recovery events at forward %d: %w", o.Runtime, f, err)
+					return st, err
 				}
 				if m == 0 {
 					continue
@@ -161,7 +179,7 @@ func Sweep(o SweepOptions) (SweepStats, error) {
 				for l := 0; l < depth; l++ {
 					s.Recovery = append(s.Recovery, rng.Int63n(m))
 				}
-				if err := run(s); err != nil {
+				if err := run(p, s); err != nil {
 					return st, err
 				}
 			}

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"github.com/ido-nvm/ido/internal/compile"
@@ -36,7 +35,6 @@ func compiledProg() (*compile.Compiled, error) {
 // vmDriver runs the compiled IR kernels on the VM in one of its three
 // modes, over the map_put workload.
 type vmDriver struct {
-	s    Schedule
 	mode vm.Mode
 
 	reg *region.Region
@@ -67,31 +65,22 @@ func newVMDriver(s Schedule) (driver, caps, error) {
 	if s.Workload != "mapput" {
 		return nil, caps{}, fmt.Errorf("chaos: runtime %s: unknown workload %q (VM runtimes run \"mapput\")", s.Runtime, s.Workload)
 	}
-	return &vmDriver{s: s, mode: mode}, c, nil
+	return &vmDriver{mode: mode}, c, nil
 }
 
-func (d *vmDriver) dev() *nvm.Device { return d.reg.Dev }
+func (d *vmDriver) region() *region.Region { return d.reg }
 
 func (d *vmDriver) prepare(seed int64) error {
-	prog, err := compiledProg()
+	err := d.attach(region.Create(1<<22, nvm.Config{}))
 	if err != nil {
 		return err
 	}
-	d.reg = region.Create(1<<22, nvm.Config{})
-	d.lm = locks.NewManager(d.reg)
-	d.m = vm.New(d.reg, d.lm, prog, d.mode)
-	mp, err := irprog.NewMap(d.reg, d.lm, mapBuckets)
-	if err != nil {
+	if d.mp, err = irprog.NewMap(d.reg, d.lm, mapBuckets); err != nil {
 		return err
 	}
-	d.mp = mp
-	d.reg.SetRoot(rootChaosMap, mp)
-	th, err := d.m.NewThread()
-	if err != nil {
-		return err
-	}
-	d.th = th
-	return nil
+	d.reg.SetRoot(rootChaosMap, d.mp)
+	d.th, err = d.m.NewThread()
+	return err
 }
 
 // forward performs mapOps puts with a deterministic key sequence (the
@@ -106,20 +95,15 @@ func (d *vmDriver) forward() error {
 	return nil
 }
 
-func (d *vmDriver) reopen(mode nvm.CrashMode, rng *rand.Rand) error {
+func (d *vmDriver) attach(reg *region.Region) error {
 	prog, err := compiledProg()
 	if err != nil {
 		return err
 	}
-	reg2, err := d.reg.Crash(mode, rng)
-	if err != nil {
-		return err
-	}
-	d.reg = reg2
-	d.lm = locks.NewManager(reg2)
-	d.m = vm.New(reg2, d.lm, prog, d.mode)
-	d.mp = reg2.Root(rootChaosMap)
-	d.th = nil
+	d.reg = reg
+	d.lm = locks.NewManager(reg)
+	d.m = vm.New(reg, d.lm, prog, d.mode)
+	d.mp = reg.Root(rootChaosMap)
 	return nil
 }
 

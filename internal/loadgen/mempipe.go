@@ -177,8 +177,8 @@ type memAddr string
 func (a memAddr) Network() string { return "mem" }
 func (a memAddr) String() string  { return string(a) }
 
-func (c *memConn) LocalAddr() net.Addr                { return memAddr(c.name) }
-func (c *memConn) RemoteAddr() net.Addr               { return memAddr(c.name) }
+func (c *memConn) LocalAddr() net.Addr  { return memAddr(c.name) }
+func (c *memConn) RemoteAddr() net.Addr { return memAddr(c.name) }
 func (c *memConn) SetDeadline(t time.Time) error {
 	c.r.setReadDeadline(t)
 	return nil

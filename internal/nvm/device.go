@@ -579,6 +579,39 @@ func (d *Device) Crash(mode CrashMode, rng *rand.Rand) {
 	}
 }
 
+// Fork returns a copy of the device as it stands: every installed page's
+// persistent words, cached words and line states, the same Config and
+// the same event counts, with crash injection disarmed and no tracer.
+// Crash on the fork settles what Crash on the device would, and leaves
+// the device untouched, so one crash image can be settled and recovered
+// many times. Fork a quiescent device: no line may be locked or written
+// while the copy runs.
+func (d *Device) Fork() *Device {
+	cfg := d.cfg
+	cfg.Tracer = nil
+	f := New(cfg)
+	f.extraNS.Store(d.extraNS.Load())
+	for i := range d.stripes {
+		for ev := range statEvents {
+			f.stripes[i].n[ev] = readCounter(&d.stripes[i].n[ev])
+		}
+		f.evict[i].x = loadWord(&d.evict[i].x)
+	}
+	for pi := range d.pages {
+		p := d.pages[pi].Load()
+		if p == nil {
+			continue
+		}
+		q := new(page)
+		for l := range p.state {
+			q.state[l].Store(p.state[l].Load())
+		}
+		q.words, q.cached = p.words, p.cached
+		f.pages[pi].Store(q)
+	}
+	return f
+}
+
 // DrainCache writes back every dirty line (a global flush). Used by
 // region snapshotting, not by the runtimes.
 func (d *Device) DrainCache() {

@@ -60,7 +60,7 @@ func TestFastGetWaitsOnEpoch(t *testing.T) {
 
 	t.Run("write finishes", func(t *testing.T) {
 		sh, k0, k1 := setup(t)
-		sh.seq.Add(1) // a write in flight
+		sh.seq.Add(1)                        // a write in flight
 		sh.onPark = func() { sh.seq.Add(1) } // it finishes once the reader waits
 		r := <-read(sh, k0, k1)
 		if !r.ok || !r.hit || r.v != 42 {
