@@ -23,8 +23,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
+	"github.com/ido-nvm/ido/internal/lineset"
 	"github.com/ido-nvm/ido/internal/locks"
 	"github.com/ido-nvm/ido/internal/nvm"
 	"github.com/ido-nvm/ido/internal/obs"
@@ -89,9 +89,7 @@ type Runtime struct {
 	clockMu sync.Mutex
 	clocks  map[uint64]uint64 // holder -> lock lamport clock
 
-	mu      sync.Mutex
-	threads []*thread
-	nextID  int
+	threads persist.Threads
 }
 
 // New creates an Atlas runtime.
@@ -137,22 +135,16 @@ func (rt *Runtime) NewThread() (persist.Thread, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Deferred unlock: the device calls below panic with nvm.CrashSignal
-	// under armed injection, and the mutex must not survive the unwind.
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	id := rt.nextID
-	rt.nextID++
+	rt.threads.Lock()
+	defer rt.threads.Unlock()
+	id := rt.threads.Next()
 	dev.Store64(rec+trID, uint64(id))
 	dev.Store64(rec+trChunk, chunk)
-	dev.Store64(rec+trNext, rt.reg.Root(region.RootAtlasHead))
-	dev.PersistRange(rec, trSize)
-	dev.Fence()
-	rt.reg.SetRoot(region.RootAtlasHead, rec)
+	rt.reg.Link(region.RootAtlasHead, rec, trNext, trSize)
 	t := &thread{rt: rt, id: id, rec: rec, firstChunk: chunk}
 	t.setChunk(chunk, 0)
 	t.rc = dev.Tracer().ThreadRing(fmt.Sprintf("atlas/t%d", id))
-	rt.threads = append(rt.threads, t)
+	rt.threads.Add(id, &t.stats)
 	return t, nil
 }
 
@@ -192,7 +184,7 @@ type thread struct {
 
 	depth   int
 	lamport uint64
-	dirty   []uint64 // data lines to write back at FASE end
+	dirty   lineset.Set // data lines to write back at FASE end
 
 	rc           *obs.Ring // event ring; nil when tracing is off
 	faseT0       int64     // tracer clock at FASE entry
@@ -253,16 +245,6 @@ func (t *thread) append(kind, addr, val, aux uint64) {
 	t.rc.Emit(obs.KLogAppend, entrySize, kind)
 }
 
-func (t *thread) trackLine(addr uint64) {
-	line := addr &^ (nvm.LineSize - 1)
-	for _, l := range t.dirty {
-		if l == line {
-			return
-		}
-	}
-	t.dirty = append(t.dirty, line)
-}
-
 // Lock acquires l and logs ownership plus the observed lock clock — the
 // happens-before edge recovery needs.
 func (t *thread) Lock(l *locks.Lock) {
@@ -291,9 +273,9 @@ func (t *thread) Unlock(l *locks.Lock) {
 	t.rt.setLockClock(l.Holder(), t.lamport)
 	if last {
 		// FASE end: data durable first (flush + fence).
-		dev.FlushLines(t.dirty)
+		dev.FlushLines(t.dirty.Lines())
 		dev.Fence()
-		t.dirty = t.dirty[:0]
+		t.dirty.Reset()
 		if t.rt.cfg.Retain {
 			t.append(kRelease, l.Holder(), t.lamport, 1)
 		} else {
@@ -341,9 +323,9 @@ func (t *thread) BeginDurable() {
 func (t *thread) EndDurable() {
 	dev := t.rt.reg.Dev
 	if t.depth == 1 {
-		dev.FlushLines(t.dirty)
+		dev.FlushLines(t.dirty.Lines())
 		dev.Fence()
-		t.dirty = t.dirty[:0]
+		t.dirty.Reset()
 		t.lamport++
 		if t.rt.cfg.Retain {
 			t.append(kRelease, 0, t.lamport, 1)
@@ -374,7 +356,7 @@ func (t *thread) Store64(addr, val uint64) {
 	old := dev.Load64(addr)
 	t.append(kStore, addr, old, t.lamport)
 	dev.Store64(addr, val)
-	t.trackLine(addr)
+	t.dirty.Add(addr &^ (nvm.LineSize - 1))
 	t.stats.Stores++
 }
 
@@ -384,15 +366,7 @@ func (t *thread) Load64(addr uint64) uint64 { return t.rt.reg.Dev.Load64(addr) }
 func (t *thread) Boundary(uint64, ...persist.RegVal) {}
 
 // Stats implements persist.Runtime.
-func (rt *Runtime) Stats() persist.RuntimeStats {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	var out persist.RuntimeStats
-	for _, t := range rt.threads {
-		out.Add(&t.stats)
-	}
-	return out
-}
+func (rt *Runtime) Stats() persist.RuntimeStats { return rt.threads.Stats() }
 
 // ---- Recovery ----
 
@@ -415,22 +389,21 @@ type fase struct {
 // released by a rolled-back FASE, and truncates the logs. Rollback applies
 // undo records in reverse happens-before order.
 func (rt *Runtime) Recover(*persist.ResumeRegistry) (persist.RecoveryStats, error) {
-	start := time.Now()
+	return persist.Recover(rt.reg, rt.Name(), rt.rollBack)
+}
+
+func (rt *Runtime) rollBack(stats *persist.Pass) error {
 	dev := rt.reg.Dev
-	attempt := dev.EnterRecovery()
-	defer dev.ExitRecovery()
-	var stats persist.RecoveryStats
-	stats.Attempt = attempt
-	stats.Audit = &obs.RecoveryAudit{Runtime: rt.Name(), Attempt: attempt}
-	rc := dev.Tracer().ThreadRing("atlas/recover")
-	scanT0 := rc.Clock()
 
 	// 1. Scan all logs.
 	var fases []*fase
 	releaseIndex := map[[2]uint64]*fase{} // (holder, clock) -> releasing FASE
 	var logsToReset [][]uint64            // chunks per thread, for truncation
 	auditIdx := map[int]int{}             // tid -> index into stats.Audit.Threads
-	for rec := rt.reg.Root(region.RootAtlasHead); rec != 0; rec = dev.Load64(rec + trNext) {
+	for rec, err := range rt.reg.List(region.RootAtlasHead, trNext, trSize) {
+		if err != nil {
+			return fmt.Errorf("atlas: thread records: %w", err)
+		}
 		stats.Threads++
 		tid := int(dev.Load64(rec + trID))
 		auditIdx[tid] = len(stats.Audit.Threads)
@@ -439,7 +412,10 @@ func (rt *Runtime) Recover(*persist.ResumeRegistry) (persist.RecoveryStats, erro
 		depth := 0
 		idx := 0
 		var chunks []uint64
-		for c := dev.Load64(rec + trChunk); c != 0; c = dev.Load64(c + 0) {
+		for c, err := range rt.reg.Chain(rec+trChunk, 0, chunkSize) {
+			if err != nil {
+				return fmt.Errorf("atlas: thread %d's log chunks: %w", tid, err)
+			}
 			chunks = append(chunks, c)
 			gen := dev.Load64(c + 16)
 			used := int(dev.Load64(c + 8))
@@ -509,7 +485,8 @@ func (rt *Runtime) Recover(*persist.ResumeRegistry) (persist.RecoveryStats, erro
 		}
 		logsToReset = append(logsToReset, chunks)
 	}
-	rc.Span(obs.KRecovery, obs.PhaseScan, stats.LogEntries, scanT0)
+	stats.Scanned()
+	rc := stats.Ring
 
 	// 2. Seed the rollback set with incomplete FASEs; propagate along
 	// release->acquire edges (a FASE that acquired a lock at clock v
@@ -598,9 +575,7 @@ func (rt *Runtime) Recover(*persist.ResumeRegistry) (persist.RecoveryStats, erro
 	}
 	dev.Fence()
 	rc.Span(obs.KRecovery, obs.PhaseTruncate, uint64(len(logsToReset)), trT0)
-
-	stats.Elapsed = time.Since(start)
-	return stats, nil
+	return nil
 }
 
 var (

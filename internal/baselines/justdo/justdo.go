@@ -17,7 +17,6 @@ package justdo
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/ido-nvm/ido/internal/locks"
 	"github.com/ido-nvm/ido/internal/nvm"
@@ -41,11 +40,8 @@ const (
 
 // Runtime is the JUSTDO baseline runtime.
 type Runtime struct {
-	reg *region.Region
-
-	mu      sync.Mutex
-	threads []*thread
-	nextID  int
+	reg     *region.Region
+	threads persist.Threads
 }
 
 // New creates a JUSTDO runtime.
@@ -69,37 +65,29 @@ func (rt *Runtime) NewThread() (persist.Thread, error) {
 	log := (raw + nvm.LineSize - 1) &^ (nvm.LineSize - 1)
 	rt.reg.Dev.PersistRange(log, logSize)
 	rt.reg.Dev.Fence()
-	rt.mu.Lock()
-	t := &thread{rt: rt, id: rt.nextID, log: log}
+	rt.threads.Lock()
+	defer rt.threads.Unlock()
+	t := &thread{rt: rt, id: rt.threads.Next(), log: log}
 	t.initAddrs()
 	t.rc = rt.reg.Dev.Tracer().ThreadRing(fmt.Sprintf("justdo/t%d", t.id))
-	rt.nextID++
-	rt.threads = append(rt.threads, t)
-	rt.mu.Unlock()
+	rt.threads.Add(t.id, &t.stats)
 	return t, nil
 }
 
 // Recover implements persist.Runtime. Store-granularity resumption needs
 // the VM's ability to jump to an arbitrary instruction; see internal/vm.
 // The pass is still bracketed as a recovery attempt so the chaos harness
-// sees a consistent attempt count across runtimes.
+// sees a consistent attempt count across runtimes; a refused pass has no
+// audit.
 func (rt *Runtime) Recover(*persist.ResumeRegistry) (persist.RecoveryStats, error) {
-	attempt := rt.reg.Dev.EnterRecovery()
-	defer rt.reg.Dev.ExitRecovery()
-	return persist.RecoveryStats{Attempt: attempt}, fmt.Errorf(
+	st, _ := persist.Recover(rt.reg, rt.Name(), nil)
+	st.Audit = nil
+	return st, fmt.Errorf(
 		"justdo: native recovery is store-granularity and provided by the VM (internal/vm); see DESIGN.md")
 }
 
 // Stats implements persist.Runtime.
-func (rt *Runtime) Stats() persist.RuntimeStats {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	var out persist.RuntimeStats
-	for _, t := range rt.threads {
-		out.Add(&t.stats)
-	}
-	return out
-}
+func (rt *Runtime) Stats() persist.RuntimeStats { return rt.threads.Stats() }
 
 type thread struct {
 	rt    *Runtime

@@ -18,9 +18,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/ido-nvm/ido/internal/locks"
 	"github.com/ido-nvm/ido/internal/nvm"
@@ -50,9 +48,7 @@ type Runtime struct {
 	clock   atomic.Uint64
 	stripes []atomic.Uint64 // version<<1 | locked
 
-	mu      sync.Mutex
-	threads []*thread
-	nextID  int
+	threads persist.Threads
 }
 
 // New creates a Mnemosyne runtime.
@@ -84,52 +80,38 @@ func (rt *Runtime) NewThread() (persist.Thread, error) {
 	}
 	log := (raw + nvm.LineSize - 1) &^ (nvm.LineSize - 1)
 	dev := rt.reg.Dev
-	// Deferred unlock: the device calls below panic with nvm.CrashSignal
-	// under armed injection, and the mutex must not survive the unwind.
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
+	rt.threads.Lock()
+	defer rt.threads.Unlock()
 	dev.Store64(log+logState, 0)
 	dev.Store64(log+logCount, 0)
-	dev.Store64(log+logNext, rt.reg.Root(region.RootMnemosyneHead))
-	dev.PersistRange(log, logBase)
-	dev.Fence()
-	rt.reg.SetRoot(region.RootMnemosyneHead, log)
+	rt.reg.Link(region.RootMnemosyneHead, log, logNext, logBase)
+	id := rt.threads.Next()
 	t := &thread{
-		rt: rt, id: rt.nextID, log: log,
+		rt: rt, id: id, log: log,
 		writes: make(map[uint64]uint64),
-		rng:    uint64(rt.nextID+1) * 0x9E3779B97F4A7C15,
+		rng:    uint64(id+1) * 0x9E3779B97F4A7C15,
 	}
 	t.rc = dev.Tracer().ThreadRing(fmt.Sprintf("mnemosyne/t%d", t.id))
-	rt.nextID++
-	rt.threads = append(rt.threads, t)
+	rt.threads.Add(id, &t.stats)
 	return t, nil
 }
 
 // Stats implements persist.Runtime.
-func (rt *Runtime) Stats() persist.RuntimeStats {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	var out persist.RuntimeStats
-	for _, t := range rt.threads {
-		out.Add(&t.stats)
-	}
-	return out
-}
+func (rt *Runtime) Stats() persist.RuntimeStats { return rt.threads.Stats() }
 
 // Recover replays any redo log whose commit record survived but whose
 // in-place application may not have: REDO semantics make replay
 // idempotent, so re-applying is always safe.
 func (rt *Runtime) Recover(*persist.ResumeRegistry) (persist.RecoveryStats, error) {
-	start := time.Now()
+	return persist.Recover(rt.reg, rt.Name(), rt.replay)
+}
+
+func (rt *Runtime) replay(stats *persist.Pass) error {
 	dev := rt.reg.Dev
-	attempt := dev.EnterRecovery()
-	defer dev.ExitRecovery()
-	var stats persist.RecoveryStats
-	stats.Attempt = attempt
-	stats.Audit = &obs.RecoveryAudit{Runtime: rt.Name(), Attempt: attempt}
-	rc := dev.Tracer().ThreadRing("mnemosyne/recover")
-	scanT0 := rc.Clock()
-	for log := rt.reg.Root(region.RootMnemosyneHead); log != 0; log = dev.Load64(log + logNext) {
+	for log, err := range rt.reg.List(region.RootMnemosyneHead, logNext, logSize) {
+		if err != nil {
+			return fmt.Errorf("mnemosyne: %w", err)
+		}
 		// The log carries no thread id; number audits by scan position.
 		audit := obs.ThreadAudit{ThreadID: stats.Threads, LogAddr: log, Action: obs.AuditIdle}
 		stats.Threads++
@@ -157,9 +139,8 @@ func (rt *Runtime) Recover(*persist.ResumeRegistry) (persist.RecoveryStats, erro
 		audit.WordsRestored = n
 		stats.Audit.Add(audit)
 	}
-	rc.Span(obs.KRecovery, obs.PhaseScan, stats.LogEntries, scanT0)
-	stats.Elapsed = time.Since(start)
-	return stats, nil
+	stats.Scanned()
+	return nil
 }
 
 type readRec struct {

@@ -11,9 +11,8 @@ package nvml
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
+	"github.com/ido-nvm/ido/internal/lineset"
 	"github.com/ido-nvm/ido/internal/locks"
 	"github.com/ido-nvm/ido/internal/nvm"
 	"github.com/ido-nvm/ido/internal/obs"
@@ -51,11 +50,8 @@ func entryTag(gen, addr, old uint64) uint64 {
 
 // Runtime is the NVML baseline runtime.
 type Runtime struct {
-	reg *region.Region
-
-	mu      sync.Mutex
-	threads []*thread
-	nextID  int
+	reg     *region.Region
+	threads persist.Threads
 }
 
 // New creates an NVML runtime.
@@ -78,49 +74,34 @@ func (rt *Runtime) NewThread() (persist.Thread, error) {
 	}
 	log := (raw + nvm.LineSize - 1) &^ (nvm.LineSize - 1)
 	dev := rt.reg.Dev
-	// Deferred unlock: the device calls below panic with nvm.CrashSignal
-	// under armed injection, and the mutex must not survive the unwind.
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
+	rt.threads.Lock()
+	defer rt.threads.Unlock()
 	dev.Store64(log+logCount, 0)
-	dev.Store64(log+logNext, rt.reg.Root(region.RootNVMLHead))
 	dev.Store64(log+logGen, 1) // 1 so recycled heap bytes (gen 0) never match
-	dev.PersistRange(log, logBase)
-	dev.Fence()
-	rt.reg.SetRoot(region.RootNVMLHead, log)
-	t := &thread{rt: rt, id: rt.nextID, log: log, gen: 1}
+	rt.reg.Link(region.RootNVMLHead, log, logNext, logBase)
+	t := &thread{rt: rt, id: rt.threads.Next(), log: log, gen: 1}
 	t.rc = dev.Tracer().ThreadRing(fmt.Sprintf("nvml/t%d", t.id))
-	rt.nextID++
-	rt.threads = append(rt.threads, t)
+	rt.threads.Add(t.id, &t.stats)
 	return t, nil
 }
 
 // Stats implements persist.Runtime.
-func (rt *Runtime) Stats() persist.RuntimeStats {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	var out persist.RuntimeStats
-	for _, t := range rt.threads {
-		out.Add(&t.stats)
-	}
-	return out
-}
+func (rt *Runtime) Stats() persist.RuntimeStats { return rt.threads.Stats() }
 
 // Recover rolls back any FASE whose undo log was never truncated,
 // applying the records newest-first. With no dependence tracking this is
 // sound only under NVML's programming model (FASEs on private or
 // externally synchronized data).
 func (rt *Runtime) Recover(*persist.ResumeRegistry) (persist.RecoveryStats, error) {
-	start := time.Now()
+	return persist.Recover(rt.reg, rt.Name(), rt.rollBack)
+}
+
+func (rt *Runtime) rollBack(stats *persist.Pass) error {
 	dev := rt.reg.Dev
-	attempt := dev.EnterRecovery()
-	defer dev.ExitRecovery()
-	var stats persist.RecoveryStats
-	stats.Attempt = attempt
-	stats.Audit = &obs.RecoveryAudit{Runtime: rt.Name(), Attempt: attempt}
-	rc := dev.Tracer().ThreadRing("nvml/recover")
-	scanT0 := rc.Clock()
-	for log := rt.reg.Root(region.RootNVMLHead); log != 0; log = dev.Load64(log + logNext) {
+	for log, err := range rt.reg.List(region.RootNVMLHead, logNext, logSize) {
+		if err != nil {
+			return fmt.Errorf("nvml: %w", err)
+		}
 		// The log carries no thread id; number audits by scan position.
 		audit := obs.ThreadAudit{ThreadID: stats.Threads, LogAddr: log, Action: obs.AuditIdle}
 		stats.Threads++
@@ -161,9 +142,8 @@ func (rt *Runtime) Recover(*persist.ResumeRegistry) (persist.RecoveryStats, erro
 		audit.WordsRestored = applied
 		stats.Audit.Add(audit)
 	}
-	rc.Span(obs.KRecovery, obs.PhaseScan, stats.LogEntries, scanT0)
-	stats.Elapsed = time.Since(start)
-	return stats, nil
+	stats.Scanned()
+	return nil
 }
 
 type thread struct {
@@ -174,7 +154,7 @@ type thread struct {
 
 	depth int
 	used  int
-	dirty []uint64
+	dirty lineset.Set // data lines to write back at commit
 
 	rc           *obs.Ring // event ring; nil when tracing is off
 	faseT0       int64     // tracer clock at FASE entry
@@ -244,22 +224,12 @@ func (t *thread) Store64(addr, val uint64) {
 	dev.CLWB(t.log + logCount)
 	dev.Fence()
 	dev.Store64(addr, val)
-	t.trackLine(addr)
+	t.dirty.Add(addr &^ (nvm.LineSize - 1))
 	t.stats.Stores++
 	t.stats.LoggedEntries++
 	t.stats.LoggedBytes += entrySize
 	t.faseLogBytes += entrySize
 	t.rc.Emit(obs.KLogAppend, entrySize, addr)
-}
-
-func (t *thread) trackLine(addr uint64) {
-	line := addr &^ (nvm.LineSize - 1)
-	for _, l := range t.dirty {
-		if l == line {
-			return
-		}
-	}
-	t.dirty = append(t.dirty, line)
 }
 
 func (t *thread) Load64(addr uint64) uint64 { return t.rt.reg.Dev.Load64(addr) }
@@ -273,10 +243,10 @@ func (t *thread) Boundary(uint64, ...persist.RegVal) {}
 // NVM first.
 func (t *thread) commit() {
 	dev := t.rt.reg.Dev
-	for _, line := range t.dirty {
+	for _, line := range t.dirty.Lines() {
 		dev.CLWB(line)
 	}
-	t.dirty = t.dirty[:0]
+	t.dirty.Reset()
 	dev.Fence()
 	t.gen++
 	dev.Store64(t.log+logGen, t.gen)

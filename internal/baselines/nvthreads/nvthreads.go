@@ -19,8 +19,6 @@ package nvthreads
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"github.com/ido-nvm/ido/internal/locks"
 	"github.com/ido-nvm/ido/internal/obs"
@@ -54,11 +52,8 @@ const (
 
 // Runtime is the NVThreads baseline runtime.
 type Runtime struct {
-	reg *region.Region
-
-	mu      sync.Mutex
-	threads []*thread
-	nextID  int
+	reg     *region.Region
+	threads persist.Threads
 }
 
 // New creates an NVThreads runtime.
@@ -83,48 +78,33 @@ func (rt *Runtime) NewThread() (persist.Thread, error) {
 	}
 	log := (raw + PageSize - 1) &^ (PageSize - 1)
 	dev := rt.reg.Dev
-	// Deferred unlock: the device calls below panic with nvm.CrashSignal
-	// under armed injection, and the mutex must not survive the unwind.
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
+	rt.threads.Lock()
+	defer rt.threads.Unlock()
 	dev.Store64(log+logState, 0)
 	dev.Store64(log+logCount, 0)
-	dev.Store64(log+logNext, rt.reg.Root(region.RootNVThreadsHead))
-	dev.PersistRange(log, logBase)
-	dev.Fence()
-	rt.reg.SetRoot(region.RootNVThreadsHead, log)
-	t := &thread{rt: rt, id: rt.nextID, log: log, pages: make(map[uint64][]uint64)}
+	rt.reg.Link(region.RootNVThreadsHead, log, logNext, logBase)
+	t := &thread{rt: rt, id: rt.threads.Next(), log: log, pages: make(map[uint64][]uint64)}
 	t.rc = dev.Tracer().ThreadRing(fmt.Sprintf("nvthreads/t%d", t.id))
-	rt.nextID++
-	rt.threads = append(rt.threads, t)
+	rt.threads.Add(t.id, &t.stats)
 	return t, nil
 }
 
 // Stats implements persist.Runtime.
-func (rt *Runtime) Stats() persist.RuntimeStats {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	var out persist.RuntimeStats
-	for _, t := range rt.threads {
-		out.Add(&t.stats)
-	}
-	return out
-}
+func (rt *Runtime) Stats() persist.RuntimeStats { return rt.threads.Stats() }
 
 // Recover replays committed-but-unapplied page logs (REDO replay is
 // idempotent); uncommitted private pages died with the volatile state.
 func (rt *Runtime) Recover(*persist.ResumeRegistry) (persist.RecoveryStats, error) {
-	start := time.Now()
+	return persist.Recover(rt.reg, rt.Name(), rt.replay)
+}
+
+func (rt *Runtime) replay(stats *persist.Pass) error {
 	dev := rt.reg.Dev
-	attempt := dev.EnterRecovery()
-	defer dev.ExitRecovery()
-	var stats persist.RecoveryStats
-	stats.Attempt = attempt
-	stats.Audit = &obs.RecoveryAudit{Runtime: rt.Name(), Attempt: attempt}
-	rc := dev.Tracer().ThreadRing("nvthreads/recover")
-	scanT0 := rc.Clock()
 	buf := make([]uint64, pageWords)
-	for log := rt.reg.Root(region.RootNVThreadsHead); log != 0; log = dev.Load64(log + logNext) {
+	for log, err := range rt.reg.List(region.RootNVThreadsHead, logNext, logSize) {
+		if err != nil {
+			return fmt.Errorf("nvthreads: %w", err)
+		}
 		// The log carries no thread id; number audits by scan position.
 		audit := obs.ThreadAudit{ThreadID: stats.Threads, LogAddr: log, Action: obs.AuditIdle}
 		stats.Threads++
@@ -152,9 +132,8 @@ func (rt *Runtime) Recover(*persist.ResumeRegistry) (persist.RecoveryStats, erro
 		audit.WordsRestored = n * pageWords
 		stats.Audit.Add(audit)
 	}
-	rc.Span(obs.KRecovery, obs.PhaseScan, stats.LogEntries, scanT0)
-	stats.Elapsed = time.Since(start)
-	return stats, nil
+	stats.Scanned()
+	return nil
 }
 
 type thread struct {

@@ -5,21 +5,15 @@
 package origin
 
 import (
-	"sync"
-
 	"github.com/ido-nvm/ido/internal/locks"
-	"github.com/ido-nvm/ido/internal/obs"
 	"github.com/ido-nvm/ido/internal/persist"
 	"github.com/ido-nvm/ido/internal/region"
 )
 
 // Runtime is the crash-vulnerable baseline runtime.
 type Runtime struct {
-	reg *region.Region
-
-	mu      sync.Mutex
-	threads []*thread
-	nextID  int
+	reg     *region.Region
+	threads persist.Threads
 }
 
 // New creates an origin runtime.
@@ -36,35 +30,21 @@ func (rt *Runtime) Attach(reg *region.Region, _ *locks.Manager) error {
 
 // NewThread implements persist.Runtime.
 func (rt *Runtime) NewThread() (persist.Thread, error) {
-	rt.mu.Lock()
-	t := &thread{rt: rt, id: rt.nextID}
-	rt.nextID++
-	rt.threads = append(rt.threads, t)
-	rt.mu.Unlock()
+	rt.threads.Lock()
+	defer rt.threads.Unlock()
+	t := &thread{rt: rt, id: rt.threads.Next()}
+	rt.threads.Add(t.id, &t.stats)
 	return t, nil
 }
 
 // Recover implements persist.Runtime; origin cannot recover anything.
 // The audit is present but empty, so callers can print it uniformly.
 func (rt *Runtime) Recover(*persist.ResumeRegistry) (persist.RecoveryStats, error) {
-	attempt := rt.reg.Dev.EnterRecovery()
-	defer rt.reg.Dev.ExitRecovery()
-	return persist.RecoveryStats{
-		Attempt: attempt,
-		Audit:   &obs.RecoveryAudit{Runtime: rt.Name(), Attempt: attempt},
-	}, nil
+	return persist.Recover(rt.reg, rt.Name(), nil)
 }
 
 // Stats implements persist.Runtime.
-func (rt *Runtime) Stats() persist.RuntimeStats {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	var out persist.RuntimeStats
-	for _, t := range rt.threads {
-		out.Add(&t.stats)
-	}
-	return out
-}
+func (rt *Runtime) Stats() persist.RuntimeStats { return rt.threads.Stats() }
 
 type thread struct {
 	rt    *Runtime

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"github.com/ido-nvm/ido/internal/idolog"
+	"github.com/ido-nvm/ido/internal/nvm"
 	"github.com/ido-nvm/ido/internal/region"
 )
 
@@ -27,9 +28,9 @@ func HeapLeak(reg *region.Region, reach []uint64) (blocks int, bytes uint64, err
 	}
 	const baselineLogNext = 16 // both baselines chain their logs through word 2
 	for _, root := range []int{region.RootMnemosyneHead, region.RootNVThreadsHead} {
-		for p, n := reg.Root(root), 0; p != 0; p = reg.Dev.Load64(p + baselineLogNext) {
-			if n++; n > walkBound {
-				return 0, 0, fmt.Errorf("log list of root %d exceeds %d logs (cycle?)", root, walkBound)
+		for p, err := range reg.List(root, baselineLogNext, nvm.LineSize) {
+			if err != nil {
+				return 0, 0, fmt.Errorf("log list of root %d: %w", root, err)
 			}
 			reach = append(reach, p)
 		}

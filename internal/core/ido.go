@@ -14,7 +14,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/ido-nvm/ido/internal/idolog"
 	"github.com/ido-nvm/ido/internal/locks"
@@ -41,10 +40,8 @@ type Runtime struct {
 
 	stride uint64 // the logs' word stride: 8 when coalescing, a cache line when not
 
-	mu      sync.Mutex
-	threads []*Thread
-	spares  idolog.Spares[*Thread]
-	nextID  int
+	threads persist.Threads        // its mutex also guards spares
+	spares  idolog.Spares[*Thread] // the threads the last Recover adopted
 }
 
 // New creates an iDO runtime with the given configuration.
@@ -70,18 +67,15 @@ func (rt *Runtime) Attach(reg *region.Region, lm *locks.Manager) error {
 // is left does it create an iDO_Log, one slot per persist register, on
 // the region's log list.
 func (rt *Runtime) NewThread() (persist.Thread, error) {
-	// Deferred unlock: Create's device calls panic with nvm.CrashSignal
-	// under armed injection, and the mutex must not survive the unwind.
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
+	rt.threads.Lock()
+	defer rt.threads.Unlock()
 	t, ok := rt.spares.Take(rt.Name())
 	if !ok {
 		t = &Thread{}
-		if err := t.Create(rt.reg, rt.Name(), rt.nextID, persist.MaxOutputs, rt.stride, 0, false); err != nil {
+		if err := t.Create(rt.reg, rt.Name(), rt.threads.Next(), persist.MaxOutputs, rt.stride, 0, false); err != nil {
 			return nil, err
 		}
-		rt.nextID++
-		rt.threads = append(rt.threads, t)
+		rt.threads.Add(t.ID(), &t.Stats)
 	}
 	rt.spares.Handed()
 	return t, nil
@@ -108,15 +102,7 @@ func (t *Thread) OutputScratch() []persist.RegVal { return t.outScratch[:0] }
 
 // Stats implements persist.Runtime. Call only while worker threads are
 // quiescent.
-func (rt *Runtime) Stats() persist.RuntimeStats {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	var out persist.RuntimeStats
-	for _, t := range rt.threads {
-		out.Add(&t.Stats)
-	}
-	return out
-}
+func (rt *Runtime) Stats() persist.RuntimeStats { return rt.threads.Stats() }
 
 // Recover implements persist.Runtime with the shared walk (§III-C); a
 // crashed thread's resume step is the entry rr holds for its region.
@@ -125,9 +111,9 @@ func (rt *Runtime) Stats() persist.RuntimeStats {
 // when an incarnation runs more threads than any before it. It must run
 // before the runtime hands out its first thread.
 func (rt *Runtime) Recover(rr *persist.ResumeRegistry) (persist.RecoveryStats, error) {
-	rt.mu.Lock()
+	rt.threads.Lock()
 	err := rt.spares.Recovering(rt.Name())
-	rt.mu.Unlock()
+	rt.threads.Unlock()
 	if err != nil {
 		return persist.RecoveryStats{}, err
 	}
@@ -135,10 +121,9 @@ func (rt *Runtime) Recover(rr *persist.ResumeRegistry) (persist.RecoveryStats, e
 	st, err := idolog.Recover(rt.reg, rt.lm, rt.Name(), func(id int, pc uint64) (*idolog.Log, func([]uint64), error) {
 		t := &Thread{}
 		adopted = append(adopted, t)
-		rt.mu.Lock()
-		rt.threads = append(rt.threads, t)
-		rt.nextID = max(rt.nextID, id+1)
-		rt.mu.Unlock()
+		rt.threads.Lock()
+		rt.threads.Add(id, &t.Stats)
+		rt.threads.Unlock()
 		if pc == 0 {
 			return &t.Log, nil, nil
 		}
@@ -152,9 +137,9 @@ func (rt *Runtime) Recover(rr *persist.ResumeRegistry) (persist.RecoveryStats, e
 	if err != nil {
 		return st, err
 	}
-	rt.mu.Lock()
+	rt.threads.Lock()
 	rt.spares.Keep(adopted, persist.MaxOutputs, rt.stride, false)
-	rt.mu.Unlock()
+	rt.threads.Unlock()
 	return st, nil
 }
 

@@ -196,10 +196,7 @@ func (l *Log) Create(reg *region.Region, name string, id, regs int, stride, extr
 	dev.Store64(l.addr+logMeta, meta)
 	dev.Store64(l.addr+logPC, 0)
 	dev.Store64(l.addr+logLockBits, 0)
-	dev.Store64(l.addr+logNext, reg.Root(region.RootIDOHead))
-	dev.PersistRange(l.addr, size)
-	dev.Fence()
-	reg.SetRoot(region.RootIDOHead, l.addr) // fenced internally
+	reg.Link(region.RootIDOHead, l.addr, logNext, size)
 	l.traceAs(name, "")
 	return nil
 }

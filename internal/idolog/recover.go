@@ -2,9 +2,8 @@ package idolog
 
 import (
 	"fmt"
-	"slices"
+	"iter"
 	"sync"
-	"time"
 
 	"github.com/ido-nvm/ido/internal/locks"
 	"github.com/ido-nvm/ido/internal/nvm"
@@ -107,21 +106,17 @@ func (s *Spares[T]) Handed() { s.handed = true }
 // goroutine at a time, so a recovery-scoped crash budget names the same
 // event on every replay.
 func Recover(reg *region.Region, lm *locks.Manager, name string, adopt Adopt) (persist.RecoveryStats, error) {
-	start := time.Now()
-	dev := reg.Dev
-	attempt := dev.EnterRecovery()
-	defer dev.ExitRecovery()
-	stats := persist.RecoveryStats{Attempt: attempt, Audit: &obs.RecoveryAudit{Runtime: name, Attempt: attempt}}
-	var rc *obs.Ring
-	if tr := dev.Tracer(); tr != nil {
-		rc = tr.ThreadRing(name + "/recover")
-	}
-	scanT0 := rc.Clock()
+	return persist.Recover(reg, name, func(ps *persist.Pass) error {
+		return recoverPass(ps, reg, lm, name, adopt)
+	})
+}
 
+func recoverPass(ps *persist.Pass, reg *region.Region, lm *locks.Manager, name string, adopt Adopt) error {
+	dev := reg.Dev
 	type pending struct {
 		l        *Log
 		pc, bits uint64 // the log's recovery_pc word and lock bitmap
-		ai       int    // index into stats.Audit.Threads
+		ai       int    // index into ps.Audit.Threads
 		rf       []uint64
 		resume   func(rf []uint64)
 		locks    []uint64
@@ -131,18 +126,16 @@ func Recover(reg *region.Region, lm *locks.Manager, name string, adopt Adopt) (p
 	}
 	var work []*pending
 
-	list := walkList(reg)
-	for {
-		opened, ok, err := list.step()
-		if !ok {
-			if err != nil {
-				return stats, fmt.Errorf("%s: %w", name, err)
-			}
-			break
+	for p, err := range walk(reg) {
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		p := opened.addr
-		stats.Threads++
-		stats.LogEntries++
+		opened, err := open(dev, p)
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		ps.Threads++
+		ps.LogEntries++
 		pc := dev.Load64(p + logPC)
 		bits := dev.Load64(p + logLockBits)
 		opened.recovering = true
@@ -150,8 +143,8 @@ func Recover(reg *region.Region, lm *locks.Manager, name string, adopt Adopt) (p
 		audit := obs.ThreadAudit{ThreadID: opened.id, LogAddr: p, Action: obs.AuditIdle, RecoveryPC: pc}
 		l, step, err := adopt(opened.id, pc)
 		if err != nil {
-			stats.Audit.Add(audit)
-			return stats, err
+			ps.Audit.Add(audit)
+			return err
 		}
 		*l = opened
 
@@ -167,7 +160,7 @@ func Recover(reg *region.Region, lm *locks.Manager, name string, adopt Adopt) (p
 				dev.Fence()
 				audit.Action = obs.AuditScrubbed
 			}
-			stats.Audit.Add(audit)
+			ps.Audit.Add(audit)
 			continue
 		}
 
@@ -186,19 +179,20 @@ func Recover(reg *region.Region, lm *locks.Manager, name string, adopt Adopt) (p
 				l.base = pcBase
 			}
 			if w.rf, _, err = l.decode(l.pairs, baseValid); err != nil {
-				stats.Audit.Add(audit)
-				return stats, fmt.Errorf("%s: %w", name, err)
+				ps.Audit.Add(audit)
+				return fmt.Errorf("%s: %w", name, err)
 			}
 			copy(l.rf, w.rf)
 			audit.Action = obs.AuditResumed
 			audit.RegionID = l.curRegion
 			audit.WordsRestored = l.pairs + int(l.base/pcBase)*l.regs // pairs, over the base image if live
 		}
-		stats.Audit.Add(audit)
-		w.ai = len(stats.Audit.Threads) - 1
+		ps.Audit.Add(audit)
+		w.ai = len(ps.Audit.Threads) - 1
 		work = append(work, w)
 	}
-	rc.Span(obs.KRecovery, obs.PhaseScan, stats.LogEntries, scanT0)
+	ps.Scanned()
+	rc := ps.Ring
 
 	// restore reads one interrupted thread's lock slots from its log and
 	// re-acquires its locks. An injected crash propagates; another panic
@@ -242,9 +236,9 @@ func Recover(reg *region.Region, lm *locks.Manager, name string, adopt Adopt) (p
 					lm.ByHolder(h).Release()
 				}
 			}
-			return stats, err
+			return err
 		}
-		stats.Audit.Threads[w.ai].Locks = w.locks
+		ps.Audit.Threads[w.ai].Locks = w.locks
 		locksTotal += uint64(len(w.locks))
 	}
 	rc.Span(obs.KRecovery, obs.PhaseReacquire, locksTotal, acqT0)
@@ -275,13 +269,12 @@ func Recover(reg *region.Region, lm *locks.Manager, name string, adopt Adopt) (p
 	}
 	for _, w := range work {
 		if w.err != nil {
-			return stats, w.err
+			return w.err
 		}
 	}
 	rc.Span(obs.KRecovery, obs.PhaseResume, uint64(len(work)), resumeT0)
-	stats.Resumed = len(work)
-	stats.Elapsed = time.Since(start)
-	return stats, nil
+	ps.Resumed = len(work)
+	return nil
 }
 
 // loadSlots reads the lock_array slots the bitmap marks live (0 for the
@@ -344,17 +337,17 @@ type Entry struct {
 func Inspect(reg *region.Region) ([]Entry, error) {
 	dev := reg.Dev
 	var out []Entry
-	list := walkList(reg)
-	for {
-		l, ok, err := list.step()
-		if !ok {
+	for p, err := range walk(reg) {
+		if err != nil {
 			return out, err
 		}
-		p := l.addr
+		l, err := open(dev, p)
+		if err != nil {
+			return out, err
+		}
 		e := Entry{LogAddr: p, ThreadID: l.id, Regs: l.regs, Raw: l.raw, PC: dev.Load64(p + logPC)}
 		if e.PC != 0 && !l.raw {
 			var n int
-			var err error
 			e.RegionID, n, e.BaseValid = Unpack(e.PC)
 			if e.RF, e.Pairs, err = l.decode(n, e.BaseValid); err != nil {
 				return out, err
@@ -367,48 +360,25 @@ func Inspect(reg *region.Region) ([]Entry, error) {
 		}
 		out = append(out, e)
 	}
+	return out, nil
 }
 
-// listWalk steps along a region's log list, for Recover and Inspect
-// alike. A region image can come from outside the program
-// (region.OpenFile), so a link is trusted only as far as it can be
-// checked: it must name a line-aligned log lying inside the device, and
-// one the walk has not visited — a cycle would otherwise adopt a log
-// twice, or never end. Distinct line-aligned logs also bound the walk at
-// dev.Size()/nvm.LineSize entries.
-type listWalk struct {
-	dev  *nvm.Device
-	head uint64   // the list's first link
-	seen []uint64 // the logs walked so far, in list order
+// walk is the region's iDO log list (region.Chain's checks, over each
+// log's header line), for Recover and Inspect alike.
+func walk(reg *region.Region) iter.Seq2[uint64, error] {
+	return reg.List(region.RootIDOHead, logNext, rfBase)
 }
 
-func walkList(reg *region.Region) listWalk {
-	return listWalk{dev: reg.Dev, head: reg.Root(region.RootIDOHead), seen: make([]uint64, 0, 8)}
-}
-
-// step opens the next log on the list. It reports false at the end of
-// the list, with an error when the list is corrupt.
-func (w *listWalk) step() (l Log, ok bool, err error) {
-	dev, size := w.dev, uint64(w.dev.Size())
-	p := w.head
-	if n := len(w.seen); n > 0 {
-		p = dev.Load64(w.seen[n-1] + logNext) // read once the caller is done with that log
-	}
-	switch {
-	case p == 0:
-		return l, false, nil
-	case p%nvm.LineSize != 0 || p > size-rfBase:
-		return l, false, fmt.Errorf("log link %#x after %d logs names no line-aligned log header inside the device's %d bytes", p, len(w.seen), size)
-	case slices.Contains(w.seen, p):
-		return l, false, fmt.Errorf("log list returns to log %#x after %d logs", p, len(w.seen))
-	}
+// open reads the header of the log at p, a line the walk has checked, and
+// checks the layout it declares: a corrupt header or a log running past
+// the device is an error, not a guess.
+func open(dev *nvm.Device, p uint64) (l Log, err error) {
 	l.addr = p
 	if err := l.setLayout(dev, dev.Load64(p+logMeta)); err != nil {
-		return l, false, fmt.Errorf("log %#x: corrupt header: %w", p, err)
+		return l, fmt.Errorf("log %#x: corrupt header: %w", p, err)
 	}
-	if end := p + l.slotOff(NumSlots); end > size {
-		return l, false, fmt.Errorf("log %#x: runs to %#x, past the device's %d bytes", p, end, size)
+	if end, size := p+l.slotOff(NumSlots), uint64(dev.Size()); end > size {
+		return l, fmt.Errorf("log %#x: runs to %#x, past the device's %d bytes", p, end, size)
 	}
-	w.seen = append(w.seen, p)
-	return l, true, nil
+	return l, nil
 }

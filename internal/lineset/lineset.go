@@ -1,6 +1,9 @@
-// Package lineset provides the dirty-line set both runtimes use to track
-// the distinct cache lines a region dirties, preserving insertion order
-// for the boundary write-back (§III-A step 1).
+// Package lineset provides the dirty-line set that tracks the distinct
+// cache lines a section of code dirties, in insertion order, for one
+// write-back pass over them: the iDO log (internal/idolog, so both the
+// core runtime and the VM) writes back a region's lines at its boundary
+// (§III-A step 1), and the Atlas and NVML baselines a FASE's data lines
+// at its end.
 //
 // Most dynamic regions touch a handful of lines (Fig. 8: the vast
 // majority perform ≤2 stores), so membership starts as a linear scan of a

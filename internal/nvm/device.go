@@ -288,15 +288,20 @@ func (d *Device) addrFault(addr uint64) {
 	panic(fmt.Sprintf("nvm: address %#x out of range (size %#x)", addr, d.Size()))
 }
 
-// count adds n to one event counter on this goroutine's stripe. The
-// stripe index is derived from the caller's stack pointer, which is
-// stable enough to keep goroutines on distinct stripes without any
-// registration. Totals are exact for single-threaded histories; see
-// wordops.go for the concurrent-counting contract.
-func (d *Device) count(ev int, n uint64) {
+// count adds n to one event counter on this goroutine's stripe with a
+// plain read-modify-write: exact for single-threaded histories, and see
+// wordops.go for the concurrent-counting contract. Fence counts with an
+// atomic add instead, so fence totals are exact under any concurrency.
+func (d *Device) count(ev int, n uint64) { addCounter(d.counter(ev), n) }
+
+// counter is event ev's counter on this goroutine's stripe. The stripe
+// index is derived from the caller's stack pointer, which is stable
+// enough to keep goroutines on distinct stripes without any
+// registration.
+func (d *Device) counter(ev int) *uint64 {
 	var probe byte
 	h := uint64(uintptr(unsafe.Pointer(&probe))) * 0x9E3779B97F4A7C15
-	addCounter(&d.stripes[h>>58].n[ev], n)
+	return &d.stripes[h>>58].n[ev]
 }
 
 // readPage returns the page holding addr, or nil if nothing was ever
@@ -488,7 +493,7 @@ func (d *Device) Fence() {
 	tr := d.trc.Load()
 	t0 := tr.Clock()
 	spin(d.cfg.FenceNS)
-	d.count(statFences, 1)
+	atomic.AddUint64(d.counter(statFences), 1) // exact under concurrency; beside the spin it costs nothing
 	if tr != nil {
 		tr.DevSpan(obs.KFence, 0, 0, t0)
 	}

@@ -17,10 +17,15 @@ package nvm
 //
 // Counters: each goroutine lands on its own padded stripe with very high
 // probability, so plain read-modify-write keeps totals exact for
-// single-threaded histories (the property tests rely on) and at worst
-// drops a negligible number of events when two goroutines share a stripe.
-// The race build makes the increments atomic, which also makes totals
-// exact under concurrency.
+// single-threaded histories (the property tests rely on) and drops an
+// event when two goroutines that share a stripe increment it at once.
+// Loads, stores, NT stores, write-backs, evictions and crashes count
+// this way: an atomic add would cost the two hottest calls more than
+// they cost themselves. Fences do not come through addCounter: Fence
+// adds atomically, which costs nothing beside its FenceNS spin, so the
+// fence total is exact under any concurrency and equals a tracer's fence
+// count. The race build makes every
+// increment atomic, which makes every total exact.
 
 func loadWord(p *uint64) uint64     { return *p }
 func storeWord(p *uint64, v uint64) { *p = v }

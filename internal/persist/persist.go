@@ -8,6 +8,7 @@ package persist
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/ido-nvm/ido/internal/locks"
@@ -170,6 +171,73 @@ type RecoveryStats struct {
 	// recovery_pc, how many words were restored. Runtimes populate it
 	// unconditionally (it is cheap); cmd/idorecover prints it.
 	Audit *obs.RecoveryAudit
+}
+
+// Pass is one recovery pass under way: the stats it returns, which the
+// runtime fills in, and its trace ring.
+type Pass struct {
+	RecoveryStats
+	Ring *obs.Ring // <name>/recover; nil when the device has no tracer
+	t0   int64     // tracer clock at the start of the pass
+}
+
+// Scanned records the pass's scan phase, from its start to now, over the
+// log entries counted so far.
+func (p *Pass) Scanned() { p.Ring.Span(obs.KRecovery, obs.PhaseScan, p.LogEntries, p.t0) }
+
+// Recover is every runtime's recovery bracket around scan, the runtime's
+// own algorithm: it marks a recovery pass over reg's device live for the
+// pass's duration (nvm.Device.EnterRecovery, whose attempt index the
+// stats and the audit carry), opens the audit and the name/recover trace
+// ring, and times the pass. A nil scan is a runtime with nothing to
+// recover: the pass gets an empty audit and no ring.
+func Recover(reg *region.Region, name string, scan func(p *Pass) error) (RecoveryStats, error) {
+	start := time.Now()
+	attempt := reg.Dev.EnterRecovery()
+	defer reg.Dev.ExitRecovery()
+	p := Pass{RecoveryStats: RecoveryStats{Attempt: attempt, Audit: &obs.RecoveryAudit{Runtime: name, Attempt: attempt}}}
+	var err error
+	if scan != nil {
+		p.Ring = reg.Dev.Tracer().ThreadRing(name + "/recover")
+		p.t0 = p.Ring.Clock()
+		err = scan(&p)
+	}
+	p.Elapsed = time.Since(start)
+	return p.RecoveryStats, err
+}
+
+// Threads is the registry every runtime keeps of its threads: it numbers
+// them and sums their counters. Its mutex serialises thread creation,
+// which links a log onto the region's list (region.Link); take it with a
+// deferred unlock, as a device call under it can panic with
+// nvm.CrashSignal.
+type Threads struct {
+	sync.Mutex
+	stats []*RuntimeStats
+	next  int
+}
+
+// Next is the id of the next new thread. Call with the mutex held.
+func (r *Threads) Next() int { return r.next }
+
+// Add registers the counters of thread id, a new thread's or one a
+// recovery found on the log list; Next moves past id. Call with the
+// mutex held.
+func (r *Threads) Add(id int, s *RuntimeStats) {
+	r.stats = append(r.stats, s)
+	r.next = max(r.next, id+1)
+}
+
+// Stats sums the counters of every thread added. Call only while the
+// threads are quiescent.
+func (r *Threads) Stats() RuntimeStats {
+	r.Lock()
+	defer r.Unlock()
+	var out RuntimeStats
+	for _, s := range r.stats {
+		out.Add(s)
+	}
+	return out
 }
 
 // HistStores is the bucket count for the stores-per-region histogram:

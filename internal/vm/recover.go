@@ -6,7 +6,6 @@ import (
 	"github.com/ido-nvm/ido/internal/compile"
 	"github.com/ido-nvm/ido/internal/idolog"
 	"github.com/ido-nvm/ido/internal/ir"
-	"github.com/ido-nvm/ido/internal/obs"
 	"github.com/ido-nvm/ido/internal/persist"
 )
 
@@ -25,16 +24,14 @@ import (
 // before the single pc store that publishes it, so its replay is exact
 // under the volatile-cache crash adversaries too.
 func (m *Machine) Recover() (persist.RecoveryStats, error) {
-	m.mu.Lock()
+	m.registry.Lock()
 	err := m.spares.Recovering(m.name())
-	m.mu.Unlock()
+	m.registry.Unlock()
 	if err != nil {
 		return persist.RecoveryStats{}, err
 	}
 	if m.Mode == ModeOrigin {
-		attempt := m.Reg.Dev.EnterRecovery()
-		m.Reg.Dev.ExitRecovery()
-		return persist.RecoveryStats{Attempt: attempt, Audit: &obs.RecoveryAudit{Runtime: m.name(), Attempt: attempt}}, nil
+		return persist.Recover(m.Reg, m.name(), nil)
 	}
 	var adopted []*Thread
 	st, err := idolog.Recover(m.Reg, m.LM, m.name(), func(id int, pc uint64) (*idolog.Log, func([]uint64), error) {
@@ -45,9 +42,9 @@ func (m *Machine) Recover() (persist.RecoveryStats, error) {
 	if err != nil {
 		return st, err
 	}
-	m.mu.Lock()
+	m.registry.Lock()
 	m.spares.Keep(adopted, MaxRegs+1, 8, m.Mode == ModeJUSTDO)
-	m.mu.Unlock()
+	m.registry.Unlock()
 	return st, nil
 }
 
@@ -55,10 +52,10 @@ func (m *Machine) Recover() (persist.RecoveryStats, error) {
 // the log: for a live pc it returns the jump to what the pc names — an
 // iDO region's entry, or the instruction after a JUSTDO record's.
 func (m *Machine) adopt(t *Thread, id int, pc uint64) (*idolog.Log, func([]uint64), error) {
-	m.mu.Lock()
+	m.registry.Lock()
+	m.registry.Add(id, &t.Stats)
 	m.threads = append(m.threads, t)
-	m.nextID = max(m.nextID, id+1)
-	m.mu.Unlock()
+	m.registry.Unlock()
 	if pc == 0 {
 		return &t.Log, nil, nil
 	}

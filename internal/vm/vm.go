@@ -37,7 +37,6 @@ package vm
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/ido-nvm/ido/internal/compile"
 	"github.com/ido-nvm/ido/internal/idolog"
@@ -111,10 +110,9 @@ type Machine struct {
 	funcNames []string
 	code      map[string]*compile.DecodedFunc
 
-	mu      sync.Mutex
-	threads []*Thread
-	spares  idolog.Spares[*Thread]
-	nextID  int
+	registry persist.Threads        // its mutex also guards threads and spares
+	threads  []*Thread              // for Trace, in registration order
+	spares   idolog.Spares[*Thread] // the threads the last Recover adopted
 }
 
 // New creates a machine. The program must come from compile.Program so
@@ -153,23 +151,15 @@ func New(reg *region.Region, lm *locks.Manager, prog *compile.Compiled, mode Mod
 func (m *Machine) SetCrashBudget(n int64) { m.Reg.Dev.ArmLocalCrash(n) }
 
 // Stats returns aggregated execution statistics (call while quiescent).
-func (m *Machine) Stats() persist.RuntimeStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out persist.RuntimeStats
-	for _, t := range m.threads {
-		out.Add(&t.Stats)
-	}
-	return out
-}
+func (m *Machine) Stats() persist.RuntimeStats { return m.registry.Stats() }
 
 // Trace returns the collected OpPrint output: threads in registration
 // order, program order within each thread. Each thread appends to its
 // own buffer during execution — there is no global trace lock — so like
 // Stats this merge is meaningful only while the machine is quiescent.
 func (m *Machine) Trace() []uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.registry.Lock()
+	defer m.registry.Unlock()
 	var out []uint64
 	for _, t := range m.threads {
 		out = append(out, t.trace...)
@@ -209,8 +199,8 @@ const frameSize = 4096
 // oldest log first, with the frame its log names, so a restart allocates
 // neither.
 func (m *Machine) NewThread() (*Thread, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.registry.Lock()
+	defer m.registry.Unlock()
 	dev := m.Reg.Dev
 	t, reused := m.spares.Take(m.name())
 	if reused {
@@ -226,10 +216,10 @@ func (m *Machine) NewThread() (*Thread, error) {
 		}
 		if !reused {
 			t = &Thread{m: m}
-			if err := t.Create(m.Reg, m.name(), m.nextID, MaxRegs+1, 8, extraSize, m.Mode == ModeJUSTDO); err != nil {
+			if err := t.Create(m.Reg, m.name(), m.registry.Next(), MaxRegs+1, 8, extraSize, m.Mode == ModeJUSTDO); err != nil {
 				return nil, err
 			}
-			m.nextID++
+			m.registry.Add(t.ID(), &t.Stats)
 			m.threads = append(m.threads, t)
 		}
 		// The frame base only matters to a resumed FASE, and none can
