@@ -80,31 +80,24 @@ type Config struct {
 	Retain bool
 }
 
-// Runtime is the Atlas baseline runtime.
+// Runtime is the Atlas baseline runtime. Its per-thread logs are thread
+// records — the thread's id and its first log chunk — listed at the root;
+// each record's chunks form a chain of their own.
 type Runtime struct {
+	persist.Frame
 	cfg Config
-	reg *region.Region
-	lm  *locks.Manager
 
 	clockMu sync.Mutex
 	clocks  map[uint64]uint64 // holder -> lock lamport clock
-
-	threads persist.Threads
 }
 
 // New creates an Atlas runtime.
 func New(cfg Config) *Runtime {
-	return &Runtime{cfg: cfg, clocks: make(map[uint64]uint64)}
-}
-
-// Name implements persist.Runtime.
-func (rt *Runtime) Name() string { return "atlas" }
-
-// Attach implements persist.Runtime.
-func (rt *Runtime) Attach(reg *region.Region, lm *locks.Manager) error {
-	rt.reg = reg
-	rt.lm = lm
-	return nil
+	return &Runtime{
+		Frame:  persist.NewFrame("atlas", persist.Logs{Size: trSize, Align: nvm.LineSize, Root: region.RootAtlasHead, Next: trNext}),
+		cfg:    cfg,
+		clocks: make(map[uint64]uint64),
+	}
 }
 
 // lockClock returns the stored clock of a lock holder. Callers must hold
@@ -122,39 +115,36 @@ func (rt *Runtime) setLockClock(holder, v uint64) {
 	rt.clocks[holder] = v
 }
 
-// NewThread implements persist.Runtime: it allocates a persistent thread
-// record plus a first log chunk and links the record into the global list.
+// NewThread implements persist.Runtime: a new thread's record gets its id
+// and a first log chunk; a reused one keeps both, its chunks truncated by
+// the Recover that walked it.
 func (rt *Runtime) NewThread() (persist.Thread, error) {
-	dev := rt.reg.Dev
-	raw, err := rt.reg.Alloc.Alloc(trSize + nvm.LineSize)
-	if err != nil {
-		return nil, fmt.Errorf("atlas: allocating thread record: %w", err)
-	}
-	rec := (raw + nvm.LineSize - 1) &^ (nvm.LineSize - 1)
-	chunk, err := rt.newChunk()
+	dev := rt.Reg.Dev
+	t := &thread{rt: rt}
+	reused, err := rt.Frame.NewThread(&t.ThreadFrame, func(rec uint64, id int) (err error) {
+		if t.firstChunk, err = rt.newChunk(); err != nil {
+			return err
+		}
+		dev.Store64(rec+trID, uint64(id))
+		dev.Store64(rec+trChunk, t.firstChunk)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	rt.threads.Lock()
-	defer rt.threads.Unlock()
-	id := rt.threads.Next()
-	dev.Store64(rec+trID, uint64(id))
-	dev.Store64(rec+trChunk, chunk)
-	rt.reg.Link(region.RootAtlasHead, rec, trNext, trSize)
-	t := &thread{rt: rt, id: id, rec: rec, firstChunk: chunk}
-	t.setChunk(chunk, 0)
-	t.rc = dev.Tracer().ThreadRing(fmt.Sprintf("atlas/t%d", id))
-	rt.threads.Add(id, &t.stats)
+	if reused {
+		t.firstChunk = dev.Load64(t.Log + trChunk)
+	}
+	t.setChunk(t.firstChunk, 0)
 	return t, nil
 }
 
 func (rt *Runtime) newChunk() (uint64, error) {
-	raw, err := rt.reg.Alloc.Alloc(chunkSize + nvm.LineSize)
+	c, err := rt.Block(chunkSize, nvm.LineSize)
 	if err != nil {
-		return 0, fmt.Errorf("atlas: allocating log chunk: %w", err)
+		return 0, err
 	}
-	c := (raw + nvm.LineSize - 1) &^ (nvm.LineSize - 1)
-	dev := rt.reg.Dev
+	dev := rt.Reg.Dev
 	dev.Store64(c+0, 0)  // next
 	dev.Store64(c+8, 0)  // used
 	dev.Store64(c+16, 1) // gen: 1 so recycled heap bytes (gen 0) never match
@@ -164,9 +154,8 @@ func (rt *Runtime) newChunk() (uint64, error) {
 }
 
 type thread struct {
-	rt  *Runtime
-	id  int
-	rec uint64
+	persist.ThreadFrame
+	rt *Runtime
 
 	firstChunk uint64
 	curChunk   uint64
@@ -182,26 +171,16 @@ type thread struct {
 	aNext uint64
 	aUsed uint64
 
-	depth   int
 	lamport uint64
 	dirty   lineset.Set // data lines to write back at FASE end
-
-	rc           *obs.Ring // event ring; nil when tracing is off
-	faseT0       int64     // tracer clock at FASE entry
-	faseLogBytes uint64    // log payload written during the current FASE
-
-	stats persist.RuntimeStats
 }
-
-func (t *thread) ID() int        { return t.id }
-func (t *thread) Exec(op func()) { op() }
 
 // setChunk makes c the active log chunk and refills the entry-address
 // table, so append does no address arithmetic of its own.
 func (t *thread) setChunk(c uint64, used int) {
 	t.curChunk = c
 	t.curUsed = used
-	t.curGen = t.rt.reg.Dev.Load64(c + 16)
+	t.curGen = t.rt.Reg.Dev.Load64(c + 16)
 	t.aNext = c + 0
 	t.aUsed = c + 8
 	for i := range t.entry {
@@ -212,7 +191,7 @@ func (t *thread) setChunk(c uint64, used int) {
 // append writes one undo entry and fences it durable — the per-store
 // persist cost the paper charges Atlas for.
 func (t *thread) append(kind, addr, val, aux uint64) {
-	dev := t.rt.reg.Dev
+	dev := t.rt.Reg.Dev
 	if t.curUsed == chunkCap {
 		next := dev.Load64(t.aNext)
 		if next == 0 {
@@ -239,20 +218,14 @@ func (t *thread) append(kind, addr, val, aux uint64) {
 	dev.CLWB(e)
 	dev.CLWB(t.aUsed)
 	dev.Fence()
-	t.stats.LoggedEntries++
-	t.stats.LoggedBytes += entrySize
-	t.faseLogBytes += entrySize
-	t.rc.Emit(obs.KLogAppend, entrySize, kind)
+	t.Append(entrySize, kind)
 }
 
 // Lock acquires l and logs ownership plus the observed lock clock — the
 // happens-before edge recovery needs.
 func (t *thread) Lock(l *locks.Lock) {
 	l.Acquire()
-	if t.rc != nil && t.depth == 0 {
-		t.faseT0 = t.rc.Clock()
-		t.faseLogBytes = 0
-	}
+	t.Open()
 	v := t.rt.lockClock(l.Holder())
 	if v+1 > t.lamport {
 		t.lamport = v + 1
@@ -260,38 +233,35 @@ func (t *thread) Lock(l *locks.Lock) {
 		t.lamport++
 	}
 	t.append(kAcquire, l.Holder(), v, 0)
-	t.rc.Emit(obs.KLockAcq, l.Holder(), 0)
-	t.depth++
+	t.Ring.Emit(obs.KLockAcq, l.Holder(), 0)
 }
 
 // Unlock logs the release (bumping the lock clock) and, at FASE end,
 // makes the FASE's data durable before either pruning or sealing the log.
 func (t *thread) Unlock(l *locks.Lock) {
-	dev := t.rt.reg.Dev
-	last := t.depth == 1
 	t.lamport++
 	t.rt.setLockClock(l.Holder(), t.lamport)
-	if last {
-		// FASE end: data durable first (flush + fence).
-		dev.FlushLines(t.dirty.Lines())
-		dev.Fence()
-		t.dirty.Reset()
-		if t.rt.cfg.Retain {
-			t.append(kRelease, l.Holder(), t.lamport, 1)
-		} else {
-			t.prune()
-		}
-		t.stats.FASEs++
-		if t.rc != nil {
-			t.rc.Span(obs.KFASE, t.faseLogBytes, 0, t.faseT0)
-			t.rc.Observe(obs.HLogBytesPerFASE, t.faseLogBytes)
-		}
-	} else {
-		t.append(kRelease, l.Holder(), t.lamport, 0)
+	t.release(l.Holder())
+	t.ThreadFrame.Unlock(l)
+}
+
+// release logs the end of a FASE level, that of holder's critical section
+// or (holder 0) of a durable section; the outermost's is the FASE's end.
+func (t *thread) release(holder uint64) {
+	if !t.Outermost() {
+		t.append(kRelease, holder, t.lamport, 0)
+		return
 	}
-	t.rc.Emit(obs.KLockRel, l.Holder(), 0)
-	t.depth--
-	l.Release()
+	// FASE end: data durable first (flush + fence).
+	dev := t.rt.Reg.Dev
+	dev.FlushLines(t.dirty.Lines())
+	dev.Fence()
+	t.dirty.Reset()
+	if t.rt.cfg.Retain {
+		t.append(kRelease, holder, t.lamport, 1)
+	} else {
+		t.prune()
+	}
 }
 
 // prune discards the thread's log — legal only after the FASE's data has
@@ -299,7 +269,7 @@ func (t *thread) Unlock(l *locks.Lock) {
 // chunk's generation alongside the count invalidates the surviving entry
 // bytes no matter which of the two words reaches NVM first.
 func (t *thread) prune() {
-	dev := t.rt.reg.Dev
+	dev := t.rt.Reg.Dev
 	for _, c := range t.touched {
 		dev.Store64(c+16, dev.Load64(c+16)+1)
 		dev.Store64(c+8, 0)
@@ -311,45 +281,23 @@ func (t *thread) prune() {
 }
 
 func (t *thread) BeginDurable() {
-	if t.rc != nil && t.depth == 0 {
-		t.faseT0 = t.rc.Clock()
-		t.faseLogBytes = 0
-	}
+	t.Open()
 	t.lamport++
 	t.append(kAcquire, 0, t.lamport, 0)
-	t.depth++
 }
 
 func (t *thread) EndDurable() {
-	dev := t.rt.reg.Dev
-	if t.depth == 1 {
-		dev.FlushLines(t.dirty.Lines())
-		dev.Fence()
-		t.dirty.Reset()
-		t.lamport++
-		if t.rt.cfg.Retain {
-			t.append(kRelease, 0, t.lamport, 1)
-		} else {
-			t.prune()
-		}
-		t.stats.FASEs++
-		if t.rc != nil {
-			t.rc.Span(obs.KFASE, t.faseLogBytes, 0, t.faseT0)
-			t.rc.Observe(obs.HLogBytesPerFASE, t.faseLogBytes)
-		}
-	} else {
-		t.lamport++
-		t.append(kRelease, 0, t.lamport, 0)
-	}
-	t.depth--
+	t.lamport++
+	t.release(0)
+	t.Close()
 }
 
 // Store64 appends the undo record (durable before the store can leak to
 // NVM) and performs the store into the cache; the data line is written
 // back at FASE end.
 func (t *thread) Store64(addr, val uint64) {
-	dev := t.rt.reg.Dev
-	if t.depth == 0 {
+	dev := t.rt.Reg.Dev
+	if t.Depth == 0 {
 		dev.Store64(addr, val)
 		return
 	}
@@ -357,16 +305,10 @@ func (t *thread) Store64(addr, val uint64) {
 	t.append(kStore, addr, old, t.lamport)
 	dev.Store64(addr, val)
 	t.dirty.Add(addr &^ (nvm.LineSize - 1))
-	t.stats.Stores++
+	t.Stats.Stores++
 }
 
-func (t *thread) Load64(addr uint64) uint64 { return t.rt.reg.Dev.Load64(addr) }
-
-// Boundary is ignored: Atlas logs at store granularity.
-func (t *thread) Boundary(uint64, ...persist.RegVal) {}
-
-// Stats implements persist.Runtime.
-func (rt *Runtime) Stats() persist.RuntimeStats { return rt.threads.Stats() }
+func (t *thread) Load64(addr uint64) uint64 { return t.rt.Reg.Dev.Load64(addr) }
 
 // ---- Recovery ----
 
@@ -380,7 +322,6 @@ type fase struct {
 	thread   int
 	entries  []logEntry
 	complete bool
-	maxLam   uint64
 }
 
 // Recover scans every thread's retained undo log, reconstructs FASEs and
@@ -389,104 +330,102 @@ type fase struct {
 // released by a rolled-back FASE, and truncates the logs. Rollback applies
 // undo records in reverse happens-before order.
 func (rt *Runtime) Recover(*persist.ResumeRegistry) (persist.RecoveryStats, error) {
-	return persist.Recover(rt.reg, rt.Name(), rt.rollBack)
+	r := &recovery{rt: rt, auditIdx: map[int]int{}}
+	return rt.Frame.Recover(r.scan, r.rollBack)
 }
 
-func (rt *Runtime) rollBack(stats *persist.Pass) error {
-	dev := rt.reg.Dev
+// recovery is one pass's view of the logs it has scanned.
+type recovery struct {
+	rt          *Runtime
+	fases       []*fase
+	logsToReset [][]uint64  // chunks per thread, for truncation
+	auditIdx    map[int]int // tid -> index into stats.Audit.Threads
+}
 
-	// 1. Scan all logs.
-	var fases []*fase
-	releaseIndex := map[[2]uint64]*fase{} // (holder, clock) -> releasing FASE
-	var logsToReset [][]uint64            // chunks per thread, for truncation
-	auditIdx := map[int]int{}             // tid -> index into stats.Audit.Threads
-	for rec, err := range rt.reg.List(region.RootAtlasHead, trNext, trSize) {
+// scan reads one thread record's chain of log chunks into FASEs: step 1.
+func (r *recovery) scan(stats *persist.Pass, rec uint64, audit *obs.ThreadAudit) error {
+	dev := r.rt.Reg.Dev
+	tid := int(dev.Load64(rec + trID))
+	audit.ThreadID = tid
+	r.auditIdx[tid] = len(stats.Audit.Threads) - 1
+	var cur *fase
+	depth := 0
+	idx := 0
+	var chunks []uint64
+	for c, err := range r.rt.Reg.Chain(rec+trChunk, 0, chunkSize) {
 		if err != nil {
-			return fmt.Errorf("atlas: thread records: %w", err)
+			return fmt.Errorf("atlas: thread %d's log chunks: %w", tid, err)
 		}
-		stats.Threads++
-		tid := int(dev.Load64(rec + trID))
-		auditIdx[tid] = len(stats.Audit.Threads)
-		stats.Audit.Add(obs.ThreadAudit{ThreadID: tid, LogAddr: rec, Action: obs.AuditIdle})
-		var cur *fase
-		depth := 0
-		idx := 0
-		var chunks []uint64
-		for c, err := range rt.reg.Chain(rec+trChunk, 0, chunkSize) {
-			if err != nil {
-				return fmt.Errorf("atlas: thread %d's log chunks: %w", tid, err)
+		chunks = append(chunks, c)
+		gen := dev.Load64(c + 16)
+		used := int(dev.Load64(c + 8))
+		if used > chunkCap {
+			used = chunkCap // torn header: clamp
+		}
+		for i := 0; i < used; i++ {
+			e := c + chunkHdr + uint64(i)*entrySize
+			w := dev.Load64(e + 0)
+			ent := logEntry{
+				kind:   w & 0xff,
+				addr:   dev.Load64(e + 8),
+				val:    dev.Load64(e + 16),
+				aux:    dev.Load64(e + 24),
+				thread: tid,
+				idx:    idx,
 			}
-			chunks = append(chunks, c)
-			gen := dev.Load64(c + 16)
-			used := int(dev.Load64(c + 8))
-			if used > chunkCap {
-				used = chunkCap // torn header: clamp
+			idx++
+			stats.LogEntries++
+			if ent.kind < kStore || ent.kind > kRelease {
+				continue // torn trailing entry
 			}
-			for i := 0; i < used; i++ {
-				e := c + chunkHdr + uint64(i)*entrySize
-				w := dev.Load64(e + 0)
-				ent := logEntry{
-					kind:   w & 0xff,
-					addr:   dev.Load64(e + 8),
-					val:    dev.Load64(e + 16),
-					aux:    dev.Load64(e + 24),
-					thread: tid,
-					idx:    idx,
+			if w>>8 != entryTag(gen, ent.kind, ent.addr, ent.val, ent.aux) {
+				// Torn append (count persisted before the entry words)
+				// or a stale pre-truncation entry exposed by chunk
+				// reuse: either way not part of this epoch's log.
+				continue
+			}
+			switch ent.kind {
+			case kAcquire:
+				if depth == 0 {
+					cur = &fase{thread: tid}
+					r.fases = append(r.fases, cur)
 				}
-				idx++
-				stats.LogEntries++
-				if ent.kind < kStore || ent.kind > kRelease {
-					continue // torn trailing entry
-				}
-				if w>>8 != entryTag(gen, ent.kind, ent.addr, ent.val, ent.aux) {
-					// Torn append (count persisted before the entry words)
-					// or a stale pre-truncation entry exposed by chunk
-					// reuse: either way not part of this epoch's log.
+				depth++
+				cur.entries = append(cur.entries, ent)
+			case kRelease:
+				if cur == nil {
 					continue
 				}
-				switch ent.kind {
-				case kAcquire:
-					if depth == 0 {
-						cur = &fase{thread: tid}
-						fases = append(fases, cur)
-					}
-					depth++
-					cur.entries = append(cur.entries, ent)
-				case kRelease:
-					if cur == nil {
-						continue
-					}
-					cur.entries = append(cur.entries, ent)
-					if ent.val > cur.maxLam {
-						cur.maxLam = ent.val
-					}
-					if ent.aux == 1 {
-						cur.complete = true
-						depth = 0
-						releaseIndex[[2]uint64{ent.addr, ent.val}] = cur
-						cur = nil
-					} else {
-						depth--
-						releaseIndex[[2]uint64{ent.addr, ent.val}] = cur
-					}
-				case kStore:
-					if cur == nil {
-						continue // store outside any FASE span: torn log
-					}
-					cur.entries = append(cur.entries, ent)
-					if ent.aux > cur.maxLam {
-						cur.maxLam = ent.aux
-					}
+				cur.entries = append(cur.entries, ent)
+				if ent.aux == 1 {
+					cur.complete = true
+					depth = 0
+					cur = nil
+				} else {
+					depth--
 				}
-			}
-			if used < chunkCap {
-				break
+			case kStore:
+				if cur == nil {
+					continue // store outside any FASE span: torn log
+				}
+				if err := r.rt.CheckEntry(c, i, ent.addr, 8, 8); err != nil {
+					return err
+				}
+				cur.entries = append(cur.entries, ent)
 			}
 		}
-		logsToReset = append(logsToReset, chunks)
+		if used < chunkCap {
+			break
+		}
 	}
-	stats.Scanned()
-	rc := stats.Ring
+	r.logsToReset = append(r.logsToReset, chunks)
+	return nil
+}
+
+// rollBack works out and undoes the FASEs to roll back, then truncates
+// every log: steps 2–4.
+func (r *recovery) rollBack(stats *persist.Pass) error {
+	dev, rc, fases, auditIdx := r.rt.Reg.Dev, stats.Ring, r.fases, r.auditIdx
 
 	// 2. Seed the rollback set with incomplete FASEs; propagate along
 	// release->acquire edges (a FASE that acquired a lock at clock v
@@ -566,7 +505,7 @@ func (rt *Runtime) rollBack(stats *persist.Pass) error {
 	// finishes the truncation. Bumping gen alongside the count keeps the
 	// surviving entry bytes unmatchable whichever word persists first.
 	trT0 := rc.Clock()
-	for _, chunks := range logsToReset {
+	for _, chunks := range r.logsToReset {
 		for _, c := range chunks {
 			dev.Store64(c+16, dev.Load64(c+16)+1)
 			dev.Store64(c+8, 0)
@@ -574,7 +513,7 @@ func (rt *Runtime) rollBack(stats *persist.Pass) error {
 		}
 	}
 	dev.Fence()
-	rc.Span(obs.KRecovery, obs.PhaseTruncate, uint64(len(logsToReset)), trT0)
+	rc.Span(obs.KRecovery, obs.PhaseTruncate, uint64(len(r.logsToReset)), trT0)
 	return nil
 }
 

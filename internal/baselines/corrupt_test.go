@@ -121,3 +121,106 @@ func TestCorruptLogListsAreRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestCorruptLogEntriesAreRejected: the entries a recovery applies come
+// from the image as well, so an entry that names an address off its
+// alignment or outside the device must end Recover with an error naming
+// the runtime, the log and the entry, not an nvm address fault. Each case
+// forges entry 0 of the head log into a crashed image as a live one: an
+// NVML undo record with a valid tag, a committed Mnemosyne redo record, a
+// committed NVThreads page.
+func TestCorruptLogEntriesAreRejected(t *testing.T) {
+	const size = 1 << 22
+	// nvmlTag is nvml's entry tag: its generation hashed with the entry.
+	nvmlTag := func(gen, addr, old uint64) uint64 {
+		x := gen + 0x632be59bd9b4e019
+		for _, w := range [...]uint64{addr, old} {
+			x ^= w
+			x *= 0x9e3779b97f4a7c15
+			x ^= x >> 29
+		}
+		return x
+	}
+	cases := []struct {
+		name  string
+		mk    func() persist.Runtime
+		root  int
+		bad   uint64
+		forge func(dev *nvm.Device, log, bad uint64)
+	}{
+		{"nvml/past the device", func() persist.Runtime { return nvml.New() }, region.RootNVMLHead, 1 << 40,
+			func(dev *nvm.Device, log, bad uint64) {
+				gen := dev.Load64(log + 16)
+				dev.StoreNT(log+64, bad)
+				dev.StoreNT(log+72, 7)
+				dev.StoreNT(log+80, nvmlTag(gen, bad, 7))
+				dev.StoreNT(log, 1) // one live entry
+			}},
+		{"mnemosyne/past the device", func() persist.Runtime { return mnemosyne.New() }, region.RootMnemosyneHead, size,
+			func(dev *nvm.Device, log, bad uint64) {
+				dev.StoreNT(log+64, bad)
+				dev.StoreNT(log+72, 7)
+				dev.StoreNT(log+8, 1) // one entry
+				dev.StoreNT(log, 1)   // committed
+			}},
+		{"nvthreads/past the device", func() persist.Runtime { return nvthreads.New() }, region.RootNVThreadsHead, size,
+			func(dev *nvm.Device, log, bad uint64) {
+				dev.StoreNT(log+64, bad)
+				dev.StoreNT(log+8, 1) // one page
+				dev.StoreNT(log, 1)   // committed
+			}},
+		{"nvthreads/misaligned", func() persist.Runtime { return nvthreads.New() }, region.RootNVThreadsHead, 2*4096 + 4,
+			func(dev *nvm.Device, log, bad uint64) {
+				dev.StoreNT(log+64, bad)
+				dev.StoreNT(log+8, 1)
+				dev.StoreNT(log, 1)
+			}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			reg := region.Create(size, nvm.Config{})
+			lm := locks.NewManager(reg)
+			rt := c.mk()
+			if err := rt.Attach(reg, lm); err != nil {
+				t.Fatal(err)
+			}
+			lock, err := lm.Create()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cell, _ := reg.Alloc.Alloc(8)
+			th, err := rt.NewThread()
+			if err != nil {
+				t.Fatal(err)
+			}
+			th.Exec(func() {
+				th.Lock(lock)
+				th.Store64(cell, 1)
+				th.Unlock(lock)
+			})
+			reg2, err := reg.Crash(nvm.CrashDiscard, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			log := reg2.Root(c.root)
+			c.forge(reg2.Dev, log, c.bad)
+			reg2.Dev.Fence()
+
+			rt2 := c.mk()
+			if err := rt2.Attach(reg2, locks.NewManager(reg2)); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Recover panicked instead of failing: %v", r)
+				}
+			}()
+			_, err = rt2.Recover(persist.NewResumeRegistry())
+			for _, want := range []string{strings.SplitN(c.name, "/", 2)[0] + ":", fmt.Sprintf("log %#x entry 0", log), fmt.Sprintf("%#x", c.bad)} {
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("err = %v, want one naming %q", err, want)
+				}
+			}
+		})
+	}
+}

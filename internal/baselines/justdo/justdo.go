@@ -22,7 +22,6 @@ import (
 	"github.com/ido-nvm/ido/internal/nvm"
 	"github.com/ido-nvm/ido/internal/obs"
 	"github.com/ido-nvm/ido/internal/persist"
-	"github.com/ido-nvm/ido/internal/region"
 )
 
 // Per-thread JUSTDO log layout (64-aligned).
@@ -38,39 +37,27 @@ const (
 	logSize      = logOwnBase + numOwned*8
 )
 
-// Runtime is the JUSTDO baseline runtime.
-type Runtime struct {
-	reg     *region.Region
-	threads persist.Threads
-}
+// Runtime is the JUSTDO baseline runtime. Its logs form no list: native
+// JUSTDO does not recover (Recover).
+type Runtime struct{ persist.Frame }
 
 // New creates a JUSTDO runtime.
-func New() *Runtime { return &Runtime{} }
-
-// Name implements persist.Runtime.
-func (rt *Runtime) Name() string { return "justdo" }
-
-// Attach implements persist.Runtime.
-func (rt *Runtime) Attach(reg *region.Region, _ *locks.Manager) error {
-	rt.reg = reg
-	return nil
+func New() *Runtime {
+	return &Runtime{persist.NewFrame("justdo", persist.Logs{Size: logSize, Align: nvm.LineSize})}
 }
 
 // NewThread implements persist.Runtime.
 func (rt *Runtime) NewThread() (persist.Thread, error) {
-	raw, err := rt.reg.Alloc.Alloc(logSize + nvm.LineSize)
-	if err != nil {
-		return nil, fmt.Errorf("justdo: allocating log: %w", err)
+	dev := rt.Reg.Dev
+	t := &thread{rt: rt}
+	if _, err := rt.Frame.NewThread(&t.ThreadFrame, func(log uint64, _ int) error {
+		dev.PersistRange(log, logSize)
+		dev.Fence()
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	log := (raw + nvm.LineSize - 1) &^ (nvm.LineSize - 1)
-	rt.reg.Dev.PersistRange(log, logSize)
-	rt.reg.Dev.Fence()
-	rt.threads.Lock()
-	defer rt.threads.Unlock()
-	t := &thread{rt: rt, id: rt.threads.Next(), log: log}
 	t.initAddrs()
-	t.rc = rt.reg.Dev.Tracer().ThreadRing(fmt.Sprintf("justdo/t%d", t.id))
-	rt.threads.Add(t.id, &t.stats)
 	return t, nil
 }
 
@@ -80,20 +67,15 @@ func (rt *Runtime) NewThread() (persist.Thread, error) {
 // sees a consistent attempt count across runtimes; a refused pass has no
 // audit.
 func (rt *Runtime) Recover(*persist.ResumeRegistry) (persist.RecoveryStats, error) {
-	st, _ := persist.Recover(rt.reg, rt.Name(), nil)
+	st, _ := persist.Recover(rt.Reg, rt.Name(), nil)
 	st.Audit = nil
 	return st, fmt.Errorf(
 		"justdo: native recovery is store-granularity and provided by the VM (internal/vm); see DESIGN.md")
 }
 
-// Stats implements persist.Runtime.
-func (rt *Runtime) Stats() persist.RuntimeStats { return rt.threads.Stats() }
-
 type thread struct {
+	persist.ThreadFrame
 	rt    *Runtime
-	id    int
-	log   uint64
-	depth int
 	owned int
 	site  uint64 // per-thread store-site counter standing in for the pc
 
@@ -102,37 +84,25 @@ type thread struct {
 	// per-store base+offset addition is hoisted here once.
 	aPC, aAddr, aVal, aIntention, aOwnBits, aShadow uint64
 	aOwn                                            [numOwned]uint64
-
-	rc           *obs.Ring // event ring; nil when tracing is off
-	faseT0       int64     // tracer clock at FASE entry
-	faseLogBytes uint64    // log payload written during the current FASE
-
-	stats persist.RuntimeStats
 }
 
 func (t *thread) initAddrs() {
-	t.aPC = t.log + logPC
-	t.aAddr = t.log + logAddr
-	t.aVal = t.log + logVal
-	t.aIntention = t.log + logIntention
-	t.aOwnBits = t.log + logOwnBits
-	t.aShadow = t.log + logShadow
+	t.aPC = t.Log + logPC
+	t.aAddr = t.Log + logAddr
+	t.aVal = t.Log + logVal
+	t.aIntention = t.Log + logIntention
+	t.aOwnBits = t.Log + logOwnBits
+	t.aShadow = t.Log + logShadow
 	for i := range t.aOwn {
-		t.aOwn[i] = t.log + logOwnBase + uint64(i)*8
+		t.aOwn[i] = t.Log + logOwnBase + uint64(i)*8
 	}
 }
-
-func (t *thread) ID() int        { return t.id }
-func (t *thread) Exec(op func()) { op() }
 
 // Lock performs JUSTDO's two-fence protocol: persist the intention to
 // acquire, take the lock, then persist ownership.
 func (t *thread) Lock(l *locks.Lock) {
-	dev := t.rt.reg.Dev
-	if t.rc != nil && t.depth == 0 {
-		t.faseT0 = t.rc.Clock()
-		t.faseLogBytes = 0
-	}
+	dev := t.rt.Reg.Dev
+	t.Open()
 	dev.Store64(t.aIntention, l.Holder())
 	dev.CLWB(t.aIntention)
 	dev.Fence() // fence 1: intention
@@ -140,16 +110,15 @@ func (t *thread) Lock(l *locks.Lock) {
 	dev.Store64(t.aOwn[t.owned], l.Holder())
 	dev.Store64(t.aOwnBits, uint64(t.owned+1))
 	dev.Store64(t.aIntention, 0)
-	dev.PersistRange(t.log, logOwnBase+uint64(t.owned+1)*8)
+	dev.PersistRange(t.Log, logOwnBase+uint64(t.owned+1)*8)
 	dev.Fence() // fence 2: ownership
-	t.rc.Emit(obs.KLockAcq, l.Holder(), 0)
+	t.Ring.Emit(obs.KLockAcq, l.Holder(), 0)
 	t.owned++
-	t.depth++
 }
 
 // Unlock performs the symmetric two-fence release.
 func (t *thread) Unlock(l *locks.Lock) {
-	dev := t.rt.reg.Dev
+	dev := t.rt.Reg.Dev
 	dev.Store64(t.aIntention, l.Holder())
 	dev.CLWB(t.aIntention)
 	dev.Fence() // fence 1: intention to release
@@ -169,62 +138,41 @@ func (t *thread) Unlock(l *locks.Lock) {
 	dev.Store64(t.aOwn[lastSlot], 0)
 	dev.Store64(t.aOwnBits, uint64(lastSlot))
 	dev.Store64(t.aIntention, 0)
-	dev.PersistRange(t.log, logOwnBase+uint64(t.owned)*8)
+	dev.PersistRange(t.Log, logOwnBase+uint64(t.owned)*8)
 	dev.Fence() // fence 2: ownership dropped
 	t.owned--
-	t.rc.Emit(obs.KLockRel, l.Holder(), 0)
-	if t.depth == 1 {
-		t.stats.FASEs++
-		dev.Store64(t.aPC, 0)
-		dev.CLWB(t.aPC)
-		dev.Fence()
-		if t.rc != nil {
-			t.rc.Span(obs.KFASE, t.faseLogBytes, 0, t.faseT0)
-			t.rc.Observe(obs.HLogBytesPerFASE, t.faseLogBytes)
-		}
-	}
-	t.depth--
+	t.Ring.Emit(obs.KLockRel, l.Holder(), 0)
+	t.EndDurable()
 	l.Release()
 }
 
-func (t *thread) BeginDurable() {
-	if t.rc != nil && t.depth == 0 {
-		t.faseT0 = t.rc.Clock()
-		t.faseLogBytes = 0
-	}
-	t.depth++
-}
-
+// EndDurable closes a FASE level; the outermost clears the in-flight
+// store's pc, durably, before the FASE ends.
 func (t *thread) EndDurable() {
-	if t.depth == 1 {
-		dev := t.rt.reg.Dev
-		t.stats.FASEs++
+	if t.Outermost() {
+		dev := t.rt.Reg.Dev
 		dev.Store64(t.aPC, 0)
 		dev.CLWB(t.aPC)
 		dev.Fence()
-		if t.rc != nil {
-			t.rc.Span(obs.KFASE, t.faseLogBytes, 0, t.faseT0)
-			t.rc.Observe(obs.HLogBytesPerFASE, t.faseLogBytes)
-		}
 	}
-	t.depth--
+	t.Close()
 }
 
 // Store64 logs ⟨pc, addr, value⟩, fences, performs the store, and fences
 // again so the data is persistent before the next log entry overwrites
 // this one — JUSTDO's per-store discipline on volatile-cache hardware.
 func (t *thread) Store64(addr, val uint64) {
-	if t.depth == 0 {
-		t.rt.reg.Dev.Store64(addr, val)
+	if t.Depth == 0 {
+		t.rt.Reg.Dev.Store64(addr, val)
 		return
 	}
 	t.loggedStore(addr, val)
-	t.stats.Stores++
+	t.Stats.Stores++
 }
 
 // loggedStore is the per-mutation protocol: two persist fences.
 func (t *thread) loggedStore(addr, val uint64) {
-	dev := t.rt.reg.Dev
+	dev := t.rt.Reg.Dev
 	t.site++
 	dev.Store64(t.aPC, t.site)
 	dev.Store64(t.aAddr, addr)
@@ -234,13 +182,10 @@ func (t *thread) loggedStore(addr, val uint64) {
 	dev.Store64(addr, val)
 	dev.CLWB(addr)
 	dev.Fence() // store durable before the next log entry
-	t.stats.LoggedEntries++
-	t.stats.LoggedBytes += 24
-	t.faseLogBytes += 24
-	t.rc.Emit(obs.KLogAppend, 24, t.site)
+	t.Append(24, t.site)
 	// Under JUSTDO every inter-store span is a one-store "region".
-	t.stats.StoresPerRegion[1]++
-	t.stats.Regions++
+	t.Stats.StoresPerRegion[1]++
+	t.Stats.Regions++
 }
 
 // Load64 reads persistent data. Inside a FASE, JUSTDO's restricted
@@ -251,15 +196,12 @@ func (t *thread) loggedStore(addr, val uint64) {
 // slot with the full two-fence per-store protocol, exactly what the
 // paper's JUSTDO pays for traversal state.
 func (t *thread) Load64(addr uint64) uint64 {
-	v := t.rt.reg.Dev.Load64(addr)
-	if t.depth > 0 {
+	v := t.rt.Reg.Dev.Load64(addr)
+	if t.Depth > 0 {
 		t.loggedStore(t.aShadow, v)
 	}
 	return v
 }
-
-// Boundary is ignored: JUSTDO logs at store granularity.
-func (t *thread) Boundary(uint64, ...persist.RegVal) {}
 
 var (
 	_ persist.Runtime = (*Runtime)(nil)

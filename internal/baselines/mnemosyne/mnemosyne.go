@@ -43,26 +43,18 @@ type abortTx struct{}
 
 // Runtime is the Mnemosyne baseline runtime.
 type Runtime struct {
-	reg *region.Region
+	persist.Frame
 
 	clock   atomic.Uint64
 	stripes []atomic.Uint64 // version<<1 | locked
-
-	threads persist.Threads
 }
 
 // New creates a Mnemosyne runtime.
 func New() *Runtime {
-	return &Runtime{stripes: make([]atomic.Uint64, numStripes)}
-}
-
-// Name implements persist.Runtime.
-func (rt *Runtime) Name() string { return "mnemosyne" }
-
-// Attach implements persist.Runtime.
-func (rt *Runtime) Attach(reg *region.Region, _ *locks.Manager) error {
-	rt.reg = reg
-	return nil
+	return &Runtime{
+		Frame:   persist.NewFrame("mnemosyne", persist.Logs{Size: logSize, Align: nvm.LineSize, Root: region.RootMnemosyneHead, Next: logNext}),
+		stripes: make([]atomic.Uint64, numStripes),
+	}
 }
 
 func (rt *Runtime) stripe(addr uint64) *atomic.Uint64 {
@@ -74,72 +66,52 @@ func (rt *Runtime) stripe(addr uint64) *atomic.Uint64 {
 
 // NewThread implements persist.Runtime.
 func (rt *Runtime) NewThread() (persist.Thread, error) {
-	raw, err := rt.reg.Alloc.Alloc(logSize + nvm.LineSize)
-	if err != nil {
-		return nil, fmt.Errorf("mnemosyne: allocating redo log: %w", err)
+	dev := rt.Reg.Dev
+	t := &thread{rt: rt, writes: make(map[uint64]uint64)}
+	if _, err := rt.Frame.NewThread(&t.ThreadFrame, func(log uint64, _ int) error {
+		dev.Store64(log+logState, 0)
+		dev.Store64(log+logCount, 0)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	log := (raw + nvm.LineSize - 1) &^ (nvm.LineSize - 1)
-	dev := rt.reg.Dev
-	rt.threads.Lock()
-	defer rt.threads.Unlock()
-	dev.Store64(log+logState, 0)
-	dev.Store64(log+logCount, 0)
-	rt.reg.Link(region.RootMnemosyneHead, log, logNext, logBase)
-	id := rt.threads.Next()
-	t := &thread{
-		rt: rt, id: id, log: log,
-		writes: make(map[uint64]uint64),
-		rng:    uint64(id+1) * 0x9E3779B97F4A7C15,
-	}
-	t.rc = dev.Tracer().ThreadRing(fmt.Sprintf("mnemosyne/t%d", t.id))
-	rt.threads.Add(id, &t.stats)
+	t.rng = uint64(t.ID()+1) * 0x9E3779B97F4A7C15
 	return t, nil
 }
-
-// Stats implements persist.Runtime.
-func (rt *Runtime) Stats() persist.RuntimeStats { return rt.threads.Stats() }
 
 // Recover replays any redo log whose commit record survived but whose
 // in-place application may not have: REDO semantics make replay
 // idempotent, so re-applying is always safe.
 func (rt *Runtime) Recover(*persist.ResumeRegistry) (persist.RecoveryStats, error) {
-	return persist.Recover(rt.reg, rt.Name(), rt.replay)
+	return rt.Frame.Recover(rt.replay, nil)
 }
 
-func (rt *Runtime) replay(stats *persist.Pass) error {
-	dev := rt.reg.Dev
-	for log, err := range rt.reg.List(region.RootMnemosyneHead, logNext, logSize) {
-		if err != nil {
-			return fmt.Errorf("mnemosyne: %w", err)
-		}
-		// The log carries no thread id; number audits by scan position.
-		audit := obs.ThreadAudit{ThreadID: stats.Threads, LogAddr: log, Action: obs.AuditIdle}
-		stats.Threads++
-		if dev.Load64(log+logState) != 1 {
-			stats.Audit.Add(audit)
-			continue
-		}
-		n := int(dev.Load64(log + logCount))
-		if n > maxWrite {
-			n = maxWrite
-		}
-		for i := 0; i < n; i++ {
-			e := log + logBase + uint64(i)*16
-			addr := dev.Load64(e)
-			val := dev.Load64(e + 8)
-			dev.Store64(addr, val)
-			dev.CLWB(addr)
-			stats.LogEntries++
-		}
-		dev.Fence()
-		dev.StoreNT(log+logState, 0)
-		dev.Fence()
-		stats.RolledBack++ // replayed, in REDO terms
-		audit.Action = obs.AuditReplayed
-		audit.WordsRestored = n
-		stats.Audit.Add(audit)
+func (rt *Runtime) replay(stats *persist.Pass, log uint64, audit *obs.ThreadAudit) error {
+	dev := rt.Reg.Dev
+	if dev.Load64(log+logState) != 1 {
+		return nil
 	}
-	stats.Scanned()
+	n := int(dev.Load64(log + logCount))
+	if n > maxWrite {
+		n = maxWrite
+	}
+	for i := 0; i < n; i++ {
+		e := log + logBase + uint64(i)*16
+		addr := dev.Load64(e)
+		val := dev.Load64(e + 8)
+		if err := rt.CheckEntry(log, i, addr, 8, 8); err != nil {
+			return err
+		}
+		dev.Store64(addr, val)
+		dev.CLWB(addr)
+		stats.LogEntries++
+	}
+	dev.Fence()
+	dev.StoreNT(log+logState, 0)
+	dev.Fence()
+	stats.RolledBack++ // replayed, in REDO terms
+	audit.Action = obs.AuditReplayed
+	audit.WordsRestored = n
 	return nil
 }
 
@@ -149,24 +121,16 @@ type readRec struct {
 }
 
 type thread struct {
-	rt  *Runtime
-	id  int
-	log uint64
+	persist.ThreadFrame
+	rt *Runtime
 
-	depth      int
 	rv         uint64
 	reads      []readRec
 	writes     map[uint64]uint64
 	writeOrder []uint64
 
-	rc     *obs.Ring // event ring; nil when tracing is off
-	faseT0 int64     // tracer clock at transaction entry
-	rng    uint64    // xorshift64 state for abort backoff, never zero
-
-	stats persist.RuntimeStats
+	rng uint64 // xorshift64 state for abort backoff, never zero
 }
-
-func (t *thread) ID() int { return t.id }
 
 // Exec retries op until its transactions commit. op must confine its side
 // effects to Thread stores, which the STM buffers.
@@ -176,7 +140,7 @@ func (t *thread) Exec(op func()) {
 		if t.try(op) {
 			return
 		}
-		t.stats.Aborts++
+		t.Stats.Aborts++
 		t.backoff(window)
 		window = min(2*window, backoffMaxNS)
 	}
@@ -209,7 +173,7 @@ func (t *thread) try(op func()) (ok bool) {
 				panic(r)
 			}
 			t.resetTx()
-			t.depth = 0
+			t.Depth = 0
 			ok = false
 		}
 	}()
@@ -225,51 +189,34 @@ func (t *thread) resetTx() {
 	t.writeOrder = t.writeOrder[:0]
 }
 
-func (t *thread) beginTx() {
-	if t.rc != nil {
-		t.faseT0 = t.rc.Clock()
-	}
-	t.rv = t.rt.clock.Load()
-	t.resetTx()
-}
-
 // Lock begins (or extends) the transaction; the lock itself is never
 // acquired — Mnemosyne's transactional API replaces locking.
-func (t *thread) Lock(*locks.Lock) {
-	if t.depth == 0 {
-		t.beginTx()
-	}
-	t.depth++
-}
+func (t *thread) Lock(*locks.Lock) { t.BeginDurable() }
 
 // Unlock commits when the outermost FASE ends.
-func (t *thread) Unlock(*locks.Lock) {
-	if t.depth == 1 {
-		t.commit()
-	}
-	t.depth--
-}
+func (t *thread) Unlock(*locks.Lock) { t.EndDurable() }
 
 func (t *thread) BeginDurable() {
-	if t.depth == 0 {
-		t.beginTx()
+	if t.Depth == 0 {
+		t.rv = t.rt.clock.Load()
+		t.resetTx()
 	}
-	t.depth++
+	t.Open()
 }
 
 func (t *thread) EndDurable() {
-	if t.depth == 1 {
+	if t.Outermost() {
 		t.commit()
 	}
-	t.depth--
+	t.Close()
 }
 
 func (t *thread) abort() { panic(abortTx{}) }
 
 // Load64 is a TL2 speculative read with pre/post stripe validation.
 func (t *thread) Load64(addr uint64) uint64 {
-	if t.depth == 0 {
-		return t.rt.reg.Dev.Load64(addr)
+	if t.Depth == 0 {
+		return t.rt.Reg.Dev.Load64(addr)
 	}
 	if v, ok := t.writes[addr]; ok {
 		return v
@@ -279,7 +226,7 @@ func (t *thread) Load64(addr uint64) uint64 {
 	if v1&1 != 0 || v1>>1 > t.rv {
 		t.abort()
 	}
-	val := t.rt.reg.Dev.Load64(addr)
+	val := t.rt.Reg.Dev.Load64(addr)
 	if s.Load() != v1 {
 		t.abort()
 	}
@@ -289,32 +236,24 @@ func (t *thread) Load64(addr uint64) uint64 {
 
 // Store64 buffers the write in the transaction's write set.
 func (t *thread) Store64(addr, val uint64) {
-	if t.depth == 0 {
-		t.rt.reg.Dev.Store64(addr, val)
+	if t.Depth == 0 {
+		t.rt.Reg.Dev.Store64(addr, val)
 		return
 	}
 	if _, seen := t.writes[addr]; !seen {
 		t.writeOrder = append(t.writeOrder, addr)
 	}
 	t.writes[addr] = val
-	t.stats.Stores++
+	t.Stats.Stores++
 }
-
-// Boundary is ignored: Mnemosyne has no region concept.
-func (t *thread) Boundary(uint64, ...persist.RegVal) {}
 
 // commit performs TL2 lock-validate-log-apply-release. On any conflict it
 // unwinds with abortTx and Exec re-runs the operation.
 func (t *thread) commit() {
-	dev := t.rt.reg.Dev
+	dev := t.rt.Reg.Dev
 	if len(t.writeOrder) == 0 {
 		// Read-only: every read was validated against rv at load time.
 		t.resetTx()
-		t.stats.FASEs++
-		if t.rc != nil {
-			t.rc.Span(obs.KFASE, 0, 0, t.faseT0)
-			t.rc.Observe(obs.HLogBytesPerFASE, 0)
-		}
 		return
 	}
 	if len(t.writeOrder) > maxWrite {
@@ -367,32 +306,23 @@ func (t *thread) commit() {
 	// commit record, fence; then apply in place and truncate. With drain
 	// sharing enabled each of the four fences may ride another thread's.
 	for i, addr := range t.writeOrder {
-		e := t.log + logBase + uint64(i)*16
+		e := t.Log + logBase + uint64(i)*16
 		dev.StoreNT(e, addr)
 		dev.StoreNT(e+8, t.writes[addr])
 	}
-	dev.StoreNT(t.log+logCount, uint64(len(t.writeOrder)))
+	dev.StoreNT(t.Log+logCount, uint64(len(t.writeOrder)))
 	dev.Fence()
-	dev.StoreNT(t.log+logState, 1)
+	dev.StoreNT(t.Log+logState, 1)
 	dev.Fence()
 	for _, addr := range t.writeOrder {
 		dev.Store64(addr, t.writes[addr])
 		dev.CLWB(addr)
 	}
 	dev.Fence()
-	dev.StoreNT(t.log+logState, 0)
+	dev.StoreNT(t.Log+logState, 0)
 	dev.Fence()
-
-	t.stats.FASEs++
-	t.stats.LoggedEntries += uint64(len(t.writeOrder))
-	t.stats.LoggedBytes += uint64(len(t.writeOrder)) * 16
-	if t.rc != nil {
-		logBytes := uint64(len(t.writeOrder)) * 16
-		for range t.writeOrder {
-			t.rc.Emit(obs.KLogAppend, 16, wv)
-		}
-		t.rc.Span(obs.KFASE, logBytes, 0, t.faseT0)
-		t.rc.Observe(obs.HLogBytesPerFASE, logBytes)
+	for range t.writeOrder {
+		t.Append(16, wv)
 	}
 
 	// Release stripes at the new version.

@@ -49,164 +49,111 @@ func entryTag(gen, addr, old uint64) uint64 {
 }
 
 // Runtime is the NVML baseline runtime.
-type Runtime struct {
-	reg     *region.Region
-	threads persist.Threads
-}
+type Runtime struct{ persist.Frame }
 
 // New creates an NVML runtime.
-func New() *Runtime { return &Runtime{} }
-
-// Name implements persist.Runtime.
-func (rt *Runtime) Name() string { return "nvml" }
-
-// Attach implements persist.Runtime.
-func (rt *Runtime) Attach(reg *region.Region, _ *locks.Manager) error {
-	rt.reg = reg
-	return nil
+func New() *Runtime {
+	return &Runtime{persist.NewFrame("nvml", persist.Logs{Size: logSize, Align: nvm.LineSize, Root: region.RootNVMLHead, Next: logNext})}
 }
 
 // NewThread implements persist.Runtime.
 func (rt *Runtime) NewThread() (persist.Thread, error) {
-	raw, err := rt.reg.Alloc.Alloc(logSize + nvm.LineSize)
+	dev := rt.Reg.Dev
+	t := &thread{rt: rt, gen: 1}
+	reused, err := rt.Frame.NewThread(&t.ThreadFrame, func(log uint64, _ int) error {
+		dev.Store64(log+logCount, 0)
+		dev.Store64(log+logGen, 1) // 1 so recycled heap bytes (gen 0) never match
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("nvml: allocating undo log: %w", err)
+		return nil, err
 	}
-	log := (raw + nvm.LineSize - 1) &^ (nvm.LineSize - 1)
-	dev := rt.reg.Dev
-	rt.threads.Lock()
-	defer rt.threads.Unlock()
-	dev.Store64(log+logCount, 0)
-	dev.Store64(log+logGen, 1) // 1 so recycled heap bytes (gen 0) never match
-	rt.reg.Link(region.RootNVMLHead, log, logNext, logBase)
-	t := &thread{rt: rt, id: rt.threads.Next(), log: log, gen: 1}
-	t.rc = dev.Tracer().ThreadRing(fmt.Sprintf("nvml/t%d", t.id))
-	rt.threads.Add(t.id, &t.stats)
+	if reused {
+		t.gen = dev.Load64(t.Log + logGen)
+	}
 	return t, nil
 }
-
-// Stats implements persist.Runtime.
-func (rt *Runtime) Stats() persist.RuntimeStats { return rt.threads.Stats() }
 
 // Recover rolls back any FASE whose undo log was never truncated,
 // applying the records newest-first. With no dependence tracking this is
 // sound only under NVML's programming model (FASEs on private or
 // externally synchronized data).
 func (rt *Runtime) Recover(*persist.ResumeRegistry) (persist.RecoveryStats, error) {
-	return persist.Recover(rt.reg, rt.Name(), rt.rollBack)
+	return rt.Frame.Recover(rt.rollBack, nil)
 }
 
-func (rt *Runtime) rollBack(stats *persist.Pass) error {
-	dev := rt.reg.Dev
-	for log, err := range rt.reg.List(region.RootNVMLHead, logNext, logSize) {
-		if err != nil {
-			return fmt.Errorf("nvml: %w", err)
-		}
-		// The log carries no thread id; number audits by scan position.
-		audit := obs.ThreadAudit{ThreadID: stats.Threads, LogAddr: log, Action: obs.AuditIdle}
-		stats.Threads++
-		n := int(dev.Load64(log + logCount))
-		if n == 0 {
-			stats.Audit.Add(audit)
+func (rt *Runtime) rollBack(stats *persist.Pass, log uint64, audit *obs.ThreadAudit) error {
+	dev := rt.Reg.Dev
+	n := int(dev.Load64(log + logCount))
+	if n == 0 {
+		return nil
+	}
+	if n > maxUndo {
+		n = maxUndo
+	}
+	// Undo application is fenced durable before the truncation store,
+	// so a crash anywhere in this pass leaves the log either intact
+	// (the next pass re-applies the same old values — idempotent) or
+	// already truncated. Entries whose tag does not match the current
+	// generation are torn or stale and are skipped.
+	gen := dev.Load64(log + logGen)
+	applied := 0
+	for i := n - 1; i >= 0; i-- {
+		e := log + logBase + uint64(i)*entrySize
+		addr := dev.Load64(e)
+		old := dev.Load64(e + 8)
+		stats.LogEntries++
+		if dev.Load64(e+16) != entryTag(gen, addr, old) {
 			continue
 		}
-		if n > maxUndo {
-			n = maxUndo
+		if err := rt.CheckEntry(log, i, addr, 8, 8); err != nil {
+			return err
 		}
-		// Undo application is fenced durable before the truncation store,
-		// so a crash anywhere in this pass leaves the log either intact
-		// (the next pass re-applies the same old values — idempotent) or
-		// already truncated. Entries whose tag does not match the current
-		// generation are torn or stale and are skipped.
-		gen := dev.Load64(log + logGen)
-		applied := 0
-		for i := n - 1; i >= 0; i-- {
-			e := log + logBase + uint64(i)*entrySize
-			addr := dev.Load64(e)
-			old := dev.Load64(e + 8)
-			stats.LogEntries++
-			if dev.Load64(e+16) != entryTag(gen, addr, old) {
-				continue
-			}
-			dev.Store64(addr, old)
-			dev.CLWB(addr)
-			applied++
-		}
-		dev.Fence()
-		dev.Store64(log+logGen, gen+1)
-		dev.Store64(log+logCount, 0)
-		dev.CLWB(log + logCount)
-		dev.Fence()
-		stats.RolledBack++
-		audit.Action = obs.AuditRolledBack
-		audit.WordsRestored = applied
-		stats.Audit.Add(audit)
+		dev.Store64(addr, old)
+		dev.CLWB(addr)
+		applied++
 	}
-	stats.Scanned()
+	dev.Fence()
+	dev.Store64(log+logGen, gen+1)
+	dev.Store64(log+logCount, 0)
+	dev.CLWB(log + logCount)
+	dev.Fence()
+	stats.RolledBack++
+	audit.Action = obs.AuditRolledBack
+	audit.WordsRestored = applied
 	return nil
 }
 
 type thread struct {
-	rt  *Runtime
-	id  int
-	log uint64
-	gen uint64 // current log generation (cached from log+logGen)
-
-	depth int
+	persist.ThreadFrame
+	rt    *Runtime
+	gen   uint64 // current log generation (cached from log+logGen)
 	used  int
 	dirty lineset.Set // data lines to write back at commit
-
-	rc           *obs.Ring // event ring; nil when tracing is off
-	faseT0       int64     // tracer clock at FASE entry
-	faseLogBytes uint64    // undo payload written during the current FASE
-
-	stats persist.RuntimeStats
 }
 
-func (t *thread) ID() int        { return t.id }
-func (t *thread) Exec(op func()) { op() }
-
-// Lock takes the mutex with no persistence bookkeeping; the outermost
-// lock still opens a FASE so lock-based callers get undo protection.
-func (t *thread) Lock(l *locks.Lock) {
-	l.Acquire()
-	if t.rc != nil && t.depth == 0 {
-		t.faseT0 = t.rc.Clock()
-		t.faseLogBytes = 0
-	}
-	t.rc.Emit(obs.KLockAcq, l.Holder(), 0)
-	t.depth++
-}
-
+// Unlock commits when the outermost lock is released: NVML's locks carry
+// no persistence bookkeeping, but a lock-based caller still gets undo
+// protection over its outermost critical section.
 func (t *thread) Unlock(l *locks.Lock) {
-	if t.depth == 1 {
+	if t.Outermost() {
 		t.commit()
 	}
-	t.rc.Emit(obs.KLockRel, l.Holder(), 0)
-	t.depth--
-	l.Release()
-}
-
-func (t *thread) BeginDurable() {
-	if t.rc != nil && t.depth == 0 {
-		t.faseT0 = t.rc.Clock()
-		t.faseLogBytes = 0
-	}
-	t.depth++
+	t.ThreadFrame.Unlock(l)
 }
 
 func (t *thread) EndDurable() {
-	if t.depth == 1 {
+	if t.Outermost() {
 		t.commit()
 	}
-	t.depth--
+	t.ThreadFrame.EndDurable()
 }
 
 // Store64 appends the undo record (fenced before the store can reach
 // NVM), then stores in place.
 func (t *thread) Store64(addr, val uint64) {
-	dev := t.rt.reg.Dev
-	if t.depth == 0 {
+	dev := t.rt.Reg.Dev
+	if t.Depth == 0 {
 		dev.Store64(addr, val)
 		return
 	}
@@ -214,51 +161,40 @@ func (t *thread) Store64(addr, val uint64) {
 		panic(fmt.Sprintf("nvml: FASE exceeded %d undo records", maxUndo))
 	}
 	old := dev.Load64(addr)
-	e := t.log + logBase + uint64(t.used)*entrySize
+	e := t.Log + logBase + uint64(t.used)*entrySize
 	dev.Store64(e, addr)
 	dev.Store64(e+8, old)
 	dev.Store64(e+16, entryTag(t.gen, addr, old))
 	t.used++
-	dev.Store64(t.log+logCount, uint64(t.used))
+	dev.Store64(t.Log+logCount, uint64(t.used))
 	dev.CLWB(e)
-	dev.CLWB(t.log + logCount)
+	dev.CLWB(t.Log + logCount)
 	dev.Fence()
 	dev.Store64(addr, val)
 	t.dirty.Add(addr &^ (nvm.LineSize - 1))
-	t.stats.Stores++
-	t.stats.LoggedEntries++
-	t.stats.LoggedBytes += entrySize
-	t.faseLogBytes += entrySize
-	t.rc.Emit(obs.KLogAppend, entrySize, addr)
+	t.Stats.Stores++
+	t.Append(entrySize, addr)
 }
 
-func (t *thread) Load64(addr uint64) uint64 { return t.rt.reg.Dev.Load64(addr) }
-
-// Boundary is ignored: NVML has no region concept.
-func (t *thread) Boundary(uint64, ...persist.RegVal) {}
+func (t *thread) Load64(addr uint64) uint64 { return t.rt.Reg.Dev.Load64(addr) }
 
 // commit flushes the FASE's data, then truncates the undo log. The
 // generation bump rides in the same header line as the count, so the
 // surviving entry bytes stop matching whichever of the two words reaches
 // NVM first.
 func (t *thread) commit() {
-	dev := t.rt.reg.Dev
+	dev := t.rt.Reg.Dev
 	for _, line := range t.dirty.Lines() {
 		dev.CLWB(line)
 	}
 	t.dirty.Reset()
 	dev.Fence()
 	t.gen++
-	dev.Store64(t.log+logGen, t.gen)
-	dev.Store64(t.log+logCount, 0)
-	dev.CLWB(t.log + logCount)
+	dev.Store64(t.Log+logGen, t.gen)
+	dev.Store64(t.Log+logCount, 0)
+	dev.CLWB(t.Log + logCount)
 	dev.Fence()
 	t.used = 0
-	t.stats.FASEs++
-	if t.rc != nil {
-		t.rc.Span(obs.KFASE, t.faseLogBytes, 0, t.faseT0)
-		t.rc.Observe(obs.HLogBytesPerFASE, t.faseLogBytes)
-	}
 }
 
 var (

@@ -51,150 +51,86 @@ const (
 )
 
 // Runtime is the NVThreads baseline runtime.
-type Runtime struct {
-	reg     *region.Region
-	threads persist.Threads
-}
+type Runtime struct{ persist.Frame }
 
-// New creates an NVThreads runtime.
-func New() *Runtime { return &Runtime{} }
-
-// Name implements persist.Runtime.
-func (rt *Runtime) Name() string { return "nvthreads" }
-
-// Attach implements persist.Runtime.
-func (rt *Runtime) Attach(reg *region.Region, _ *locks.Manager) error {
-	rt.reg = reg
-	return nil
+// New creates an NVThreads runtime. Its logs are page-aligned and padded
+// so every log page is exclusively the log's (see logPages above).
+func New() *Runtime {
+	return &Runtime{persist.NewFrame("nvthreads", persist.Logs{Size: logPages * PageSize, Align: PageSize, Root: region.RootNVThreadsHead, Next: logNext})}
 }
 
 // NewThread implements persist.Runtime.
 func (rt *Runtime) NewThread() (persist.Thread, error) {
-	// Page-align and pad so every log page is exclusively the log's (see
-	// logPages above).
-	raw, err := rt.reg.Alloc.Alloc(logPages*PageSize + PageSize)
-	if err != nil {
-		return nil, fmt.Errorf("nvthreads: allocating page log: %w", err)
+	dev := rt.Reg.Dev
+	t := &thread{rt: rt, pages: make(map[uint64][]uint64)}
+	if _, err := rt.Frame.NewThread(&t.ThreadFrame, func(log uint64, _ int) error {
+		dev.Store64(log+logState, 0)
+		dev.Store64(log+logCount, 0)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	log := (raw + PageSize - 1) &^ (PageSize - 1)
-	dev := rt.reg.Dev
-	rt.threads.Lock()
-	defer rt.threads.Unlock()
-	dev.Store64(log+logState, 0)
-	dev.Store64(log+logCount, 0)
-	rt.reg.Link(region.RootNVThreadsHead, log, logNext, logBase)
-	t := &thread{rt: rt, id: rt.threads.Next(), log: log, pages: make(map[uint64][]uint64)}
-	t.rc = dev.Tracer().ThreadRing(fmt.Sprintf("nvthreads/t%d", t.id))
-	rt.threads.Add(t.id, &t.stats)
 	return t, nil
 }
-
-// Stats implements persist.Runtime.
-func (rt *Runtime) Stats() persist.RuntimeStats { return rt.threads.Stats() }
 
 // Recover replays committed-but-unapplied page logs (REDO replay is
 // idempotent); uncommitted private pages died with the volatile state.
 func (rt *Runtime) Recover(*persist.ResumeRegistry) (persist.RecoveryStats, error) {
-	return persist.Recover(rt.reg, rt.Name(), rt.replay)
+	buf := make([]uint64, pageWords)
+	return rt.Frame.Recover(func(stats *persist.Pass, log uint64, audit *obs.ThreadAudit) error {
+		return rt.replay(stats, log, audit, buf)
+	}, nil)
 }
 
-func (rt *Runtime) replay(stats *persist.Pass) error {
-	dev := rt.reg.Dev
-	buf := make([]uint64, pageWords)
-	for log, err := range rt.reg.List(region.RootNVThreadsHead, logNext, logSize) {
-		if err != nil {
-			return fmt.Errorf("nvthreads: %w", err)
-		}
-		// The log carries no thread id; number audits by scan position.
-		audit := obs.ThreadAudit{ThreadID: stats.Threads, LogAddr: log, Action: obs.AuditIdle}
-		stats.Threads++
-		if dev.Load64(log+logState) != 1 {
-			stats.Audit.Add(audit)
-			continue
-		}
-		n := int(dev.Load64(log + logCount))
-		if n > maxPages {
-			n = maxPages
-		}
-		for i := 0; i < n; i++ {
-			slot := log + logBase + uint64(i)*slotSize
-			page := dev.Load64(slot)
-			dev.ReadWords(slot+8, buf)
-			dev.WriteWords(page, buf)
-			dev.PersistRange(page, PageSize)
-			stats.LogEntries++
-		}
-		dev.Fence()
-		dev.StoreNT(log+logState, 0)
-		dev.Fence()
-		stats.RolledBack++
-		audit.Action = obs.AuditReplayed
-		audit.WordsRestored = n * pageWords
-		stats.Audit.Add(audit)
+func (rt *Runtime) replay(stats *persist.Pass, log uint64, audit *obs.ThreadAudit, buf []uint64) error {
+	dev := rt.Reg.Dev
+	if dev.Load64(log+logState) != 1 {
+		return nil
 	}
-	stats.Scanned()
+	n := int(dev.Load64(log + logCount))
+	if n > maxPages {
+		n = maxPages
+	}
+	for i := 0; i < n; i++ {
+		slot := log + logBase + uint64(i)*slotSize
+		page := dev.Load64(slot)
+		if err := rt.CheckEntry(log, i, page, PageSize, PageSize); err != nil {
+			return err
+		}
+		dev.ReadWords(slot+8, buf)
+		dev.WriteWords(page, buf)
+		dev.PersistRange(page, PageSize)
+		stats.LogEntries++
+	}
+	dev.Fence()
+	dev.StoreNT(log+logState, 0)
+	dev.Fence()
+	stats.RolledBack++
+	audit.Action = obs.AuditReplayed
+	audit.WordsRestored = n * pageWords
 	return nil
 }
 
 type thread struct {
-	rt  *Runtime
-	id  int
-	log uint64
-
-	depth     int
+	persist.ThreadFrame
+	rt        *Runtime
 	pages     map[uint64][]uint64 // page base -> private copy
 	pageOrder []uint64
-
-	rc     *obs.Ring // event ring; nil when tracing is off
-	faseT0 int64     // tracer clock at FASE entry
-
-	stats persist.RuntimeStats
 }
 
-func (t *thread) ID() int        { return t.id }
-func (t *thread) Exec(op func()) { op() }
-
-func (t *thread) Lock(l *locks.Lock) {
-	l.Acquire()
-	if t.rc != nil && t.depth == 0 {
-		t.faseT0 = t.rc.Clock()
-	}
-	t.rc.Emit(obs.KLockAcq, l.Holder(), 0)
-	t.depth++
-}
-
+// Unlock commits the buffered pages when the outermost lock is released.
 func (t *thread) Unlock(l *locks.Lock) {
-	if t.depth == 1 {
-		t.endFASE()
+	if t.Outermost() {
+		t.commit()
 	}
-	t.rc.Emit(obs.KLockRel, l.Holder(), 0)
-	t.depth--
-	l.Release()
-}
-
-func (t *thread) BeginDurable() {
-	if t.rc != nil && t.depth == 0 {
-		t.faseT0 = t.rc.Clock()
-	}
-	t.depth++
+	t.ThreadFrame.Unlock(l)
 }
 
 func (t *thread) EndDurable() {
-	if t.depth == 1 {
-		t.endFASE()
+	if t.Outermost() {
+		t.commit()
 	}
-	t.depth--
-}
-
-// endFASE commits the buffered pages and records the FASE's trace events.
-func (t *thread) endFASE() {
-	logBytes := uint64(len(t.pageOrder)) * PageSize
-	t.commit()
-	t.stats.FASEs++
-	if t.rc != nil {
-		t.rc.Span(obs.KFASE, logBytes, 0, t.faseT0)
-		t.rc.Observe(obs.HLogBytesPerFASE, logBytes)
-	}
+	t.ThreadFrame.EndDurable()
 }
 
 func (t *thread) pageFor(addr uint64, create bool) ([]uint64, uint64) {
@@ -209,33 +145,30 @@ func (t *thread) pageFor(addr uint64, create bool) ([]uint64, uint64) {
 		panic(fmt.Sprintf("nvthreads: critical section dirtied more than %d pages", maxPages))
 	}
 	p := make([]uint64, pageWords)
-	t.rt.reg.Dev.ReadWords(base, p) // copy-on-write fault
+	t.rt.Reg.Dev.ReadWords(base, p) // copy-on-write fault
 	t.pages[base] = p
 	t.pageOrder = append(t.pageOrder, base)
 	return p, base
 }
 
 func (t *thread) Store64(addr, val uint64) {
-	if t.depth == 0 {
-		t.rt.reg.Dev.Store64(addr, val)
+	if t.Depth == 0 {
+		t.rt.Reg.Dev.Store64(addr, val)
 		return
 	}
 	p, base := t.pageFor(addr, true)
 	p[(addr-base)/8] = val
-	t.stats.Stores++
+	t.Stats.Stores++
 }
 
 func (t *thread) Load64(addr uint64) uint64 {
-	if t.depth > 0 {
+	if t.Depth > 0 {
 		if p, base := t.pageFor(addr, false); p != nil {
 			return p[(addr-base)/8]
 		}
 	}
-	return t.rt.reg.Dev.Load64(addr)
+	return t.rt.Reg.Dev.Load64(addr)
 }
-
-// Boundary is ignored: NVThreads logs whole pages.
-func (t *thread) Boundary(uint64, ...persist.RegVal) {}
 
 // commit streams the dirty pages to the redo log, publishes the commit
 // record, applies the pages home, and truncates.
@@ -243,25 +176,23 @@ func (t *thread) commit() {
 	if len(t.pageOrder) == 0 {
 		return
 	}
-	dev := t.rt.reg.Dev
+	dev := t.rt.Reg.Dev
 	for i, base := range t.pageOrder {
-		slot := t.log + logBase + uint64(i)*slotSize
+		slot := t.Log + logBase + uint64(i)*slotSize
 		dev.StoreNT(slot, base)
 		dev.WriteWordsNT(slot+8, t.pages[base])
-		t.stats.LoggedEntries++
-		t.stats.LoggedBytes += PageSize
-		t.rc.Emit(obs.KLogAppend, PageSize, base)
+		t.Append(PageSize, base)
 	}
-	dev.StoreNT(t.log+logCount, uint64(len(t.pageOrder)))
+	dev.StoreNT(t.Log+logCount, uint64(len(t.pageOrder)))
 	dev.Fence()
-	dev.StoreNT(t.log+logState, 1)
+	dev.StoreNT(t.Log+logState, 1)
 	dev.Fence()
 	for _, base := range t.pageOrder {
 		dev.WriteWords(base, t.pages[base])
 		dev.PersistRange(base, PageSize)
 	}
 	dev.Fence()
-	dev.StoreNT(t.log+logState, 0)
+	dev.StoreNT(t.Log+logState, 0)
 	dev.Fence()
 	for _, base := range t.pageOrder {
 		delete(t.pages, base)

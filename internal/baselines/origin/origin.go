@@ -5,89 +5,45 @@
 package origin
 
 import (
-	"github.com/ido-nvm/ido/internal/locks"
 	"github.com/ido-nvm/ido/internal/persist"
-	"github.com/ido-nvm/ido/internal/region"
 )
 
-// Runtime is the crash-vulnerable baseline runtime.
-type Runtime struct {
-	reg     *region.Region
-	threads persist.Threads
-}
+// Runtime is the crash-vulnerable baseline runtime. It keeps no logs, so
+// its threads have no trace ring.
+type Runtime struct{ persist.Frame }
 
 // New creates an origin runtime.
-func New() *Runtime { return &Runtime{} }
-
-// Name implements persist.Runtime.
-func (rt *Runtime) Name() string { return "origin" }
-
-// Attach implements persist.Runtime.
-func (rt *Runtime) Attach(reg *region.Region, _ *locks.Manager) error {
-	rt.reg = reg
-	return nil
-}
+func New() *Runtime { return &Runtime{persist.NewFrame("origin", persist.Logs{})} }
 
 // NewThread implements persist.Runtime.
 func (rt *Runtime) NewThread() (persist.Thread, error) {
-	rt.threads.Lock()
-	defer rt.threads.Unlock()
-	t := &thread{rt: rt, id: rt.threads.Next()}
-	rt.threads.Add(t.id, &t.stats)
+	t := &thread{rt: rt}
+	if _, err := rt.Frame.NewThread(&t.ThreadFrame, nil); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
 // Recover implements persist.Runtime; origin cannot recover anything.
 // The audit is present but empty, so callers can print it uniformly.
 func (rt *Runtime) Recover(*persist.ResumeRegistry) (persist.RecoveryStats, error) {
-	return persist.Recover(rt.reg, rt.Name(), nil)
+	return persist.Recover(rt.Reg, rt.Name(), nil)
 }
 
-// Stats implements persist.Runtime.
-func (rt *Runtime) Stats() persist.RuntimeStats { return rt.threads.Stats() }
-
+// thread takes its FASE verbs from the frame: a lock is a plain mutex.
 type thread struct {
-	rt    *Runtime
-	id    int
-	depth int
-	stats persist.RuntimeStats
-}
-
-func (t *thread) ID() int        { return t.id }
-func (t *thread) Exec(op func()) { op() }
-
-func (t *thread) Lock(l *locks.Lock) {
-	l.Acquire()
-	t.depth++
-}
-
-func (t *thread) Unlock(l *locks.Lock) {
-	if t.depth == 1 {
-		t.stats.FASEs++
-	}
-	t.depth--
-	l.Release()
-}
-
-func (t *thread) BeginDurable() { t.depth++ }
-func (t *thread) EndDurable() {
-	if t.depth == 1 {
-		t.stats.FASEs++
-	}
-	t.depth--
+	persist.ThreadFrame
+	rt *Runtime
 }
 
 func (t *thread) Store64(addr, val uint64) {
-	t.rt.reg.Dev.Store64(addr, val)
-	if t.depth > 0 {
-		t.stats.Stores++
+	t.rt.Reg.Dev.Store64(addr, val)
+	if t.Depth > 0 {
+		t.Stats.Stores++
 	}
 }
 
-func (t *thread) Load64(addr uint64) uint64 { return t.rt.reg.Dev.Load64(addr) }
-
-// Boundary is ignored: origin logs nothing.
-func (t *thread) Boundary(uint64, ...persist.RegVal) {}
+func (t *thread) Load64(addr uint64) uint64 { return t.rt.Reg.Dev.Load64(addr) }
 
 var (
 	_ persist.Runtime = (*Runtime)(nil)

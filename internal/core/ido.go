@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/ido-nvm/ido/internal/idolog"
 	"github.com/ido-nvm/ido/internal/locks"
@@ -40,8 +41,7 @@ type Runtime struct {
 
 	stride uint64 // the logs' word stride: 8 when coalescing, a cache line when not
 
-	threads persist.Threads        // its mutex also guards spares
-	spares  idolog.Spares[*Thread] // the threads the last Recover adopted
+	threads persist.Threads[*Thread] // a spare is a thread the last Recover adopted
 }
 
 // New creates an iDO runtime with the given configuration.
@@ -69,15 +69,16 @@ func (rt *Runtime) Attach(reg *region.Region, lm *locks.Manager) error {
 func (rt *Runtime) NewThread() (persist.Thread, error) {
 	rt.threads.Lock()
 	defer rt.threads.Unlock()
-	t, ok := rt.spares.Take(rt.Name())
-	if !ok {
-		t = &Thread{}
-		if err := t.Create(rt.reg, rt.Name(), rt.threads.Next(), persist.MaxOutputs, rt.stride, 0, false); err != nil {
-			return nil, err
-		}
-		rt.threads.Add(t.ID(), &t.Stats)
+	t, ok := rt.threads.Take()
+	if ok {
+		t.Reuse(rt.Name())
+		return t, nil
 	}
-	rt.spares.Handed()
+	t = &Thread{}
+	if err := t.Create(rt.reg, rt.Name(), rt.threads.Next(), persist.MaxOutputs, rt.stride, 0, false); err != nil {
+		return nil, err
+	}
+	rt.threads.Add(t.ID(), &t.Stats)
 	return t, nil
 }
 
@@ -111,10 +112,7 @@ func (rt *Runtime) Stats() persist.RuntimeStats { return rt.threads.Stats() }
 // when an incarnation runs more threads than any before it. It must run
 // before the runtime hands out its first thread.
 func (rt *Runtime) Recover(rr *persist.ResumeRegistry) (persist.RecoveryStats, error) {
-	rt.threads.Lock()
-	err := rt.spares.Recovering(rt.Name())
-	rt.threads.Unlock()
-	if err != nil {
+	if err := rt.threads.Recovering(rt.Name()); err != nil {
 		return persist.RecoveryStats{}, err
 	}
 	var adopted []*Thread
@@ -137,9 +135,7 @@ func (rt *Runtime) Recover(rr *persist.ResumeRegistry) (persist.RecoveryStats, e
 	if err != nil {
 		return st, err
 	}
-	rt.threads.Lock()
-	rt.spares.Keep(adopted, persist.MaxOutputs, rt.stride, false)
-	rt.threads.Unlock()
+	rt.threads.Keep(slices.DeleteFunc(adopted, func(t *Thread) bool { return !t.Fits(persist.MaxOutputs, rt.stride, false) }))
 	return st, nil
 }
 

@@ -210,9 +210,6 @@ func (l *Log) traceAs(name, suffix string) {
 	}
 }
 
-// log is how Spares reaches the Log a runtime's thread type embeds.
-func (l *Log) log() *Log { return l }
-
 // setLayout derives the handle's layout from a log's meta word.
 func (l *Log) setLayout(dev *nvm.Device, meta uint64) error {
 	l.dev = dev

@@ -25,63 +25,26 @@ import (
 //
 // The thread outlives recovery. Once Recover has returned nil, every
 // adopted log is idle — it was, or its resumed FASE has run to its end —
-// and the runtime keeps the threads in its Spares to hand out as new ones
+// and the runtime keeps the threads whose log Fits its own layout as the
+// spares in its persist.Threads, handing them out as new ones (Reuse)
 // instead of creating a log per thread per restart.
 type Adopt func(id int, pc uint64) (l *Log, resume func(rf []uint64), err error)
 
-// Spares holds the threads a runtime's last successful Recover adopted,
-// for its NewThread to hand out before it creates a log. That keeps the
-// log list, and so the next walk, as long as the most threads one
-// incarnation ran at once, not growing by a log per thread per restart.
-// T is the runtime's thread type, which embeds Log. The runtime guards
-// its Spares with its own mutex.
-type Spares[T interface{ log() *Log }] struct {
-	idle   []T  // in list order: Take pops from the end, the oldest log
-	handed bool // the runtime has handed out a thread
+// Fits reports whether the log has exactly the layout a runtime's Create
+// passes (regs, stride, raw) and no FASE open: whether that runtime can
+// hand it out again. A log of another layout, an ablation's or another
+// runtime's, stays on the list unused.
+func (l *Log) Fits(regs int, stride uint64, raw bool) bool {
+	return l.regs == regs && l.stride == stride && l.raw == raw && l.Depth() == 0
 }
 
-// Recovering is Recover's guard: it fails once the runtime has handed
-// out a thread, whose log the walk would adopt from under it.
-func (s *Spares[T]) Recovering(name string) error {
-	if s.handed {
-		return fmt.Errorf("%s: Recover after NewThread: recovery must come before the runtime's first thread", name)
-	}
-	return nil
-}
-
-// Keep makes the spares those of adopted — the threads a successful
-// Recover adopted, in list order — whose log has exactly the layout the
-// runtime's Create passes (regs, stride, raw) and no FASE open. A log of
-// another layout, an ablation's or another runtime's, stays on the list
-// unused.
-func (s *Spares[T]) Keep(adopted []T, regs int, stride uint64, raw bool) {
-	s.idle = s.idle[:0]
-	for _, t := range adopted {
-		if l := t.log(); l.regs == regs && l.stride == stride && l.raw == raw && l.Depth() == 0 {
-			s.idle = append(s.idle, t)
-		}
-	}
-}
-
-// Take pops the spare with the oldest log and gives it to a new thread in
-// place of Create: the log keeps its address and id, leaves recovery (a
-// recursive Lock panics again) and traces as name/t<id>. It issues no
-// device event, and reports false when no spare is left.
-func (s *Spares[T]) Take(name string) (t T, ok bool) {
-	n := len(s.idle)
-	if n == 0 {
-		return t, false
-	}
-	t = s.idle[n-1]
-	s.idle = s.idle[:n-1]
-	l := t.log()
+// Reuse gives a log Recover adopted to a new thread in place of Create:
+// the log keeps its address and id, leaves recovery (a recursive Lock
+// panics again) and traces as name/t<id>. It issues no device event.
+func (l *Log) Reuse(name string) {
 	l.recovering = false
 	l.traceAs(name, "")
-	return t, true
 }
-
-// Handed records that the runtime has handed out a thread.
-func (s *Spares[T]) Handed() { s.handed = true }
 
 // Recover implements §III-C in three steps, with one recovery thread per
 // interrupted FASE. name is the runtime's, for the audit and the trace

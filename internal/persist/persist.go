@@ -8,7 +8,6 @@ package persist
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/ido-nvm/ido/internal/locks"
@@ -204,40 +203,6 @@ func Recover(reg *region.Region, name string, scan func(p *Pass) error) (Recover
 	}
 	p.Elapsed = time.Since(start)
 	return p.RecoveryStats, err
-}
-
-// Threads is the registry every runtime keeps of its threads: it numbers
-// them and sums their counters. Its mutex serialises thread creation,
-// which links a log onto the region's list (region.Link); take it with a
-// deferred unlock, as a device call under it can panic with
-// nvm.CrashSignal.
-type Threads struct {
-	sync.Mutex
-	stats []*RuntimeStats
-	next  int
-}
-
-// Next is the id of the next new thread. Call with the mutex held.
-func (r *Threads) Next() int { return r.next }
-
-// Add registers the counters of thread id, a new thread's or one a
-// recovery found on the log list; Next moves past id. Call with the
-// mutex held.
-func (r *Threads) Add(id int, s *RuntimeStats) {
-	r.stats = append(r.stats, s)
-	r.next = max(r.next, id+1)
-}
-
-// Stats sums the counters of every thread added. Call only while the
-// threads are quiescent.
-func (r *Threads) Stats() RuntimeStats {
-	r.Lock()
-	defer r.Unlock()
-	var out RuntimeStats
-	for _, s := range r.stats {
-		out.Add(s)
-	}
-	return out
 }
 
 // HistStores is the bucket count for the stores-per-region histogram:

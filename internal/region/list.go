@@ -46,15 +46,13 @@ func (r *Region) List(slot int, next, span uint64) iter.Seq2[uint64, error] {
 // also bound the walk at dev.Size()/nvm.LineSize steps.
 func (r *Region) Chain(head, next, span uint64) iter.Seq2[uint64, error] {
 	return func(yield func(uint64, error) bool) {
-		dev, size := r.Dev, uint64(r.Dev.Size())
+		dev := r.Dev
 		seen := map[uint64]bool{}
 		for p := dev.Load64(head); p != 0; p = dev.Load64(p + next) {
-			var err error
+			err := r.Check(p, span, nvm.LineSize)
 			switch {
-			case p%nvm.LineSize != 0 || p >= size:
-				err = fmt.Errorf("log link %#x after %d logs names no line-aligned log inside the device's %d bytes", p, len(seen), size)
-			case span > size-p:
-				err = fmt.Errorf("log link %#x after %d logs names a log that runs to %#x, past the device's %d bytes", p, len(seen), p+span, size)
+			case err != nil:
+				err = fmt.Errorf("log link after %d logs: %w", len(seen), err)
 			case seen[p]:
 				err = fmt.Errorf("log list returns to log %#x after %d logs", p, len(seen))
 			}
@@ -68,4 +66,22 @@ func (r *Region) Chain(head, next, span uint64) iter.Seq2[uint64, error] {
 			}
 		}
 	}
+}
+
+// Check fails unless addr is a multiple of align and the n bytes from
+// addr lie inside the device: the test a list link's node passes before a
+// walk reads it, and a log entry's address before recovery applies it.
+func (r *Region) Check(addr, n, align uint64) error {
+	size := uint64(r.Dev.Size())
+	switch {
+	case addr%align != 0 || addr >= size:
+		aligned := fmt.Sprintf("%d-byte-aligned", align)
+		if align == nvm.LineSize {
+			aligned = "line-aligned"
+		}
+		return fmt.Errorf("%#x is no %s address inside the device's %d bytes", addr, aligned, size)
+	case n > size-addr:
+		return fmt.Errorf("%#x runs to %#x, past the device's %d bytes", addr, addr+n, size)
+	}
+	return nil
 }

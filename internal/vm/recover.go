@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/ido-nvm/ido/internal/compile"
 	"github.com/ido-nvm/ido/internal/idolog"
@@ -24,10 +25,7 @@ import (
 // before the single pc store that publishes it, so its replay is exact
 // under the volatile-cache crash adversaries too.
 func (m *Machine) Recover() (persist.RecoveryStats, error) {
-	m.registry.Lock()
-	err := m.spares.Recovering(m.name())
-	m.registry.Unlock()
-	if err != nil {
+	if err := m.registry.Recovering(m.name()); err != nil {
 		return persist.RecoveryStats{}, err
 	}
 	if m.Mode == ModeOrigin {
@@ -42,9 +40,7 @@ func (m *Machine) Recover() (persist.RecoveryStats, error) {
 	if err != nil {
 		return st, err
 	}
-	m.registry.Lock()
-	m.spares.Keep(adopted, MaxRegs+1, 8, m.Mode == ModeJUSTDO)
-	m.registry.Unlock()
+	m.registry.Keep(slices.DeleteFunc(adopted, func(t *Thread) bool { return !t.Fits(MaxRegs+1, 8, m.Mode == ModeJUSTDO) }))
 	return st, nil
 }
 

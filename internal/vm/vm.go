@@ -110,9 +110,8 @@ type Machine struct {
 	funcNames []string
 	code      map[string]*compile.DecodedFunc
 
-	registry persist.Threads        // its mutex also guards threads and spares
-	threads  []*Thread              // for Trace, in registration order
-	spares   idolog.Spares[*Thread] // the threads the last Recover adopted
+	registry persist.Threads[*Thread] // a spare is a thread the last Recover adopted; the mutex also guards threads
+	threads  []*Thread                // for Trace, in registration order
 }
 
 // New creates a machine. The program must come from compile.Program so
@@ -202,8 +201,9 @@ func (m *Machine) NewThread() (*Thread, error) {
 	m.registry.Lock()
 	defer m.registry.Unlock()
 	dev := m.Reg.Dev
-	t, reused := m.spares.Take(m.name())
+	t, reused := m.registry.Take()
 	if reused {
+		t.Reuse(m.name())
 		t.frame = dev.Load64(t.Extra() + xFrame)
 	}
 	// A reused log names no frame when its creator died between linking
@@ -230,7 +230,6 @@ func (m *Machine) NewThread() (*Thread, error) {
 		dev.Fence()
 	}
 	t.sp = t.frame
-	m.spares.Handed()
 	return t, nil
 }
 
